@@ -87,6 +87,8 @@ def _field(cfg: dict, name: str, typ, where: str = ""):
     if typ is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"{path}: expected a number, got {val!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: expected a finite number, got {val!r}")
         return float(val)
     if typ is int:
         if not isinstance(val, int) or isinstance(val, bool):
@@ -108,8 +110,8 @@ def _grid_axis(block: dict, where: str) -> np.ndarray:
 
 def _parse_model(cfg: dict) -> LindbladModel:
     block = _field(cfg, "model", dict)
-    gamma = float(block.get("gamma", 1.0))
-    heating = float(block.get("heating_rate", 0.0))
+    gamma = _field(block, "gamma", float, "model") if "gamma" in block else 1.0
+    heating = _field(block, "heating_rate", float, "model") if "heating_rate" in block else 0.0
     try:
         if "epsilon_over_kappa" in block:
             eps = _field(block, "epsilon_over_kappa", float, "model")

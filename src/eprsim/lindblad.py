@@ -20,31 +20,32 @@ decoherence; it is an add-on diagnostic, not part of the driven model.
 The generator conserves the index difference
 ``delta = (m0 - n0) - (m1 - n1)`` of a matrix element
 ``<m0 m1| rho |n0 n1>``, and every state reachable from vacuum (and the
-steady state itself) lives in the ``delta = 0`` sector.  Steady-state
-solves and vacuum-start integrations are therefore performed on that
-sector, which cuts the unknown count from ``n_max**4`` to roughly
-``n_max**3``; results are identical to full-space solves and are checked
-against the dense generator in the tests.
+steady state itself) lives in the ``delta = 0`` sector.  Vacuum-start
+integrations run on that sector, which cuts the unknown count from
+``n_max**4`` to roughly ``n_max**3``.
+
+The steady state is reduced further.  The generator has real
+coefficients and treats the modes alike, so it commutes with the
+Hermitian transpose T and the mode swap S; the steady state is real and
+constant on the orbits of {1, T, S, TS}, about a quarter of the sector.
+:func:`steady_state` solves for one value per orbit with one bordered
+sparse LU and certifies the result on the unreduced space.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
 
-from .hilbert import (
-    DensityMatrix,
-    FockBasis,
-    ModeOperator,
-    annihilation_op,
-)
+from .hilbert import DensityMatrix, FockBasis
 from .states import TruncationWarning
 
 log = logging.getLogger(__name__)
@@ -74,6 +75,9 @@ class LindbladModel:
     heating_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma", "n_param", "m_param", "heating_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.n_param < 0:
@@ -106,8 +110,10 @@ def _terms(model: LindbladModel, basis: FockBasis):
     and matrix entries are real.
     """
     g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
-    b1 = sp.csr_matrix(annihilation_op(basis, 0).elements.real)
-    b2 = sp.csr_matrix(annihilation_op(basis, 1).elements.real)
+    ladder = sp.diags(np.sqrt(np.arange(1.0, basis.n_max)), 1, format="csr")
+    eye_1 = sp.identity(basis.n_max, format="csr")
+    b1 = sp.kron(ladder, eye_1, format="csr")
+    b2 = sp.kron(eye_1, ladder, format="csr")
     b1d, b2d = b1.T.tocsr(), b2.T.tocsr()
     eye = sp.identity(basis.dimension, format="csr")
     terms = []
@@ -161,12 +167,12 @@ class Superoperator:
             out = out + coeff * sp.kron(a, b.T, format="csr")
         return out
 
-    def apply(self, rho_elements: np.ndarray) -> np.ndarray:
-        """Generator applied to a (matrix-shaped) density operator."""
-        out = np.zeros_like(rho_elements, dtype=complex)
-        for coeff, a, b in self.terms:
-            out += coeff * (a @ rho_elements @ b)
-        return out
+    def apply(self, rho_elements):
+        """Generator applied to a (matrix-shaped) density operator.
+
+        Takes a dense array or a sparse matrix and returns the same kind.
+        """
+        return sum(coeff * (a @ rho_elements @ b) for coeff, a, b in self.terms)
 
     def apply_to(self, rho: DensityMatrix) -> DensityMatrix:
         return DensityMatrix(self.basis, self.apply(rho.elements))
@@ -183,54 +189,64 @@ def build_superoperator(model: LindbladModel, basis: FockBasis) -> Superoperator
 # delta-sector machinery
 # ---------------------------------------------------------------------------
 
-def _sector_indices(basis: FockBasis):
-    """Vectorized-element indices of the conserved delta = 0 sector.
+def _sector_indices(basis: FockBasis) -> np.ndarray:
+    """Sorted vec indices ``u * d + v`` of the conserved delta = 0 sector.
 
-    Returns (indices, positions): ``indices`` lists the d*d vec positions
-    in the sector; ``positions`` is the inverse map (-1 outside).
+    Enumerated as (m0, m1, n0) with ``n1 = m1 - m0 + n0``, so the work and
+    memory scale with the sector, not with the d*d vectorized space.
     """
-    n = basis.n_max
-    d = basis.dimension
-    vec = np.arange(d * d)
-    u, v = vec // d, vec % d
-    m0, m1 = u // n, u % n
-    n0, n1 = v // n, v % n
-    mask = (m0 - n0) == (m1 - n1)
-    indices = np.nonzero(mask)[0]
-    positions = np.full(d * d, -1, dtype=np.int64)
-    positions[indices] = np.arange(len(indices))
-    return indices, positions
+    n, d = basis.n_max, basis.dimension
+    m0, m1, n0 = np.indices((n, n, n)).reshape(3, -1)
+    n1 = m1 - m0 + n0
+    keep = (n1 >= 0) & (n1 < n)
+    return ((m0 * n + m1) * d + n0 * n + n1)[keep]
 
 
-def _sector_matrix(terms, basis: FockBasis, positions: np.ndarray, size: int):
-    """Generator restricted to the delta = 0 sector, as sparse CSC.
+def _position_map(basis: FockBasis, vec_indices, positions) -> np.ndarray:
+    """Length-d*d map from vec index to ``positions`` (-1 elsewhere)."""
+    out = np.full(basis.dimension**2, -1, dtype=np.int64)
+    out[vec_indices] = positions
+    return out
 
+
+def _entries(indptr, keys):
+    """Stored entries of the CSR rows (or CSC columns) ``keys``.
+
+    Returns (owner, pos): ``pos`` indexes the matrix's ``indices``/``data``
+    and ``owner`` is the position in ``keys`` each entry belongs to.
+    """
+    start = indptr[keys]
+    counts = indptr[keys + 1] - start
+    owner = np.repeat(np.arange(len(keys)), counts)
+    pos = np.arange(owner.size) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    return owner, pos
+
+
+def _sector_matrix(terms, basis: FockBasis, row_pos, col_pos, shape):
+    """Generator restricted by two position maps, as sparse CSC.
+
+    Keeps the rows whose vec index has ``row_pos >= 0`` and sums each
+    column into ``col_pos`` of its vec index (entries at -1 drop out).
     Built generically from the (coeff, A, B) factor pairs: the superoperator
-    entry ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``.
+    entry ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, enumerated
+    from the kept rows, so the work scales with their count.
     """
     d = basis.dimension
+    tgt = np.nonzero(row_pos >= 0)[0]
     rows, cols, vals = [], [], []
     for coeff, a_mat, b_mat in terms:
-        a_coo = sp.coo_matrix(a_mat)
-        b_coo = sp.coo_matrix(b_mat)
-        na, nb = a_coo.nnz, b_coo.nnz
-        if na == 0 or nb == 0:
-            continue
-        u = np.repeat(a_coo.row.astype(np.int64), nb)
-        a = np.repeat(a_coo.col.astype(np.int64), nb)
-        va = np.repeat(a_coo.data, nb)
-        c = np.tile(b_coo.row.astype(np.int64), na)
-        v = np.tile(b_coo.col.astype(np.int64), na)
-        vb = np.tile(b_coo.data, na)
-        tgt = positions[u * d + v]
-        src = positions[a * d + c]
-        keep = (tgt >= 0) & (src >= 0)
-        rows.append(tgt[keep])
+        a_csr, b_csc = sp.csr_matrix(a_mat), sp.csc_matrix(b_mat)
+        k, ia = _entries(a_csr.indptr, tgt // d)        # A[u, a]
+        kb, ib = _entries(b_csc.indptr, tgt[k] % d)     # B[c, v]
+        k, ia = k[kb], ia[kb]
+        src = col_pos[a_csr.indices[ia] * d + b_csc.indices[ib]]
+        keep = src >= 0
+        rows.append(row_pos[tgt[k[keep]]])
         cols.append(src[keep])
-        vals.append(coeff * va[keep] * vb[keep])
+        vals.append(coeff * a_csr.data[ia[keep]] * b_csc.data[ib[keep]])
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
+        shape=shape,
     )
     return mat.tocsc()
 
@@ -240,6 +256,22 @@ def _scatter(sector_vec, indices, basis: FockBasis) -> np.ndarray:
     full = np.zeros(d * d, dtype=complex)
     full[indices] = sector_vec
     return full.reshape(d, d)
+
+
+def _orbits(indices, basis: FockBasis):
+    """Orbit of each sector element under transpose T and mode swap S.
+
+    T: (m0,m1;n0,n1) -> (n0,n1;m0,m1), S: (m0,m1;n0,n1) -> (m1,m0;n1,n0).
+    Returns (orbit, reps): the orbit number of each entry of ``indices``
+    and the sorted vec index of each orbit's representative (its smallest
+    member), so the vacuum element |00><00| is orbit 0.
+    """
+    n, d = basis.n_max, basis.dimension
+    u, v = indices // d, indices % d
+    su, sv = (u % n) * n + u // n, (v % n) * n + v // n
+    rep = np.minimum.reduce([indices, v * d + u, su * d + sv, sv * d + su])
+    reps, orbit = np.unique(rep, return_inverse=True)
+    return orbit, reps
 
 
 def _top_level_population(rho: DensityMatrix) -> float:
@@ -255,48 +287,53 @@ def steady_state(
 ) -> DensityMatrix:
     """Steady state of the master equation.
 
-    Solved by shifted inverse iteration (targeting eigenvalue zero) on the
-    sector-restricted sparse generator; falls back to long-time integration
-    (t = 20 / gamma from vacuum) if the iteration stalls.  The returned
-    state is Hermitized, trace-normalized, and certified by the generator
-    residual ``||L(rho)||_F < residual_tol``.
+    One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
+    kept at the orbit representatives, columns summed over each orbit, and
+    the vacuum row is replaced by the trace row (a diagonal orbit weighs its
+    size).  One sparse LU solves this bordered system.  The full state is
+    certified by the unreduced residual ``||L(rho)||_F < residual_tol``; a
+    failed factorization or certification raises :class:`NumericalError`.
     """
     if basis.n_modes != 2:
         raise ValueError("the correlated-bath master equation is a two-mode model")
+    # Every LindbladModel is symmetric between the modes (one gamma, one
+    # heating_rate for both), so the mode-swap reduction always applies.
+    t0 = time.perf_counter()
+    d = basis.dimension
     terms = _terms(model, basis)
-    indices, positions = _sector_indices(basis)
-    size = len(indices)
-    l_sec = _sector_matrix(terms, basis, positions, size)
-    log.info("steady_state: sector size %d, nnz %d", size, l_sec.nnz)
+    indices = _sector_indices(basis)
+    orbit, reps = _orbits(indices, basis)
+    size = len(reps)
+    col_pos = _position_map(basis, indices, orbit)
+    # row 0 (the vacuum |00><00|) is left out and becomes the trace row
+    row_pos = _position_map(basis, reps[1:], np.arange(1, size))
+    diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
+    trace_row = sp.csc_matrix((np.ones(len(diag)), (np.zeros_like(diag), diag)), (size, size))
+    mat = _sector_matrix(terms, basis, row_pos, col_pos, (size, size)) + trace_row
+    t1 = time.perf_counter()
+    try:
+        lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # exactly singular factor
+        raise NumericalError(f"steady-state factorization failed: {exc}") from exc
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
+    rho_sp = sp.csr_matrix((lu.solve(rhs)[orbit], (indices // d, indices % d)), (d, d))
+    fill = lu.L.nnz + lu.U.nnz
+    del lu  # release the factors before the dense state is built
+    t2 = time.perf_counter()
+    resid = float(spla.norm(Superoperator(basis, terms).apply(rho_sp)))
+    t3 = time.perf_counter()
+    log.info(
+        "steady_state: sector %d, reduced %d, nnz %d, LU fill %d, residual %.3e; "
+        "assemble %.3fs, factor %.3fs, certify %.3fs",
+        len(indices), size, mat.nnz, fill, resid, t1 - t0, t2 - t1, t3 - t2,
+    )
+    if not resid < residual_tol:
+        raise NumericalError(
+            f"steady-state residual {resid:.3e} exceeds tolerance {residual_tol:.0e}"
+        )
 
-    vec = _inverse_iteration(l_sec, model.gamma, size)
-    if vec is None:
-        log.warning("inverse iteration stalled; falling back to long-time integration")
-        vec = _integrate_to_steady(l_sec, indices, basis, model.gamma)
-
-    rho_el = _scatter(vec, indices, basis)
-    rho_el = (rho_el + rho_el.conj().T) / 2.0
-    tr = np.trace(rho_el).real
-    if abs(tr) < 1e-300:
-        raise NumericalError("steady-state solve returned a traceless vector")
-    rho_el /= tr
-
-    # certify on the final (hermitized, normalized) state
-    resid = float(np.linalg.norm(l_sec @ rho_el.reshape(-1)[indices]))
-    if resid >= residual_tol:
-        # inverse iteration result did not certify; try the fallback path once
-        vec = _integrate_to_steady(l_sec, indices, basis, model.gamma)
-        rho_el = _scatter(vec, indices, basis)
-        rho_el = (rho_el + rho_el.conj().T) / 2.0
-        rho_el /= np.trace(rho_el).real
-        resid = float(np.linalg.norm(l_sec @ rho_el.reshape(-1)[indices]))
-        if resid >= residual_tol:
-            raise NumericalError(
-                f"steady-state residual {resid:.3e} exceeds tolerance {residual_tol:.0e}"
-            )
-    log.info("steady_state: certified residual %.3e", resid)
-
-    rho = DensityMatrix(basis, rho_el)
+    rho = DensityMatrix(basis, rho_sp.toarray())
     pop = _top_level_population(rho)
     if pop > 1e-4:
         warnings.warn(
@@ -306,50 +343,6 @@ def steady_state(
             stacklevel=2,
         )
     return rho
-
-
-def _inverse_iteration(l_sec, gamma, size, shift_frac=1e-2, max_iter=8):
-    """Shifted inverse iteration for the zero mode; None if it stalls."""
-    shift = shift_frac * gamma
-    ident = sp.identity(size, format="csc")
-    try:
-        lu = splu((l_sec - shift * ident).tocsc())
-    except RuntimeError as exc:  # singular factorization
-        log.warning("sparse LU failed: %s", exc)
-        return None
-    start = np.ones(size)  # deterministic start with overlap on the zero mode
-    x = start / np.linalg.norm(start)
-    best, best_res = None, np.inf
-    for _ in range(max_iter):
-        x = lu.solve(x)
-        x /= np.linalg.norm(x)
-        res = float(np.linalg.norm(l_sec @ x))
-        if res < best_res:
-            best, best_res = x, res
-        if res < 1e-13 * max(1.0, abs(gamma)):
-            break
-    if best is None or not np.all(np.isfinite(best)):
-        return None
-    return best
-
-
-def _integrate_to_steady(l_sec, indices, basis: FockBasis, gamma):
-    """Integrate the sector ODE from vacuum to t = 20/gamma."""
-    d = basis.dimension
-    vac = np.zeros(d * d)
-    vac[0] = 1.0  # |0,0><0,0| sits at vec index 0, inside the sector
-    y0 = vac[indices].astype(float)
-    sol = solve_ivp(
-        lambda _, y: l_sec @ y,
-        (0.0, 20.0 / gamma),
-        y0,
-        method="DOP853",
-        rtol=EVOLVE_RTOL,
-        atol=EVOLVE_ATOL,
-    )
-    if not sol.success:
-        raise NumericalError(f"long-time integration failed: {sol.message}")
-    return sol.y[:, -1]
 
 
 def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
@@ -376,13 +369,15 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
         return _with_moments(times, states, basis)
 
     terms = _terms(model, basis)
-    indices, positions = _sector_indices(basis)
+    indices = _sector_indices(basis)
     vec0 = rho0.elements.reshape(-1)
     outside = np.delete(vec0, indices)
     in_sector = not outside.size or float(np.max(np.abs(outside))) < 1e-15
 
     if in_sector:
-        mat = _sector_matrix(terms, basis, positions, len(indices))
+        size = len(indices)
+        positions = _position_map(basis, indices, np.arange(size))
+        mat = _sector_matrix(terms, basis, positions, positions, (size, size))
         y0 = vec0[indices]
     else:
         mat = Superoperator(basis, terms).matrix

@@ -327,6 +327,33 @@ def test_no_output_written_on_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), "abc", True])
+def test_non_finite_or_non_numeric_gamma_rejected(tmp_path, capsys, gamma):
+    cfg = write_config(
+        tmp_path,
+        {"schema_version": 1, "model": {"epsilon_over_kappa": 0.2, "gamma": gamma}, "n_max": 6},
+    )
+    out = tmp_path / "report.json"
+    assert main(["steady-state", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model.gamma:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_number_rejected_in_any_command(tmp_path, capsys):
+    axis = {"start": 0.0, "stop": 0.0, "num": 1}
+    cfg = write_config(
+        tmp_path,
+        {"schema_version": 1, "r": float("nan"),
+         "grid": {"q1": axis, "p1": axis, "q2": axis, "p2": axis}},
+    )
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: r: expected a finite number, got nan\n"
+    assert not out.exists()
+
+
 # --- determinism and wiring ------------------------------------------------
 
 

@@ -1,12 +1,18 @@
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 from eprsim import (
     DensityMatrix,
     FockBasis,
     LindbladModel,
     NopaParams,
+    NumericalError,
     TruncationWarning,
     annihilation_op,
     build_superoperator,
@@ -20,6 +26,7 @@ from eprsim import (
     tmss_fock,
     vacuum_state,
 )
+from eprsim.lindblad import _position_map, _sector_indices, _sector_matrix, _terms
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
 
@@ -45,6 +52,12 @@ def random_density(basis, rng):
         {"gamma": 1.0, "n_param": 1.0, "m_param": 1.5},  # M > sqrt(N(N+1))
         {"gamma": 1.0, "n_param": 1.0, "m_param": -0.5},
         {"gamma": 1.0, "n_param": 1.0, "m_param": 1.0, "heating_rate": -0.01},
+        {"gamma": float("nan"), "n_param": 1.0, "m_param": 0.0},
+        {"gamma": float("inf"), "n_param": 1.0, "m_param": 0.0},
+        {"gamma": 1.0, "n_param": float("inf"), "m_param": 0.0},
+        {"gamma": 1.0, "n_param": 1.0, "m_param": float("nan")},
+        {"gamma": 1.0, "n_param": 1.0, "m_param": 0.0, "heating_rate": float("nan")},
+        {"gamma": 1.0, "n_param": 1.0, "m_param": 0.0, "heating_rate": float("inf")},
     ],
 )
 def test_model_validation(kwargs):
@@ -112,13 +125,88 @@ def test_steady_state_moments_and_fidelity():
 
 
 def test_steady_state_agrees_with_long_time_integration():
-    """Inverse iteration and brute-force integration give the same state."""
+    """The orbit-reduced LU solve and brute-force integration agree."""
     model = half_model(0.25)
     basis = FockBasis(8, 2)
     direct = steady_state(model, basis)
     times = np.array([0.0, 30.0])
     integrated = evolve(vacuum_state(basis).density_matrix(), model, times).states[-1]
     assert np.max(np.abs(direct.elements - integrated.elements)) < 1e-8
+
+
+def reference_steady_state(model, basis):
+    """Unreduced delta-sector generator, vacuum row bordered by the trace row."""
+    d = basis.dimension
+    indices = _sector_indices(basis)
+    size = len(indices)
+    positions = _position_map(basis, indices, np.arange(size))
+    mat = _sector_matrix(_terms(model, basis), basis, positions, positions, (size, size))
+    mat = mat.tolil()
+    mat[0, :] = 0.0
+    mat[0, np.nonzero(indices // d == indices % d)[0]] = 1.0
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
+    full = np.zeros(d * d)
+    full[indices] = splu(mat.tocsc()).solve(rhs)
+    return full.reshape(d, d)
+
+
+def test_sector_matrix_matches_superoperator_restriction():
+    basis = FockBasis(5, 2)
+    terms = _terms(half_model(0.3, heating=0.05), basis)
+    indices = _sector_indices(basis)
+    positions = _position_map(basis, indices, np.arange(len(indices)))
+    sec = _sector_matrix(terms, basis, positions, positions, (len(indices),) * 2)
+    full = build_superoperator(half_model(0.3, heating=0.05), basis).matrix
+    assert abs(sec - full[indices][:, indices]).max() < 1e-14
+    # the sector is closed: no generator entry leads out of it
+    outside = np.setdiff1d(np.arange(basis.dimension**2), indices)
+    assert abs(full[outside][:, indices]).max() == 0.0
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+@pytest.mark.parametrize("heating", [0.0, 0.1])
+def test_steady_state_matches_unreduced_reference(n_max, heating):
+    model = half_model(0.5, heating=heating)
+    basis = FockBasis(n_max, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rho = steady_state(model, basis).elements
+    assert np.max(np.abs(rho - reference_steady_state(model, basis))) <= 1e-12
+    # real, and invariant under Hermitian transpose T and mode swap S
+    n = n_max
+    assert np.max(np.abs(rho.imag)) == 0.0
+    assert np.array_equal(rho, rho.T)
+    swapped = rho.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    assert np.array_equal(rho, swapped)
+
+
+def test_steady_state_uncertified_raises():
+    with pytest.raises(NumericalError, match="residual"):
+        steady_state(half_model(0.2), FockBasis(6, 2), residual_tol=0.0)
+
+
+def test_steady_state_logs_solver_figures(caplog):
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        steady_state(half_model(0.2), FockBasis(8, 2))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
+    assert re.search(
+        r"sector 344, reduced 120, nnz \d+, LU fill \d+, residual \S+; "
+        r"assemble \S+s, factor \S+s, certify \S+s$", line
+    ), line
+
+
+def test_near_threshold_steady_state():
+    """Criterion 02's checks at eps/kappa = 0.6 (N about 3.5), n_max = 60."""
+    model = half_model(0.6)
+    basis = FockBasis(60, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        rho = steady_state(model, basis)
+    r = np.arcsinh(np.sqrt(model.n_param))
+    assert fidelity(rho, tmss_fock(TmssSpec(r), basis)) > 0.999
+    assert purity(rho) > 0.998
+    assert abs(mean_phonon(rho, 0) - model.n_param) < 1e-3
 
 
 def test_steady_state_is_unique_zero_mode():
