@@ -3,9 +3,8 @@
 Verbs: nopa-spectrum, steady-state, evolve, wigner, bell-sweep,
 feasibility, cascade.  Each takes a JSON config (--config), writes CSV
 and/or JSON to --out (stdout when omitted), and is fully deterministic:
-identical configs produce byte-identical outputs, independent of
---workers.  Floats are emitted with 17 significant digits so outputs are
-stable golden-file material.
+identical configs produce byte-identical outputs.  Floats are emitted
+with 17 significant digits so outputs are stable golden-file material.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 Set EPRSIM_LOG=INFO (or DEBUG) for progress logging on stderr.
@@ -25,7 +24,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .gaussian import (
     model_from_lindblad,
     steady_covariance,
 )
-from .hilbert import FockBasis, DensityMatrix, vacuum_state
+from .hilbert import FockBasis, vacuum_state
 from .lindblad import LindbladModel, NumericalError, evolve, purity, steady_state
 from .metrics import BellSettings, chsh_value, epr_criterion, fidelity, mean_phonon
 from .nopa import NopaParams, effective_N_M, squeeze_parameter, squeezing_spectra
@@ -167,7 +165,7 @@ def _sibling(out_path: str | None, suffix: str) -> str | None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
     eps = _field(cfg, "epsilon_over_kappa", float)
     omega = _grid_axis(_field(cfg, "omega_grid", dict), "omega_grid")
     try:
@@ -180,7 +178,7 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override, workers: int) 
     return 0
 
 
-def cmd_steady_state(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
     model = _parse_model(cfg)
     n_max = _n_max(cfg, n_max_override, default=40)
     density_csv = cfg.get("density_csv")
@@ -227,7 +225,7 @@ def cmd_steady_state(cfg: dict, out: str | None, n_max_override, workers: int) -
     return 0
 
 
-def cmd_evolve(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
     model = _parse_model(cfg)
     n_max = _n_max(cfg, n_max_override, default=20)
     times = _grid_axis(_field(cfg, "times", dict), "times")
@@ -274,7 +272,7 @@ def cmd_evolve(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
     return 0
 
 
-def cmd_wigner(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
     r = _field(cfg, "r", float)
     if r < 0:
         raise ConfigError(f"r: must be >= 0, got {r}")
@@ -322,30 +320,14 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
     return 0
 
 
-def _bell_row(task) -> list[float]:
-    """One sweep row (fixed r, all J values); module-level for pickling."""
-    state_kind, r, n_max, j_values, beta2_sign = task
-    basis = FockBasis(n_max, 2)
-    if state_kind == "vacuum":
-        rho = vacuum_state(basis).density_matrix()
-    else:
-        rho = tmss_fock(TmssSpec(r), basis).density_matrix()
-    out = []
-    for j in j_values:
-        root = math.sqrt(j)
-        settings = BellSettings(0.0, root, 0.0, beta2_sign * root)
-        out.append(chsh_value(rho, settings))
-    return out
-
-
-def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
     state_kind = cfg.get("state", "tmss")
     if state_kind not in ("tmss", "vacuum"):
         raise ConfigError(f"state: expected 'tmss' or 'vacuum', got {state_kind!r}")
     n_max = _n_max(cfg, n_max_override, default=40)
     r_grid = _grid_axis(cfg.get("r_grid", {"start": 0.1, "stop": 1.2, "num": 12}), "r_grid")
     j_grid = _grid_axis(cfg.get("j_grid", {"start": 0.05, "stop": 0.5, "num": 10}), "j_grid")
-    beta2_sign = float(cfg.get("beta2_sign", 1.0))
+    beta2_sign = _field(cfg, "beta2_sign", float) if "beta2_sign" in cfg else 1.0
     if beta2_sign not in (1.0, -1.0):
         raise ConfigError(f"beta2_sign: expected 1 or -1, got {beta2_sign!r}")
     if np.any(r_grid < 0):
@@ -355,18 +337,15 @@ def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override, workers: int) -> 
     if np.any(np.sqrt(j_grid) > 3.0):
         raise ConfigError("j_grid: sqrt(J) exceeds the truncation-safety bound 3")
 
-    tasks = [(state_kind, float(r), n_max, [float(j) for j in j_grid], beta2_sign)
-             for r in r_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows_b = list(pool.map(_bell_row, tasks))
-    else:
-        rows_b = [_bell_row(t) for t in tasks]
-
+    basis = FockBasis(n_max, 2)
     rows = []
     best = (-np.inf, None, None)
-    for r, row in zip(r_grid, rows_b):
-        for j, b_val in zip(j_grid, row):
+    for r in r_grid:
+        state = (vacuum_state(basis) if state_kind == "vacuum"
+                 else tmss_fock(TmssSpec(float(r)), basis))
+        for j in j_grid:
+            root = math.sqrt(j)
+            b_val = chsh_value(state, BellSettings(0.0, root, 0.0, beta2_sign * root))
             rows.append((r, j, b_val))
             if b_val > best[0]:
                 best = (b_val, float(r), float(j))
@@ -382,7 +361,7 @@ def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override, workers: int) -> 
     return 0
 
 
-def cmd_feasibility(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
     block = _field(cfg, "experiment", dict)
     kwargs = {}
     for name in ("g0", "kappa_a", "gamma_atom", "delta_big", "eta_x",
@@ -399,7 +378,7 @@ def cmd_feasibility(cfg: dict, out: str | None, n_max_override, workers: int) ->
     return 0
 
 
-def cmd_cascade(cfg: dict, out: str | None, n_max_override, workers: int) -> int:
+def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
     eps = _field(cfg, "epsilon_over_kappa", float)
     ratios = _field(cfg, "kappa_over_gamma", list)
     if not ratios or not all(
@@ -450,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes for sweeps")
         p.add_argument("--n-max", type=int, default=None, dest="n_max",
                        help="override the config's Fock truncation")
     return parser
@@ -467,12 +445,9 @@ def main(argv=None) -> int:
         force=True,
     )
     args = _build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args.out, args.n_max, args.workers)
+        return _COMMANDS[args.command](cfg, args.out, args.n_max)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

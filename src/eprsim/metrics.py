@@ -1,11 +1,12 @@
 """Entanglement and nonlocality diagnostics.
 
-Fock-space quantities (fidelity, mean phonon number, displaced-parity
-correlations, CHSH combinations) operate on density matrices; the
-Gaussian quantities (EPR criterion helper, logarithmic negativity)
-operate on covariance data.  The displaced-parity correlator is the
-measurable behind both the Bell test and the Wigner function, so the two
-are proportional point by point — a cross-check exercised in the tests.
+Fock-space fidelity and mean phonon number operate on density matrices,
+the displaced-parity correlations and CHSH combinations on a pure state
+or a density matrix, and the Gaussian quantities (EPR criterion helper,
+logarithmic negativity) on covariance data.  The displaced-parity
+correlator is the measurable behind both the Bell test and the Wigner
+function, so the two are proportional point by point — a cross-check
+exercised in the tests.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
 
 
 def parity_correlation(
-    rho: DensityMatrix,
+    state: PureState | DensityMatrix,
     alpha: complex,
     beta: complex,
     max_magnitude: float = MAX_SETTING_MAGNITUDE,
@@ -82,28 +83,30 @@ def parity_correlation(
     """Joint displaced-parity correlator E(alpha, beta) in [-1, 1].
 
     E = <D1(alpha) D2(beta) P1 P2 D2†(beta) D1†(alpha)> — the product of
-    displaced even/odd phonon-number measurements on the two modes.
+    displaced even/odd phonon-number measurements on the two modes.  Takes
+    a pure state or a density matrix and contracts only on its support.
     """
-    if rho.basis.n_modes != 2:
-        raise ValueError("two-mode density matrix required")
+    if state.basis.n_modes != 2:
+        raise ValueError("two-mode state required")
     if abs(alpha) > max_magnitude or abs(beta) > max_magnitude:
         raise ValueError(
             f"displacement magnitude exceeds truncation-safety bound {max_magnitude}"
         )
-    _warn_if_truncated(rho, "parity_correlation")
-    return displaced_parity_expectation(rho, alpha, beta)
+    _warn_if_truncated(state, "parity_correlation")
+    return displaced_parity_expectation(state, alpha, beta)
 
 
-def chsh_value(rho: DensityMatrix, s: BellSettings) -> float:
+def chsh_value(state: PureState | DensityMatrix, s: BellSettings) -> float:
     """CHSH combination B = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
 
     |B| <= 2 for every separable state; displaced-parity measurements on
     the pair-correlated states here push B above 2 for suitable settings.
+    Takes a pure state or a density matrix, as :func:`parity_correlation`.
     """
-    e11 = parity_correlation(rho, s.alpha1, s.beta1, s.max_magnitude)
-    e12 = parity_correlation(rho, s.alpha1, s.beta2, s.max_magnitude)
-    e21 = parity_correlation(rho, s.alpha2, s.beta1, s.max_magnitude)
-    e22 = parity_correlation(rho, s.alpha2, s.beta2, s.max_magnitude)
+    e11 = parity_correlation(state, s.alpha1, s.beta1, s.max_magnitude)
+    e12 = parity_correlation(state, s.alpha1, s.beta2, s.max_magnitude)
+    e21 = parity_correlation(state, s.alpha2, s.beta1, s.max_magnitude)
+    e22 = parity_correlation(state, s.alpha2, s.beta2, s.max_magnitude)
     return e11 + e12 + e21 - e22
 
 

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eprsim.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -308,16 +311,21 @@ def test_bell_sweep_validates_settings(tmp_path, capsys):
     assert "j_grid" in capsys.readouterr().err
 
 
-def test_workers_must_be_positive(tmp_path, capsys):
+@pytest.mark.parametrize("sign", ["abc", None, [1], True])
+def test_bell_sweep_rejects_non_numeric_beta2_sign(tmp_path, capsys, sign):
     cfg = write_config(
         tmp_path,
-        {
-            "schema_version": 1,
-            "epsilon_over_kappa": 0.5,
-            "omega_grid": {"start": 0.0, "stop": 1.0, "num": 2},
-        },
+        {"schema_version": 1, "n_max": 6, "beta2_sign": sign,
+         "r_grid": {"start": 0.2, "stop": 0.2, "num": 1},
+         "j_grid": {"start": 0.05, "stop": 0.05, "num": 1}},
     )
-    assert main(["nopa-spectrum", "--config", cfg, "--workers", "0"]) == 2
+    out = tmp_path / "sweep.csv"
+    assert main(["bell-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: beta2_sign: expected a number")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert not (tmp_path / "sweep.csv.summary.json").exists()
 
 
 def test_no_output_written_on_config_error(tmp_path):
@@ -372,27 +380,11 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_bell_sweep_workers_do_not_change_output(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "schema_version": 1,
-            "state": "tmss",
-            "n_max": 8,
-            "r_grid": {"start": 0.2, "stop": 0.6, "num": 2},
-            "j_grid": {"start": 0.05, "stop": 0.1, "num": 2},
-        },
-    )
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(["bell-sweep", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(
-        ["bell-sweep", "--config", cfg, "--out", str(parallel), "--workers", "2"]
-    ) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    assert (tmp_path / "serial.csv.summary.json").read_bytes() == (
-        tmp_path / "parallel.csv.summary.json"
-    ).read_bytes()
+def test_bell_sweep_reproduces_golden_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = REPO_ROOT / "configs" / "bell_default.json"
+    assert main(["bell-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO_ROOT / "golden" / "bell_sweep.csv").read_bytes()
 
 
 def test_module_entry_point(tmp_path):

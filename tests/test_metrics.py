@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from eprsim import (
     BellSettings,
     CovarianceState,
+    DensityMatrix,
     FockBasis,
     LindbladModel,
     NopaParams,
@@ -20,9 +23,12 @@ from eprsim import (
     parity_correlation,
     squeeze_parameter,
     steady_covariance,
+    steady_state,
     tmss_fock,
     vacuum_state,
+    wigner_analytic,
 )
+from eprsim.states import _displaced_parity_single, displaced_parity_expectation
 
 
 def tmss_covariance(r):
@@ -92,17 +98,92 @@ def test_epr_criterion():
         epr_criterion(-0.1, 1.0)
 
 
+def coherent_product(basis, g1, g2):
+    """The product coherent state |g1>|g2>."""
+    d1 = displacement_op(g1, basis, 0)
+    d2 = displacement_op(g2, basis, 1)
+    return PureState(basis, d2.elements @ (d1.elements @ vacuum_state(basis).amplitudes))
+
+
+def dense_parity_expectation(rho, alpha1, alpha2):
+    """Reference: the dense contraction over all n_max**4 entries of rho."""
+    n = rho.basis.n_max
+    r4 = rho.elements.reshape(n, n, n, n)  # [m0, m1, n0, n1]
+    o1 = _displaced_parity_single(n, alpha1)
+    o2 = _displaced_parity_single(n, alpha2)
+    return float(np.einsum("mpnq,nm,qp->", r4, o1, o2).real)
+
+
 def test_parity_correlation_product_coherent():
     """For |g1>|g2>, E factorizes into exp(-2|g - setting|^2) terms."""
     basis = FockBasis(30, 2)
     g1, g2 = 0.3, -0.2
-    d1 = displacement_op(g1, basis, 0)
-    d2 = displacement_op(g2, basis, 1)
-    amp = d2.elements @ (d1.elements @ vacuum_state(basis).amplitudes)
-    rho = PureState(basis, amp).density_matrix()
+    rho = coherent_product(basis, g1, g2).density_matrix()
     alpha, beta = 0.1, 0.25
     expected = np.exp(-2.0 * abs(g1 - alpha) ** 2) * np.exp(-2.0 * abs(g2 - beta) ** 2)
     assert parity_correlation(rho, alpha, beta) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("r,j", [(0.1, 0.05), (0.6, 0.25), (1.2, 0.5)])
+def test_support_contraction_is_bit_identical_for_tmss(r, j):
+    """Pure TMSS at n_max 40: the golden sweep's state and truncation."""
+    psi = tmss_fock(TmssSpec(r), FockBasis(40, 2))
+    rho = psi.density_matrix()
+    root = complex(math.sqrt(j))
+    for alpha, beta in [(0j, 0j), (0j, root), (root, 0j), (root, root), (root, -root)]:
+        expected = dense_parity_expectation(rho, alpha, beta)
+        assert displaced_parity_expectation(psi, alpha, beta) == expected
+        assert displaced_parity_expectation(rho, alpha, beta) == expected
+
+
+def _vacuum_tmss_mixture():
+    basis = FockBasis(20, 2)
+    vac = vacuum_state(basis).density_matrix().elements
+    tmss = tmss_fock(TmssSpec(0.5), basis).density_matrix().elements
+    return DensityMatrix(basis, 0.5 * vac + 0.5 * tmss)
+
+
+def _heated_steady_state():
+    n_p, m_p = effective_N_M(NopaParams(0.25, 1.0))
+    model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
+    return steady_state(model, FockBasis(10, 2))
+
+
+@pytest.mark.parametrize("make_state", [
+    _vacuum_tmss_mixture,
+    _heated_steady_state,
+    lambda: coherent_product(FockBasis(30, 2), 0.3, -0.2),
+    lambda: coherent_product(FockBasis(30, 2), 0.3, -0.2).density_matrix(),
+], ids=["vacuum-tmss-mixture", "heated-steady-state", "coherent-pure", "coherent-rho"])
+def test_support_contraction_matches_dense_reference(make_state):
+    state = make_state()
+    rho = state.density_matrix() if isinstance(state, PureState) else state
+    for alpha, beta in [(0.0, 0.0), (0.3, -0.2), (0.4 - 0.2j, 0.1 + 0.3j), (-0.5j, 0.7)]:
+        expected = dense_parity_expectation(rho, complex(alpha), complex(beta))
+        assert abs(parity_correlation(state, alpha, beta) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_chsh_sweep_matches_closed_form_wigner(sign):
+    """Third route: E = (pi/2)^2 W(alpha, beta) for the untruncated TMSS.
+
+    The truncated Fock state differs by at most its amplitude tail
+    tanh(r)^n_max.
+    """
+    n_max = 40
+    basis = FockBasis(n_max, 2)
+    for r in np.linspace(0.1, 1.2, 12):
+        spec = TmssSpec(float(r))
+        psi = tmss_fock(spec, basis)
+
+        def corr(a, b):
+            return (math.pi / 2.0) ** 2 * wigner_analytic(spec, a, 0.0, b, 0.0)
+
+        for j in np.linspace(0.05, 0.5, 10):
+            root = math.sqrt(j)
+            b_val = chsh_value(psi, BellSettings(0.0, root, 0.0, sign * root))
+            ref = corr(0, 0) + corr(0, sign * root) + corr(root, 0) - corr(root, sign * root)
+            assert abs(b_val - ref) <= math.tanh(r) ** n_max + 1e-9
 
 
 def test_parity_correlation_validation():
