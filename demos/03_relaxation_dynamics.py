@@ -1,6 +1,6 @@
 """Relaxation of the atoms from vacuum toward the entangled steady state.
 
-Integrates the two-mode master equation from |0,0> and compares the
+Propagates the two-mode master equation from |0,0> and compares the
 recorded moments with the closed-form relaxation laws
 
     <n_j>(t)    = N (1 - exp(-2 gamma t))

@@ -9,141 +9,57 @@ entanglement and Bell-inequality diagnostics on the motional state, and
 an order-of-magnitude feasibility screen for candidate experiments.
 """
 
-from .hilbert import (
-    FockBasis,
-    ModeOperator,
-    PureState,
-    DensityMatrix,
-    annihilation_op,
-    number_op,
-    identity_op,
-    adjoint,
-    compose,
-    expectation,
-    partial_trace,
-    vacuum_state,
-    recommended_n_max,
-)
-from .nopa import (
-    NopaParams,
-    SpectrumTable,
-    transfer_function,
-    squeezing_spectra,
-    effective_N_M,
-    squeeze_parameter,
-)
-from .states import (
-    TmssSpec,
-    TruncationWarning,
-    WignerGrid,
-    tmss_fock,
-    squeeze_unitary,
-    displacement_op,
-    parity_op,
-    wigner_analytic,
-    wigner_from_density,
-    edge_population,
-)
-from .lindblad import (
-    LindbladModel,
-    EvolutionResult,
-    NumericalError,
-    Superoperator,
-    build_superoperator,
-    steady_state,
-    evolve,
-    purity,
-)
-from .gaussian import (
-    CovarianceState,
-    DriftDiffusion,
-    symplectic_form,
-    model_from_lindblad,
-    steady_covariance,
-    evolve_covariance,
-    cascade_model,
-    collective_mode_map,
-    epr_variances,
-)
-from .metrics import (
-    BellSettings,
-    fidelity,
-    mean_phonon,
-    epr_criterion,
-    parity_correlation,
-    chsh_value,
-    log_negativity,
-)
-from .feasibility import (
-    ExperimentParams,
-    Check,
-    FeasibilityReport,
-    coupling_rate,
-    cooperativity,
-    check_all,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FockBasis",
-    "ModeOperator",
-    "PureState",
-    "DensityMatrix",
-    "annihilation_op",
-    "number_op",
-    "identity_op",
-    "adjoint",
-    "compose",
-    "expectation",
-    "partial_trace",
-    "vacuum_state",
-    "recommended_n_max",
-    "NopaParams",
-    "SpectrumTable",
-    "transfer_function",
-    "squeezing_spectra",
-    "effective_N_M",
-    "squeeze_parameter",
-    "TmssSpec",
-    "TruncationWarning",
-    "WignerGrid",
-    "tmss_fock",
-    "squeeze_unitary",
-    "displacement_op",
-    "parity_op",
-    "wigner_analytic",
-    "wigner_from_density",
-    "edge_population",
-    "LindbladModel",
-    "EvolutionResult",
-    "NumericalError",
-    "Superoperator",
-    "build_superoperator",
-    "steady_state",
-    "evolve",
-    "purity",
-    "CovarianceState",
-    "DriftDiffusion",
-    "symplectic_form",
-    "model_from_lindblad",
-    "steady_covariance",
-    "evolve_covariance",
-    "cascade_model",
-    "collective_mode_map",
-    "epr_variances",
-    "BellSettings",
-    "fidelity",
-    "mean_phonon",
-    "epr_criterion",
-    "parity_correlation",
-    "chsh_value",
-    "log_negativity",
-    "ExperimentParams",
-    "Check",
-    "FeasibilityReport",
-    "coupling_rate",
-    "cooperativity",
-    "check_all",
-    "__version__",
-]
+# Public names by defining module.  Each module is imported on first access
+# to one of its names (PEP 562), so a command pays only for what it uses.
+_EXPORTS = {
+    "hilbert": (
+        "FockBasis", "ModeOperator", "PureState", "DensityMatrix", "NumericalError",
+        "TruncationWarning", "annihilation_op", "number_op", "identity_op", "adjoint",
+        "compose", "expectation", "partial_trace", "vacuum_state", "recommended_n_max",
+    ),
+    "nopa": (
+        "NopaParams", "SpectrumTable", "transfer_function", "squeezing_spectra",
+        "effective_N_M", "squeeze_parameter",
+    ),
+    "states": (
+        "TmssSpec", "WignerGrid", "tmss_fock", "squeeze_unitary", "displacement_op",
+        "parity_op", "wigner_analytic", "wigner_from_density", "edge_population",
+    ),
+    "lindblad": (
+        "LindbladModel", "EvolutionResult", "Superoperator", "build_superoperator",
+        "steady_state", "evolve", "moments", "purity",
+    ),
+    "gaussian": (
+        "CovarianceState", "DriftDiffusion", "symplectic_form", "model_from_lindblad",
+        "steady_covariance", "evolve_covariance", "cascade_model", "collective_mode_map",
+        "epr_variances",
+    ),
+    "metrics": (
+        "BellSettings", "fidelity", "mean_phonon", "epr_criterion", "parity_correlation",
+        "chsh_value", "log_negativity",
+    ),
+    "feasibility": (
+        "ExperimentParams", "Check", "FeasibilityReport", "coupling_rate", "cooperativity",
+        "check_all",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

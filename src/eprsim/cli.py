@@ -27,25 +27,8 @@ import warnings
 
 import numpy as np
 
-from . import feasibility as feas
-from .gaussian import (
-    cascade_model,
-    epr_variances,
-    model_from_lindblad,
-    steady_covariance,
-)
-from .hilbert import FockBasis, vacuum_state
-from .lindblad import LindbladModel, NumericalError, evolve, purity, steady_state
-from .metrics import BellSettings, chsh_value, epr_criterion, fidelity, mean_phonon
-from .nopa import NopaParams, effective_N_M, squeeze_parameter, squeezing_spectra
-from .states import (
-    TmssSpec,
-    TruncationWarning,
-    WignerGrid,
-    tmss_fock,
-    wigner_analytic,
-    wigner_from_density,
-)
+# The eprsim layers are imported inside each command, so a command loads
+# only the modules (and the parts of scipy) that it runs.
 
 log = logging.getLogger(__name__)
 
@@ -77,9 +60,12 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _field(cfg: dict, name: str, typ, where: str = ""):
+def _field(cfg: dict, name: str, typ, where: str = "", default=None):
+    """``cfg[name]`` checked against ``typ``; ``default`` (if given) when absent."""
     path = f"{where}.{name}" if where else name
     if name not in cfg:
+        if default is not None:
+            return default
         raise ConfigError(f"{path}: required field is missing")
     val = cfg[name]
     if typ is float:
@@ -107,9 +93,12 @@ def _grid_axis(block: dict, where: str) -> np.ndarray:
 
 
 def _parse_model(cfg: dict) -> LindbladModel:
+    from .lindblad import LindbladModel
+    from .nopa import NopaParams, effective_N_M
+
     block = _field(cfg, "model", dict)
-    gamma = _field(block, "gamma", float, "model") if "gamma" in block else 1.0
-    heating = _field(block, "heating_rate", float, "model") if "heating_rate" in block else 0.0
+    gamma = _field(block, "gamma", float, "model", default=1.0)
+    heating = _field(block, "heating_rate", float, "model", default=0.0)
     try:
         if "epsilon_over_kappa" in block:
             eps = _field(block, "epsilon_over_kappa", float, "model")
@@ -166,6 +155,8 @@ def _sibling(out_path: str | None, suffix: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
+    from .nopa import NopaParams, squeezing_spectra
+
     eps = _field(cfg, "epsilon_over_kappa", float)
     omega = _grid_axis(_field(cfg, "omega_grid", dict), "omega_grid")
     try:
@@ -179,6 +170,12 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
 
 
 def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
+    from .gaussian import epr_variances, model_from_lindblad, steady_covariance
+    from .hilbert import FockBasis, TruncationWarning
+    from .lindblad import purity, steady_state
+    from .metrics import epr_criterion, fidelity, mean_phonon
+    from .states import TmssSpec, tmss_fock
+
     model = _parse_model(cfg)
     n_max = _n_max(cfg, n_max_override, default=40)
     density_csv = cfg.get("density_csv")
@@ -226,6 +223,9 @@ def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
 
 
 def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
+    from .hilbert import FockBasis, vacuum_state
+    from .lindblad import evolve
+
     model = _parse_model(cfg)
     n_max = _n_max(cfg, n_max_override, default=20)
     times = _grid_axis(_field(cfg, "times", dict), "times")
@@ -236,43 +236,18 @@ def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
         raise ConfigError(f"initial: only 'vacuum' is supported, got {initial!r}")
 
     basis = FockBasis(n_max, 2)
-    rho0 = vacuum_state(basis).density_matrix()
-    result = evolve(rho0, model, times)
-
-    n = basis.n_max
-    b = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
-    b1 = np.kron(b, np.eye(n))
-    b2 = np.kron(np.eye(n), b)
-    q_op = b1 + b1.T + b2 + b2.T
-    p_op = -1j * (b1 - b1.T) + 1j * (b2 - b2.T)
-    q_sq = q_op @ q_op
-    p_sq = (p_op @ p_op).real
-
-    rows = []
-    for k, state in enumerate(result.states):
-        el = state.elements
-        mean_q = np.sum(el * q_op.T).real
-        mean_p = np.sum(el * p_op.T).real
-        var_q = np.sum(el * q_sq.T).real - mean_q**2
-        var_p = np.sum(el * p_sq.T).real - mean_p**2
-        rows.append(
-            (
-                result.times[k],
-                result.n1[k],
-                result.n2[k],
-                result.b1b2[k].real,
-                result.b1b2[k].imag,
-                var_q,
-                var_p,
-                purity(state),
-            )
-        )
+    res = evolve(vacuum_state(basis).density_matrix(), model, times)
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
+    rows = zip(res.times, res.n1, res.n2, res.b1b2.real, res.b1b2.imag,
+               res.var_sum_q, res.var_diff_p, res.purity)
     _write_text(out, _csv(header, rows))
     return 0
 
 
 def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
+    from .hilbert import FockBasis, TruncationWarning
+    from .states import TmssSpec, WignerGrid, tmss_fock, wigner_analytic, wigner_from_density
+
     r = _field(cfg, "r", float)
     if r < 0:
         raise ConfigError(f"r: must be >= 0, got {r}")
@@ -281,7 +256,7 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
         name: _grid_axis(_field(grid_cfg, name, dict, "grid"), f"grid.{name}")
         for name in ("q1", "p1", "q2", "p2")
     }
-    from_density = bool(cfg.get("from_density", False))
+    from_density = _field(cfg, "from_density", bool, default=False)
     n_max = _n_max(cfg, n_max_override, default=30) if from_density else None
 
     spec = TmssSpec(r)
@@ -321,13 +296,19 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
 
 
 def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
+    from .hilbert import FockBasis, vacuum_state
+    from .metrics import BellSettings, chsh_value
+    from .states import TmssSpec, tmss_fock
+
     state_kind = cfg.get("state", "tmss")
     if state_kind not in ("tmss", "vacuum"):
         raise ConfigError(f"state: expected 'tmss' or 'vacuum', got {state_kind!r}")
     n_max = _n_max(cfg, n_max_override, default=40)
-    r_grid = _grid_axis(cfg.get("r_grid", {"start": 0.1, "stop": 1.2, "num": 12}), "r_grid")
-    j_grid = _grid_axis(cfg.get("j_grid", {"start": 0.05, "stop": 0.5, "num": 10}), "j_grid")
-    beta2_sign = _field(cfg, "beta2_sign", float) if "beta2_sign" in cfg else 1.0
+    r_default = {"start": 0.1, "stop": 1.2, "num": 12}
+    j_default = {"start": 0.05, "stop": 0.5, "num": 10}
+    r_grid = _grid_axis(_field(cfg, "r_grid", dict, default=r_default), "r_grid")
+    j_grid = _grid_axis(_field(cfg, "j_grid", dict, default=j_default), "j_grid")
+    beta2_sign = _field(cfg, "beta2_sign", float, default=1.0)
     if beta2_sign not in (1.0, -1.0):
         raise ConfigError(f"beta2_sign: expected 1 or -1, got {beta2_sign!r}")
     if np.any(r_grid < 0):
@@ -362,13 +343,15 @@ def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
 
 
 def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
+    from . import feasibility as feas
+
     block = _field(cfg, "experiment", dict)
     kwargs = {}
     for name in ("g0", "kappa_a", "gamma_atom", "delta_big", "eta_x",
                  "e_laser", "nu_x", "kappa_c", "t_decoherence"):
         kwargs[name] = _field(block, name, float, "experiment")
     r = _field(cfg, "r", float)
-    threshold = float(cfg.get("ratio_threshold", 10.0))
+    threshold = _field(cfg, "ratio_threshold", float, default=10.0)
     try:
         params = feas.ExperimentParams(**kwargs)
         report = feas.check_all(params, r, threshold)
@@ -379,6 +362,9 @@ def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
 
 
 def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
+    from .gaussian import cascade_model, steady_covariance
+    from .nopa import NopaParams, effective_N_M
+
     eps = _field(cfg, "epsilon_over_kappa", float)
     ratios = _field(cfg, "kappa_over_gamma", list)
     if not ratios or not all(
@@ -435,6 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .hilbert import NumericalError
+
     level = os.environ.get("EPRSIM_LOG", "WARNING").upper()
     if level not in ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG"):
         level = "WARNING"

@@ -3,7 +3,7 @@
 The dissipative model is linear in the mode operators, so Gaussian states
 stay Gaussian and the full dynamics closes on the mean vector and
 covariance matrix.  This module is the independent oracle for the
-Fock-space integrator: both must produce the same moments, and the test
+Fock-space propagator: both must produce the same moments, and the test
 suite holds them to each other at 1e-6.
 
 Conventions: quadrature ordering (Q1, P1, Q2, P2, ...), with
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from .lindblad import LindbladModel
 from .nopa import NopaParams
 
 SYMMETRY_ATOL = 1e-12

@@ -5,6 +5,8 @@ Bell correlators) is built on the small set of value types defined here:
 a truncated number-state basis, dense operators on it, pure states, and
 density matrices.  All values are immutable after construction and all
 operations are pure functions, so they are safe to use concurrently.
+The package's error and warning types live here too, so every layer can
+raise them without importing scipy.
 
 Conventions
 -----------
@@ -26,6 +28,14 @@ HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_ATOL = 1e-8
 NORM_ATOL = 1e-12
+
+
+class NumericalError(RuntimeError):
+    """A solver failed to reach its accuracy contract."""
+
+
+class TruncationWarning(UserWarning):
+    """State has significant population near the truncation edge."""
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .hilbert import (
     ModeOperator,
     PureState,
     DensityMatrix,
+    TruncationWarning,
     annihilation_op,
     _embed,
     _single_mode_ladder,
@@ -43,10 +44,6 @@ from .hilbert import (
 
 # Warn when this much population sits in the top 10% of Fock levels.
 TRUNCATION_POP_WARN = 1e-4
-
-
-class TruncationWarning(UserWarning):
-    """State has significant population near the truncation edge."""
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """End-to-end acceptance checks.
 
-Each test prints one ``[criterion NN] PASS/FAIL`` line (outside pytest's
-capture) and then asserts, so a plain ``pytest -v`` run yields a visible
-per-criterion scoreboard.  Tolerances are part of the package contract
+Each criterion test prints one ``[criterion NN] PASS/FAIL`` line
+(outside pytest's capture) and then asserts, so a plain ``pytest -v`` run
+yields a visible per-criterion scoreboard.  Tolerances are part of the package contract
 and are asserted exactly as documented in the README.
 """
 
@@ -29,10 +29,12 @@ from eprsim import (
     fidelity,
     mean_phonon,
     model_from_lindblad,
+    moments,
     purity,
     squeeze_parameter,
     squeezing_spectra,
     steady_covariance,
+    steady_state,
     tmss_fock,
     vacuum_state,
     wigner_analytic,
@@ -136,6 +138,23 @@ def test_criterion_03_epr_variance_chain(capsys, steady_half_coupling):
         f"Gaussian EPR variance error {gauss_err:.2e}, Fock error {fock_err:.2e}, "
         f"entangled for all drive strengths: {entangled_everywhere}",
     )
+
+
+def test_moments_match_direct_operator_sums():
+    """Not a criterion: ``moments`` against the sums criterion 03 uses, on a heated state."""
+    n_p, m_p = effective_N_M(NopaParams(0.3, 1.0))
+    model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.1)
+    rho = steady_state(model, FockBasis(14, 2))
+    got = moments([rho])
+    fock_q, fock_p = _fock_epr_variances(rho)
+    b = _sparse_ladder(14)
+    assert abs(got["var_sum_q"][0] - fock_q) <= 1e-12
+    assert abs(got["var_diff_p"][0] - fock_p) <= 1e-12
+    assert abs(got["b1b2"][0] - _sparse_expect(rho.elements, sp.kron(b, b))) <= 1e-12
+    assert abs(got["n1"][0] - mean_phonon(rho, 0)) <= 1e-12
+    assert abs(got["n2"][0] - mean_phonon(rho, 1)) <= 1e-12
+    assert abs(got["purity"][0] - purity(rho)) <= 1e-12
+    assert got["purity"][0] < 0.99  # heating mixes the state
 
 
 def test_criterion_04_relaxation_oracle(capsys):

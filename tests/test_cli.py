@@ -328,6 +328,52 @@ def test_bell_sweep_rejects_non_numeric_beta2_sign(tmp_path, capsys, sign):
     assert not (tmp_path / "sweep.csv.summary.json").exists()
 
 
+def shipped_config(name):
+    return json.loads((REPO_ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "command, config, field, value",
+    [
+        ("bell-sweep", "bell_default", "r_grid", 5),
+        ("bell-sweep", "bell_default", "j_grid", [0.05, 0.5]),
+        ("feasibility", "feasibility_example", "ratio_threshold", "abc"),
+        ("feasibility", "feasibility_example", "ratio_threshold", True),
+        ("wigner", "wigner_slice", "from_density", "no"),
+        ("wigner", "wigner_slice", "from_density", 1),
+    ],
+)
+def test_optional_fields_are_type_checked(tmp_path, capsys, command, config, field, value):
+    cfg = write_config(tmp_path, {**shipped_config(config), field: value})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: expected ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]  # no sidecar either
+
+
+@pytest.mark.parametrize(
+    "command, config, field, default",
+    [
+        ("bell-sweep", "bell_default", "r_grid", {"start": 0.1, "stop": 1.2, "num": 12}),
+        ("bell-sweep", "bell_default", "j_grid", {"start": 0.05, "stop": 0.5, "num": 10}),
+        ("feasibility", "feasibility_example", "ratio_threshold", 10.0),
+        ("wigner", "wigner_slice", "from_density", False),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # n_max 6 is coarse on purpose
+def test_optional_field_defaults(tmp_path, command, config, field, default):
+    payload = {**shipped_config(config), "n_max": 6}
+    payload.pop(field, None)
+    outputs = []
+    for name, cfg in (("omitted", payload), ("explicit", {**payload, field: default})):
+        out = tmp_path / f"{name}.out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_no_output_written_on_config_error(tmp_path):
     cfg = write_config(tmp_path, {"schema_version": 1, "model": {"n_param": 0.5}})
     out = tmp_path / "report.json"

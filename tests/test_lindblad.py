@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import warnings
 
@@ -13,6 +14,7 @@ from eprsim import (
     LindbladModel,
     NopaParams,
     NumericalError,
+    PureState,
     TruncationWarning,
     annihilation_op,
     build_superoperator,
@@ -251,6 +253,86 @@ def test_evolve_relaxation_matches_closed_form():
     assert np.allclose(result.n2, model.n_param * decay, atol=1e-7)
     assert np.allclose(result.b1b2.real, -model.m_param * decay, atol=1e-7)
     assert np.max(np.abs(result.b1b2.imag)) < 1e-9
+
+
+def kron_generator(model, n):
+    """Dense generator on row-major vec(rho), written out from the master equation.
+
+    ``A rho B`` vectorizes to ``kron(A, B.T)``.
+    """
+    b = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
+    eye_n, eye = np.eye(n), np.eye(n * n)
+    b1, b2 = np.kron(b, eye_n), np.kron(eye_n, b)
+
+    def sandwich(a, c):
+        return np.kron(a, c.T)
+
+    def dissipator(rate, lop):
+        ldl = lop.T @ lop
+        return rate * (2.0 * sandwich(lop, lop.T) - sandwich(ldl, eye) - sandwich(eye, ldl))
+
+    g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
+    gen = sum(dissipator(g * (n_p + 1.0), bj) + dissipator(g * n_p, bj.T)
+              + dissipator(2.0 * h, bj) + dissipator(h, bj.T) for bj in (b1, b2))
+    for x1, x2 in ((b1, b2), (b1.T, b2.T)):
+        gen += 2.0 * g * m_p * (sandwich(x1, x2) + sandwich(x2, x1)
+                                - sandwich(x1 @ x2, eye) - sandwich(eye, x1 @ x2))
+    return gen
+
+
+@pytest.fixture(scope="module")
+def dense_propagation():
+    """Model, non-uniform time grid and dense expm(L dt) per interval at n_max 6."""
+    model = half_model(0.3, heating=0.1)
+    times = np.array([0.0, 0.3, 1.7, 5.0])
+    gen = kron_generator(model, 6)
+    return model, times, [scipy.linalg.expm(gen * dt) for dt in np.diff(times)]
+
+
+def coherent_product_state(basis, alpha):
+    """Truncated |alpha, 0>, renormalized on the basis."""
+    n = basis.n_max
+    amp = np.array([alpha**m / math.sqrt(math.factorial(m)) for m in range(n)])
+    return PureState(basis, np.kron(amp, np.eye(n)[0])).density_matrix()
+
+
+def phased_pair_state(basis, x, phase):
+    """Sum over m of x**m exp(i m phase) |m, m>: inside the sector, but complex."""
+    n = basis.n_max
+    amp = np.zeros(basis.dimension, dtype=complex)
+    amp[np.arange(n) * (n + 1)] = x ** np.arange(n) * np.exp(1j * phase * np.arange(n))
+    return PureState(basis, amp).density_matrix()
+
+
+@pytest.mark.parametrize(
+    "make_start, path",
+    [
+        (lambda basis: vacuum_state(basis).density_matrix(), "orbits"),
+        (lambda basis: phased_pair_state(basis, 0.5, 0.7), "sector"),
+        (lambda basis: coherent_product_state(basis, 0.4 + 0.3j), "full"),
+    ],
+    ids=["vacuum", "phased-pairs", "coherent"],
+)
+def test_evolve_matches_dense_expm(dense_propagation, caplog, make_start, path):
+    model, times, propagators = dense_propagation
+    rho0 = make_start(FockBasis(6, 2))
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        result = evolve(rho0, model, times)
+    assert f"evolve: {path} path" in caplog.text
+    vecs = [rho0.elements.reshape(-1)]
+    for prop in propagators:
+        vecs.append(prop @ vecs[-1])
+    for state, vec in zip(result.states, vecs, strict=True):
+        assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
+
+
+def test_evolve_logs_path_and_figures(caplog):
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        evolve(vacuum_state(FockBasis(8, 2)).density_matrix(), half_model(0.2), [0.0, 1.0])
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
+    assert re.search(
+        r"^evolve: orbits path, 120 unknowns, nnz \d+; assemble \S+s, propagate \S+s$", line
+    ), line
 
 
 def test_evolve_output_states_are_physical():
