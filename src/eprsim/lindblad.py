@@ -25,11 +25,14 @@ steady state itself) lives in the ``delta = 0`` sector, which has about
 coefficients and treats the modes alike, so it commutes with the
 Hermitian transpose T and the mode swap S.  A real state that is
 constant on the orbits of {1, T, S, TS} stays so, and the orbits number
-about a quarter of the sector.  Both solvers work on these orbits, with
-one generator assembler (:func:`_sector_matrix`):
+about a quarter of the sector.  Every term changes the total excitation
+``m0 + m1 + n0 + n1`` by 0 or +-2, so ordered by the level (half that
+sum) the orbit-space generator is block tridiagonal.  Both solvers work
+on these orbits, with one generator assembler (:func:`_sector_matrix`):
 
-* :func:`steady_state` solves for one value per orbit with one bordered
-  sparse LU and certifies the result on the unreduced space;
+* :func:`steady_state` solves for one value per orbit by block
+  elimination over the levels (dense blocks of at most a few hundred
+  orbits) and certifies the result on the unreduced space;
 * :func:`evolve` propagates one real value per orbit with
   ``expm_multiply``, interval by interval, from any such start (vacuum
   is one); other starts are propagated on the sector, or on the full
@@ -257,20 +260,64 @@ def _sector_matrix(terms, basis: FockBasis, row_pos, col_pos, shape):
     return mat.tocsc()
 
 
+def _level(vec_indices, basis: FockBasis) -> np.ndarray:
+    """Excitation level ``(m0 + m1 + n0 + n1) // 2`` of each vec index.
+
+    In the delta = 0 sector the sum is even, T and S keep it, and every
+    generator term moves it by 0 or +-2, i.e. the level by 0 or +-1.
+    """
+    n, d = basis.n_max, basis.dimension
+    u, v = vec_indices // d, vec_indices % d
+    return (u // n + u % n + v // n + v % n) // 2
+
+
 def _orbits(indices, basis: FockBasis):
     """Orbit of each sector element under transpose T and mode swap S.
 
     T: (m0,m1;n0,n1) -> (n0,n1;m0,m1), S: (m0,m1;n0,n1) -> (m1,m0;n1,n0).
     Returns (orbit, reps): the orbit number of each entry of ``indices``
-    and the sorted vec index of each orbit's representative (its smallest
-    member), so the vacuum element |00><00| is orbit 0.
+    and the vec index of each orbit's representative (its smallest member).
+    Orbits are ordered by :func:`_level`, then by representative, so each
+    level is a contiguous range and the vacuum |00><00|, alone on level 0,
+    is orbit 0.
     """
     n, d = basis.n_max, basis.dimension
     u, v = indices // d, indices % d
     su, sv = (u % n) * n + u // n, (v % n) * n + v // n
     rep = np.minimum.reduce([indices, v * d + u, su * d + sv, sv * d + su])
-    reps, orbit = np.unique(rep, return_inverse=True)
-    return orbit, reps
+    keys, orbit = np.unique(_level(rep, basis) * d * d + rep, return_inverse=True)
+    return orbit, keys % (d * d)
+
+
+def _eliminate_levels(mat, bounds):
+    """Solve the steady-state equations level by level (block Thomas).
+
+    ``mat`` (CSR) holds the generator on the orbits, with level ``l`` at
+    orbits ``bounds[l]:bounds[l + 1]``; it is block tridiagonal over the
+    levels, with blocks ``Lo_l``, ``D_l``, ``Up_l`` coupling level ``l`` to
+    ``l - 1``, ``l``, ``l + 1``.  The vacuum (level 0) is pinned to 1 and
+    its row, dependent because the trace is preserved, is not used.  For
+    ``l = 1, 2, ...`` the dense Schur block ``S_l = D_l - Lo_l X_{l-1}``
+    gives ``[X_l | y_l] = S_l^{-1} [Up_l | -Lo_l y_{l-1}]``, and back
+    substitution ``x_l = y_l - X_l x_{l+1}`` the unnormalized solution.
+    Returns it with the number of stored entries of the ``[X_l | y_l]``.
+    """
+    size = mat.shape[0]
+    levels = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])] + [slice(size, size)]
+    kept = []
+    x_block, y = np.zeros((1, bounds[2] - bounds[1])), np.ones(1)  # X_0, y_0
+    for lv in range(1, len(levels) - 1):
+        rows = levels[lv]
+        lower = mat[rows, levels[lv - 1]]
+        schur = mat[rows, rows].toarray() - lower @ x_block
+        rhs = np.column_stack([mat[rows, levels[lv + 1]].toarray(), -(lower @ y)])
+        sol = np.linalg.solve(schur, rhs)
+        x_block, y = sol[:, :-1], sol[:, -1]
+        kept.append(sol)
+    x = [y]
+    for sol in reversed(kept[:-1]):
+        x.append(sol[:, -1] - sol[:, :-1] @ x[-1])
+    return np.concatenate([[1.0], *reversed(x)]), sum(sol.size for sol in kept)
 
 
 def _top_level_population(rho: DensityMatrix) -> float:
@@ -287,11 +334,13 @@ def steady_state(
     """Steady state of the master equation.
 
     One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
-    kept at the orbit representatives, columns summed over each orbit, and
-    the vacuum row is replaced by the trace row (a diagonal orbit weighs its
-    size).  One sparse LU solves this bordered system.  The full state is
-    certified by the unreduced residual ``||L(rho)||_F < residual_tol``; a
-    failed factorization or certification raises :class:`NumericalError`.
+    kept at the orbit representatives and columns summed over each orbit.
+    Ordered by excitation level, this system is block tridiagonal, and
+    :func:`_eliminate_levels` solves it with dense level blocks and the
+    vacuum pinned; the result is then divided by its trace.  The full state
+    is certified by the unreduced residual ``||L(rho)||_F < residual_tol``;
+    a singular level block or a failed certification raises
+    :class:`NumericalError`.
     """
     if basis.n_modes != 2:
         raise ValueError("the correlated-bath master equation is a two-mode model")
@@ -303,29 +352,26 @@ def steady_state(
     indices = _sector_indices(basis)
     orbit, reps = _orbits(indices, basis)
     size = len(reps)
+    bounds = np.r_[0, np.cumsum(np.bincount(_level(reps, basis)))]
     col_pos = _position_map(basis, indices, orbit)
-    # row 0 (the vacuum |00><00|) is left out and becomes the trace row
-    row_pos = _position_map(basis, reps[1:], np.arange(1, size))
-    diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
-    trace_row = sp.csc_matrix((np.ones(len(diag)), (np.zeros_like(diag), diag)), (size, size))
-    mat = _sector_matrix(terms, basis, row_pos, col_pos, (size, size)) + trace_row
+    row_pos = _position_map(basis, reps[1:], np.arange(1, size))  # no vacuum row
+    mat = _sector_matrix(terms, basis, row_pos, col_pos, (size, size)).tocsr()
     t1 = time.perf_counter()
     try:
-        lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # exactly singular factor
-        raise NumericalError(f"steady-state factorization failed: {exc}") from exc
-    rhs = np.zeros(size)
-    rhs[0] = 1.0
-    rho_sp = sp.csr_matrix((lu.solve(rhs)[orbit], (indices // d, indices % d)), (d, d))
-    fill = lu.L.nnz + lu.U.nnz
-    del lu  # release the factors before the dense state is built
+        x, stored = _eliminate_levels(mat, bounds)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
+    diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
+    rho_sp = sp.csr_matrix((x[orbit] / x[diag].sum(), (indices // d, indices % d)), (d, d))
     t2 = time.perf_counter()
     resid = float(spla.norm(Superoperator(basis, terms).apply(rho_sp)))
     t3 = time.perf_counter()
     log.info(
-        "steady_state: sector %d, reduced %d, nnz %d, LU fill %d, residual %.3e; "
-        "assemble %.3fs, factor %.3fs, certify %.3fs",
-        len(indices), size, mat.nnz, fill, resid, t1 - t0, t2 - t1, t3 - t2,
+        "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
+        "largest level %d, stored %d, residual %.3e; assemble %.3fs, eliminate %.3fs, "
+        "certify %.3fs",
+        len(indices), size, mat.nnz, len(bounds) - 1, np.diff(bounds).max(), stored,
+        resid, t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < residual_tol:
         raise NumericalError(
@@ -355,7 +401,7 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
     * ``orbits``: a real start in the delta = 0 sector that is constant on
       the {1, T, S, TS} orbits (vacuum is one) stays so.  It is propagated
       as one real value per orbit, with the matrix :func:`steady_state`
-      uses minus its trace row.
+      eliminates plus its vacuum row.
     * ``sector``: any other start inside the delta = 0 sector.
     * ``full``: any other start, on the full vectorized space.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CovarianceState, symplectic_form
-from .hilbert import DensityMatrix, PureState, number_op, expectation
+from .hilbert import DensityMatrix, PureState
 from .states import displaced_parity_expectation, _warn_if_truncated
 
 # Displacements beyond this magnitude push coherent amplitude into the
@@ -57,8 +57,13 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
 
 
 def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
-    """Mean excitation <b† b> on one mode."""
-    return float(expectation(rho, number_op(rho.basis, mode_index)).real)
+    """Mean excitation <b† b> on one mode, from the diagonal populations."""
+    basis = rho.basis
+    if not 0 <= mode_index < basis.n_modes:
+        raise ValueError(f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)")
+    pops = np.diagonal(rho.elements).real.reshape((basis.n_max,) * basis.n_modes)
+    marginal = np.moveaxis(pops, mode_index, 0).reshape(basis.n_max, -1).sum(axis=1)
+    return float(np.arange(basis.n_max) @ marginal)
 
 
 def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:

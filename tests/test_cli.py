@@ -395,6 +395,22 @@ def test_non_finite_or_non_numeric_gamma_rejected(tmp_path, capsys, gamma):
     assert not out.exists()
 
 
+def test_singular_level_block_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    cfg = write_config(
+        tmp_path,
+        {"schema_version": 1, "model": {"epsilon_over_kappa": 0.2}, "n_max": 6},
+    )
+    out = tmp_path / "report.json"
+    assert main(["steady-state", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: steady-state level elimination failed: Singular matrix\n"
+    assert not out.exists()
+
+
 def test_non_finite_number_rejected_in_any_command(tmp_path, capsys):
     axis = {"start": 0.0, "stop": 0.0, "num": 1}
     cfg = write_config(

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from eprsim import (
@@ -127,7 +129,7 @@ def test_steady_state_moments_and_fidelity():
 
 
 def test_steady_state_agrees_with_long_time_integration():
-    """The orbit-reduced LU solve and brute-force integration agree."""
+    """The level-elimination solve and brute-force integration agree."""
     model = half_model(0.25)
     basis = FockBasis(8, 2)
     direct = steady_state(model, basis)
@@ -166,21 +168,38 @@ def test_sector_matrix_matches_superoperator_restriction():
     assert abs(full[outside][:, indices]).max() == 0.0
 
 
-@pytest.mark.parametrize("n_max", [10, 20])
-@pytest.mark.parametrize("heating", [0.0, 0.1])
-def test_steady_state_matches_unreduced_reference(n_max, heating):
-    model = half_model(0.5, heating=heating)
-    basis = FockBasis(n_max, 2)
+def check_against_reference(model, basis):
+    """The steady state is real, T/S invariant and equal to the unreduced reference."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         rho = steady_state(model, basis).elements
     assert np.max(np.abs(rho - reference_steady_state(model, basis))) <= 1e-12
     # real, and invariant under Hermitian transpose T and mode swap S
-    n = n_max
+    n = basis.n_max
     assert np.max(np.abs(rho.imag)) == 0.0
     assert np.array_equal(rho, rho.T)
     swapped = rho.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
     assert np.array_equal(rho, swapped)
+    return rho
+
+
+@pytest.mark.parametrize("n_max", [10, 20, 30])
+@pytest.mark.parametrize("heating", [0.0, 0.1])
+def test_steady_state_matches_unreduced_reference(n_max, heating):
+    check_against_reference(half_model(0.5, heating=heating), FockBasis(n_max, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    eps=st.floats(0.05, 0.6),
+    heating=st.floats(0.0, 0.2),
+    n_max=st.integers(4, 12),
+)
+def test_steady_state_properties(eps, heating, n_max):
+    """Certified, unit trace, positive and equal to the reference over the model range."""
+    rho = check_against_reference(half_model(eps, heating=heating), FockBasis(n_max, 2))
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho.real).min() >= -1e-10
 
 
 def test_steady_state_uncertified_raises():
@@ -188,13 +207,23 @@ def test_steady_state_uncertified_raises():
         steady_state(half_model(0.2), FockBasis(6, 2), residual_tol=0.0)
 
 
+def test_singular_level_block_raises(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match="level elimination failed: Singular matrix"):
+        steady_state(half_model(0.2), FockBasis(6, 2))
+
+
 def test_steady_state_logs_solver_figures(caplog):
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
         steady_state(half_model(0.2), FockBasis(8, 2))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
-        r"sector 344, reduced 120, nnz \d+, LU fill \d+, residual \S+; "
-        r"assemble \S+s, factor \S+s, certify \S+s$", line
+        r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
+        r"largest level 20, stored 1533, residual \S+; "
+        r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
 
 

@@ -16,10 +16,12 @@ from eprsim import (
     displacement_op,
     effective_N_M,
     epr_criterion,
+    expectation,
     fidelity,
     log_negativity,
     mean_phonon,
     model_from_lindblad,
+    number_op,
     parity_correlation,
     squeeze_parameter,
     steady_covariance,
@@ -76,13 +78,32 @@ def test_fidelity_of_mixture():
     assert fidelity(mixed, vac) == pytest.approx(expected, rel=1e-12)
 
 
-def test_mean_phonon_fock_state():
+def _fock_2_3():
     basis = FockBasis(5, 2)
     amp = np.zeros(25)
     amp[2 * 5 + 3] = 1.0  # |2, 3>
-    rho = PureState(basis, amp).density_matrix()
+    return PureState(basis, amp).density_matrix()
+
+
+def test_mean_phonon_fock_state():
+    rho = _fock_2_3()
     assert mean_phonon(rho, 0) == pytest.approx(2.0)
     assert mean_phonon(rho, 1) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("make_rho", [
+    _fock_2_3,
+    lambda: _heated_steady_state(),
+    lambda: coherent_product(FockBasis(8, 2), 0.6, 0.4j).density_matrix(),
+    lambda: DensityMatrix(FockBasis(4, 1), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
+], ids=["fock-2-3", "heated-steady-state", "coherent-rho", "single-mode"])
+def test_mean_phonon_matches_number_operator(make_rho):
+    rho = make_rho()
+    for mode in range(rho.basis.n_modes):
+        reference = expectation(rho, number_op(rho.basis, mode)).real
+        assert abs(mean_phonon(rho, mode) - reference) <= 1e-12
+    with pytest.raises(ValueError):
+        mean_phonon(rho, rho.basis.n_modes)
 
 
 def test_epr_criterion():
