@@ -6,7 +6,9 @@ and/or JSON to --out (stdout when omitted), and is fully deterministic:
 identical configs produce byte-identical outputs.  Floats are emitted
 with 17 significant digits so outputs are stable golden-file material.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error or unwritable output, 3 numerical
+failure.  Every artifact of a command is staged and renamed into place
+only once all of them are written, so a failed command leaves none.
 Set EPRSIM_LOG=INFO (or DEBUG) for progress logging on stderr.
 
 Unit conventions in configs: model rates are dimensionless ratios
@@ -37,6 +39,10 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; message names the field."""
+
+
+class OutputError(RuntimeError):
+    """An artifact could not be written; message names the path."""
 
 
 def _fmt(x: float) -> str:
@@ -127,12 +133,37 @@ def _n_max(cfg: dict, override: int | None, default: int | None = None) -> int:
     return n
 
 
-def _write_text(out_path: str | None, text: str):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write(*artifacts):
+    """Write each ``(path, text)`` artifact, to stdout where ``path`` is None.
+
+    ``text`` is a string or an iterable of string chunks.  Files are staged
+    as temp files beside their targets and renamed only after every one is
+    written, so a failure, raised as :class:`OutputError`, leaves no
+    artifact and no temp file behind.  Stdout is written last.
+    """
+    files = [(path, text) for path, text in artifacts if path is not None]
+    staged, renamed = [], []
+    try:
+        for path, text in files:
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                staged.append(tmp)
+                fh.writelines([text] if isinstance(text, str) else text)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+            renamed.append(path)
+    except OSError as exc:
+        for done in renamed:  # a later rename failed: take the earlier ones back
+            os.remove(done)
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    for path, text in artifacts:
+        if path is None:
+            sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
 def _csv(header: list[str], rows) -> str:
@@ -150,6 +181,26 @@ def _sibling(out_path: str | None, suffix: str) -> str | None:
     return None if out_path is None else out_path + suffix
 
 
+def _density_csv(matrix):
+    """Chunks of the ``row, col, re, im`` CSV of every entry of a sparse CSR matrix.
+
+    All d**2 rows are written, zeros included; a row's zero entries come
+    from one preformatted template, so only stored entries are formatted.
+    """
+    yield "row,col,re,im\n"
+    cols = [_fmt(j) for j in range(matrix.shape[1])]
+    zero_tails = [f",{col},0,0\n" for col in cols]
+    for i in range(matrix.shape[0]):
+        lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+        tails = zero_tails
+        if hi > lo:
+            tails = list(zero_tails)
+            for j, v in zip(matrix.indices[lo:hi], matrix.data[lo:hi]):
+                tails[j] = f",{cols[j]},{_fmt(v.real)},{_fmt(v.imag)}\n"
+        row = _fmt(i)
+        yield row + row.join(tails)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -165,7 +216,7 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
         raise ConfigError(f"epsilon_over_kappa: {exc}") from exc
     table = squeezing_spectra(params, omega)
     rows = zip(table.omega, table.sum_x_variance, table.diff_y_variance)
-    _write_text(out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], rows))
+    _write((out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], rows)))
     return 0
 
 
@@ -212,13 +263,10 @@ def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
         "entangled": entangled,
         "truncation_warning": trunc_warned,
     }
-    _write_text(out, _json_text(report))
+    artifacts = [(out, _json_text(report))]
     if density_csv is not None:
-        d = basis.dimension
-        idx = np.arange(d * d)
-        flat = rho.elements.reshape(-1)
-        rows = zip(idx // d, idx % d, flat.real, flat.imag)
-        _write_text(density_csv, _csv(["row", "col", "re", "im"], rows))
+        artifacts.append((density_csv, _density_csv(rho.matrix)))
+    _write(*artifacts)
     return 0
 
 
@@ -240,7 +288,7 @@ def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
     rows = zip(res.times, res.n1, res.n2, res.b1b2.real, res.b1b2.imag,
                res.var_sum_q, res.var_diff_p, res.purity)
-    _write_text(out, _csv(header, rows))
+    _write((out, _csv(header, rows)))
     return 0
 
 
@@ -268,10 +316,9 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
     w_rho = None
     if from_density:
         basis = FockBasis(n_max, 2)
-        rho = tmss_fock(spec, basis).density_matrix()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
-            w_rho = wigner_from_density(rho, grid).values
+            w_rho = wigner_from_density(tmss_fock(spec, basis), grid).values
             trunc_warned = any(issubclass(w.category, TruncationWarning) for w in caught)
         if trunc_warned:
             log.warning("wigner: truncation warning raised at n_max=%d", n_max)
@@ -282,16 +329,17 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
         header.append("w_from_rho")
         cols.append(w_rho.ravel())
     rows = zip(*cols) if len(cols[0]) else []
-    _write_text(out, _csv(header, rows))
 
     meta = {"truncation_warning": trunc_warned, "from_density": from_density}
     if n_max is not None:
         meta["n_max"] = n_max
+    artifacts = [(out, _csv(header, rows))]
     meta_path = _sibling(out, ".meta.json")
-    if meta_path is not None:
-        _write_text(meta_path, _json_text(meta))
-    else:
+    if meta_path is None:
         log.info("wigner metadata: %s", meta)
+    else:
+        artifacts.append((meta_path, _json_text(meta)))
+    _write(*artifacts)
     return 0
 
 
@@ -330,15 +378,10 @@ def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
             rows.append((r, j, b_val))
             if b_val > best[0]:
                 best = (b_val, float(r), float(j))
-    _write_text(out, _csv(["r", "J", "B"], rows))
-
     summary = {"max_b": best[0], "r": best[1], "j": best[2],
                "state": state_kind, "n_max": n_max, "beta2_sign": beta2_sign}
-    summary_path = _sibling(out, ".summary.json")
-    if summary_path is not None:
-        _write_text(summary_path, _json_text(summary))
-    else:
-        sys.stdout.write(_json_text(summary))
+    _write((out, _csv(["r", "J", "B"], rows)),
+           (_sibling(out, ".summary.json"), _json_text(summary)))
     return 0
 
 
@@ -357,7 +400,7 @@ def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
         report = feas.check_all(params, r, threshold)
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
-    _write_text(out, _json_text(report.as_dict()))
+    _write((out, _json_text(report.as_dict())))
     return 0
 
 
@@ -385,8 +428,8 @@ def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
         var_q = float(sigma[0, 0] + sigma[2, 2] + 2.0 * sigma[0, 2])
         rel = abs(var_q - wn) / wn if wn != 0 else 0.0
         rows.append((float(ratio), var_q, wn, rel))
-    _write_text(out, _csv(
-        ["kappa_over_gamma", "var_sum_q", "var_sum_q_whitenoise", "rel_error"], rows))
+    _write((out, _csv(
+        ["kappa_over_gamma", "var_sum_q", "var_sum_q_whitenoise", "rel_error"], rows)))
     return 0
 
 
@@ -442,6 +485,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,15 @@ operations are pure functions, so they are safe to use concurrently.
 The package's error and warning types live here too, so every layer can
 raise them without importing scipy.
 
+A :class:`DensityMatrix` stores one sparse CSR matrix of its nonzero
+entries: the states eprsim solves for live in the delta = 0 sector, about
+``n_max**3`` of the ``n_max**4`` entries, and a pure state's density
+matrix is the outer product on its amplitude support.  Every routine here
+works on the stored entries; ``DensityMatrix.elements`` builds the dense
+d x d array on request (d**2 complex values) and no library path reads it.
+scipy is imported inside the routines that need it, so importing this
+module loads numpy only.
+
 Conventions
 -----------
 * A basis with ``n_max`` keeps number states ``0 .. n_max - 1`` per mode.
@@ -19,7 +28,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -111,13 +121,25 @@ class PureState:
         return PureState(self.basis, self.amplitudes / n)
 
     def density_matrix(self) -> "DensityMatrix":
+        """``|psi><psi|`` of the normalized state, stored on its amplitude support."""
+        import scipy.sparse as sp
+
         psi = self.normalized().amplitudes
-        return DensityMatrix(self.basis, np.outer(psi, psi.conj()))
+        idx = np.flatnonzero(psi)
+        block = np.outer(psi[idx], psi[idx].conj())
+        rows, cols = np.repeat(idx, len(idx)), np.tile(idx, len(idx))
+        d = self.basis.dimension
+        return DensityMatrix(self.basis, sp.csr_matrix((block.ravel(), (rows, cols)), (d, d)))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density operator on a :class:`FockBasis`.
+    """Density operator on a :class:`FockBasis`, stored as a sparse matrix.
+
+    ``matrix`` may be given as a dense array or as a scipy sparse matrix;
+    it is kept as a complex CSR matrix of the nonzero entries (canonical:
+    sorted indices, no duplicates, no explicit zeros).  :attr:`elements`
+    builds the dense array on request.
 
     Construction does not validate the quantum-state conditions (solvers
     produce intermediate values with small violations); call
@@ -126,25 +148,35 @@ class DensityMatrix:
     """
 
     basis: FockBasis
-    elements: np.ndarray
+    matrix: Any
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         d = self.basis.dimension
-        el = np.asarray(self.elements, dtype=complex)
-        if el.shape != (d, d):
+        mat = self.matrix if sp.issparse(self.matrix) else np.asarray(self.matrix)
+        if mat.shape != (d, d):
             raise ValueError(
-                f"density matrix shape {el.shape} does not match basis dimension {d}"
+                f"density matrix shape {mat.shape} does not match basis dimension {d}"
             )
-        object.__setattr__(self, "elements", el)
+        mat = sp.csr_matrix(mat, dtype=complex, copy=True)
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The dense d x d array; allocates d**2 complex values on each call."""
+        return self.matrix.toarray()
 
     def trace(self) -> complex:
-        return complex(np.trace(self.elements))
+        return complex(self.matrix.diagonal().sum())
 
     def normalized(self) -> "DensityMatrix":
         tr = self.trace().real
         if tr <= 0:
             raise ValueError(f"trace must be positive to normalize, got {tr}")
-        return DensityMatrix(self.basis, self.elements / tr)
+        return DensityMatrix(self.basis, self.matrix / tr)
 
     def validate(
         self,
@@ -152,17 +184,34 @@ class DensityMatrix:
         trace_atol: float = TRACE_ATOL,
         eig_atol: float = EIGENVALUE_ATOL,
     ) -> "DensityMatrix":
-        """Check Hermiticity / trace / positivity; return self for chaining."""
-        el = self.elements
-        herm_dev = np.max(np.abs(el - el.conj().T))
+        """Check Hermiticity / trace / positivity; return self for chaining.
+
+        The eigenvalues are those of the blocks of the Hermitian part that
+        the stored pattern connects (a delta = 0 state splits into blocks
+        of at most ``n_max`` rows); rows with no stored entry add zeros.
+        """
+        from scipy.sparse.csgraph import connected_components
+
+        mat = self.matrix
+        herm_dev = abs(mat - mat.conj().T).max()
         if herm_dev > herm_atol:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         tr_dev = abs(self.trace() - 1.0)
         if tr_dev > trace_atol:
             raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
-        evals = np.linalg.eigvalsh((el + el.conj().T) / 2.0)
-        if evals.min() < -eig_atol:
-            raise ValueError(f"negative eigenvalue {evals.min():.3e}")
+        herm = (mat + mat.conj().T) / 2.0
+        _, label = connected_components(abs(herm), directed=False)
+        rows = np.flatnonzero(np.diff(herm.indptr))
+        rows = rows[np.argsort(label[rows], kind="stable")]
+        cuts = np.flatnonzero(np.diff(label[rows])) + 1
+        herm = herm[rows][:, rows]
+        lowest = min(
+            (np.linalg.eigvalsh(herm[a:b, a:b].toarray())[0]
+             for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(rows)])),
+            default=0.0,
+        )
+        if lowest < -eig_atol:
+            raise ValueError(f"negative eigenvalue {lowest:.3e}")
         return self
 
 
@@ -224,8 +273,9 @@ def expectation(rho: DensityMatrix, op: ModeOperator) -> complex:
     the imaginary part is numerical noise (< 1e-12).
     """
     _check_same_basis(rho, op)
-    # trace(rho @ op) without forming the product
-    return complex(np.sum(rho.elements * op.elements.T))
+    # trace(rho @ op) over the stored entries of rho
+    coo = rho.matrix.tocoo()
+    return complex(np.sum(coo.data * op.elements[coo.col, coo.row]))
 
 
 def partial_trace(rho: DensityMatrix, keep_mode: int) -> DensityMatrix:
@@ -237,12 +287,17 @@ def partial_trace(rho: DensityMatrix, keep_mode: int) -> DensityMatrix:
         raise ValueError("partial_trace requires a two-mode density matrix")
     if keep_mode not in (0, 1):
         raise ValueError(f"keep_mode must be 0 or 1, got {keep_mode}")
+    import scipy.sparse as sp
+
     n = rho.basis.n_max
-    r4 = rho.elements.reshape(n, n, n, n)  # [m0, m1, n0, n1]
+    coo = rho.matrix.tocoo()
+    m0, m1 = np.divmod(coo.row, n)
+    n0, n1 = np.divmod(coo.col, n)
     if keep_mode == 0:
-        reduced = np.einsum("mknk->mn", r4)
+        keep, rows, cols = m1 == n1, m0, n0
     else:
-        reduced = np.einsum("kmkn->mn", r4)
+        keep, rows, cols = m0 == n0, m1, n1
+    reduced = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), (n, n))
     return DensityMatrix(FockBasis(n, 1), reduced)
 
 

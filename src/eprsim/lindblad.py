@@ -34,12 +34,18 @@ on these orbits, with one generator assembler (:func:`_sector_matrix`):
   elimination over the levels (dense blocks of at most a few hundred
   orbits) and certifies the result on the unreduced space;
 * :func:`evolve` propagates one real value per orbit with
-  ``expm_multiply``, interval by interval, from any such start (vacuum
-  is one); other starts are propagated on the sector, or on the full
-  vectorized space when they leave it.
+  ``expm_multiply`` from any such start (vacuum is one); other starts are
+  propagated on the sector, or on the full vectorized space when they
+  leave it.
 
-:func:`moments` gives the second moments and purity that the CLI and the
-acceptance criteria read off each state.
+States go in and out as sparse :class:`~eprsim.hilbert.DensityMatrix`
+values.  The solvers read the start's stored entries and scatter their
+solution into a sparse matrix of the sector entries, and the positions
+of vec indices are looked up by ``searchsorted`` on the sorted sector
+indices, so no array of the d**2 vectorized entries is made on the orbit
+or sector paths.  :func:`moments` gives the second moments and purity
+that the CLI and the acceptance criteria read off each state, summed over
+stored entries only.
 """
 
 from __future__ import annotations
@@ -184,7 +190,7 @@ class Superoperator:
         return sum(coeff * (a @ rho_elements @ b) for coeff, a, b in self.terms)
 
     def apply_to(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.basis, self.apply(rho.elements))
+        return DensityMatrix(self.basis, self.apply(rho.matrix))
 
 
 def build_superoperator(model: LindbladModel, basis: FockBasis) -> Superoperator:
@@ -211,11 +217,10 @@ def _sector_indices(basis: FockBasis) -> np.ndarray:
     return ((m0 * n + m1) * d + n0 * n + n1)[keep]
 
 
-def _position_map(basis: FockBasis, vec_indices, positions) -> np.ndarray:
-    """Length-d*d map from vec index to ``positions`` (-1 elsewhere)."""
-    out = np.full(basis.dimension**2, -1, dtype=np.int64)
-    out[vec_indices] = positions
-    return out
+def _lookup(keys, values, wanted) -> np.ndarray:
+    """``values`` at the position of each ``wanted`` in the sorted ``keys`` (-1 if absent)."""
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, values[at], -1)
 
 
 def _entries(indptr, keys):
@@ -231,26 +236,27 @@ def _entries(indptr, keys):
     return owner, pos
 
 
-def _sector_matrix(terms, basis: FockBasis, row_pos, col_pos, shape):
-    """Generator restricted by two position maps, as sparse CSC.
+def _sector_matrix(terms, basis: FockBasis, tgt, row_pos, members, col_pos, shape):
+    """Generator restricted to given rows and summed into given columns, as CSC.
 
-    Keeps the rows whose vec index has ``row_pos >= 0`` and sums each
-    column into ``col_pos`` of its vec index (entries at -1 drop out).
-    Built generically from the (coeff, A, B) factor pairs: the superoperator
-    entry ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, enumerated
-    from the kept rows, so the work scales with their count.
+    Keeps the rows at the sorted vec indices ``tgt``, as matrix rows
+    ``row_pos``, and sums each column at a sorted vec index ``members`` into
+    matrix column ``col_pos`` (columns elsewhere drop out; lookups are
+    ``searchsorted``, so nothing is allocated per vec index).  Built
+    generically from the (coeff, A, B) factor pairs: the superoperator entry
+    ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, enumerated from the
+    kept rows, so the work scales with their count.
     """
     d = basis.dimension
-    tgt = np.nonzero(row_pos >= 0)[0]
     rows, cols, vals = [], [], []
     for coeff, a_mat, b_mat in terms:
         a_csr, b_csc = sp.csr_matrix(a_mat), sp.csc_matrix(b_mat)
         k, ia = _entries(a_csr.indptr, tgt // d)        # A[u, a]
         kb, ib = _entries(b_csc.indptr, tgt[k] % d)     # B[c, v]
         k, ia = k[kb], ia[kb]
-        src = col_pos[a_csr.indices[ia] * d + b_csc.indices[ib]]
+        src = _lookup(members, col_pos, a_csr.indices[ia] * d + b_csc.indices[ib])
         keep = src >= 0
-        rows.append(row_pos[tgt[k[keep]]])
+        rows.append(row_pos[k[keep]])
         cols.append(src[keep])
         vals.append(coeff * a_csr.data[ia[keep]] * b_csc.data[ib[keep]])
     mat = sp.coo_matrix(
@@ -322,7 +328,7 @@ def _eliminate_levels(mat, bounds):
 
 def _top_level_population(rho: DensityMatrix) -> float:
     n = rho.basis.n_max
-    pops = np.real(np.diag(rho.elements)).reshape(n, n)
+    pops = rho.matrix.diagonal().real.reshape(n, n)
     return float(pops[n - 1, :].sum() + pops[:, n - 1].sum() - pops[n - 1, n - 1])
 
 
@@ -337,10 +343,11 @@ def steady_state(
     kept at the orbit representatives and columns summed over each orbit.
     Ordered by excitation level, this system is block tridiagonal, and
     :func:`_eliminate_levels` solves it with dense level blocks and the
-    vacuum pinned; the result is then divided by its trace.  The full state
-    is certified by the unreduced residual ``||L(rho)||_F < residual_tol``;
-    a singular level block or a failed certification raises
-    :class:`NumericalError`.
+    vacuum pinned; the result is then divided by its trace and scattered
+    into a sparse matrix of the sector entries, which is returned as is.
+    The full state is certified by the unreduced residual
+    ``||L(rho)||_F < residual_tol``; a singular level block or a failed
+    certification raises :class:`NumericalError`.
     """
     if basis.n_modes != 2:
         raise ValueError("the correlated-bath master equation is a two-mode model")
@@ -353,9 +360,8 @@ def steady_state(
     orbit, reps = _orbits(indices, basis)
     size = len(reps)
     bounds = np.r_[0, np.cumsum(np.bincount(_level(reps, basis)))]
-    col_pos = _position_map(basis, indices, orbit)
-    row_pos = _position_map(basis, reps[1:], np.arange(1, size))  # no vacuum row
-    mat = _sector_matrix(terms, basis, row_pos, col_pos, (size, size)).tocsr()
+    kept = np.argsort(reps[1:]) + 1  # every orbit's row but the vacuum's
+    mat = _sector_matrix(terms, basis, reps[kept], kept, indices, orbit, (size, size)).tocsr()
     t1 = time.perf_counter()
     try:
         x, stored = _eliminate_levels(mat, bounds)
@@ -378,7 +384,7 @@ def steady_state(
             f"steady-state residual {resid:.3e} exceeds tolerance {residual_tol:.0e}"
         )
 
-    rho = DensityMatrix(basis, rho_sp.toarray())
+    rho = DensityMatrix(basis, rho_sp)
     pop = _top_level_population(rho)
     if pop > 1e-4:
         warnings.warn(
@@ -394,9 +400,11 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
     """Propagate the master equation through the given (increasing) times.
 
     ``rho0`` is the state at ``times[0]``.  The generator does not depend on
-    time, so each interval is one ``expm_multiply`` (Al-Mohy & Higham 2011)
-    at its double-precision tolerance, on the smallest space that holds
-    ``rho0`` exactly:
+    time, so the propagation is ``expm_multiply`` (Al-Mohy & Higham 2011)
+    at its double-precision tolerance: one call over the whole grid when
+    ``times`` is exactly ``np.linspace(times[0], times[-1], len(times))``,
+    else one call per interval.  It runs on the smallest space that holds
+    ``rho0``'s stored entries exactly:
 
     * ``orbits``: a real start in the delta = 0 sector that is constant on
       the {1, T, S, TS} orbits (vacuum is one) stays so.  It is propagated
@@ -404,6 +412,8 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
       eliminates plus its vacuum row.
     * ``sector``: any other start inside the delta = 0 sector.
     * ``full``: any other start, on the full vectorized space.
+
+    The returned states are sparse and Hermitised, ``(rho + rho†) / 2``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -417,31 +427,39 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
 
     t0 = time.perf_counter()
     d = basis.dimension
-    vec0 = rho0.elements.reshape(-1)
+    given = rho0.matrix.tocoo()
+    stored = given.row.astype(np.int64) * d + given.col
     indices = _sector_indices(basis)
     orbit, reps = _orbits(indices, basis)
-    everything = np.arange(d * d)
-    # Each reduction lists the vec index of every unknown (rows), the vec
-    # indices it covers (members) and the unknown of each member; the first
-    # that reproduces rho0 exactly is propagated.
-    for path, rows, members, unknown in (
-        ("orbits", reps, indices, orbit),
-        ("sector", indices, indices, np.arange(len(indices))),
-        ("full", everything, everything, everything),
-    ):
-        vec = vec0[rows].real if path == "orbits" else vec0[rows]
-        el = np.zeros(d * d, dtype=vec.dtype)
-        el[members] = vec[unknown]
-        if np.array_equal(el, vec0):
-            break
+    # Each reduction lists the vec index of every unknown (rows), the sorted
+    # vec indices it covers (members) and the unknown of each member.
+    at = _lookup(indices, np.arange(len(indices)), stored)
+    if np.all(at >= 0):
+        vec = np.zeros(len(indices), dtype=complex)
+        vec[at] = given.data
+        on_reps = vec[np.searchsorted(indices, reps)].real
+        if np.array_equal(on_reps[orbit], vec):
+            path, rows, members, unknown, vec = "orbits", reps, indices, orbit, on_reps
+        else:
+            path, rows, members, unknown = "sector", indices, indices, np.arange(len(indices))
+    else:
+        path, rows = "full", np.arange(d * d)
+        members = unknown = rows
+        vec = np.zeros(d * d, dtype=complex)
+        vec[stored] = given.data
     size = len(rows)
-    row_pos = _position_map(basis, rows, np.arange(size))
-    col_pos = _position_map(basis, members, unknown)
-    mat = _sector_matrix(_terms(model, basis), basis, row_pos, col_pos, (size, size)).tocsr()
+    order = np.argsort(rows)
+    mat = _sector_matrix(
+        _terms(model, basis), basis, rows[order], order, members, unknown, (size, size)
+    ).tocsr()
     t1 = time.perf_counter()
-    vecs = [vec]
-    for dt in np.diff(times):
-        vecs.append(spla.expm_multiply(dt * mat, vecs[-1]))
+    if len(times) > 1 and np.array_equal(times, np.linspace(times[0], times[-1], len(times))):
+        vecs = spla.expm_multiply(mat, vec, start=0.0, stop=times[-1] - times[0],
+                                  num=len(times), endpoint=True)
+    else:
+        vecs = [vec]
+        for dt in np.diff(times):
+            vecs.append(spla.expm_multiply(dt * mat, vecs[-1]))
     t2 = time.perf_counter()
     log.info(
         "evolve: %s path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
@@ -450,10 +468,8 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
 
     states = []
     for vec in vecs:
-        el = np.zeros(d * d, dtype=vec.dtype)
-        el[members] = vec[unknown]
-        el = el.reshape(d, d)
-        states.append(DensityMatrix(basis, (el + el.conj().T) / 2.0))
+        half = sp.csr_matrix((vec[unknown], (members // d, members % d)), (d, d))
+        states.append(DensityMatrix(basis, (half + half.conj().T) / 2.0))
     return EvolutionResult(times, states, **moments(states))
 
 
@@ -474,7 +490,8 @@ def moments(states) -> dict[str, np.ndarray]:
     values = {}
     for key, op in ops.items():
         op = op.tocoo()
-        values[key] = np.array([np.sum(op.data * s.elements[op.col, op.row]) for s in states])
+        values[key] = np.array([np.sum(op.data * _stored_at(s.matrix, op.col, op.row))
+                                for s in states])
     return {
         "n1": values["n1"].real,
         "n2": values["n2"].real,
@@ -486,6 +503,14 @@ def moments(states) -> dict[str, np.ndarray]:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """``trace(rho @ rho)`` — 1 for pure states, 1/d for maximally mixed."""
-    el = rho.elements
-    return float(np.sum(el * el.T).real)
+    """``trace(rho @ rho)`` — 1 for pure states, 1/d for maximally mixed.
+
+    Summed over the stored entries of rho only.
+    """
+    coo = rho.matrix.tocoo()
+    return float(np.sum(coo.data * _stored_at(rho.matrix, coo.col, coo.row)).real)
+
+
+def _stored_at(mat, rows, cols) -> np.ndarray:
+    """Entries ``mat[rows[k], cols[k]]`` of a sparse matrix (0 where none is stored)."""
+    return np.asarray(mat[rows, cols]).ravel()

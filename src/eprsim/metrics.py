@@ -52,8 +52,7 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
     if rho.basis != target.basis:
         raise ValueError(f"basis mismatch: {rho.basis} vs {target.basis}")
     psi = target.normalized().amplitudes
-    val = np.real(psi.conj() @ rho.elements @ psi)
-    return float(val)
+    return float(np.real(psi.conj() @ (rho.matrix @ psi)))
 
 
 def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
@@ -61,7 +60,7 @@ def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
     basis = rho.basis
     if not 0 <= mode_index < basis.n_modes:
         raise ValueError(f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)")
-    pops = np.diagonal(rho.elements).real.reshape((basis.n_max,) * basis.n_modes)
+    pops = rho.matrix.diagonal().real.reshape((basis.n_max,) * basis.n_modes)
     marginal = np.moveaxis(pops, mode_index, 0).reshape(basis.n_max, -1).sum(axis=1)
     return float(np.arange(basis.n_max) @ marginal)
 

@@ -164,7 +164,7 @@ def _populations(state: PureState | DensityMatrix) -> np.ndarray:
     if isinstance(state, PureState):
         psi = state.normalized().amplitudes
         return (psi * psi.conj()).real
-    return np.real(np.diag(state.elements))
+    return state.matrix.diagonal().real
 
 
 def edge_population(state: PureState | DensityMatrix, fraction: float = 0.1) -> float:
@@ -210,14 +210,18 @@ def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
 
 
 def _support(state: PureState | DensityMatrix):
-    """Rows and columns of rho that carry weight, and the dense block on them."""
+    """Rows and columns of rho that carry weight, and the dense block on them.
+
+    A pure state's support is its nonzero amplitudes; a density matrix's is
+    the rows and columns that hold a stored entry.
+    """
     if isinstance(state, PureState):
         psi = state.normalized().amplitudes
         idx = np.flatnonzero(psi)
         return idx, idx, np.outer(psi[idx], psi[idx].conj())
-    nz = state.elements != 0
-    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
-    return rows, cols, state.elements[np.ix_(rows, cols)]
+    mat = state.matrix
+    rows, cols = np.flatnonzero(np.diff(mat.indptr)), np.unique(mat.indices)
+    return rows, cols, mat[rows][:, cols].toarray()
 
 
 def displaced_parity_expectation(
@@ -245,30 +249,33 @@ def displaced_parity_expectation(
     return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
 
 
-def wigner_from_density(rho: DensityMatrix, grid: WignerGrid) -> WignerGrid:
-    """Two-mode Wigner function of ``rho`` on a product grid.
+def wigner_from_density(state: PureState | DensityMatrix, grid: WignerGrid) -> WignerGrid:
+    """Two-mode Wigner function of a pure state or density matrix on a product grid.
 
     Uses the displaced-parity representation with ``a_j = q_j + i p_j``
     (see module docstring).  The factorized form — one displaced-parity
     matrix per mode per phase-space point — turns the grid evaluation
-    into a single tensor contraction.
+    into a single tensor contraction, over the state's support only (as
+    :func:`displaced_parity_expectation`).
 
     Emits a :class:`TruncationWarning` when the state has significant
     population near the Fock-space edge, where displaced parities lose
     accuracy.
     """
-    if rho.basis.n_modes != 2:
-        raise ValueError("two-mode density matrix required")
-    _warn_if_truncated(rho, "wigner_from_density")
-    n = rho.basis.n_max
+    if state.basis.n_modes != 2:
+        raise ValueError("two-mode state required")
+    _warn_if_truncated(state, "wigner_from_density")
+    n = state.basis.n_max
+    rows, cols, block = _support(state)
+    m0, m1 = (v[:, None] for v in np.divmod(rows, n))
+    k0, k1 = np.divmod(cols, n)
     a1 = grid.q1[:, None] + 1j * grid.p1[None, :]
     a2 = grid.q2[:, None] + 1j * grid.p2[None, :]
-    o1 = np.array([_displaced_parity_single(n, a) for a in a1.ravel()])
-    o2 = np.array([_displaced_parity_single(n, a) for a in a2.ravel()])
-    r4 = rho.elements.reshape(n, n, n, n)
+    stack = (-1, len(rows), len(cols))  # keeps the axes when the grid is empty
+    o1 = np.array([_displaced_parity_single(n, a)[k0, m0] for a in a1.ravel()]).reshape(stack)
+    o2 = np.array([_displaced_parity_single(n, a)[k1, m1] for a in a2.ravel()]).reshape(stack)
     # E[i, j] over (mode-1 point i, mode-2 point j)
-    half = np.einsum("mpnq,anm->apq", r4, o1)
-    corr = np.einsum("apq,bqp->ab", half, o2).real
+    corr = np.einsum("arc,brc->ab", block * o1, o2).real
     vals = (2.0 / np.pi) ** 2 * corr
     shape = (len(grid.q1), len(grid.p1), len(grid.q2), len(grid.p2))
     return WignerGrid(grid.q1, grid.p1, grid.q2, grid.p2, vals.reshape(shape))

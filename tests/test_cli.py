@@ -155,6 +155,18 @@ def test_wigner_empty_grid(tmp_path, capsys):
     assert text == "q1,p1,q2,p2,w_analytic\n"
 
 
+def test_wigner_empty_grid_from_density(tmp_path, capsys):
+    axis = {"start": 0.0, "stop": 0.0, "num": 1}
+    cfg = write_config(
+        tmp_path,
+        {"schema_version": 1, "r": 0.5, "from_density": True, "n_max": 6,
+         "grid": {"q1": {"start": 0.0, "stop": 0.0, "num": 0}, "p1": axis, "q2": axis,
+                  "p2": axis}},
+    )
+    assert main(["wigner", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "q1,p1,q2,p2,w_analytic,w_from_rho\n"
+
+
 def test_bell_sweep_summary(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -422,6 +434,99 @@ def test_non_finite_number_rejected_in_any_command(tmp_path, capsys):
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: r: expected a finite number, got nan\n"
     assert not out.exists()
+
+
+# --- unwritable outputs -----------------------------------------------------
+
+
+def _small_configs(tmp_path):
+    axis = {"start": -1.0, "stop": 1.0, "num": 2}
+    return {
+        "steady-state": {"schema_version": 1, "model": {"epsilon_over_kappa": 0.2},
+                         "n_max": 6},
+        "wigner": {"schema_version": 1, "r": 0.3, "from_density": True, "n_max": 8,
+                   "grid": {"q1": axis, "p1": axis, "q2": axis, "p2": axis}},
+        "bell-sweep": {"schema_version": 1, "n_max": 8,
+                       "r_grid": {"start": 0.1, "stop": 0.2, "num": 2},
+                       "j_grid": {"start": 0.05, "stop": 0.1, "num": 2}},
+        "feasibility": json.loads(
+            (REPO_ROOT / "configs" / "feasibility_example.json").read_text(encoding="utf-8")),
+    }
+
+
+@pytest.mark.parametrize("command", ["steady-state", "wigner", "bell-sweep", "feasibility"])
+def test_out_in_missing_directory_exits_2(tmp_path, capsys, command):
+    """The artifact and its sidecar (.meta.json, .summary.json) are all or nothing."""
+    cfg = write_config(tmp_path, _small_configs(tmp_path)[command])
+    out = tmp_path / "missing" / "artifact"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, suffix", [("wigner", ".meta.json"),
+                                             ("bell-sweep", ".summary.json")])
+def test_failed_sidecar_takes_back_the_artifact(tmp_path, capsys, command, suffix):
+    cfg = write_config(tmp_path, _small_configs(tmp_path)[command])
+    out = tmp_path / "artifact.csv"
+    (tmp_path / f"artifact.csv{suffix}").mkdir()  # the sidecar cannot replace a directory
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {out}{suffix}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"artifact.csv{suffix}", "config.json"]
+
+
+def test_unwritable_density_csv_leaves_no_report(tmp_path, capsys):
+    payload = _small_configs(tmp_path)["steady-state"]
+    payload["density_csv"] = str(tmp_path / "missing" / "rho.csv")
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert main(["steady-state", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {payload['density_csv']}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # n_max 5 is coarse on purpose
+def test_density_csv_lists_every_entry_in_dense_order(tmp_path):
+    """The sparse writer keeps the d**2-row format of the dense matrix, zeros included."""
+    from eprsim import FockBasis, steady_state
+    from eprsim.cli import _csv, _parse_model
+
+    dump = tmp_path / "rho.csv"
+    payload = {"schema_version": 1, "model": {"epsilon_over_kappa": 0.3, "heating_rate": 0.05},
+               "n_max": 5, "density_csv": str(dump)}
+    cfg = write_config(tmp_path, payload)
+    assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    dense = steady_state(_parse_model(payload), FockBasis(5, 2)).elements
+    d = dense.shape[0]
+    idx = np.arange(d * d)
+    flat = dense.reshape(-1)
+    expected = _csv(["row", "col", "re", "im"], zip(idx // d, idx % d, flat.real, flat.imag))
+    assert dump.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # the n_max 4 warm-up
+def test_steady_state_cli_allocates_no_dense_density_matrix(tmp_path):
+    """At n_max 40 the traced peak stays below one complex d x d array (41 MB)."""
+    import tracemalloc
+
+    cfg = write_config(tmp_path, {"schema_version": 1, "model": {"epsilon_over_kappa": 0.5},
+                                  "n_max": 40})
+    out = str(tmp_path / "report.json")
+    # Warm up at a small n_max, so the lazily imported modules are not counted.
+    assert main(["steady-state", "--config", cfg, "--out", out, "--n-max", "4"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["steady-state", "--config", cfg, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1600**2 * 16
 
 
 # --- determinism and wiring ------------------------------------------------

@@ -30,7 +30,7 @@ from eprsim import (
     tmss_fock,
     vacuum_state,
 )
-from eprsim.lindblad import _position_map, _sector_indices, _sector_matrix, _terms
+from eprsim.lindblad import _sector_indices, _sector_matrix, _terms
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
 
@@ -143,8 +143,9 @@ def reference_steady_state(model, basis):
     d = basis.dimension
     indices = _sector_indices(basis)
     size = len(indices)
-    positions = _position_map(basis, indices, np.arange(size))
-    mat = _sector_matrix(_terms(model, basis), basis, positions, positions, (size, size))
+    positions = np.arange(size)
+    mat = _sector_matrix(_terms(model, basis), basis, indices, positions, indices, positions,
+                         (size, size))
     mat = mat.tolil()
     mat[0, :] = 0.0
     mat[0, np.nonzero(indices // d == indices % d)[0]] = 1.0
@@ -159,8 +160,8 @@ def test_sector_matrix_matches_superoperator_restriction():
     basis = FockBasis(5, 2)
     terms = _terms(half_model(0.3, heating=0.05), basis)
     indices = _sector_indices(basis)
-    positions = _position_map(basis, indices, np.arange(len(indices)))
-    sec = _sector_matrix(terms, basis, positions, positions, (len(indices),) * 2)
+    positions = np.arange(len(indices))
+    sec = _sector_matrix(terms, basis, indices, positions, indices, positions, (len(indices),) * 2)
     full = build_superoperator(half_model(0.3, heating=0.05), basis).matrix
     assert abs(sec - full[indices][:, indices]).max() < 1e-14
     # the sector is closed: no generator entry leads out of it
@@ -353,6 +354,29 @@ def test_evolve_matches_dense_expm(dense_propagation, caplog, make_start, path):
         vecs.append(prop @ vecs[-1])
     for state, vec in zip(result.states, vecs, strict=True):
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "make_start",
+    [
+        lambda basis: vacuum_state(basis).density_matrix(),
+        lambda basis: phased_pair_state(basis, 0.5, 0.7),
+        lambda basis: coherent_product_state(basis, 0.4 + 0.3j),
+    ],
+    ids=["vacuum", "phased-pairs", "coherent"],
+)
+def test_evolve_on_uniform_grid_matches_dense_expm(make_start):
+    """A uniform grid is propagated in one call; it need not start at t = 0."""
+    model = half_model(0.3, heating=0.1)
+    times = np.linspace(1.0, 3.0, 5)
+    prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
+    rho0 = make_start(FockBasis(6, 2))
+    result = evolve(rho0, model, times)
+    vec = rho0.elements.reshape(-1)
+    for state in result.states:
+        assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
+        assert (state.matrix != state.matrix.conj().T).nnz == 0
+        vec = prop @ vec
 
 
 def test_evolve_logs_path_and_figures(caplog):

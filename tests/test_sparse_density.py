@@ -1,0 +1,250 @@
+"""Sparse density-matrix routines against dense references kept in this file.
+
+A :class:`DensityMatrix` stores only its nonzero entries, and every routine
+below works on those.  Each reference is the dense d x d formula the
+routine replaced; the two must agree within 1e-12 on a heated steady state,
+a vacuum/TMSS mixture, a coherent product state and the two-mode squeezed
+vacuum (as a pure state and as a density matrix).
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from eprsim import (
+    DensityMatrix,
+    FockBasis,
+    LindbladModel,
+    NopaParams,
+    PureState,
+    TmssSpec,
+    TruncationWarning,
+    WignerGrid,
+    displacement_op,
+    effective_N_M,
+    fidelity,
+    mean_phonon,
+    moments,
+    partial_trace,
+    purity,
+    steady_state,
+    tmss_fock,
+    vacuum_state,
+    wigner_from_density,
+)
+from eprsim.states import _displaced_parity_single, _support
+
+TOL = 1e-12
+
+
+def heated_steady_state():
+    n_p, m_p = effective_N_M(NopaParams(0.25, 1.0))
+    model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return steady_state(model, FockBasis(10, 2))
+
+
+def vacuum_tmss_mixture():
+    basis = FockBasis(12, 2)
+    vac = vacuum_state(basis).density_matrix().elements
+    tmss = tmss_fock(TmssSpec(0.5), basis).density_matrix().elements
+    return DensityMatrix(basis, 0.5 * vac + 0.5 * tmss)
+
+
+def coherent_product():
+    basis = FockBasis(10, 2)
+    d1 = displacement_op(0.3, basis, 0).elements
+    d2 = displacement_op(-0.2 + 0.1j, basis, 1).elements
+    return PureState(basis, d2 @ (d1 @ vacuum_state(basis).amplitudes)).density_matrix()
+
+
+def tmss_pure():
+    return tmss_fock(TmssSpec(0.5), FockBasis(12, 2))
+
+
+STATES = {
+    "heated-steady-state": heated_steady_state,
+    "vacuum-tmss-mixture": vacuum_tmss_mixture,
+    "coherent-product": coherent_product,
+    "tmss-pure": tmss_pure,
+    "tmss-rho": lambda: tmss_pure().density_matrix(),
+}
+
+
+def as_rho(state):
+    return state.density_matrix() if isinstance(state, PureState) else state
+
+
+@pytest.fixture(params=list(STATES), scope="module")
+def state(request):
+    return STATES[request.param]()
+
+
+@pytest.fixture(scope="module")
+def rho(state):
+    return as_rho(state)
+
+
+# --- dense references ---------------------------------------------------------
+
+
+def dense_validate(el, herm_atol=1e-10, trace_atol=1e-10, eig_atol=1e-8):
+    herm_dev = np.max(np.abs(el - el.conj().T))
+    if herm_dev > herm_atol:
+        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
+    tr_dev = abs(complex(np.trace(el)) - 1.0)
+    if tr_dev > trace_atol:
+        raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
+    evals = np.linalg.eigvalsh((el + el.conj().T) / 2.0)
+    if evals.min() < -eig_atol:
+        raise ValueError(f"negative eigenvalue {evals.min():.3e}")
+
+
+def dense_ops(n):
+    """Dense two-mode b1, b2 (mode 0 slowest)."""
+    ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    eye = np.eye(n)
+    return np.kron(ladder, eye), np.kron(eye, ladder)
+
+
+def dense_wigner(el, n, grid):
+    r4 = el.reshape(n, n, n, n)
+    a1 = (grid.q1[:, None] + 1j * grid.p1[None, :]).ravel()
+    a2 = (grid.q2[:, None] + 1j * grid.p2[None, :]).ravel()
+    o1 = np.array([_displaced_parity_single(n, a) for a in a1])
+    o2 = np.array([_displaced_parity_single(n, a) for a in a2])
+    half = np.einsum("mpnq,anm->apq", r4, o1)
+    return (2.0 / np.pi) ** 2 * np.einsum("apq,bqp->ab", half, o2).real
+
+
+# --- tests ----------------------------------------------------------------------
+
+
+def test_stores_exactly_the_nonzero_entries(rho):
+    el = rho.elements
+    assert rho.matrix.format == "csr" and rho.matrix.dtype == complex
+    assert rho.matrix.nnz == np.count_nonzero(el)
+    assert abs(rho.trace() - np.trace(el)) <= TOL
+    assert np.max(np.abs(rho.normalized().elements - el / np.trace(el).real)) <= TOL
+
+
+def test_constructor_takes_dense_or_sparse(rho):
+    for given in (rho.elements, rho.matrix, rho.matrix.tocoo()):
+        again = DensityMatrix(rho.basis, given)
+        assert (again.matrix != rho.matrix).nnz == 0
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix(rho.basis, rho.matrix[:-1])
+
+
+def test_validate_passes_like_dense(rho):
+    dense_validate(rho.elements)
+    assert rho.validate() is rho
+
+
+def broken_versions(el):
+    """A non-Hermitian, a wrongly normalized and a non-positive copy of ``el``."""
+    off = np.argwhere((el != 0) & ~np.eye(len(el), dtype=bool))[0]
+    not_hermitian = el.copy()
+    not_hermitian[tuple(off)] += 1e-6
+    pops = np.diag(el).real
+    first, second = np.argsort(pops)[::-1][:2]
+    negative = el.copy()  # trace kept, one population pushed below zero
+    negative[first, first] += 2.0 * pops[second]
+    negative[second, second] -= 2.0 * pops[second]
+    return {"Hermitian": not_hermitian, "trace": 1.5 * el, "eigenvalue": negative}
+
+
+def test_validate_errors_match_dense(rho):
+    for kind, el in broken_versions(rho.elements).items():
+        with pytest.raises(ValueError) as dense_err:
+            dense_validate(el)
+        with pytest.raises(ValueError) as sparse_err:
+            DensityMatrix(rho.basis, el).validate()
+        assert kind in str(dense_err.value)
+        assert str(sparse_err.value) == str(dense_err.value)
+
+
+def test_validate_splits_sector_states_into_small_blocks():
+    """A delta = 0 state connects rows with equal m0 - m1: blocks of <= n_max rows."""
+    from scipy.sparse.csgraph import connected_components
+
+    rho = heated_steady_state()
+    labels = connected_components(abs(rho.matrix), directed=False)[1]
+    stored = np.flatnonzero(np.diff(rho.matrix.indptr))
+    assert np.bincount(labels[stored]).max() <= rho.basis.n_max
+
+
+def test_fidelity_matches_dense(rho):
+    psi = tmss_fock(TmssSpec(0.5), rho.basis).amplitudes
+    expected = np.real(psi.conj() @ rho.elements @ psi)
+    assert abs(fidelity(rho, tmss_fock(TmssSpec(0.5), rho.basis)) - expected) <= TOL
+
+
+def test_purity_matches_dense(rho):
+    el = rho.elements
+    assert abs(purity(rho) - np.sum(el * el.T).real) <= TOL
+
+
+def test_mean_phonon_matches_dense(rho):
+    b1, b2 = dense_ops(rho.basis.n_max)
+    for mode, b in enumerate((b1, b2)):
+        expected = np.trace(rho.elements @ b.T @ b).real
+        assert abs(mean_phonon(rho, mode) - expected) <= TOL
+
+
+def test_moments_match_dense(rho):
+    el = rho.elements
+    b1, b2 = dense_ops(rho.basis.n_max)
+    q = b1 + b1.T + b2 + b2.T
+    p = -1j * (b1 - b1.T) + 1j * (b2 - b2.T)
+
+    def tr(op):
+        return np.trace(el @ op)
+
+    expected = {
+        "n1": tr(b1.T @ b1).real, "n2": tr(b2.T @ b2).real, "b1b2": tr(b1 @ b2),
+        "var_sum_q": tr(q @ q).real - tr(q).real ** 2,
+        "var_diff_p": tr(p @ p).real - tr(p).real ** 2,
+        "purity": np.sum(el * el.T).real,
+    }
+    got = moments([rho])
+    for key, value in expected.items():
+        assert abs(got[key][0] - value) <= TOL, key
+
+
+def test_partial_trace_matches_dense(rho):
+    n = rho.basis.n_max
+    r4 = rho.elements.reshape(n, n, n, n)
+    for keep, spec in ((0, "mknk->mn"), (1, "kmkn->mn")):
+        reduced = partial_trace(rho, keep)
+        assert reduced.basis == FockBasis(n, 1)
+        assert np.max(np.abs(reduced.elements - np.einsum(spec, r4))) <= TOL
+
+
+def test_support_matches_dense(state):
+    el = as_rho(state).elements
+    nz = el != 0
+    rows, cols, block = _support(state)
+    assert np.array_equal(rows, np.flatnonzero(nz.any(axis=1)))
+    assert np.array_equal(cols, np.flatnonzero(nz.any(axis=0)))
+    assert np.max(np.abs(block - el[np.ix_(rows, cols)])) <= TOL
+
+
+def test_wigner_from_density_matches_dense(state):
+    axis = np.linspace(-0.8, 0.8, 3)
+    grid = WignerGrid(axis, axis, axis, 0.5 * axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        got = wigner_from_density(state, grid).values
+    expected = dense_wigner(as_rho(state).elements, state.basis.n_max, grid)
+    assert np.max(np.abs(got.reshape(expected.shape) - expected)) <= TOL
+
+
+def test_elements_is_a_fresh_dense_array(rho):
+    first, second = rho.elements, rho.elements
+    assert first is not second
+    first[0, 0] = 123.0
+    assert rho.elements[0, 0] != 123.0
+    assert first.dtype == complex
