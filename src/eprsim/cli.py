@@ -222,7 +222,7 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
 
 def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
     from .gaussian import epr_variances, model_from_lindblad, steady_covariance
-    from .hilbert import FockBasis, TruncationWarning
+    from .hilbert import FockBasis, NumericalError, TruncationWarning
     from .lindblad import purity, steady_state
     from .metrics import epr_criterion, fidelity, mean_phonon
     from .states import TmssSpec, tmss_fock
@@ -244,8 +244,12 @@ def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
 
     r_equiv = float(np.arcsinh(np.sqrt(model.n_param)))
     target = tmss_fock(TmssSpec(r_equiv), basis)
-    dd = model_from_lindblad(model)
-    var_q, var_p = epr_variances(steady_covariance(dd))
+    # A valid config gives a physical Gaussian model, so a ValueError on this
+    # route is rounding at extreme rates.
+    try:
+        var_q, var_p = epr_variances(steady_covariance(model_from_lindblad(model)))
+    except ValueError as exc:
+        raise NumericalError(f"Gaussian steady state: {exc}") from exc
     value, entangled = epr_criterion(var_q, var_p)
     report = {
         "n_max": n_max,
@@ -406,14 +410,17 @@ def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
 
 def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
     from .gaussian import cascade_model, steady_covariance
+    from .hilbert import NumericalError
     from .nopa import NopaParams, effective_N_M
 
     eps = _field(cfg, "epsilon_over_kappa", float)
     ratios = _field(cfg, "kappa_over_gamma", list)
     if not ratios or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in ratios
+        isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
+        for x in ratios
     ):
-        raise ConfigError("kappa_over_gamma: expected a non-empty list of positive numbers")
+        raise ConfigError(
+            "kappa_over_gamma: expected a non-empty list of positive finite numbers")
     try:
         params = NopaParams(eps, 1.0)
     except ValueError as exc:
@@ -423,8 +430,12 @@ def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
     wn = 2.0 * (1.0 + 2.0 * n_p - 2.0 * m_p)
     rows = []
     for ratio in ratios:
-        dd = cascade_model(params, gamma=1.0 / float(ratio))
-        sigma = steady_covariance(dd).cov[4:, 4:]
+        # The model is physical for every valid ratio; a ValueError is rounding.
+        try:
+            dd = cascade_model(params, gamma=1.0 / float(ratio))
+            sigma = steady_covariance(dd).cov[4:, 4:]
+        except ValueError as exc:
+            raise NumericalError(f"cascade at kappa_over_gamma {ratio!r}: {exc}") from exc
         var_q = float(sigma[0, 0] + sigma[2, 2] + 2.0 * sigma[0, 2])
         rel = abs(var_q - wn) / wn if wn != 0 else 0.0
         rows.append((float(ratio), var_q, wn, rel))

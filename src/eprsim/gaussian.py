@@ -19,6 +19,12 @@ Three model builders are provided: the two-mode white-noise model
 model in which the source cavity's output drives the motional modes
 unidirectionally at finite bandwidth, and the trivial collective-mode
 rate map for K-atom ensembles.
+
+The module needs numpy only.  The stationary covariance is one linear
+solve in the Kronecker-sum form of the Lyapunov equation (the matrices
+here are at most 8 x 8, so the system is at most 64 x 64), and
+``scipy.linalg.expm`` is imported when :func:`evolve_covariance` first
+runs.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
+from .hilbert import NumericalError, _expm
 from .nopa import NopaParams
 
 SYMMETRY_ATOL = 1e-12
@@ -122,19 +128,30 @@ def model_from_lindblad(model: LindbladModel) -> DriftDiffusion:
 
 
 def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
-    """Solve ``A S + S A^T + D = 0`` for the stationary covariance."""
+    """Solve ``A S + S A^T + D = 0`` for the stationary covariance.
+
+    The equation is solved as one linear system in the row-major vec of S,
+    ``(kron(A, I) + kron(I, A)) vec(S) = -vec(D)``, whose matrix is
+    nonsingular for a Hurwitz drift (its eigenvalues are the sums of two
+    of A's).  A drift that is not Hurwitz raises ``ValueError``; a solution
+    whose residual exceeds ``LYAPUNOV_RESIDUAL_TOL`` (relative to D)
+    raises :class:`~eprsim.hilbert.NumericalError`.
+    """
     evals = np.linalg.eigvals(dd.drift)
     worst = evals[np.argmax(evals.real)]
     if worst.real >= 0:
         raise ValueError(
             f"drift is not Hurwitz: eigenvalue {worst:.6g} has non-negative real part"
         )
-    sigma = solve_continuous_lyapunov(dd.drift, -dd.diffusion)
+    n = dd.drift.shape[0]
+    eye = np.eye(n)
+    kron_sum = np.kron(dd.drift, eye) + np.kron(eye, dd.drift)
+    sigma = np.linalg.solve(kron_sum, -dd.diffusion.ravel()).reshape(n, n)
     sigma = (sigma + sigma.T) / 2.0
     resid = np.linalg.norm(dd.drift @ sigma + sigma @ dd.drift.T + dd.diffusion)
-    if resid > LYAPUNOV_RESIDUAL_TOL * max(1.0, np.linalg.norm(dd.diffusion)):
-        raise ValueError(f"Lyapunov solve residual {resid:.3e} too large")
-    return CovarianceState(np.zeros(sigma.shape[0]), sigma)
+    if not resid <= LYAPUNOV_RESIDUAL_TOL * max(1.0, np.linalg.norm(dd.diffusion)):
+        raise NumericalError(f"Lyapunov solve residual {resid:.3e} too large")
+    return CovarianceState(np.zeros(n), sigma)
 
 
 def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> CovarianceState:
@@ -158,7 +175,7 @@ def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> C
     block[:n2, :n2] = dd.drift
     block[:n2, n2:] = dd.diffusion
     block[n2:, n2:] = -dd.drift.T
-    f = expm(block * t)
+    f = _expm(block * t)
     f11, f12 = f[:n2, :n2], f[:n2, n2:]
     cov = f11 @ state.cov @ f11.T + f12 @ f11.T
     cov = (cov + cov.T) / 2.0
@@ -181,6 +198,8 @@ def cascade_model(nopa: NopaParams, gamma: float) -> DriftDiffusion:
     steady covariance reproduces the white-noise model, with relative
     error scaling linearly in ``gamma / kappa_c``.
     """
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     eps, kappa = nopa.epsilon, nopa.kappa_c

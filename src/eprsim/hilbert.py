@@ -215,6 +215,13 @@ class DensityMatrix:
         return self
 
 
+def _expm(mat: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(mat)``; scipy.linalg is loaded on the first call."""
+    from scipy.linalg import expm
+
+    return expm(mat)
+
+
 def _single_mode_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
 

@@ -46,6 +46,10 @@ indices, so no array of the d**2 vectorized entries is made on the orbit
 or sector paths.  :func:`moments` gives the second moments and purity
 that the CLI and the acceptance criteria read off each state, summed over
 stored entries only.
+
+Only ``scipy.sparse`` is imported with the module: :func:`steady_state`
+needs nothing else, and :func:`evolve` imports ``scipy.sparse.linalg``
+for ``expm_multiply`` when it runs.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning
 
@@ -346,8 +349,9 @@ def steady_state(
     vacuum pinned; the result is then divided by its trace and scattered
     into a sparse matrix of the sector entries, which is returned as is.
     The full state is certified by the unreduced residual
-    ``||L(rho)||_F < residual_tol``; a singular level block or a failed
-    certification raises :class:`NumericalError`.
+    ``||L(rho)||_F < residual_tol``, the norm of the stored entries of
+    L(rho); a singular level block or a failed certification raises
+    :class:`NumericalError`.
     """
     if basis.n_modes != 2:
         raise ValueError("the correlated-bath master equation is a two-mode model")
@@ -370,7 +374,9 @@ def steady_state(
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
     rho_sp = sp.csr_matrix((x[orbit] / x[diag].sum(), (indices // d, indices % d)), (d, d))
     t2 = time.perf_counter()
-    resid = float(spla.norm(Superoperator(basis, terms).apply(rho_sp)))
+    resid_mat = Superoperator(basis, terms).apply(rho_sp)
+    resid_mat.sum_duplicates()
+    resid = float(np.linalg.norm(resid_mat.data))
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
@@ -414,7 +420,10 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
     * ``full``: any other start, on the full vectorized space.
 
     The returned states are sparse and Hermitised, ``(rho + rho†) / 2``.
+    A propagation that overflows raises :class:`~eprsim.hilbert.NumericalError`.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D array")
@@ -453,13 +462,22 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
         _terms(model, basis), basis, rows[order], order, members, unknown, (size, size)
     ).tocsr()
     t1 = time.perf_counter()
-    if len(times) > 1 and np.array_equal(times, np.linspace(times[0], times[-1], len(times))):
-        vecs = spla.expm_multiply(mat, vec, start=0.0, stop=times[-1] - times[0],
-                                  num=len(times), endpoint=True)
-    else:
-        vecs = [vec]
-        for dt in np.diff(times):
-            vecs.append(spla.expm_multiply(dt * mat, vecs[-1]))
+    uniform = len(times) > 1 and np.array_equal(
+        times, np.linspace(times[0], times[-1], len(times)))
+    # expm_multiply picks its step count from estimated norms of powers of
+    # L t; where those overflow (gamma ~ 1e40 and up) it would fail on a
+    # NaN count, so the first overflow is raised as a numerical failure.
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            if uniform:
+                vecs = expm_multiply(mat, vec, start=0.0, stop=times[-1] - times[0],
+                                     num=len(times), endpoint=True)
+            else:
+                vecs = [vec]
+                for dt in np.diff(times):
+                    vecs.append(expm_multiply(dt * mat, vecs[-1]))
+        except FloatingPointError as exc:
+            raise NumericalError(f"evolve: propagation overflowed ({exc})") from exc
     t2 = time.perf_counter()
     log.info(
         "evolve: %s path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",

@@ -20,6 +20,10 @@ reproduces the analytic two-mode-squeezed form with the mapping
 ``a_j = q_j + i p_j``; in these variables the vacuum marginal is
 ``exp(-2 q**2)`` (i.e. ``Var(q) = 1/4``, consistent with ``q = Q/2``
 for the unit-vacuum-variance quadrature ``Q = b + b†``).
+
+``scipy.linalg`` is loaded by the first matrix exponential (the squeezing
+unitary, displacements and displaced parities), so :func:`tmss_fock`
+alone needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,16 +33,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hilbert import (
     FockBasis,
     ModeOperator,
+    NumericalError,
     PureState,
     DensityMatrix,
     TruncationWarning,
     annihilation_op,
     _embed,
+    _expm,
     _single_mode_ladder,
 )
 
@@ -87,13 +92,19 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> PureState:
 
     Amplitudes ``(-tanh r)^m / cosh r`` on the diagonal kets ``|m, m>``,
     renormalized over the truncated space (the discarded tail is
-    ``tanh(r)**(2 n_max)``).
+    ``tanh(r)**(2 n_max)``).  Raises :class:`~eprsim.hilbert.NumericalError`
+    when ``cosh(r)`` overflows (r above about 710), where no amplitude
+    would be representable.
     """
     if basis.n_modes != 2:
         raise ValueError("two-mode squeezed vacuum requires a two-mode basis")
     n = basis.n_max
     m = np.arange(n)
-    c = (-np.tanh(spec.r)) ** m / np.cosh(spec.r)
+    with np.errstate(over="raise"):
+        try:
+            c = (-np.tanh(spec.r)) ** m / np.cosh(spec.r)
+        except FloatingPointError as exc:
+            raise NumericalError(f"tmss_fock: cosh(r) overflows at r = {spec.r:.6g}") from exc
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[m * n + m] = c
     return PureState(basis, amp).normalized()
@@ -111,7 +122,7 @@ def squeeze_unitary(spec: TmssSpec, basis: FockBasis) -> ModeOperator:
     b2 = annihilation_op(basis, 1).elements
     pair = b1 @ b2
     gen = spec.r * (pair - pair.conj().T)
-    return ModeOperator(basis, expm(gen))
+    return ModeOperator(basis, _expm(gen))
 
 
 def displacement_op(alpha: complex, basis: FockBasis, mode_index: int = 0) -> ModeOperator:
@@ -125,7 +136,7 @@ def displacement_op(alpha: complex, basis: FockBasis, mode_index: int = 0) -> Mo
             f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)"
         )
     b = _single_mode_ladder(basis.n_max)
-    single = expm(alpha * b.conj().T - np.conj(alpha) * b)
+    single = _expm(alpha * b.conj().T - np.conj(alpha) * b)
     return ModeOperator(basis, _embed(single, basis, mode_index))
 
 
@@ -148,9 +159,15 @@ def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):
     Broadcasts over array inputs.  The squeezed (correlated) directions
     q1+q2 and p1-p2 tighten as ``exp(2r)`` grows; their conjugate
     combinations spread correspondingly, keeping the integral at 1.
+    Raises :class:`~eprsim.hilbert.NumericalError` when ``exp(2r)``
+    overflows (r above about 354).
     """
     q1, p1, q2, p2 = (np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
-    ep, em = np.exp(2.0 * spec.r), np.exp(-2.0 * spec.r)
+    with np.errstate(over="raise"):
+        try:
+            ep, em = np.exp(2.0 * spec.r), np.exp(-2.0 * spec.r)
+        except FloatingPointError as exc:
+            raise NumericalError(f"wigner_analytic: exp(2r) overflows at r = {spec.r:.6g}") from exc
     w = (4.0 / np.pi**2) * np.exp(
         -((q1 + q2) ** 2 + (p1 - p2) ** 2) * ep
         - ((q1 - q2) ** 2 + (p1 + p2) ** 2) * em
@@ -202,7 +219,7 @@ def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
     """Single-mode ``D(alpha) P D†(alpha)`` as a dense, read-only matrix (cached)."""
     alpha = complex(alpha)  # equal keys such as 0.5 and 0.5+0j get one matrix
     b = _single_mode_ladder(n_max)
-    d = expm(alpha * b.conj().T - np.conj(alpha) * b)
+    d = _expm(alpha * b.conj().T - np.conj(alpha) * b)
     par = (-1.0) ** np.arange(n_max)
     out = (d * par) @ d.conj().T
     out.setflags(write=False)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,77 @@ def test_non_finite_number_rejected_in_any_command(tmp_path, capsys):
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: r: expected a finite number, got nan\n"
     assert not out.exists()
+
+
+# --- extreme but finite values -------------------------------------------------
+
+
+def _point_grid():
+    axis = {"start": 0.0, "stop": 0.0, "num": 1}
+    return {"q1": axis, "p1": axis, "q2": axis, "p2": axis}
+
+
+def _edge_of_m_bound():
+    """M at the top of the tolerance ``LindbladModel`` allows, with N = 1e4."""
+    return {"n_param": 1e4, "m_param": math.sqrt(1e4 * (1e4 + 1.0)) * (1.0 + 1e-12)}
+
+
+@pytest.mark.parametrize("command, payload, code, err", [
+    ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [float("inf")]}, 2,
+     "config error: kappa_over_gamma: expected a non-empty list of positive finite numbers"),
+    ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [10.0, float("nan")]}, 2,
+     "config error: kappa_over_gamma: expected a non-empty list of positive finite numbers"),
+    ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [1e-300]}, 3,
+     "numerical failure: cascade at kappa_over_gamma 1e-300: "
+     "diffusion must be positive semidefinite"),
+    ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [5e-324]}, 3,
+     "numerical failure: cascade at kappa_over_gamma 5e-324: gamma must be finite, got inf"),
+    ("steady-state", {"model": _edge_of_m_bound(), "n_max": 8}, 3,
+     "numerical failure: Gaussian steady state: covariance violates the uncertainty bound"),
+    ("evolve", {"model": {"epsilon_over_kappa": 0.3, "gamma": 1e300}, "n_max": 6,
+                "times": {"start": 0.0, "stop": 5.0, "num": 3}}, 3,
+     "numerical failure: evolve: propagation overflowed"),
+    ("wigner", {"r": 1e300, "from_density": True, "n_max": 6, "grid": _point_grid()}, 3,
+     "numerical failure: wigner_analytic: exp(2r) overflows at r = 1e+300"),
+    ("bell-sweep", {"n_max": 6, "r_grid": {"start": 1e300, "stop": 1e300, "num": 1},
+                    "j_grid": {"start": 0.1, "stop": 0.1, "num": 1}}, 3,
+     "numerical failure: tmss_fock: cosh(r) overflows at r = 1e+300"),
+], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
+        "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
+        "bell-sweep-r-1e300"])
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8
+def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):
+    cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    out = tmp_path / "artifact"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err)
+    assert stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cascade_solves_the_broadband_extreme(tmp_path, capsys):
+    """kappa/gamma 1e300 gives the white-noise variance, as the limit should."""
+    cfg = write_config(tmp_path, {"schema_version": 1, "epsilon_over_kappa": 0.5,
+                                  "kappa_over_gamma": [1e300]})
+    assert main(["cascade", "--config", cfg]) == 0
+    _, rows = read_csv(capsys.readouterr().out)
+    assert rows[0][0] == 1e300
+    assert rows[0][1] == pytest.approx(rows[0][2], rel=1e-14)
+
+
+def test_steady_state_report_is_independent_of_a_tiny_gamma(tmp_path):
+    """gamma only sets the time scale, down to 1e-300."""
+    reports = []
+    for gamma in (1.0, 1e-300):
+        cfg = write_config(tmp_path, {"schema_version": 1, "n_max": 10,
+                                      "model": {"epsilon_over_kappa": 0.2, "gamma": gamma}})
+        out = tmp_path / "report.json"
+        assert main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    assert reports[1].pop("gamma") == 1e-300
+    reports[0].pop("gamma")
+    assert reports[1] == pytest.approx(reports[0], rel=1e-13, abs=1e-15)
 
 
 # --- unwritable outputs -----------------------------------------------------

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import (
     CovarianceState,
     DriftDiffusion,
     LindbladModel,
     NopaParams,
+    NumericalError,
     cascade_model,
     collective_mode_map,
     effective_N_M,
@@ -77,6 +81,57 @@ def test_steady_covariance_requires_hurwitz():
     dd_unstable = DriftDiffusion(np.eye(2) * 0.5, np.eye(2))
     with pytest.raises(ValueError, match="Hurwitz"):
         steady_covariance(dd_unstable)
+
+
+def lyapunov_reference(dd):
+    """scipy's Bartels-Stewart solution of ``A S + S A^T = -D``, symmetrised."""
+    sigma = scipy.linalg.solve_continuous_lyapunov(dd.drift, -dd.diffusion)
+    return (sigma + sigma.T) / 2.0
+
+
+@pytest.mark.parametrize("eps, heating", [(0.1, 0.0), (0.5, 0.0), (0.9, 0.0), (0.5, 0.03)])
+def test_steady_covariance_matches_scipy_lyapunov(eps, heating):
+    dd = model_from_lindblad(nopa_model(eps, heating))
+    assert np.abs(steady_covariance(dd).cov - lyapunov_reference(dd)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_cascade_covariance_matches_scipy_lyapunov(ratio):
+    dd = cascade_model(NopaParams(0.5, 1.0), gamma=1.0 / ratio)
+    ref = lyapunov_reference(dd)
+    assert np.abs(steady_covariance(dd).cov - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       margin=st.floats(0.05, 5.0), spread=st.floats(0.1, 10.0))
+def test_steady_covariance_on_random_hurwitz_models(modes, seed, margin, spread):
+    """Random stable drifts, with a diffusion large enough to be physical.
+
+    ``D = B B^T + lam I`` with ``lam >= ||A Omega + Omega A^T||`` keeps
+    ``D - i(A Omega + Omega A^T)`` positive, so the stationary covariance
+    obeys the uncertainty bound.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * modes
+    a = spread * rng.standard_normal((n, n))
+    a -= (np.linalg.eigvals(a).real.max() + margin) * np.eye(n)
+    omega = symplectic_form(modes)
+    b = rng.standard_normal((n, n))
+    lam = np.linalg.norm(a @ omega + omega @ a.T, 2)
+    dd = DriftDiffusion(a, b @ b.T + lam * np.eye(n))
+    sigma = steady_covariance(dd).cov
+    ref = lyapunov_reference(dd)
+    assert np.abs(sigma - ref).max() <= 1e-10 * np.abs(ref).max()
+    resid = dd.drift @ sigma + sigma @ dd.drift.T + dd.diffusion
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(dd.diffusion)
+
+
+def test_steady_covariance_raises_on_failed_residual(monkeypatch):
+    dd = model_from_lindblad(nopa_model(0.5))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(b))
+    with pytest.raises(NumericalError, match="Lyapunov solve residual"):
+        steady_covariance(dd)
 
 
 def test_evolve_covariance_closed_form():

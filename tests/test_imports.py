@@ -14,6 +14,7 @@ import pytest
 import eprsim
 
 SRC = str(Path(eprsim.__file__).resolve().parent.parent)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fresh_output(code):
@@ -42,8 +43,36 @@ def test_package_import_loads_no_submodule():
 
 def test_solver_layers_do_not_load_scipy_integrate():
     loaded = modules_after("import eprsim.lindblad, eprsim.gaussian, eprsim.states")
-    assert "scipy.sparse.linalg" in loaded
+    assert "scipy.sparse" in loaded
     assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+
+
+def scipy_after_command(tmp_path, command, config, *args):
+    """The scipy modules loaded by one CLI run in a fresh interpreter."""
+    argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out"), *args]
+    loaded = modules_after(
+        f"from eprsim.cli import main\nassert main({argv!r}) == 0")
+    return {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_steady_state_loads_scipy_sparse_alone(tmp_path):
+    """No scipy.linalg, scipy.sparse.linalg or csgraph, unless scipy.sparse brings them.
+
+    Some older scipy releases load csgraph, which may bring the other two,
+    from ``import scipy.sparse`` itself.
+    """
+    loaded = scipy_after_command(tmp_path, "steady-state", "steady_state.json", "--n-max", "6")
+    assert "scipy.sparse" in loaded
+    assert loaded <= set(modules_after("import scipy.sparse"))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("cascade", "cascade.json"),
+    ("nopa-spectrum", "nopa_spectrum.json"),
+    ("feasibility", "feasibility_example.json"),
+])
+def test_gaussian_and_rate_commands_load_no_scipy(tmp_path, command, config):
+    assert scipy_after_command(tmp_path, command, config) == set()
 
 
 def test_dir_lists_every_public_name_before_any_import():
