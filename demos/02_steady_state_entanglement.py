@@ -13,36 +13,17 @@ from eprsim import (
     LindbladModel,
     NopaParams,
     TmssSpec,
-    adjoint,
-    annihilation_op,
-    compose,
     effective_N_M,
     epr_criterion,
-    expectation,
     fidelity,
     log_negativity,
-    mean_phonon,
     model_from_lindblad,
-    purity,
+    moments,
     squeeze_parameter,
     steady_covariance,
     steady_state,
     tmss_fock,
 )
-
-
-def quadrature_epr(rho, basis):
-    """Var(Q1+Q2) and Var(P1-P2) from ladder-operator moments."""
-    b1 = annihilation_op(basis, 0)
-    b2 = annihilation_op(basis, 1)
-    n1 = expectation(rho, compose(adjoint(b1), b1)).real
-    n2 = expectation(rho, compose(adjoint(b2), b2)).real
-    corr = expectation(rho, compose(b1, b2))
-    # With Q = b + b^dag and P = -i(b - b^dag), and the anomalous moments
-    # <b_j^2> and <b1 b2^dag> vanishing for this state family, both EPR
-    # variances reduce to the same combination of moments.
-    var = 2.0 + 2.0 * n1 + 2.0 * n2 + 4.0 * corr.real
-    return var, var, n1, n2, corr
 
 
 def main():
@@ -56,15 +37,18 @@ def main():
     print(f"solving steady state on a {basis.dimension}-dimensional basis ...")
     rho = steady_state(model, basis)
 
-    var_sum_q, var_diff_p, n1, n2, corr = quadrature_epr(rho, basis)
-    value, entangled = epr_criterion(var_sum_q, var_diff_p)
+    # moments and purity of the Fock-route state, with Q = b + b^dag, P = -i(b - b^dag)
+    m = {key: values[0] for key, values in moments([rho]).items()}
+    corr = m["b1b2"]
+    value, entangled = epr_criterion(m["var_sum_q"], m["var_diff_p"])
 
-    print(f"  mean phonons        <n1> = {mean_phonon(rho, 0):.6f}   <n2> = {mean_phonon(rho, 1):.6f}")
+    print(f"  mean phonons        <n1> = {m['n1']:.6f}   <n2> = {m['n2']:.6f}")
     print(f"  target N                 = {n_eff:.6f}")
     print(f"  cross correlation <b1b2> = {corr.real:+.6f}{corr.imag:+.6f}j   (target -M = {-m_eff:.6f})")
+    print(f"  Var(Q1+Q2)               = {m['var_sum_q']:.6f}   Var(P1-P2) = {m['var_diff_p']:.6f}")
     print(f"  EPR value                = {value:.6f}  (< 4 means entangled: {entangled})")
     print(f"  ideal 2 exp(-2r) per var = {2.0 * np.exp(-2.0 * r):.6f}")
-    print(f"  purity                   = {purity(rho):.6f}")
+    print(f"  purity                   = {m['purity']:.6f}")
 
     target = tmss_fock(TmssSpec(r), basis)
     print(f"  fidelity with ideal TMSS = {fidelity(rho, target):.6f}")

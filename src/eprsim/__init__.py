@@ -17,26 +17,23 @@ __version__ = "0.1.0"
 # to one of its names (PEP 562), so a command pays only for what it uses.
 _EXPORTS = {
     "hilbert": (
-        "FockBasis", "ModeOperator", "PureState", "DensityMatrix", "NumericalError",
-        "TruncationWarning", "annihilation_op", "number_op", "identity_op", "adjoint",
-        "compose", "expectation", "partial_trace", "vacuum_state", "recommended_n_max",
+        "FockBasis", "PureState", "DensityMatrix", "NumericalError", "TruncationWarning",
+        "partial_trace", "vacuum_state", "recommended_n_max",
     ),
     "nopa": (
         "NopaParams", "SpectrumTable", "transfer_function", "squeezing_spectra",
         "effective_N_M", "squeeze_parameter",
     ),
     "states": (
-        "TmssSpec", "WignerGrid", "tmss_fock", "squeeze_unitary", "displacement_op",
-        "parity_op", "wigner_analytic", "wigner_from_density", "edge_population",
+        "TmssSpec", "WignerGrid", "tmss_fock", "wigner_analytic", "wigner_from_density",
+        "edge_population",
     ),
     "lindblad": (
-        "LindbladModel", "EvolutionResult", "Superoperator", "build_superoperator",
-        "steady_state", "evolve", "moments", "purity",
+        "LindbladModel", "EvolutionResult", "steady_state", "evolve", "moments", "purity",
     ),
     "gaussian": (
         "CovarianceState", "DriftDiffusion", "symplectic_form", "model_from_lindblad",
-        "steady_covariance", "evolve_covariance", "cascade_model", "collective_mode_map",
-        "epr_variances",
+        "steady_covariance", "evolve_covariance", "cascade_model", "epr_variances",
     ),
     "metrics": (
         "BellSettings", "fidelity", "mean_phonon", "epr_criterion", "parity_correlation",

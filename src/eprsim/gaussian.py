@@ -14,11 +14,10 @@ identity.  Covariance dynamics follow
 
 with drift ``A`` and diffusion ``D`` from :class:`DriftDiffusion`.
 
-Three model builders are provided: the two-mode white-noise model
-(moment-level image of the master equation), the four-mode cascaded
+Two model builders are provided: the two-mode white-noise model
+(moment-level image of the master equation) and the four-mode cascaded
 model in which the source cavity's output drives the motional modes
-unidirectionally at finite bandwidth, and the trivial collective-mode
-rate map for K-atom ensembles.
+unidirectionally at finite bandwidth.
 
 The module needs numpy only.  The stationary covariance is one linear
 solve in the Kronecker-sum form of the Lyapunov equation (the matrices
@@ -218,19 +217,6 @@ def cascade_model(nopa: NopaParams, gamma: float) -> DriftDiffusion:
         noise[ch, ch] = np.sqrt(2.0 * kappa)
         noise[4 + ch, ch] = -np.sqrt(2.0 * gamma)
     return DriftDiffusion(a, noise @ noise.T)
-
-
-def collective_mode_map(k_atoms: int, gamma: float) -> float:
-    """Effective rate for the collective mode of K atoms per site.
-
-    With K atoms coupled identically in each trap, the collective modes
-    ``B = K**(-1/2) sum_j b_j`` obey the same two-mode model with the
-    rate scaled to ``K * gamma``.  The steady state is unchanged — only
-    the approach rate grows.
-    """
-    if k_atoms < 1 or int(k_atoms) != k_atoms:
-        raise ValueError(f"k_atoms must be a positive integer, got {k_atoms}")
-    return float(k_atoms) * gamma
 
 
 def epr_variances(state: CovarianceState) -> tuple[float, float]:

@@ -2,9 +2,12 @@
 
 Everything downstream (dissipative dynamics, entangled-state construction,
 Bell correlators) is built on the small set of value types defined here:
-a truncated number-state basis, dense operators on it, pure states, and
-density matrices.  All values are immutable after construction and all
-operations are pure functions, so they are safe to use concurrently.
+a truncated number-state basis, pure states and density matrices.
+Operators are not a type of their own: the master equation builds its
+sparse ladder operators in :mod:`eprsim.lindblad`, and the Bell and
+Wigner routines their single-mode displaced parities in
+:mod:`eprsim.states`.  All values are immutable after construction and
+all operations are pure functions, so they are safe to use concurrently.
 The package's error and warning types live here too, so every layer can
 raise them without importing scipy.
 
@@ -69,28 +72,6 @@ class FockBasis:
     @property
     def dimension(self) -> int:
         return self.n_max**self.n_modes
-
-
-def _check_same_basis(a, b):
-    if a.basis != b.basis:
-        raise ValueError(f"basis mismatch: {a.basis} vs {b.basis}")
-
-
-@dataclass(frozen=True)
-class ModeOperator:
-    """Dense linear operator on a :class:`FockBasis`."""
-
-    basis: FockBasis
-    elements: np.ndarray
-
-    def __post_init__(self):
-        d = self.basis.dimension
-        el = np.asarray(self.elements, dtype=complex)
-        if el.shape != (d, d):
-            raise ValueError(
-                f"operator shape {el.shape} does not match basis dimension {d}"
-            )
-        object.__setattr__(self, "elements", el)
 
 
 @dataclass(frozen=True)
@@ -224,65 +205,6 @@ def _expm(mat: np.ndarray) -> np.ndarray:
 
 def _single_mode_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
-
-
-def _embed(single: np.ndarray, basis: FockBasis, mode_index: int) -> np.ndarray:
-    """Tensor-embed a single-mode matrix on the designated mode."""
-    if basis.n_modes == 1:
-        return single
-    eye = np.eye(basis.n_max, dtype=complex)
-    if mode_index == 0:
-        return np.kron(single, eye)
-    return np.kron(eye, single)
-
-
-def annihilation_op(basis: FockBasis, mode_index: int = 0) -> ModeOperator:
-    """Truncated annihilation operator ``b`` acting on ``mode_index``.
-
-    Matrix elements ``<m-1|b|m> = sqrt(m)``; identity on the other mode.
-    """
-    if not 0 <= mode_index < basis.n_modes:
-        raise ValueError(
-            f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)"
-        )
-    return ModeOperator(basis, _embed(_single_mode_ladder(basis.n_max), basis, mode_index))
-
-
-def number_op(basis: FockBasis, mode_index: int = 0) -> ModeOperator:
-    """Number operator ``b†b`` on the designated mode (diagonal, exact)."""
-    if not 0 <= mode_index < basis.n_modes:
-        raise ValueError(
-            f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)"
-        )
-    single = np.diag(np.arange(basis.n_max, dtype=float)).astype(complex)
-    return ModeOperator(basis, _embed(single, basis, mode_index))
-
-
-def identity_op(basis: FockBasis) -> ModeOperator:
-    return ModeOperator(basis, np.eye(basis.dimension, dtype=complex))
-
-
-def adjoint(op: ModeOperator) -> ModeOperator:
-    """Conjugate transpose."""
-    return ModeOperator(op.basis, op.elements.conj().T)
-
-
-def compose(a: ModeOperator, b: ModeOperator) -> ModeOperator:
-    """Operator product ``a @ b`` (apply ``b`` first)."""
-    _check_same_basis(a, b)
-    return ModeOperator(a.basis, a.elements @ b.elements)
-
-
-def expectation(rho: DensityMatrix, op: ModeOperator) -> complex:
-    """``trace(rho @ op)``.
-
-    Returned as a complex number; for Hermitian ``op`` and valid ``rho``
-    the imaginary part is numerical noise (< 1e-12).
-    """
-    _check_same_basis(rho, op)
-    # trace(rho @ op) over the stored entries of rho
-    coo = rho.matrix.tocoo()
-    return complex(np.sum(coo.data * op.elements[coo.col, coo.row]))
 
 
 def partial_trace(rho: DensityMatrix, keep_mode: int) -> DensityMatrix:

@@ -27,8 +27,10 @@ Hermitian transpose T and the mode swap S.  A real state that is
 constant on the orbits of {1, T, S, TS} stays so, and the orbits number
 about a quarter of the sector.  Every term changes the total excitation
 ``m0 + m1 + n0 + n1`` by 0 or +-2, so ordered by the level (half that
-sum) the orbit-space generator is block tridiagonal.  Both solvers work
-on these orbits, with one generator assembler (:func:`_sector_matrix`):
+sum) the orbit-space generator is block tridiagonal.  The generator is
+held as the sparse factor pairs of :func:`_terms` (no d**2 x d**2
+matrix is formed), and both solvers work on these orbits, with one
+assembler (:func:`_sector_matrix`):
 
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels (dense blocks of at most a few hundred
@@ -58,12 +60,12 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning
+from .states import edge_population
 
 log = logging.getLogger(__name__)
 
@@ -162,45 +164,6 @@ def _terms(model: LindbladModel, basis: FockBasis):
         terms.append((-c, paird, eye))
         terms.append((-c, eye, paird))
     return terms
-
-
-class Superoperator:
-    """Linear map on vectorized (row-major) density matrices.
-
-    Stores the generator as a list of left/right factor pairs; the sparse
-    matrix ``kron(A, B.T)`` form is materialized on first access of
-    :attr:`matrix` (cheap up to moderate ``n_max``; avoid for very large
-    bases where :meth:`apply` suffices).
-    """
-
-    def __init__(self, basis: FockBasis, terms):
-        self.basis = basis
-        self.terms = terms
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        d = self.basis.dimension
-        out = sp.csr_matrix((d * d, d * d))
-        for coeff, a, b in self.terms:
-            out = out + coeff * sp.kron(a, b.T, format="csr")
-        return out
-
-    def apply(self, rho_elements):
-        """Generator applied to a (matrix-shaped) density operator.
-
-        Takes a dense array or a sparse matrix and returns the same kind.
-        """
-        return sum(coeff * (a @ rho_elements @ b) for coeff, a, b in self.terms)
-
-    def apply_to(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.basis, self.apply(rho.matrix))
-
-
-def build_superoperator(model: LindbladModel, basis: FockBasis) -> Superoperator:
-    """Assemble the master-equation generator on a two-mode basis."""
-    if basis.n_modes != 2:
-        raise ValueError("the correlated-bath master equation is a two-mode model")
-    return Superoperator(basis, _terms(model, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +292,6 @@ def _eliminate_levels(mat, bounds):
     return np.concatenate([[1.0], *reversed(x)]), sum(sol.size for sol in kept)
 
 
-def _top_level_population(rho: DensityMatrix) -> float:
-    n = rho.basis.n_max
-    pops = rho.matrix.diagonal().real.reshape(n, n)
-    return float(pops[n - 1, :].sum() + pops[:, n - 1].sum() - pops[n - 1, n - 1])
-
-
 def steady_state(
     model: LindbladModel,
     basis: FockBasis,
@@ -350,8 +307,11 @@ def steady_state(
     into a sparse matrix of the sector entries, which is returned as is.
     The full state is certified by the unreduced residual
     ``||L(rho)||_F < residual_tol``, the norm of the stored entries of
-    L(rho); a singular level block or a failed certification raises
-    :class:`NumericalError`.
+    L(rho) summed term by term from :func:`_terms` (so not by the assembler
+    that built the solved system); a singular level block or a failed
+    certification raises :class:`NumericalError`.  A
+    :class:`~eprsim.hilbert.TruncationWarning` is emitted when the top Fock
+    level holds more than 1e-4 of the population.
     """
     if basis.n_modes != 2:
         raise ValueError("the correlated-bath master equation is a two-mode model")
@@ -374,7 +334,7 @@ def steady_state(
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
     rho_sp = sp.csr_matrix((x[orbit] / x[diag].sum(), (indices // d, indices % d)), (d, d))
     t2 = time.perf_counter()
-    resid_mat = Superoperator(basis, terms).apply(rho_sp)
+    resid_mat = sum(coeff * (a @ rho_sp @ b) for coeff, a, b in terms)
     resid_mat.sum_duplicates()
     resid = float(np.linalg.norm(resid_mat.data))
     t3 = time.perf_counter()
@@ -391,7 +351,7 @@ def steady_state(
         )
 
     rho = DensityMatrix(basis, rho_sp)
-    pop = _top_level_population(rho)
+    pop = edge_population(rho, fraction=0.0)  # the top level alone
     if pop > 1e-4:
         warnings.warn(
             f"steady_state: top Fock level holds population {pop:.2e}; "

@@ -106,11 +106,14 @@ def chsh_value(state: PureState | DensityMatrix, s: BellSettings) -> float:
     |B| <= 2 for every separable state; displaced-parity measurements on
     the pair-correlated states here push B above 2 for suitable settings.
     Takes a pure state or a density matrix, as :func:`parity_correlation`.
+    The settings were bounded when ``s`` was built, so the state's
+    truncation is checked once and the four correlators contracted directly.
     """
-    e11 = parity_correlation(state, s.alpha1, s.beta1, s.max_magnitude)
-    e12 = parity_correlation(state, s.alpha1, s.beta2, s.max_magnitude)
-    e21 = parity_correlation(state, s.alpha2, s.beta1, s.max_magnitude)
-    e22 = parity_correlation(state, s.alpha2, s.beta2, s.max_magnitude)
+    _warn_if_truncated(state, "chsh_value")
+    e11 = displaced_parity_expectation(state, s.alpha1, s.beta1)
+    e12 = displaced_parity_expectation(state, s.alpha1, s.beta2)
+    e21 = displaced_parity_expectation(state, s.alpha2, s.beta1)
+    e22 = displaced_parity_expectation(state, s.alpha2, s.beta2)
     return e11 + e12 + e21 - e22
 
 

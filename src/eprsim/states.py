@@ -1,12 +1,11 @@
 """Entangled-state constructors and Wigner-function evaluation.
 
-Two representations of the same target state are provided and
-cross-checked by the test suite:
-
-* ``tmss_fock`` — the two-mode squeezed vacuum written directly in the
-  number basis, amplitudes ``c_m = (-tanh r)^m / cosh r`` on ``|m, m>``;
-* ``squeeze_unitary`` applied to the two-mode vacuum — the matrix
-  exponential of ``r (b1 b2 - b1† b2†)``.
+The target state is the two-mode squeezed vacuum, which ``tmss_fock``
+writes directly in the number basis, amplitudes
+``c_m = (-tanh r)^m / cosh r`` on ``|m, m>``; the test suite checks it
+against the squeezing unitary ``exp[r (b1 b2 - b1† b2†)]`` applied to the
+vacuum, and its Wigner function against the closed form
+``wigner_analytic``.
 
 Wigner convention
 -----------------
@@ -21,8 +20,8 @@ reproduces the analytic two-mode-squeezed form with the mapping
 ``exp(-2 q**2)`` (i.e. ``Var(q) = 1/4``, consistent with ``q = Q/2``
 for the unit-vacuum-variance quadrature ``Q = b + b†``).
 
-``scipy.linalg`` is loaded by the first matrix exponential (the squeezing
-unitary, displacements and displaced parities), so :func:`tmss_fock`
+``scipy.linalg`` is loaded by the first matrix exponential (a
+single-mode displacement, for a displaced parity), so :func:`tmss_fock`
 alone needs numpy only.
 """
 
@@ -36,13 +35,10 @@ import numpy as np
 
 from .hilbert import (
     FockBasis,
-    ModeOperator,
     NumericalError,
     PureState,
     DensityMatrix,
     TruncationWarning,
-    annihilation_op,
-    _embed,
     _expm,
     _single_mode_ladder,
 )
@@ -108,46 +104,6 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> PureState:
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[m * n + m] = c
     return PureState(basis, amp).normalized()
-
-
-def squeeze_unitary(spec: TmssSpec, basis: FockBasis) -> ModeOperator:
-    """Two-mode squeezing unitary ``exp[r (b1 b2 - b1† b2†)]``.
-
-    Unitary up to truncation effects near the Fock-space edge; applied to
-    the vacuum it reproduces ``tmss_fock`` on the retained subspace.
-    """
-    if basis.n_modes != 2:
-        raise ValueError("two-mode squeezing requires a two-mode basis")
-    b1 = annihilation_op(basis, 0).elements
-    b2 = annihilation_op(basis, 1).elements
-    pair = b1 @ b2
-    gen = spec.r * (pair - pair.conj().T)
-    return ModeOperator(basis, _expm(gen))
-
-
-def displacement_op(alpha: complex, basis: FockBasis, mode_index: int = 0) -> ModeOperator:
-    """Displacement ``D(alpha) = exp(alpha b† - alpha* b)`` on one mode.
-
-    Computed as a single-mode matrix exponential and tensor-embedded,
-    which is much cheaper than exponentiating in the composite space.
-    """
-    if not 0 <= mode_index < basis.n_modes:
-        raise ValueError(
-            f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)"
-        )
-    b = _single_mode_ladder(basis.n_max)
-    single = _expm(alpha * b.conj().T - np.conj(alpha) * b)
-    return ModeOperator(basis, _embed(single, basis, mode_index))
-
-
-def parity_op(basis: FockBasis, mode_index: int = 0) -> ModeOperator:
-    """Phonon-number parity ``(-1)^m`` on the designated mode."""
-    if not 0 <= mode_index < basis.n_modes:
-        raise ValueError(
-            f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)"
-        )
-    single = np.diag((-1.0) ** np.arange(basis.n_max)).astype(complex)
-    return ModeOperator(basis, _embed(single, basis, mode_index))
 
 
 def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):

@@ -11,7 +11,6 @@ from eprsim import (
     NopaParams,
     NumericalError,
     cascade_model,
-    collective_mode_map,
     effective_N_M,
     epr_variances,
     evolve_covariance,
@@ -187,15 +186,6 @@ def test_cascade_approaches_white_noise_limit():
         errors.append(abs(var_q - target) / target)
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 0.01
-
-
-def test_collective_mode_map():
-    assert collective_mode_map(1, 0.5) == pytest.approx(0.5)
-    assert collective_mode_map(4, 0.5) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        collective_mode_map(0, 0.5)
-    with pytest.raises(ValueError):
-        collective_mode_map(-2, 0.5)
 
 
 def test_epr_variances_vacuum():

@@ -5,16 +5,14 @@ from eprsim import (
     DensityMatrix,
     FockBasis,
     PureState,
-    adjoint,
-    annihilation_op,
-    compose,
-    expectation,
-    identity_op,
-    number_op,
+    mean_phonon,
+    moments,
     partial_trace,
     recommended_n_max,
     vacuum_state,
 )
+from eprsim.hilbert import _single_mode_ladder
+from eprsim.lindblad import _ladders
 
 
 def test_dimension():
@@ -35,25 +33,25 @@ def test_n_modes_restricted():
 
 
 def test_annihilation_single_mode():
-    b = annihilation_op(FockBasis(4)).elements
+    b = _single_mode_ladder(4)
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), k=1)
     assert np.allclose(b, expected)
 
 
 def test_mode_ordering_is_kron():
-    """Mode 0 is the slow index: ops embed as kron(op, id) / kron(id, op)."""
+    """Mode 0 is the slow index: ladders embed as kron(b, id) / kron(id, b)."""
     basis = FockBasis(3, 2)
     single = np.diag(np.sqrt([1.0, 2.0]), k=1)
     eye = np.eye(3)
-    assert np.allclose(annihilation_op(basis, 0).elements, np.kron(single, eye))
-    assert np.allclose(annihilation_op(basis, 1).elements, np.kron(eye, single))
+    b1, b2 = _ladders(basis)
+    assert np.array_equal(b1.toarray(), np.kron(single, eye))
+    assert np.array_equal(b2.toarray(), np.kron(eye, single))
 
 
 def test_commutator_truncated():
     """[b, b†] = 1 except in the top Fock level, where truncation bites."""
-    basis = FockBasis(6)
-    b = annihilation_op(basis)
-    comm = compose(b, adjoint(b)).elements - compose(adjoint(b), b).elements
+    b = _single_mode_ladder(6)
+    comm = b @ b.conj().T - b.conj().T @ b
     expected = np.eye(6)
     expected[-1, -1] = -5.0
     assert np.allclose(comm, expected)
@@ -61,38 +59,25 @@ def test_commutator_truncated():
 
 def test_number_op_counts():
     basis = FockBasis(5, 2)
-    n0 = number_op(basis, 0)
-    n1 = number_op(basis, 1)
-    bdb = compose(adjoint(annihilation_op(basis, 0)), annihilation_op(basis, 0))
-    assert np.allclose(n0.elements, bdb.elements)
+    b1, b2 = _ladders(basis)
+    counts = np.diag(np.arange(5.0))
+    assert np.allclose((b1.T @ b1).toarray(), np.kron(counts, np.eye(5)))
+    assert np.allclose((b2.T @ b2).toarray(), np.kron(np.eye(5), counts))
     # |2>|3> is index 2*5 + 3
     amp = np.zeros(25)
     amp[13] = 1.0
-    rho = PureState(basis, amp).density_matrix()
-    assert expectation(rho, n0).real == pytest.approx(2.0)
-    assert expectation(rho, n1).real == pytest.approx(3.0)
+    m = moments([PureState(basis, amp).density_matrix()])
+    assert m["n1"][0] == pytest.approx(2.0)
+    assert m["n2"][0] == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("mode", [-1, 2])
 def test_bad_mode_index(mode):
+    rho = vacuum_state(FockBasis(4, 2)).density_matrix()
     with pytest.raises(ValueError):
-        annihilation_op(FockBasis(4, 2), mode)
-
-
-def test_identity_and_adjoint():
-    basis = FockBasis(4)
-    assert np.allclose(identity_op(basis).elements, np.eye(4))
-    b = annihilation_op(basis)
-    assert np.allclose(adjoint(b).elements, b.elements.conj().T)
-
-
-def test_expectation_matches_trace(rng):
-    basis = FockBasis(4)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho_el = m @ m.conj().T
-    rho = DensityMatrix(basis, rho_el / np.trace(rho_el))
-    op = annihilation_op(basis)
-    assert expectation(rho, op) == pytest.approx(np.trace(rho.elements @ op.elements))
+        partial_trace(rho, mode)
+    with pytest.raises(ValueError):
+        mean_phonon(rho, mode)
 
 
 def test_pure_state_normalization():

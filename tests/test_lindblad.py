@@ -18,12 +18,8 @@ from eprsim import (
     NumericalError,
     PureState,
     TruncationWarning,
-    annihilation_op,
-    build_superoperator,
-    compose,
     effective_N_M,
     evolve,
-    expectation,
     mean_phonon,
     purity,
     steady_state,
@@ -45,6 +41,18 @@ def random_density(basis, rng):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return DensityMatrix(basis, rho / np.trace(rho))
+
+
+def apply_terms(model, basis, rho):
+    """L(rho) summed term by term, as steady_state certifies it."""
+    return sum(coeff * (a @ rho @ b) for coeff, a, b in _terms(model, basis))
+
+
+def pair_expectation(rho):
+    """<b1 b2> = tr(rho b1 b2) with the dense kron ladders."""
+    n = rho.basis.n_max
+    b, eye = np.diag(np.sqrt(np.arange(1.0, n)), k=1), np.eye(n)
+    return np.trace(rho.elements @ np.kron(b, eye) @ np.kron(eye, b))
 
 
 @pytest.mark.parametrize(
@@ -77,25 +85,27 @@ def test_maximal_correlation_allowed():
 
 def test_superoperator_matrix_matches_apply(rng):
     basis = FockBasis(4, 2)
-    sup = build_superoperator(half_model(0.4, heating=0.05), basis)
+    model = half_model(0.4, heating=0.05)
     rho = random_density(basis, rng)
-    via_apply = sup.apply(rho.elements)
-    via_matrix = (sup.matrix @ rho.elements.reshape(-1)).reshape(rho.elements.shape)
+    via_apply = apply_terms(model, basis, rho.matrix).toarray()
+    via_matrix = (kron_generator(model, 4) @ rho.elements.reshape(-1)).reshape(rho.elements.shape)
     assert np.max(np.abs(via_apply - via_matrix)) < 1e-12
 
 
 def test_generator_preserves_trace_and_hermiticity(rng):
     basis = FockBasis(4, 2)
-    sup = build_superoperator(half_model(0.3), basis)
     rho = random_density(basis, rng)
-    out = sup.apply(rho.elements)
+    out = apply_terms(half_model(0.3), basis, rho.matrix).toarray()
     assert abs(np.trace(out)) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
 def test_single_mode_basis_rejected():
-    with pytest.raises(ValueError):
-        build_superoperator(half_model(0.3), FockBasis(8, 1))
+    rho0 = vacuum_state(FockBasis(8, 1)).density_matrix()
+    with pytest.raises(ValueError, match="two-mode"):
+        steady_state(half_model(0.3), FockBasis(8, 1))
+    with pytest.raises(ValueError, match="two-mode"):
+        evolve(rho0, half_model(0.3), [0.0, 1.0])
 
 
 def test_uncorrelated_bath_gives_thermal_product():
@@ -119,8 +129,7 @@ def test_steady_state_moments_and_fidelity():
     rho.validate()
     assert mean_phonon(rho, 0) == pytest.approx(model.n_param, abs=1e-6)
     assert mean_phonon(rho, 1) == pytest.approx(model.n_param, abs=1e-6)
-    pair = compose(annihilation_op(basis, 0), annihilation_op(basis, 1))
-    corr = expectation(rho, pair)
+    corr = pair_expectation(rho)
     assert corr.real == pytest.approx(-model.m_param, abs=1e-6)
     assert abs(corr.imag) < 1e-8
     r = np.arcsinh(np.sqrt(model.n_param))
@@ -162,11 +171,11 @@ def test_sector_matrix_matches_superoperator_restriction():
     indices = _sector_indices(basis)
     positions = np.arange(len(indices))
     sec = _sector_matrix(terms, basis, indices, positions, indices, positions, (len(indices),) * 2)
-    full = build_superoperator(half_model(0.3, heating=0.05), basis).matrix
-    assert abs(sec - full[indices][:, indices]).max() < 1e-14
+    full = kron_generator(half_model(0.3, heating=0.05), 5)
+    assert np.max(np.abs(sec.toarray() - full[np.ix_(indices, indices)])) < 1e-14
     # the sector is closed: no generator entry leads out of it
     outside = np.setdiff1d(np.arange(basis.dimension**2), indices)
-    assert abs(full[outside][:, indices]).max() == 0.0
+    assert np.max(np.abs(full[np.ix_(outside, indices)])) == 0.0
 
 
 def check_against_reference(model, basis):
@@ -243,9 +252,7 @@ def test_near_threshold_steady_state():
 
 def test_steady_state_is_unique_zero_mode():
     """The full generator has exactly one vanishing singular value."""
-    basis = FockBasis(4, 2)
-    sup = build_superoperator(half_model(0.3), basis)
-    sv = scipy.linalg.svdvals(sup.matrix.toarray())
+    sv = scipy.linalg.svdvals(kron_generator(half_model(0.3), 4))
     assert sv[-1] < 1e-12 * sv[0]
     assert sv[-2] > 1e-6 * sv[0]
 
@@ -260,9 +267,8 @@ def test_steady_state_with_heating():
     rho = steady_state(model, basis)
     n_expected = (gamma * model.n_param + h) / (gamma + h)
     assert mean_phonon(rho, 0) == pytest.approx(n_expected, abs=1e-6)
-    pair = compose(annihilation_op(basis, 0), annihilation_op(basis, 1))
     corr_expected = -gamma * model.m_param / (gamma + h)
-    assert expectation(rho, pair).real == pytest.approx(corr_expected, abs=1e-6)
+    assert pair_expectation(rho).real == pytest.approx(corr_expected, abs=1e-6)
     # heating destroys purity
     assert purity(rho) < 0.99
 

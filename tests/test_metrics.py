@@ -1,7 +1,10 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eprsim import (
     BellSettings,
@@ -12,16 +15,14 @@ from eprsim import (
     NopaParams,
     PureState,
     TmssSpec,
+    TruncationWarning,
     chsh_value,
-    displacement_op,
     effective_N_M,
     epr_criterion,
-    expectation,
     fidelity,
     log_negativity,
     mean_phonon,
     model_from_lindblad,
-    number_op,
     parity_correlation,
     squeeze_parameter,
     steady_covariance,
@@ -100,7 +101,9 @@ def test_mean_phonon_fock_state():
 def test_mean_phonon_matches_number_operator(make_rho):
     rho = make_rho()
     for mode in range(rho.basis.n_modes):
-        reference = expectation(rho, number_op(rho.basis, mode)).real
+        counts = [np.eye(rho.basis.n_max)] * rho.basis.n_modes
+        counts[mode] = np.diag(np.arange(rho.basis.n_max, dtype=float))
+        reference = np.trace(rho.elements @ functools.reduce(np.kron, counts)).real
         assert abs(mean_phonon(rho, mode) - reference) <= 1e-12
     with pytest.raises(ValueError):
         mean_phonon(rho, rho.basis.n_modes)
@@ -120,10 +123,10 @@ def test_epr_criterion():
 
 
 def coherent_product(basis, g1, g2):
-    """The product coherent state |g1>|g2>."""
-    d1 = displacement_op(g1, basis, 0)
-    d2 = displacement_op(g2, basis, 1)
-    return PureState(basis, d2.elements @ (d1.elements @ vacuum_state(basis).amplitudes))
+    """The product coherent state |g1>|g2>, displaced by dense expm D(g) from vacuum."""
+    b = np.diag(np.sqrt(np.arange(1.0, basis.n_max)), k=1)
+    c1, c2 = (scipy.linalg.expm(g * b.T - np.conj(g) * b)[:, 0] for g in (g1, g2))
+    return PureState(basis, np.kron(c1, c2))
 
 
 def dense_parity_expectation(rho, alpha1, alpha2):
@@ -245,6 +248,17 @@ def test_chsh_violation_point():
     root = np.sqrt(0.05)
     b_val = chsh_value(rho, BellSettings(0.0, root, 0.0, root))
     assert b_val > 2.0
+
+
+def test_chsh_warns_once_on_a_truncated_state():
+    """The truncation check runs once per CHSH value, not once per correlator."""
+    psi = tmss_fock(TmssSpec(1.2), FockBasis(6, 2))
+    for state in (psi, psi.density_matrix()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chsh_value(state, BellSettings(0.0, 0.3, 0.0, 0.3))
+        assert [w.category for w in caught] == [TruncationWarning]
+        assert str(caught[0].message).startswith("chsh_value: population")
 
 
 def test_chsh_vacuum_stays_classical():

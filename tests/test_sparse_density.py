@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eprsim import (
     DensityMatrix,
@@ -21,7 +22,6 @@ from eprsim import (
     TmssSpec,
     TruncationWarning,
     WignerGrid,
-    displacement_op,
     effective_N_M,
     fidelity,
     mean_phonon,
@@ -54,10 +54,10 @@ def vacuum_tmss_mixture():
 
 
 def coherent_product():
-    basis = FockBasis(10, 2)
-    d1 = displacement_op(0.3, basis, 0).elements
-    d2 = displacement_op(-0.2 + 0.1j, basis, 1).elements
-    return PureState(basis, d2 @ (d1 @ vacuum_state(basis).amplitudes)).density_matrix()
+    """|0.3>|-0.2+0.1i>, each a dense expm displacement of the vacuum."""
+    b = np.diag(np.sqrt(np.arange(1.0, 10)), k=1)
+    c1, c2 = (scipy.linalg.expm(g * b.T - np.conj(g) * b)[:, 0] for g in (0.3, -0.2 + 0.1j))
+    return PureState(FockBasis(10, 2), np.kron(c1, c2)).density_matrix()
 
 
 def tmss_pure():

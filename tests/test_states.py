@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eprsim import (
     FockBasis,
     TmssSpec,
     TruncationWarning,
     WignerGrid,
-    displacement_op,
     edge_population,
-    parity_op,
     partial_trace,
-    squeeze_unitary,
     tmss_fock,
     vacuum_state,
     wigner_analytic,
     wigner_from_density,
 )
-from eprsim.states import displaced_parity_expectation
+from eprsim.states import _displaced_parity_single, displaced_parity_expectation
+
+
+def ladder(n):
+    return np.diag(np.sqrt(np.arange(1.0, n)), k=1)
 
 
 def test_tmss_amplitudes():
@@ -63,8 +65,10 @@ def test_tmss_reduced_state_is_thermal():
 def test_squeeze_unitary_matches_fock_form():
     basis = FockBasis(24, 2)
     spec = TmssSpec(0.4)
-    u = squeeze_unitary(spec, basis)
-    generated = u.elements @ vacuum_state(basis).amplitudes
+    b, eye = ladder(24), np.eye(24)
+    pair = np.kron(b, eye) @ np.kron(eye, b)
+    u = scipy.linalg.expm(spec.r * (pair - pair.T))
+    generated = u @ vacuum_state(basis).amplitudes
     target = tmss_fock(spec, basis).amplitudes
     overlap = abs(np.vdot(target, generated))
     assert overlap == pytest.approx(1.0, abs=1e-8)
@@ -73,7 +77,8 @@ def test_squeeze_unitary_matches_fock_form():
 def test_displacement_unitary_and_coherent():
     basis = FockBasis(24)
     alpha = 0.6 - 0.3j
-    d = displacement_op(alpha, basis).elements
+    b = ladder(24)
+    d = scipy.linalg.expm(alpha * b.T - np.conj(alpha) * b)  # the dense oracle D(alpha)
     assert np.allclose(d @ d.conj().T, np.eye(24), atol=1e-10)
     coherent = d @ vacuum_state(basis).amplitudes
     m = np.arange(24)
@@ -83,26 +88,18 @@ def test_displacement_unitary_and_coherent():
     assert np.allclose(coherent, expected, atol=1e-10)
 
 
-def test_displacement_mode_index_checked():
-    with pytest.raises(ValueError):
-        displacement_op(0.1, FockBasis(6, 2), mode_index=2)
-
-
 def test_parity_spectrum():
-    basis = FockBasis(5)
-    par = parity_op(basis).elements
+    """With no displacement the displaced parity is the bare parity (-1)^m."""
+    par = _displaced_parity_single(5, 0j)
     assert np.allclose(par, np.diag([1.0, -1.0, 1.0, -1.0, 1.0]))
 
 
 def test_parity_of_coherent_state():
-    """<alpha| (-1)^n |alpha> = exp(-2|alpha|^2)."""
-    basis = FockBasis(40)
+    """<alpha| (-1)^n |alpha> = exp(-2|alpha|^2), and D P D† is an involution."""
     alpha = 0.8
-    d = displacement_op(alpha, basis).elements
-    coherent = d @ vacuum_state(basis).amplitudes
-    par = parity_op(basis).elements
-    val = np.vdot(coherent, par @ coherent).real
-    assert val == pytest.approx(np.exp(-2.0 * alpha**2), abs=1e-10)
+    par = _displaced_parity_single(40, alpha)  # [0, 0] = <-alpha| P |-alpha>
+    assert par[0, 0].real == pytest.approx(np.exp(-2.0 * alpha**2), abs=1e-10)
+    assert np.max(np.abs(par @ par - np.eye(40))) <= 1e-12
 
 
 def test_wigner_analytic_vacuum_product():
