@@ -32,7 +32,7 @@ def main():
     r = squeeze_parameter(source)
 
     model = LindbladModel(gamma=1.0, n_param=n_eff, m_param=m_eff)
-    basis = FockBasis(n_max=30, n_modes=2)
+    basis = FockBasis(n_max=30)
 
     print(f"solving steady state on a {basis.dimension}-dimensional basis ...")
     rho = steady_state(model, basis)

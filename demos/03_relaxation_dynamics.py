@@ -29,7 +29,7 @@ source = NopaParams(epsilon=0.3, kappa_c=1.0)
 n_eff, m_eff = effective_N_M(source)
 model = LindbladModel(gamma=1.0, n_param=n_eff, m_param=m_eff)
 
-basis = FockBasis(n_max=14, n_modes=2)
+basis = FockBasis(n_max=14)
 rho0 = vacuum_state(basis).density_matrix()
 times = np.linspace(0.0, 4.0, 9)
 

@@ -44,7 +44,7 @@ print(f"peak value W(0,0,0,0) = {wigner_analytic(spec, 0.0, 0.0, 0.0, 0.0):.6f}"
       f"   (pure two-mode Gaussian peak 4/pi^2 = {4.0 / np.pi ** 2:.6f})")
 
 # Cross-check against the density-matrix route on a small set of points.
-basis = FockBasis(n_max=24, n_modes=2)
+basis = FockBasis(n_max=24)
 rho = tmss_fock(spec, basis).density_matrix()
 pts = np.array([-1.0, 0.0, 1.0])
 grid = WignerGrid(q1=pts, p1=pts, q2=pts, p2=pts)

@@ -24,7 +24,7 @@ def sweep(state, j_values):
     return best
 
 
-basis = FockBasis(n_max=30, n_modes=2)
+basis = FockBasis(n_max=30)
 j_values = np.linspace(0.02, 0.2, 10)
 
 print("two-mode squeezed state:")

@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "hilbert": (
         "FockBasis", "PureState", "DensityMatrix", "NumericalError", "TruncationWarning",
-        "partial_trace", "vacuum_state", "recommended_n_max",
+        "vacuum_state", "recommended_n_max",
     ),
     "nopa": (
         "NopaParams", "SpectrumTable", "transfer_function", "squeezing_spectra",

@@ -7,13 +7,16 @@ identical configs produce byte-identical outputs.  Floats are emitted
 with 17 significant digits so outputs are stable golden-file material.
 
 Exit codes: 0 success, 2 config error or unwritable output, 3 numerical
-failure.  Every artifact of a command is staged and renamed into place
-only once all of them are written, so a failed command leaves none.
-Set EPRSIM_LOG=INFO (or DEBUG) for progress logging on stderr.
+failure, including a truncation that does not fit in memory.  Every
+artifact of a command is staged and renamed into place only once all of
+them are written, so a failed command leaves none.  ``--n-max``, which
+overrides the config's ``n_max``, exists only on the commands that
+truncate a Fock space.  Set EPRSIM_LOG=INFO (or DEBUG) for progress
+logging on stderr.
 
 Unit conventions in configs: model rates are dimensionless ratios
-(epsilon in units of kappa_c; times in units of 1/gamma).  Only the
-feasibility command takes absolute rates, in rad/s, because its
+(epsilon in units of kappa_c; times in the inverse of gamma's unit).
+Only the feasibility command takes absolute rates, in rad/s, because its
 plausibility band is about absolute magnitudes.
 """
 
@@ -119,18 +122,23 @@ def _parse_model(cfg: dict) -> LindbladModel:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _n_max(cfg: dict, override: int | None, default: int | None = None) -> int:
-    if override is not None:
-        n = override
-    elif "n_max" in cfg:
-        n = _field(cfg, "n_max", int)
-    elif default is not None:
-        n = default
-    else:
-        raise ConfigError("n_max: required field is missing")
+def _n_max(cfg: dict, default: int) -> int:
+    n = _field(cfg, "n_max", int, default=default)
     if n < 2:
         raise ConfigError(f"n_max: must be >= 2, got {n}")
     return n
+
+
+def _recording_truncation(fn, *args):
+    """``fn(*args)`` and whether it warned of truncation; every warning is re-emitted."""
+    from .hilbert import TruncationWarning
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        result = fn(*args)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, any(issubclass(w.category, TruncationWarning) for w in caught)
 
 
 def _write(*artifacts):
@@ -205,7 +213,7 @@ def _density_csv(matrix):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
+def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
     from .nopa import NopaParams, squeezing_spectra
 
     eps = _field(cfg, "epsilon_over_kappa", float)
@@ -220,27 +228,21 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None, n_max_override) -> int:
     return 0
 
 
-def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
+def cmd_steady_state(cfg: dict, out: str | None) -> int:
     from .gaussian import epr_variances, model_from_lindblad, steady_covariance
-    from .hilbert import FockBasis, NumericalError, TruncationWarning
+    from .hilbert import FockBasis, NumericalError
     from .lindblad import purity, steady_state
     from .metrics import epr_criterion, fidelity, mean_phonon
     from .states import TmssSpec, tmss_fock
 
     model = _parse_model(cfg)
-    n_max = _n_max(cfg, n_max_override, default=40)
+    n_max = _n_max(cfg, default=40)
     density_csv = cfg.get("density_csv")
     if density_csv is not None and not isinstance(density_csv, str):
         raise ConfigError(f"density_csv: expected a path string, got {density_csv!r}")
 
-    basis = FockBasis(n_max, 2)
-    trunc_warned = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        rho = steady_state(model, basis)
-        trunc_warned = any(issubclass(w.category, TruncationWarning) for w in caught)
-    for w in (caught or []):
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    basis = FockBasis(n_max)
+    rho, trunc_warned = _recording_truncation(steady_state, model, basis)
 
     r_equiv = float(np.arcsinh(np.sqrt(model.n_param)))
     target = tmss_fock(TmssSpec(r_equiv), basis)
@@ -274,12 +276,12 @@ def cmd_steady_state(cfg: dict, out: str | None, n_max_override) -> int:
     return 0
 
 
-def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
+def cmd_evolve(cfg: dict, out: str | None) -> int:
     from .hilbert import FockBasis, vacuum_state
     from .lindblad import evolve
 
     model = _parse_model(cfg)
-    n_max = _n_max(cfg, n_max_override, default=20)
+    n_max = _n_max(cfg, default=20)
     times = _grid_axis(_field(cfg, "times", dict), "times")
     if len(times) == 0:
         raise ConfigError("times.num: must be >= 1 for evolve")
@@ -287,7 +289,7 @@ def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
     if initial != "vacuum":
         raise ConfigError(f"initial: only 'vacuum' is supported, got {initial!r}")
 
-    basis = FockBasis(n_max, 2)
+    basis = FockBasis(n_max)
     res = evolve(vacuum_state(basis).density_matrix(), model, times)
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
     rows = zip(res.times, res.n1, res.n2, res.b1b2.real, res.b1b2.imag,
@@ -296,8 +298,8 @@ def cmd_evolve(cfg: dict, out: str | None, n_max_override) -> int:
     return 0
 
 
-def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
-    from .hilbert import FockBasis, TruncationWarning
+def cmd_wigner(cfg: dict, out: str | None) -> int:
+    from .hilbert import FockBasis
     from .states import TmssSpec, WignerGrid, tmss_fock, wigner_analytic, wigner_from_density
 
     r = _field(cfg, "r", float)
@@ -309,7 +311,7 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
         for name in ("q1", "p1", "q2", "p2")
     }
     from_density = _field(cfg, "from_density", bool, default=False)
-    n_max = _n_max(cfg, n_max_override, default=30) if from_density else None
+    n_max = _n_max(cfg, default=30) if from_density else None
 
     spec = TmssSpec(r)
     grid = WignerGrid(axes["q1"], axes["p1"], axes["q2"], axes["p2"])
@@ -319,11 +321,9 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
     trunc_warned = False
     w_rho = None
     if from_density:
-        basis = FockBasis(n_max, 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationWarning)
-            w_rho = wigner_from_density(tmss_fock(spec, basis), grid).values
-            trunc_warned = any(issubclass(w.category, TruncationWarning) for w in caught)
+        state = tmss_fock(spec, FockBasis(n_max))
+        w_grid, trunc_warned = _recording_truncation(wigner_from_density, state, grid)
+        w_rho = w_grid.values
         if trunc_warned:
             log.warning("wigner: truncation warning raised at n_max=%d", n_max)
 
@@ -347,15 +347,15 @@ def cmd_wigner(cfg: dict, out: str | None, n_max_override) -> int:
     return 0
 
 
-def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
+def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
     from .hilbert import FockBasis, vacuum_state
-    from .metrics import BellSettings, chsh_value
+    from .metrics import MAX_SETTING_MAGNITUDE, BellSettings, chsh_value
     from .states import TmssSpec, tmss_fock
 
     state_kind = cfg.get("state", "tmss")
     if state_kind not in ("tmss", "vacuum"):
         raise ConfigError(f"state: expected 'tmss' or 'vacuum', got {state_kind!r}")
-    n_max = _n_max(cfg, n_max_override, default=40)
+    n_max = _n_max(cfg, default=40)
     r_default = {"start": 0.1, "stop": 1.2, "num": 12}
     j_default = {"start": 0.05, "stop": 0.5, "num": 10}
     r_grid = _grid_axis(_field(cfg, "r_grid", dict, default=r_default), "r_grid")
@@ -367,10 +367,11 @@ def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
         raise ConfigError("r_grid: squeeze parameters must be >= 0")
     if np.any(j_grid < 0):
         raise ConfigError("j_grid: displacement strengths must be >= 0")
-    if np.any(np.sqrt(j_grid) > 3.0):
-        raise ConfigError("j_grid: sqrt(J) exceeds the truncation-safety bound 3")
+    if np.any(np.sqrt(j_grid) > MAX_SETTING_MAGNITUDE):
+        raise ConfigError(
+            f"j_grid: sqrt(J) exceeds the truncation-safety bound {MAX_SETTING_MAGNITUDE:g}")
 
-    basis = FockBasis(n_max, 2)
+    basis = FockBasis(n_max)
     rows = []
     best = (-np.inf, None, None)
     for r in r_grid:
@@ -389,7 +390,7 @@ def cmd_bell_sweep(cfg: dict, out: str | None, n_max_override) -> int:
     return 0
 
 
-def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
+def cmd_feasibility(cfg: dict, out: str | None) -> int:
     from . import feasibility as feas
 
     block = _field(cfg, "experiment", dict)
@@ -408,8 +409,8 @@ def cmd_feasibility(cfg: dict, out: str | None, n_max_override) -> int:
     return 0
 
 
-def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
-    from .gaussian import cascade_model, steady_covariance
+def cmd_cascade(cfg: dict, out: str | None) -> int:
+    from .gaussian import CovarianceState, cascade_model, epr_variances, steady_covariance
     from .hilbert import NumericalError
     from .nopa import NopaParams, effective_N_M
 
@@ -433,10 +434,10 @@ def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
         # The model is physical for every valid ratio; a ValueError is rounding.
         try:
             dd = cascade_model(params, gamma=1.0 / float(ratio))
-            sigma = steady_covariance(dd).cov[4:, 4:]
+            motion = CovarianceState(np.zeros(4), steady_covariance(dd).cov[4:, 4:])
         except ValueError as exc:
             raise NumericalError(f"cascade at kappa_over_gamma {ratio!r}: {exc}") from exc
-        var_q = float(sigma[0, 0] + sigma[2, 2] + 2.0 * sigma[0, 2])
+        var_q, _ = epr_variances(motion)
         rel = abs(var_q - wn) / wn if wn != 0 else 0.0
         rows.append((float(ratio), var_q, wn, rel))
     _write((out, _csv(
@@ -447,6 +448,9 @@ def cmd_cascade(cfg: dict, out: str | None, n_max_override) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# The commands that truncate a Fock space, and so take --n-max.
+_TRUNCATING = ("steady-state", "evolve", "wigner", "bell-sweep")
 
 _COMMANDS = {
     "nopa-spectrum": cmd_nopa_spectrum,
@@ -469,8 +473,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--n-max", type=int, default=None, dest="n_max",
-                       help="override the config's Fock truncation")
+        if name in _TRUNCATING:
+            p.add_argument("--n-max", type=int, default=None, dest="n_max",
+                           help="override the config's Fock truncation")
     return parser
 
 
@@ -489,12 +494,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args.out, args.n_max)
+        if getattr(args, "n_max", None) is not None:
+            cfg["n_max"] = args.n_max
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({str(exc) or 'allocation failed'}); "
+              "lower n_max", file=sys.stderr)
         return 3
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Truncated Fock-space linear algebra for one and two bosonic modes.
+"""Truncated Fock-space linear algebra for the two motional modes.
 
 Everything downstream (dissipative dynamics, entangled-state construction,
 Bell correlators) is built on the small set of value types defined here:
@@ -22,10 +22,11 @@ module loads numpy only.
 
 Conventions
 -----------
-* A basis with ``n_max`` keeps number states ``0 .. n_max - 1`` per mode.
-* Modes are indexed 0 and 1.  For two modes the composite index is
-  row-major over ``(m0, m1)`` with the mode-0 index varying slowest,
-  i.e. ``index = m0 * n_max + m1`` (the ``numpy.kron`` convention).
+* Every basis is two-mode: the paper's object is one pair of modes.  A
+  basis with ``n_max`` keeps number states ``0 .. n_max - 1`` per mode.
+* Modes are indexed 0 and 1.  The composite index is row-major over
+  ``(m0, m1)`` with the mode-0 index varying slowest, i.e.
+  ``index = m0 * n_max + m1`` (the ``numpy.kron`` convention).
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from typing import Any
 
 import numpy as np
 
-# Default tolerances; every checking routine accepts overrides.
+# Tolerances of DensityMatrix.validate.
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_ATOL = 1e-8
-NORM_ATOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -53,25 +53,21 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Truncated number-state basis for ``n_modes`` bosonic modes.
+    """Truncated number-state basis of the two modes.
 
     ``n_max`` is the number of retained Fock states per mode (states
-    ``|0> .. |n_max-1>``), so the composite dimension is
-    ``n_max ** n_modes``.
+    ``|0> .. |n_max-1>``), so the composite dimension is ``n_max ** 2``.
     """
 
     n_max: int
-    n_modes: int = 1
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
-        if self.n_modes not in (1, 2):
-            raise ValueError(f"n_modes must be 1 or 2, got {self.n_modes}")
 
     @property
     def dimension(self) -> int:
-        return self.n_max**self.n_modes
+        return self.n_max**2
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,7 @@ class DensityMatrix:
             raise ValueError(f"trace must be positive to normalize, got {tr}")
         return DensityMatrix(self.basis, self.matrix / tr)
 
-    def validate(
-        self,
-        herm_atol: float = HERMITICITY_ATOL,
-        trace_atol: float = TRACE_ATOL,
-        eig_atol: float = EIGENVALUE_ATOL,
-    ) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         """Check Hermiticity / trace / positivity; return self for chaining.
 
         The eigenvalues are those of the blocks of the Hermitian part that
@@ -175,10 +166,10 @@ class DensityMatrix:
 
         mat = self.matrix
         herm_dev = abs(mat - mat.conj().T).max()
-        if herm_dev > herm_atol:
+        if herm_dev > HERMITICITY_ATOL:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         tr_dev = abs(self.trace() - 1.0)
-        if tr_dev > trace_atol:
+        if tr_dev > TRACE_ATOL:
             raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
         herm = (mat + mat.conj().T) / 2.0
         _, label = connected_components(abs(herm), directed=False)
@@ -191,7 +182,7 @@ class DensityMatrix:
              for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(rows)])),
             default=0.0,
         )
-        if lowest < -eig_atol:
+        if lowest < -EIGENVALUE_ATOL:
             raise ValueError(f"negative eigenvalue {lowest:.3e}")
         return self
 
@@ -205,29 +196,6 @@ def _expm(mat: np.ndarray) -> np.ndarray:
 
 def _single_mode_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
-
-
-def partial_trace(rho: DensityMatrix, keep_mode: int) -> DensityMatrix:
-    """Trace out one mode of a two-mode density matrix.
-
-    ``keep_mode`` 0 keeps the first (slow-index) mode, 1 the second.
-    """
-    if rho.basis.n_modes != 2:
-        raise ValueError("partial_trace requires a two-mode density matrix")
-    if keep_mode not in (0, 1):
-        raise ValueError(f"keep_mode must be 0 or 1, got {keep_mode}")
-    import scipy.sparse as sp
-
-    n = rho.basis.n_max
-    coo = rho.matrix.tocoo()
-    m0, m1 = np.divmod(coo.row, n)
-    n0, n1 = np.divmod(coo.col, n)
-    if keep_mode == 0:
-        keep, rows, cols = m1 == n1, m0, n0
-    else:
-        keep, rows, cols = m0 == n0, m1, n1
-    reduced = sp.csr_matrix((coo.data[keep], (rows[keep], cols[keep])), (n, n))
-    return DensityMatrix(FockBasis(n, 1), reduced)
 
 
 def vacuum_state(basis: FockBasis) -> PureState:

@@ -65,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning
-from .states import edge_population
+from .states import TRUNCATION_POP_WARN, edge_population
 
 log = logging.getLogger(__name__)
 
@@ -292,11 +292,7 @@ def _eliminate_levels(mat, bounds):
     return np.concatenate([[1.0], *reversed(x)]), sum(sol.size for sol in kept)
 
 
-def steady_state(
-    model: LindbladModel,
-    basis: FockBasis,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
-) -> DensityMatrix:
+def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     """Steady state of the master equation.
 
     One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
@@ -306,15 +302,14 @@ def steady_state(
     vacuum pinned; the result is then divided by its trace and scattered
     into a sparse matrix of the sector entries, which is returned as is.
     The full state is certified by the unreduced residual
-    ``||L(rho)||_F < residual_tol``, the norm of the stored entries of
+    ``||L(rho)||_F < STEADY_RESIDUAL_TOL``, the norm of the stored entries of
     L(rho) summed term by term from :func:`_terms` (so not by the assembler
     that built the solved system); a singular level block or a failed
     certification raises :class:`NumericalError`.  A
     :class:`~eprsim.hilbert.TruncationWarning` is emitted when the top Fock
-    level holds more than 1e-4 of the population.
+    level holds more than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the
+    population.
     """
-    if basis.n_modes != 2:
-        raise ValueError("the correlated-bath master equation is a two-mode model")
     # Every LindbladModel is symmetric between the modes (one gamma, one
     # heating_rate for both), so the mode-swap reduction always applies.
     t0 = time.perf_counter()
@@ -345,14 +340,14 @@ def steady_state(
         len(indices), size, mat.nnz, len(bounds) - 1, np.diff(bounds).max(), stored,
         resid, t1 - t0, t2 - t1, t3 - t2,
     )
-    if not resid < residual_tol:
+    if not resid < STEADY_RESIDUAL_TOL:
         raise NumericalError(
-            f"steady-state residual {resid:.3e} exceeds tolerance {residual_tol:.0e}"
+            f"steady-state residual {resid:.3e} exceeds tolerance {STEADY_RESIDUAL_TOL:.0e}"
         )
 
     rho = DensityMatrix(basis, rho_sp)
     pop = edge_population(rho, fraction=0.0)  # the top level alone
-    if pop > 1e-4:
+    if pop > TRUNCATION_POP_WARN:
         warnings.warn(
             f"steady_state: top Fock level holds population {pop:.2e}; "
             "increase n_max",
@@ -390,8 +385,6 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     basis = rho0.basis
-    if basis.n_modes != 2:
-        raise ValueError("the correlated-bath master equation is a two-mode model")
     rho0.validate()
 
     t0 = time.perf_counter()

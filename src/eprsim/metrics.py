@@ -32,7 +32,6 @@ class BellSettings:
     alpha2: complex
     beta1: complex
     beta2: complex
-    max_magnitude: float = MAX_SETTING_MAGNITUDE
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
@@ -40,10 +39,10 @@ class BellSettings:
             object.__setattr__(self, name, val)
             if not np.isfinite(val.real) or not np.isfinite(val.imag):
                 raise ValueError(f"{name} must be finite")
-            if abs(val) > self.max_magnitude:
+            if abs(val) > MAX_SETTING_MAGNITUDE:
                 raise ValueError(
                     f"|{name}| = {abs(val):.3g} exceeds the truncation-safety "
-                    f"bound {self.max_magnitude}"
+                    f"bound {MAX_SETTING_MAGNITUDE}"
                 )
 
 
@@ -56,13 +55,13 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
 
 
 def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
-    """Mean excitation <b† b> on one mode, from the diagonal populations."""
-    basis = rho.basis
-    if not 0 <= mode_index < basis.n_modes:
-        raise ValueError(f"mode_index {mode_index} out of range for {basis.n_modes} mode(s)")
-    pops = rho.matrix.diagonal().real.reshape((basis.n_max,) * basis.n_modes)
-    marginal = np.moveaxis(pops, mode_index, 0).reshape(basis.n_max, -1).sum(axis=1)
-    return float(np.arange(basis.n_max) @ marginal)
+    """Mean excitation <b† b> on mode 0 or 1, from the diagonal populations."""
+    if mode_index not in (0, 1):
+        raise ValueError(f"mode_index must be 0 or 1, got {mode_index}")
+    n = rho.basis.n_max
+    pops = rho.matrix.diagonal().real.reshape(n, n)
+    marginal = np.moveaxis(pops, mode_index, 0).reshape(n, -1).sum(axis=1)
+    return float(np.arange(n) @ marginal)
 
 
 def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
@@ -78,23 +77,16 @@ def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
     return value, value < 4.0
 
 
-def parity_correlation(
-    state: PureState | DensityMatrix,
-    alpha: complex,
-    beta: complex,
-    max_magnitude: float = MAX_SETTING_MAGNITUDE,
-) -> float:
+def parity_correlation(state: PureState | DensityMatrix, alpha: complex, beta: complex) -> float:
     """Joint displaced-parity correlator E(alpha, beta) in [-1, 1].
 
     E = <D1(alpha) D2(beta) P1 P2 D2†(beta) D1†(alpha)> — the product of
     displaced even/odd phonon-number measurements on the two modes.  Takes
     a pure state or a density matrix and contracts only on its support.
     """
-    if state.basis.n_modes != 2:
-        raise ValueError("two-mode state required")
-    if abs(alpha) > max_magnitude or abs(beta) > max_magnitude:
+    if abs(alpha) > MAX_SETTING_MAGNITUDE or abs(beta) > MAX_SETTING_MAGNITUDE:
         raise ValueError(
-            f"displacement magnitude exceeds truncation-safety bound {max_magnitude}"
+            f"displacement magnitude exceeds truncation-safety bound {MAX_SETTING_MAGNITUDE}"
         )
     _warn_if_truncated(state, "parity_correlation")
     return displaced_parity_expectation(state, alpha, beta)

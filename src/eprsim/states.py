@@ -1,4 +1,4 @@
-"""Entangled-state constructors and Wigner-function evaluation.
+"""Entangled-state constructors, Wigner functions and the truncation diagnostic.
 
 The target state is the two-mode squeezed vacuum, which ``tmss_fock``
 writes directly in the number basis, amplitudes
@@ -6,6 +6,12 @@ writes directly in the number basis, amplitudes
 against the squeezing unitary ``exp[r (b1 b2 - b1† b2†)]`` applied to the
 vacuum, and its Wigner function against the closed form
 ``wigner_analytic``.
+
+Every state lives on the two-mode :class:`~eprsim.hilbert.FockBasis`.
+:func:`edge_population` is the one truncation diagnostic: the Bell and
+Wigner routines warn when it exceeds :data:`TRUNCATION_POP_WARN` in the
+top 10% of levels, and :func:`eprsim.lindblad.steady_state` when the top
+level alone exceeds it.
 
 Wigner convention
 -----------------
@@ -92,8 +98,6 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> PureState:
     when ``cosh(r)`` overflows (r above about 710), where no amplitude
     would be representable.
     """
-    if basis.n_modes != 2:
-        raise ValueError("two-mode squeezed vacuum requires a two-mode basis")
     n = basis.n_max
     m = np.arange(n)
     with np.errstate(over="raise"):
@@ -149,10 +153,7 @@ def edge_population(state: PureState | DensityMatrix, fraction: float = 0.1) -> 
     """
     n = state.basis.n_max
     edge = min(n - 1, int(np.ceil((1.0 - fraction) * n)))
-    pops = _populations(state)
-    if state.basis.n_modes == 1:
-        return float(pops[edge:].sum())
-    pops2 = pops.reshape(n, n)
+    pops2 = _populations(state).reshape(n, n)
     mask = np.zeros((n, n), dtype=bool)
     mask[edge:, :] = True
     mask[:, edge:] = True
@@ -200,14 +201,12 @@ def _support(state: PureState | DensityMatrix):
 def displaced_parity_expectation(
     state: PureState | DensityMatrix, alpha1: complex, alpha2: complex
 ) -> float:
-    """<D1(a1) D2(a2) P1 P2 D2† D1†> for a two-mode pure state or density matrix.
+    """<D1(a1) D2(a2) P1 P2 D2† D1†> for a pure state or density matrix.
 
     Contracts rho only on its support: a pure state with k nonzero
     amplitudes costs k² terms (n_max² for the two-mode squeezed vacuum),
     a density matrix the block on its nonzero rows and columns.
     """
-    if state.basis.n_modes != 2:
-        raise ValueError("two-mode state required")
     n = state.basis.n_max
     rows, cols, block = _support(state)
     o1 = _displaced_parity_single(n, alpha1)
@@ -223,7 +222,7 @@ def displaced_parity_expectation(
 
 
 def wigner_from_density(state: PureState | DensityMatrix, grid: WignerGrid) -> WignerGrid:
-    """Two-mode Wigner function of a pure state or density matrix on a product grid.
+    """Wigner function of a pure state or density matrix on a product grid.
 
     Uses the displaced-parity representation with ``a_j = q_j + i p_j``
     (see module docstring).  The factorized form — one displaced-parity
@@ -235,8 +234,6 @@ def wigner_from_density(state: PureState | DensityMatrix, grid: WignerGrid) -> W
     population near the Fock-space edge, where displaced parities lose
     accuracy.
     """
-    if state.basis.n_modes != 2:
-        raise ValueError("two-mode state required")
     _warn_if_truncated(state, "wigner_from_density")
     n = state.basis.n_max
     rows, cols, block = _support(state)

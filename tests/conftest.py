@@ -15,7 +15,7 @@ def steady_half_coupling():
     """
     n_param, m_param = effective_N_M(NopaParams(0.5, 1.0))
     model = LindbladModel(gamma=1.0, n_param=n_param, m_param=m_param)
-    basis = FockBasis(40, 2)
+    basis = FockBasis(40)
     start = time.perf_counter()
     rho = steady_state(model, basis)
     elapsed = time.perf_counter() - start

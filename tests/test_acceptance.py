@@ -144,7 +144,7 @@ def test_moments_match_direct_operator_sums():
     """Not a criterion: ``moments`` against the sums criterion 03 uses, on a heated state."""
     n_p, m_p = effective_N_M(NopaParams(0.3, 1.0))
     model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.1)
-    rho = steady_state(model, FockBasis(14, 2))
+    rho = steady_state(model, FockBasis(14))
     got = moments([rho])
     fock_q, fock_p = _fock_epr_variances(rho)
     b = _sparse_ladder(14)
@@ -164,7 +164,7 @@ def test_criterion_04_relaxation_oracle(capsys):
     times = np.linspace(0.0, 5.0, 11)
     decay = 1.0 - np.exp(-2.0 * times)
 
-    basis = FockBasis(20, 2)
+    basis = FockBasis(20)
     result = evolve(vacuum_state(basis).density_matrix(), model, times)
     fock_n_err = np.max(np.abs(result.n1 - n_p * decay))
     fock_c_err = np.max(np.abs(result.b1b2 - (-m_p) * decay))
@@ -194,7 +194,7 @@ def test_criterion_04_relaxation_oracle(capsys):
 def test_criterion_05_wigner_consistency(capsys):
     spec = TmssSpec(0.5)
     axis = np.linspace(-2.0, 2.0, 5)
-    basis = FockBasis(30, 2)
+    basis = FockBasis(30)
     rho = tmss_fock(spec, basis).density_matrix()
     grid = wigner_from_density(rho, WignerGrid(axis, axis, axis, axis))
     mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")

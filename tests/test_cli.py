@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eprsim import TruncationWarning
 from eprsim.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +68,42 @@ def test_n_max_override(tmp_path, capsys):
     assert main(["steady-state", "--config", cfg, "--n-max", "8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n_max"] == 8
+
+
+def _axis(lo, hi, num):
+    return {"start": lo, "stop": hi, "num": num}
+
+
+# Small configs of the four commands that truncate a Fock space.
+TRUNCATING = {
+    "steady-state": {"model": {"epsilon_over_kappa": 0.2}},
+    "evolve": {"model": {"epsilon_over_kappa": 0.2}, "times": _axis(0.0, 1.0, 3)},
+    "wigner": {"r": 0.3, "from_density": True,
+               "grid": {name: _axis(-0.5, 0.5, 2) for name in ("q1", "p1", "q2", "p2")}},
+    "bell-sweep": {"r_grid": _axis(0.1, 0.2, 2), "j_grid": _axis(0.05, 0.1, 2)},
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("steady-state", None), ("evolve", None), ("wigner", None), ("bell-sweep", None),
+    ("nopa-spectrum", "nopa_spectrum"), ("feasibility", "feasibility_example"),
+    ("cascade", "cascade"),
+])
+def test_n_max_flag_only_on_truncating_commands(tmp_path, capsys, command, config):
+    if config is not None:
+        cfg = str(REPO_ROOT / "configs" / f"{config}.json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--n-max", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-max 3" in capsys.readouterr().err
+        return
+    outputs = []
+    for n_cfg, flag in ((6, []), (9, ["--n-max", "6"])):
+        cfg = write_config(tmp_path, {"schema_version": 1, **TRUNCATING[command], "n_max": n_cfg})
+        out = tmp_path / f"config-{n_cfg}.out"
+        assert main([command, "--config", cfg, "--out", str(out), *flag]) == 0
+        outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{out.name}*"))])
+    assert outputs[0] == outputs[1]
 
 
 def test_steady_state_density_dump(tmp_path, capsys):
@@ -156,6 +194,7 @@ def test_wigner_empty_grid(tmp_path, capsys):
     assert text == "q1,p1,q2,p2,w_analytic\n"
 
 
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # n_max 6 is coarse on purpose
 def test_wigner_empty_grid_from_density(tmp_path, capsys):
     axis = {"start": 0.0, "stop": 0.0, "num": 1}
     cfg = write_config(
@@ -424,6 +463,36 @@ def test_singular_level_block_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, module, solver", [
+    ("steady-state", "lindblad", "steady_state"),
+    ("evolve", "lindblad", "evolve"),
+    ("bell-sweep", "states", "tmss_fock"),
+])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command, module, solver):
+    """A truncation too large for memory is a numerical failure; nothing is allocated here."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr(importlib.import_module(f"eprsim.{module}"), solver, exhausted)
+    cfg = write_config(tmp_path, {"schema_version": 1, **TRUNCATING[command], "n_max": 6})
+    out = tmp_path / "artifact"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: out of memory (Unable to allocate 74.5 TiB for an array); "
+        "lower n_max\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_wigner_reemits_and_records_a_truncation_warning(tmp_path):
+    cfg = write_config(tmp_path, {"schema_version": 1, **TRUNCATING["wigner"], "r": 0.8,
+                                  "n_max": 4})
+    out = tmp_path / "w.csv"
+    with pytest.warns(TruncationWarning, match="wigner_from_density"):
+        assert main(["wigner", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "w.csv.meta.json").read_text(encoding="utf-8"))
+    assert meta["truncation_warning"] is True
+
+
 def test_non_finite_number_rejected_in_any_command(tmp_path, capsys):
     axis = {"start": 0.0, "stop": 0.0, "num": 1}
     cfg = write_config(
@@ -574,7 +643,7 @@ def test_density_csv_lists_every_entry_in_dense_order(tmp_path):
                "n_max": 5, "density_csv": str(dump)}
     cfg = write_config(tmp_path, payload)
     assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
-    dense = steady_state(_parse_model(payload), FockBasis(5, 2)).elements
+    dense = steady_state(_parse_model(payload), FockBasis(5)).elements
     d = dense.shape[0]
     idx = np.arange(d * d)
     flat = dense.reshape(-1)

@@ -7,7 +7,6 @@ from eprsim import (
     PureState,
     mean_phonon,
     moments,
-    partial_trace,
     recommended_n_max,
     vacuum_state,
 )
@@ -16,20 +15,15 @@ from eprsim.lindblad import _ladders
 
 
 def test_dimension():
-    assert FockBasis(3).dimension == 3
-    assert FockBasis(3, 2).dimension == 9
-    assert FockBasis(40, 2).dimension == 1600
+    assert FockBasis(2).dimension == 4
+    assert FockBasis(3).dimension == 9
+    assert FockBasis(40).dimension == 1600
 
 
 @pytest.mark.parametrize("n_max", [0, 1, -5])
 def test_n_max_too_small(n_max):
     with pytest.raises(ValueError, match="n_max"):
         FockBasis(n_max)
-
-
-def test_n_modes_restricted():
-    with pytest.raises(ValueError, match="n_modes"):
-        FockBasis(4, 3)
 
 
 def test_annihilation_single_mode():
@@ -40,7 +34,7 @@ def test_annihilation_single_mode():
 
 def test_mode_ordering_is_kron():
     """Mode 0 is the slow index: ladders embed as kron(b, id) / kron(id, b)."""
-    basis = FockBasis(3, 2)
+    basis = FockBasis(3)
     single = np.diag(np.sqrt([1.0, 2.0]), k=1)
     eye = np.eye(3)
     b1, b2 = _ladders(basis)
@@ -58,7 +52,7 @@ def test_commutator_truncated():
 
 
 def test_number_op_counts():
-    basis = FockBasis(5, 2)
+    basis = FockBasis(5)
     b1, b2 = _ladders(basis)
     counts = np.diag(np.arange(5.0))
     assert np.allclose((b1.T @ b1).toarray(), np.kron(counts, np.eye(5)))
@@ -73,71 +67,50 @@ def test_number_op_counts():
 
 @pytest.mark.parametrize("mode", [-1, 2])
 def test_bad_mode_index(mode):
-    rho = vacuum_state(FockBasis(4, 2)).density_matrix()
-    with pytest.raises(ValueError):
-        partial_trace(rho, mode)
+    rho = vacuum_state(FockBasis(4)).density_matrix()
     with pytest.raises(ValueError):
         mean_phonon(rho, mode)
 
 
 def test_pure_state_normalization():
-    basis = FockBasis(3)
-    psi = PureState(basis, [3.0, 4.0, 0.0])
+    basis = FockBasis(2)
+    psi = PureState(basis, [3.0, 4.0, 0.0, 0.0])
     assert psi.norm() == pytest.approx(5.0)
     assert psi.normalized().norm() == pytest.approx(1.0)
     rho = psi.density_matrix()
     assert rho.trace().real == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        PureState(basis, [0.0, 0.0, 0.0]).normalized()
+        PureState(basis, [0.0, 0.0, 0.0, 0.0]).normalized()
 
 
 def test_pure_state_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        PureState(FockBasis(3), [1.0, 0.0])
+        PureState(FockBasis(2), [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        PureState(FockBasis(3), [np.inf, 0.0, 0.0])
+        PureState(FockBasis(2), [np.inf, 0.0, 0.0, 0.0])
 
 
 def test_density_validate():
-    basis = FockBasis(3)
+    basis = FockBasis(2)
     good = vacuum_state(basis).density_matrix()
     good.validate()
 
-    not_hermitian = np.eye(3, dtype=complex)
+    not_hermitian = np.eye(4, dtype=complex)
     not_hermitian[0, 1] = 0.5
     with pytest.raises(ValueError, match="[Hh]ermit"):
         DensityMatrix(basis, not_hermitian).validate()
 
-    wrong_trace = np.eye(3, dtype=complex)
+    wrong_trace = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(basis, wrong_trace).validate()
 
-    negative = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(basis, negative).validate()
 
 
-def test_partial_trace_product_state():
-    basis = FockBasis(3, 2)
-    single = FockBasis(3)
-    a = PureState(single, [1.0, 1.0, 0.0]).normalized()
-    b = PureState(single, [0.0, 1.0, 1.0]).normalized()
-    joint = PureState(basis, np.kron(a.amplitudes, b.amplitudes)).density_matrix()
-    rho_a = partial_trace(joint, keep_mode=0)
-    rho_b = partial_trace(joint, keep_mode=1)
-    assert np.allclose(rho_a.elements, a.density_matrix().elements)
-    assert np.allclose(rho_b.elements, b.density_matrix().elements)
-
-
-def test_partial_trace_entangled_is_mixed():
-    basis = FockBasis(2, 2)
-    bell = PureState(basis, [1.0, 0.0, 0.0, 1.0]).normalized().density_matrix()
-    reduced = partial_trace(bell, keep_mode=0)
-    assert np.allclose(reduced.elements, 0.5 * np.eye(2))
-
-
 def test_vacuum_state():
-    basis = FockBasis(4, 2)
+    basis = FockBasis(4)
     psi = vacuum_state(basis)
     assert psi.amplitudes[0] == 1.0
     assert np.all(psi.amplitudes[1:] == 0.0)

@@ -26,6 +26,7 @@ from eprsim import (
     tmss_fock,
     vacuum_state,
 )
+from eprsim import lindblad
 from eprsim.lindblad import _sector_indices, _sector_matrix, _terms
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
@@ -84,7 +85,7 @@ def test_maximal_correlation_allowed():
 
 
 def test_superoperator_matrix_matches_apply(rng):
-    basis = FockBasis(4, 2)
+    basis = FockBasis(4)
     model = half_model(0.4, heating=0.05)
     rho = random_density(basis, rng)
     via_apply = apply_terms(model, basis, rho.matrix).toarray()
@@ -93,26 +94,18 @@ def test_superoperator_matrix_matches_apply(rng):
 
 
 def test_generator_preserves_trace_and_hermiticity(rng):
-    basis = FockBasis(4, 2)
+    basis = FockBasis(4)
     rho = random_density(basis, rng)
     out = apply_terms(half_model(0.3), basis, rho.matrix).toarray()
     assert abs(np.trace(out)) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
-def test_single_mode_basis_rejected():
-    rho0 = vacuum_state(FockBasis(8, 1)).density_matrix()
-    with pytest.raises(ValueError, match="two-mode"):
-        steady_state(half_model(0.3), FockBasis(8, 1))
-    with pytest.raises(ValueError, match="two-mode"):
-        evolve(rho0, half_model(0.3), [0.0, 1.0])
-
-
 def test_uncorrelated_bath_gives_thermal_product():
     """With M = 0 the steady state is a thermal state in each mode."""
     n_p = 0.25
     model = LindbladModel(gamma=1.0, n_param=n_p, m_param=0.0)
-    basis = FockBasis(14, 2)
+    basis = FockBasis(14)
     rho = steady_state(model, basis)
     pops = np.real(np.diag(rho.elements)).reshape(14, 14)
     m = np.arange(14)
@@ -124,7 +117,7 @@ def test_uncorrelated_bath_gives_thermal_product():
 
 def test_steady_state_moments_and_fidelity():
     model = half_model(0.2)
-    basis = FockBasis(12, 2)
+    basis = FockBasis(12)
     rho = steady_state(model, basis)
     rho.validate()
     assert mean_phonon(rho, 0) == pytest.approx(model.n_param, abs=1e-6)
@@ -140,7 +133,7 @@ def test_steady_state_moments_and_fidelity():
 def test_steady_state_agrees_with_long_time_integration():
     """The level-elimination solve and brute-force integration agree."""
     model = half_model(0.25)
-    basis = FockBasis(8, 2)
+    basis = FockBasis(8)
     direct = steady_state(model, basis)
     times = np.array([0.0, 30.0])
     integrated = evolve(vacuum_state(basis).density_matrix(), model, times).states[-1]
@@ -166,7 +159,7 @@ def reference_steady_state(model, basis):
 
 
 def test_sector_matrix_matches_superoperator_restriction():
-    basis = FockBasis(5, 2)
+    basis = FockBasis(5)
     terms = _terms(half_model(0.3, heating=0.05), basis)
     indices = _sector_indices(basis)
     positions = np.arange(len(indices))
@@ -196,7 +189,7 @@ def check_against_reference(model, basis):
 @pytest.mark.parametrize("n_max", [10, 20, 30])
 @pytest.mark.parametrize("heating", [0.0, 0.1])
 def test_steady_state_matches_unreduced_reference(n_max, heating):
-    check_against_reference(half_model(0.5, heating=heating), FockBasis(n_max, 2))
+    check_against_reference(half_model(0.5, heating=heating), FockBasis(n_max))
 
 
 @settings(max_examples=25, deadline=None)
@@ -207,14 +200,15 @@ def test_steady_state_matches_unreduced_reference(n_max, heating):
 )
 def test_steady_state_properties(eps, heating, n_max):
     """Certified, unit trace, positive and equal to the reference over the model range."""
-    rho = check_against_reference(half_model(eps, heating=heating), FockBasis(n_max, 2))
+    rho = check_against_reference(half_model(eps, heating=heating), FockBasis(n_max))
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho.real).min() >= -1e-10
 
 
-def test_steady_state_uncertified_raises():
+def test_steady_state_uncertified_raises(monkeypatch):
+    monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match="residual"):
-        steady_state(half_model(0.2), FockBasis(6, 2), residual_tol=0.0)
+        steady_state(half_model(0.2), FockBasis(6))
 
 
 def test_singular_level_block_raises(monkeypatch):
@@ -223,12 +217,12 @@ def test_singular_level_block_raises(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(NumericalError, match="level elimination failed: Singular matrix"):
-        steady_state(half_model(0.2), FockBasis(6, 2))
+        steady_state(half_model(0.2), FockBasis(6))
 
 
 def test_steady_state_logs_solver_figures(caplog):
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
-        steady_state(half_model(0.2), FockBasis(8, 2))
+        steady_state(half_model(0.2), FockBasis(8))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
@@ -240,7 +234,7 @@ def test_steady_state_logs_solver_figures(caplog):
 def test_near_threshold_steady_state():
     """Criterion 02's checks at eps/kappa = 0.6 (N about 3.5), n_max = 60."""
     model = half_model(0.6)
-    basis = FockBasis(60, 2)
+    basis = FockBasis(60)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         rho = steady_state(model, basis)
@@ -263,7 +257,7 @@ def test_steady_state_with_heating():
     model = half_model(0.2, heating=h)
     # heating widens the number distribution, so this needs more headroom
     # than the h = 0 cases to hit the 1e-6 oracle tolerance
-    basis = FockBasis(16, 2)
+    basis = FockBasis(16)
     rho = steady_state(model, basis)
     n_expected = (gamma * model.n_param + h) / (gamma + h)
     assert mean_phonon(rho, 0) == pytest.approx(n_expected, abs=1e-6)
@@ -276,12 +270,12 @@ def test_steady_state_with_heating():
 def test_steady_state_truncation_warning():
     model = half_model(0.6)  # N is about 3.5: far too hot for n_max = 8
     with pytest.warns(TruncationWarning):
-        steady_state(model, FockBasis(8, 2))
+        steady_state(model, FockBasis(8))
 
 
 def test_evolve_relaxation_matches_closed_form():
     model = half_model(0.3)
-    basis = FockBasis(14, 2)
+    basis = FockBasis(14)
     times = np.linspace(0.0, 3.0, 7)
     result = evolve(vacuum_state(basis).density_matrix(), model, times)
     decay = 1.0 - np.exp(-2.0 * times)
@@ -351,7 +345,7 @@ def phased_pair_state(basis, x, phase):
 )
 def test_evolve_matches_dense_expm(dense_propagation, caplog, make_start, path):
     model, times, propagators = dense_propagation
-    rho0 = make_start(FockBasis(6, 2))
+    rho0 = make_start(FockBasis(6))
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
         result = evolve(rho0, model, times)
     assert f"evolve: {path} path" in caplog.text
@@ -376,7 +370,7 @@ def test_evolve_on_uniform_grid_matches_dense_expm(make_start):
     model = half_model(0.3, heating=0.1)
     times = np.linspace(1.0, 3.0, 5)
     prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
-    rho0 = make_start(FockBasis(6, 2))
+    rho0 = make_start(FockBasis(6))
     result = evolve(rho0, model, times)
     vec = rho0.elements.reshape(-1)
     for state in result.states:
@@ -387,7 +381,7 @@ def test_evolve_on_uniform_grid_matches_dense_expm(make_start):
 
 def test_evolve_logs_path_and_figures(caplog):
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
-        evolve(vacuum_state(FockBasis(8, 2)).density_matrix(), half_model(0.2), [0.0, 1.0])
+        evolve(vacuum_state(FockBasis(8)).density_matrix(), half_model(0.2), [0.0, 1.0])
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^evolve: orbits path, 120 unknowns, nnz \d+; assemble \S+s, propagate \S+s$", line
@@ -396,7 +390,7 @@ def test_evolve_logs_path_and_figures(caplog):
 
 def test_evolve_output_states_are_physical():
     model = half_model(0.3)
-    basis = FockBasis(10, 2)
+    basis = FockBasis(10)
     result = evolve(vacuum_state(basis).density_matrix(), model, np.array([0.0, 1.5]))
     final = result.states[-1]
     final.validate()
@@ -405,7 +399,7 @@ def test_evolve_output_states_are_physical():
 
 def test_evolve_time_grid_validation():
     model = half_model(0.2)
-    basis = FockBasis(6, 2)
+    basis = FockBasis(6)
     rho0 = vacuum_state(basis).density_matrix()
     with pytest.raises(ValueError):
         evolve(rho0, model, np.array([0.0, 1.0, 0.5]))
@@ -414,14 +408,14 @@ def test_evolve_time_grid_validation():
 
 
 def test_evolve_basis_consistency():
-    model = half_model(0.2)
-    rho0 = vacuum_state(FockBasis(6, 1)).density_matrix()
-    with pytest.raises(ValueError):
-        evolve(rho0, model, np.array([0.0, 1.0]))
+    """A start shaped for one mode does not fit the two-mode basis."""
+    single_mode_vacuum = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="basis dimension"):
+        evolve(DensityMatrix(FockBasis(6), single_mode_vacuum), half_model(0.2), [0.0, 1.0])
 
 
 def test_purity_range(rng):
-    basis = FockBasis(5, 2)
+    basis = FockBasis(5)
     pure = vacuum_state(basis).density_matrix()
     assert purity(pure) == pytest.approx(1.0, abs=1e-12)
     mixed = random_density(basis, rng)

@@ -26,7 +26,6 @@ from eprsim import (
     fidelity,
     mean_phonon,
     moments,
-    partial_trace,
     purity,
     steady_state,
     tmss_fock,
@@ -43,11 +42,11 @@ def heated_steady_state():
     model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        return steady_state(model, FockBasis(10, 2))
+        return steady_state(model, FockBasis(10))
 
 
 def vacuum_tmss_mixture():
-    basis = FockBasis(12, 2)
+    basis = FockBasis(12)
     vac = vacuum_state(basis).density_matrix().elements
     tmss = tmss_fock(TmssSpec(0.5), basis).density_matrix().elements
     return DensityMatrix(basis, 0.5 * vac + 0.5 * tmss)
@@ -57,11 +56,11 @@ def coherent_product():
     """|0.3>|-0.2+0.1i>, each a dense expm displacement of the vacuum."""
     b = np.diag(np.sqrt(np.arange(1.0, 10)), k=1)
     c1, c2 = (scipy.linalg.expm(g * b.T - np.conj(g) * b)[:, 0] for g in (0.3, -0.2 + 0.1j))
-    return PureState(FockBasis(10, 2), np.kron(c1, c2)).density_matrix()
+    return PureState(FockBasis(10), np.kron(c1, c2)).density_matrix()
 
 
 def tmss_pure():
-    return tmss_fock(TmssSpec(0.5), FockBasis(12, 2))
+    return tmss_fock(TmssSpec(0.5), FockBasis(12))
 
 
 STATES = {
@@ -90,15 +89,15 @@ def rho(state):
 # --- dense references ---------------------------------------------------------
 
 
-def dense_validate(el, herm_atol=1e-10, trace_atol=1e-10, eig_atol=1e-8):
+def dense_validate(el):
     herm_dev = np.max(np.abs(el - el.conj().T))
-    if herm_dev > herm_atol:
+    if herm_dev > 1e-10:
         raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
     tr_dev = abs(complex(np.trace(el)) - 1.0)
-    if tr_dev > trace_atol:
+    if tr_dev > 1e-10:
         raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
     evals = np.linalg.eigvalsh((el + el.conj().T) / 2.0)
-    if evals.min() < -eig_atol:
+    if evals.min() < -1e-8:
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
 
@@ -212,15 +211,6 @@ def test_moments_match_dense(rho):
     got = moments([rho])
     for key, value in expected.items():
         assert abs(got[key][0] - value) <= TOL, key
-
-
-def test_partial_trace_matches_dense(rho):
-    n = rho.basis.n_max
-    r4 = rho.elements.reshape(n, n, n, n)
-    for keep, spec in ((0, "mknk->mn"), (1, "kmkn->mn")):
-        reduced = partial_trace(rho, keep)
-        assert reduced.basis == FockBasis(n, 1)
-        assert np.max(np.abs(reduced.elements - np.einsum(spec, r4))) <= TOL
 
 
 def test_support_matches_dense(state):
