@@ -22,7 +22,6 @@ from eprsim import (
     evolve,
     evolve_covariance,
     model_from_lindblad,
-    vacuum_state,
 )
 
 source = NopaParams(epsilon=0.3, kappa_c=1.0)
@@ -30,10 +29,9 @@ n_eff, m_eff = effective_N_M(source)
 model = LindbladModel(gamma=1.0, n_param=n_eff, m_param=m_eff)
 
 basis = FockBasis(n_max=14)
-rho0 = vacuum_state(basis).density_matrix()
 times = np.linspace(0.0, 4.0, 9)
 
-result = evolve(rho0, model, times)
+result = evolve(model, basis, times)
 
 relax = 1.0 - np.exp(-2.0 * model.gamma * times)
 print("master-equation trajectory vs closed form:")

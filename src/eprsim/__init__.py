@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "hilbert": (
         "FockBasis", "PureState", "DensityMatrix", "NumericalError", "TruncationWarning",
-        "vacuum_state", "recommended_n_max",
+        "vacuum_state",
     ),
     "nopa": (
         "NopaParams", "SpectrumTable", "transfer_function", "squeezing_spectra",

@@ -277,7 +277,7 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
 
 
 def cmd_evolve(cfg: dict, out: str | None) -> int:
-    from .hilbert import FockBasis, vacuum_state
+    from .hilbert import FockBasis
     from .lindblad import evolve
 
     model = _parse_model(cfg)
@@ -289,8 +289,11 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
     if initial != "vacuum":
         raise ConfigError(f"initial: only 'vacuum' is supported, got {initial!r}")
 
-    basis = FockBasis(n_max)
-    res = evolve(vacuum_state(basis).density_matrix(), model, times)
+    try:
+        # The grid is a linspace, so only a non-increasing one is refused.
+        res = evolve(model, FockBasis(n_max), times)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
     rows = zip(res.times, res.n1, res.n2, res.b1b2.real, res.b1b2.imag,
                res.var_sum_q, res.var_diff_p, res.purity)

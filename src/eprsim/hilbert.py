@@ -31,16 +31,10 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-
-# Tolerances of DensityMatrix.validate.
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-EIGENVALUE_ATOL = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -118,10 +112,9 @@ class DensityMatrix:
     sorted indices, no duplicates, no explicit zeros).  :attr:`elements`
     builds the dense array on request.
 
-    Construction does not validate the quantum-state conditions (solvers
-    produce intermediate values with small violations); call
-    :meth:`validate` to enforce Hermiticity, unit trace and positivity
-    within tolerances.
+    Construction checks the shape only, not Hermiticity, unit trace or
+    positivity; the tests check the solvers' states against a dense
+    reference.
     """
 
     basis: FockBasis
@@ -155,37 +148,6 @@ class DensityMatrix:
             raise ValueError(f"trace must be positive to normalize, got {tr}")
         return DensityMatrix(self.basis, self.matrix / tr)
 
-    def validate(self) -> "DensityMatrix":
-        """Check Hermiticity / trace / positivity; return self for chaining.
-
-        The eigenvalues are those of the blocks of the Hermitian part that
-        the stored pattern connects (a delta = 0 state splits into blocks
-        of at most ``n_max`` rows); rows with no stored entry add zeros.
-        """
-        from scipy.sparse.csgraph import connected_components
-
-        mat = self.matrix
-        herm_dev = abs(mat - mat.conj().T).max()
-        if herm_dev > HERMITICITY_ATOL:
-            raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
-        tr_dev = abs(self.trace() - 1.0)
-        if tr_dev > TRACE_ATOL:
-            raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
-        herm = (mat + mat.conj().T) / 2.0
-        _, label = connected_components(abs(herm), directed=False)
-        rows = np.flatnonzero(np.diff(herm.indptr))
-        rows = rows[np.argsort(label[rows], kind="stable")]
-        cuts = np.flatnonzero(np.diff(label[rows])) + 1
-        herm = herm[rows][:, rows]
-        lowest = min(
-            (np.linalg.eigvalsh(herm[a:b, a:b].toarray())[0]
-             for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(rows)])),
-            default=0.0,
-        )
-        if lowest < -EIGENVALUE_ATOL:
-            raise ValueError(f"negative eigenvalue {lowest:.3e}")
-        return self
-
 
 def _expm(mat: np.ndarray) -> np.ndarray:
     """``scipy.linalg.expm(mat)``; scipy.linalg is loaded on the first call."""
@@ -202,16 +164,3 @@ def vacuum_state(basis: FockBasis) -> PureState:
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[0] = 1.0
     return PureState(basis, amp)
-
-
-def recommended_n_max(r: float) -> int:
-    """Suggested truncation for squeeze parameter ``r``.
-
-    Returns ``ceil(8*sinh(r)**2 + 10)``, sized so the geometric
-    population tail ``tanh(r)**(2*n_max)`` of a two-mode squeezed state
-    beyond the truncation is negligible for most purposes (about 1e-5
-    at r ~ 1, falling rapidly for larger margins).
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return max(2, math.ceil(8.0 * math.sinh(r) ** 2 + 10.0))

@@ -36,18 +36,15 @@ assembler (:func:`_sector_matrix`):
   elimination over the levels (dense blocks of at most a few hundred
   orbits) and certifies the result on the unreduced space;
 * :func:`evolve` propagates one real value per orbit with
-  ``expm_multiply`` from any such start (vacuum is one); other starts are
-  propagated on the sector, or on the full vectorized space when they
-  leave it.
+  ``expm_multiply`` from the vacuum, where the atoms start.
 
-States go in and out as sparse :class:`~eprsim.hilbert.DensityMatrix`
-values.  The solvers read the start's stored entries and scatter their
-solution into a sparse matrix of the sector entries, and the positions
-of vec indices are looked up by ``searchsorted`` on the sorted sector
-indices, so no array of the d**2 vectorized entries is made on the orbit
-or sector paths.  :func:`moments` gives the second moments and purity
-that the CLI and the acceptance criteria read off each state, summed over
-stored entries only.
+States come out as sparse :class:`~eprsim.hilbert.DensityMatrix` values.
+The solvers scatter their solution into a sparse matrix of the sector
+entries, and the positions of vec indices are looked up by
+``searchsorted`` on the sorted sector indices, so no array of the d**2
+vectorized entries is made.  :func:`moments` gives the second moments
+and purity that the CLI and the acceptance criteria read off each state,
+summed over stored entries only.
 
 Only ``scipy.sparse`` is imported with the module: :func:`steady_state`
 needs nothing else, and :func:`evolve` imports ``scipy.sparse.linalg``
@@ -261,6 +258,22 @@ def _orbits(indices, basis: FockBasis):
     return orbit, keys % (d * d)
 
 
+def _orbit_system(terms, basis: FockBasis, first_row: int):
+    """The generator on the orbits of :func:`_orbits`, as CSR.
+
+    Rows are kept at the representatives of orbits ``first_row`` and up
+    (the vacuum's row is empty for ``first_row = 1``) and columns are summed
+    over each orbit.  Returns (indices, orbit, reps, mat): the sector's vec
+    indices, the orbit of each, each orbit's representative and the matrix.
+    """
+    indices = _sector_indices(basis)
+    orbit, reps = _orbits(indices, basis)
+    kept = np.argsort(reps[first_row:]) + first_row
+    size = len(reps)
+    mat = _sector_matrix(terms, basis, reps[kept], kept, indices, orbit, (size, size))
+    return indices, orbit, reps, mat.tocsr()
+
+
 def _eliminate_levels(mat, bounds):
     """Solve the steady-state equations level by level (block Thomas).
 
@@ -315,12 +328,9 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     t0 = time.perf_counter()
     d = basis.dimension
     terms = _terms(model, basis)
-    indices = _sector_indices(basis)
-    orbit, reps = _orbits(indices, basis)
+    indices, orbit, reps, mat = _orbit_system(terms, basis, first_row=1)
     size = len(reps)
     bounds = np.r_[0, np.cumsum(np.bincount(_level(reps, basis)))]
-    kept = np.argsort(reps[1:]) + 1  # every orbit's row but the vacuum's
-    mat = _sector_matrix(terms, basis, reps[kept], kept, indices, orbit, (size, size)).tocsr()
     t1 = time.perf_counter()
     try:
         x, stored = _eliminate_levels(mat, bounds)
@@ -357,25 +367,20 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     return rho
 
 
-def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
-    """Propagate the master equation through the given (increasing) times.
+def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
+    """Relax the vacuum |00><00| through ``times``.
 
-    ``rho0`` is the state at ``times[0]``.  The generator does not depend on
-    time, so the propagation is ``expm_multiply`` (Al-Mohy & Higham 2011)
-    at its double-precision tolerance: one call over the whole grid when
-    ``times`` is exactly ``np.linspace(times[0], times[-1], len(times))``,
-    else one call per interval.  It runs on the smallest space that holds
-    ``rho0``'s stored entries exactly:
-
-    * ``orbits``: a real start in the delta = 0 sector that is constant on
-      the {1, T, S, TS} orbits (vacuum is one) stays so.  It is propagated
-      as one real value per orbit, with the matrix :func:`steady_state`
-      eliminates plus its vacuum row.
-    * ``sector``: any other start inside the delta = 0 sector.
-    * ``full``: any other start, on the full vectorized space.
-
-    The returned states are sparse and Hermitised, ``(rho + rho†) / 2``.
-    A propagation that overflows raises :class:`~eprsim.hilbert.NumericalError`.
+    The vacuum is the state at ``times[0]``, and ``times`` must be strictly
+    increasing and exactly ``np.linspace(times[0], times[-1], len(times))``.
+    The vacuum is real and alone in its {1, T, S, TS} orbit (orbit 0), and
+    the generator keeps a state real and constant on the orbits, so one real
+    value per orbit is propagated, with the matrix :func:`steady_state`
+    eliminates plus its vacuum row.  The generator does not depend on time,
+    so the propagation is one ``expm_multiply`` call over the grid (Al-Mohy &
+    Higham 2011) at its double-precision tolerance; a single time gives the
+    vacuum alone.  The returned states are sparse, real and exactly
+    symmetric.  A propagation that overflows raises
+    :class:`~eprsim.hilbert.NumericalError`.
     """
     from scipy.sparse.linalg import expm_multiply
 
@@ -384,63 +389,32 @@ def evolve(rho0: DensityMatrix, model: LindbladModel, times) -> EvolutionResult:
         raise ValueError("times must be a non-empty 1-D array")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    basis = rho0.basis
-    rho0.validate()
+    if not np.array_equal(times, np.linspace(times[0], times[-1], len(times))):
+        raise ValueError("times must be the uniform grid np.linspace(times[0], times[-1], n)")
 
     t0 = time.perf_counter()
     d = basis.dimension
-    given = rho0.matrix.tocoo()
-    stored = given.row.astype(np.int64) * d + given.col
-    indices = _sector_indices(basis)
-    orbit, reps = _orbits(indices, basis)
-    # Each reduction lists the vec index of every unknown (rows), the sorted
-    # vec indices it covers (members) and the unknown of each member.
-    at = _lookup(indices, np.arange(len(indices)), stored)
-    if np.all(at >= 0):
-        vec = np.zeros(len(indices), dtype=complex)
-        vec[at] = given.data
-        on_reps = vec[np.searchsorted(indices, reps)].real
-        if np.array_equal(on_reps[orbit], vec):
-            path, rows, members, unknown, vec = "orbits", reps, indices, orbit, on_reps
-        else:
-            path, rows, members, unknown = "sector", indices, indices, np.arange(len(indices))
-    else:
-        path, rows = "full", np.arange(d * d)
-        members = unknown = rows
-        vec = np.zeros(d * d, dtype=complex)
-        vec[stored] = given.data
-    size = len(rows)
-    order = np.argsort(rows)
-    mat = _sector_matrix(
-        _terms(model, basis), basis, rows[order], order, members, unknown, (size, size)
-    ).tocsr()
+    indices, orbit, reps, mat = _orbit_system(_terms(model, basis), basis, first_row=0)
+    vec = np.zeros(len(reps))
+    vec[0] = 1.0  # the vacuum
     t1 = time.perf_counter()
-    uniform = len(times) > 1 and np.array_equal(
-        times, np.linspace(times[0], times[-1], len(times)))
     # expm_multiply picks its step count from estimated norms of powers of
     # L t; where those overflow (gamma ~ 1e40 and up) it would fail on a
     # NaN count, so the first overflow is raised as a numerical failure.
     with np.errstate(over="raise", invalid="raise"):
         try:
-            if uniform:
-                vecs = expm_multiply(mat, vec, start=0.0, stop=times[-1] - times[0],
-                                     num=len(times), endpoint=True)
-            else:
-                vecs = [vec]
-                for dt in np.diff(times):
-                    vecs.append(expm_multiply(dt * mat, vecs[-1]))
+            vecs = [vec] if len(times) == 1 else expm_multiply(
+                mat, vec, start=0.0, stop=times[-1] - times[0], num=len(times), endpoint=True)
         except FloatingPointError as exc:
             raise NumericalError(f"evolve: propagation overflowed ({exc})") from exc
     t2 = time.perf_counter()
     log.info(
-        "evolve: %s path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
-        path, size, mat.nnz, t1 - t0, t2 - t1,
+        "evolve: orbits path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
+        len(reps), mat.nnz, t1 - t0, t2 - t1,
     )
-
-    states = []
-    for vec in vecs:
-        half = sp.csr_matrix((vec[unknown], (members // d, members % d)), (d, d))
-        states.append(DensityMatrix(basis, (half + half.conj().T) / 2.0))
+    rows, cols = indices // d, indices % d
+    states = [DensityMatrix(basis, sp.csr_matrix((vec[orbit], (rows, cols)), (d, d)))
+              for vec in vecs]
     return EvolutionResult(times, states, **moments(states))
 
 

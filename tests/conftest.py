@@ -25,3 +25,20 @@ def steady_half_coupling():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def dense_validate(el):
+    """Raise ``ValueError`` unless the dense array ``el`` is a density matrix.
+
+    Checks Hermiticity and unit trace to 1e-10 and the eigenvalues of the
+    Hermitian part to -1e-8; the message names the first condition broken.
+    """
+    herm_dev = np.max(np.abs(el - el.conj().T))
+    if herm_dev > 1e-10:
+        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
+    tr_dev = abs(complex(np.trace(el)) - 1.0)
+    if tr_dev > 1e-10:
+        raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
+    evals = np.linalg.eigvalsh((el + el.conj().T) / 2.0)
+    if evals.min() < -1e-8:
+        raise ValueError(f"negative eigenvalue {evals.min():.3e}")

@@ -36,7 +36,6 @@ from eprsim import (
     steady_covariance,
     steady_state,
     tmss_fock,
-    vacuum_state,
     wigner_analytic,
     wigner_from_density,
 )
@@ -165,7 +164,7 @@ def test_criterion_04_relaxation_oracle(capsys):
     decay = 1.0 - np.exp(-2.0 * times)
 
     basis = FockBasis(20)
-    result = evolve(vacuum_state(basis).density_matrix(), model, times)
+    result = evolve(model, basis, times)
     fock_n_err = np.max(np.abs(result.n1 - n_p * decay))
     fock_c_err = np.max(np.abs(result.b1b2 - (-m_p) * decay))
 

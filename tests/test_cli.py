@@ -342,6 +342,29 @@ def test_evolve_rejects_unknown_initial(tmp_path, capsys):
     assert "initial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", [
+    {"start": 5.0, "stop": 0.0, "num": 3},
+    {"start": 1.0, "stop": 1.0, "num": 3},
+    {"start": 0.0, "stop": 5e-324, "num": 4},  # linspace repeats values
+], ids=["decreasing", "constant", "repeating"])
+def test_evolve_rejects_non_increasing_times(tmp_path, capsys, times):
+    cfg = write_config(tmp_path, {"schema_version": 1, "model": {"epsilon_over_kappa": 0.2},
+                                  "n_max": 6, "times": times})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("config error: times")
+    assert stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_evolve_single_time_is_the_vacuum(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "model": {"epsilon_over_kappa": 0.2},
+                                  "n_max": 6, "times": {"start": 2.0, "stop": 5.0, "num": 1}})
+    assert main(["evolve", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (
+        "t,n1,n2,re_b1b2,im_b1b2,var_sum_q,var_diff_p,purity\n2,0,0,0,0,2,2,1\n")
+
+
 def test_bell_sweep_validates_settings(tmp_path, capsys):
     base = {
         "schema_version": 1,
@@ -693,6 +716,13 @@ def test_bell_sweep_reproduces_golden_csv(tmp_path):
     cfg = REPO_ROOT / "configs" / "bell_default.json"
     assert main(["bell-sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_bytes() == (REPO_ROOT / "golden" / "bell_sweep.csv").read_bytes()
+
+
+def test_evolve_reproduces_golden_csv(tmp_path):
+    out = tmp_path / "evolve.csv"
+    cfg = REPO_ROOT / "configs" / "evolve_vacuum.json"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO_ROOT / "golden" / "evolve_vacuum.csv").read_bytes()
 
 
 def test_module_entry_point(tmp_path):

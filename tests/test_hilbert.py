@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_validate
 
 from eprsim import (
     DensityMatrix,
@@ -7,7 +8,6 @@ from eprsim import (
     PureState,
     mean_phonon,
     moments,
-    recommended_n_max,
     vacuum_state,
 )
 from eprsim.hilbert import _single_mode_ladder
@@ -92,21 +92,27 @@ def test_pure_state_rejects_bad_shapes():
 
 def test_density_validate():
     basis = FockBasis(2)
-    good = vacuum_state(basis).density_matrix()
-    good.validate()
+    dense_validate(vacuum_state(basis).density_matrix().elements)
 
     not_hermitian = np.eye(4, dtype=complex)
     not_hermitian[0, 1] = 0.5
     with pytest.raises(ValueError, match="[Hh]ermit"):
-        DensityMatrix(basis, not_hermitian).validate()
+        dense_validate(DensityMatrix(basis, not_hermitian).elements)
 
     wrong_trace = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(basis, wrong_trace).validate()
+        dense_validate(DensityMatrix(basis, wrong_trace).elements)
 
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(basis, negative).validate()
+        dense_validate(DensityMatrix(basis, negative).elements)
+
+
+def test_density_matrix_rejects_wrong_dimension():
+    """A matrix shaped for one mode does not fit the two-mode basis."""
+    single_mode_vacuum = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="does not match basis dimension"):
+        DensityMatrix(FockBasis(6), single_mode_vacuum)
 
 
 def test_vacuum_state():
@@ -114,13 +120,3 @@ def test_vacuum_state():
     psi = vacuum_state(basis)
     assert psi.amplitudes[0] == 1.0
     assert np.all(psi.amplitudes[1:] == 0.0)
-
-
-def test_recommended_n_max_grows_with_r():
-    values = [recommended_n_max(r) for r in (0.0, 0.5, 1.0, 1.5)]
-    assert values[0] >= 2
-    assert all(isinstance(v, int) for v in values)
-    assert values == sorted(values)
-    # ln 3 is the operating point used throughout; the heuristic must
-    # comfortably cover it within the default n_max = 40 budget.
-    assert recommended_n_max(np.log(3.0)) <= 40

@@ -66,6 +66,13 @@ def test_steady_state_loads_scipy_sparse_alone(tmp_path):
     assert loaded <= set(modules_after("import scipy.sparse"))
 
 
+def test_evolve_loads_scipy_sparse_linalg_alone(tmp_path):
+    """No csgraph, unless ``import scipy.sparse, scipy.sparse.linalg`` brings it."""
+    loaded = scipy_after_command(tmp_path, "evolve", "evolve_vacuum.json", "--n-max", "6")
+    assert "scipy.sparse.linalg" in loaded
+    assert loaded <= set(modules_after("import scipy.sparse, scipy.sparse.linalg"))
+
+
 @pytest.mark.parametrize("command, config", [
     ("cascade", "cascade.json"),
     ("nopa-spectrum", "nopa_spectrum.json"),

@@ -1,11 +1,11 @@
 import logging
-import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import dense_validate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -16,7 +16,6 @@ from eprsim import (
     LindbladModel,
     NopaParams,
     NumericalError,
-    PureState,
     TruncationWarning,
     effective_N_M,
     evolve,
@@ -119,7 +118,7 @@ def test_steady_state_moments_and_fidelity():
     model = half_model(0.2)
     basis = FockBasis(12)
     rho = steady_state(model, basis)
-    rho.validate()
+    dense_validate(rho.elements)
     assert mean_phonon(rho, 0) == pytest.approx(model.n_param, abs=1e-6)
     assert mean_phonon(rho, 1) == pytest.approx(model.n_param, abs=1e-6)
     corr = pair_expectation(rho)
@@ -136,7 +135,7 @@ def test_steady_state_agrees_with_long_time_integration():
     basis = FockBasis(8)
     direct = steady_state(model, basis)
     times = np.array([0.0, 30.0])
-    integrated = evolve(vacuum_state(basis).density_matrix(), model, times).states[-1]
+    integrated = evolve(model, basis, times).states[-1]
     assert np.max(np.abs(direct.elements - integrated.elements)) < 1e-8
 
 
@@ -277,7 +276,7 @@ def test_evolve_relaxation_matches_closed_form():
     model = half_model(0.3)
     basis = FockBasis(14)
     times = np.linspace(0.0, 3.0, 7)
-    result = evolve(vacuum_state(basis).density_matrix(), model, times)
+    result = evolve(model, basis, times)
     decay = 1.0 - np.exp(-2.0 * times)
     assert np.allclose(result.n1, model.n_param * decay, atol=1e-7)
     assert np.allclose(result.n2, model.n_param * decay, atol=1e-7)
@@ -310,78 +309,23 @@ def kron_generator(model, n):
     return gen
 
 
-@pytest.fixture(scope="module")
-def dense_propagation():
-    """Model, non-uniform time grid and dense expm(L dt) per interval at n_max 6."""
+def test_evolve_matches_dense_expm():
+    """Heated relaxation of the vacuum on a uniform grid that starts at t = 1."""
     model = half_model(0.3, heating=0.1)
-    times = np.array([0.0, 0.3, 1.7, 5.0])
-    gen = kron_generator(model, 6)
-    return model, times, [scipy.linalg.expm(gen * dt) for dt in np.diff(times)]
-
-
-def coherent_product_state(basis, alpha):
-    """Truncated |alpha, 0>, renormalized on the basis."""
-    n = basis.n_max
-    amp = np.array([alpha**m / math.sqrt(math.factorial(m)) for m in range(n)])
-    return PureState(basis, np.kron(amp, np.eye(n)[0])).density_matrix()
-
-
-def phased_pair_state(basis, x, phase):
-    """Sum over m of x**m exp(i m phase) |m, m>: inside the sector, but complex."""
-    n = basis.n_max
-    amp = np.zeros(basis.dimension, dtype=complex)
-    amp[np.arange(n) * (n + 1)] = x ** np.arange(n) * np.exp(1j * phase * np.arange(n))
-    return PureState(basis, amp).density_matrix()
-
-
-@pytest.mark.parametrize(
-    "make_start, path",
-    [
-        (lambda basis: vacuum_state(basis).density_matrix(), "orbits"),
-        (lambda basis: phased_pair_state(basis, 0.5, 0.7), "sector"),
-        (lambda basis: coherent_product_state(basis, 0.4 + 0.3j), "full"),
-    ],
-    ids=["vacuum", "phased-pairs", "coherent"],
-)
-def test_evolve_matches_dense_expm(dense_propagation, caplog, make_start, path):
-    model, times, propagators = dense_propagation
-    rho0 = make_start(FockBasis(6))
-    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
-        result = evolve(rho0, model, times)
-    assert f"evolve: {path} path" in caplog.text
-    vecs = [rho0.elements.reshape(-1)]
-    for prop in propagators:
-        vecs.append(prop @ vecs[-1])
-    for state, vec in zip(result.states, vecs, strict=True):
-        assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
-
-
-@pytest.mark.parametrize(
-    "make_start",
-    [
-        lambda basis: vacuum_state(basis).density_matrix(),
-        lambda basis: phased_pair_state(basis, 0.5, 0.7),
-        lambda basis: coherent_product_state(basis, 0.4 + 0.3j),
-    ],
-    ids=["vacuum", "phased-pairs", "coherent"],
-)
-def test_evolve_on_uniform_grid_matches_dense_expm(make_start):
-    """A uniform grid is propagated in one call; it need not start at t = 0."""
-    model = half_model(0.3, heating=0.1)
+    basis = FockBasis(6)
     times = np.linspace(1.0, 3.0, 5)
     prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
-    rho0 = make_start(FockBasis(6))
-    result = evolve(rho0, model, times)
-    vec = rho0.elements.reshape(-1)
+    result = evolve(model, basis, times)
+    vec = vacuum_state(basis).density_matrix().elements.reshape(-1)
     for state in result.states:
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
-        assert (state.matrix != state.matrix.conj().T).nnz == 0
+        assert (state.matrix != state.matrix.T).nnz == 0
         vec = prop @ vec
 
 
 def test_evolve_logs_path_and_figures(caplog):
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
-        evolve(vacuum_state(FockBasis(8)).density_matrix(), half_model(0.2), [0.0, 1.0])
+        evolve(half_model(0.2), FockBasis(8), [0.0, 1.0])
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^evolve: orbits path, 120 unknowns, nnz \d+; assemble \S+s, propagate \S+s$", line
@@ -391,27 +335,21 @@ def test_evolve_logs_path_and_figures(caplog):
 def test_evolve_output_states_are_physical():
     model = half_model(0.3)
     basis = FockBasis(10)
-    result = evolve(vacuum_state(basis).density_matrix(), model, np.array([0.0, 1.5]))
+    result = evolve(model, basis, np.array([0.0, 1.5]))
     final = result.states[-1]
-    final.validate()
+    dense_validate(final.elements)
     assert final.trace().real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_evolve_time_grid_validation():
     model = half_model(0.2)
     basis = FockBasis(6)
-    rho0 = vacuum_state(basis).density_matrix()
     with pytest.raises(ValueError):
-        evolve(rho0, model, np.array([0.0, 1.0, 0.5]))
+        evolve(model, basis, np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
-        evolve(rho0, model, np.array([2.0, 2.0]))
-
-
-def test_evolve_basis_consistency():
-    """A start shaped for one mode does not fit the two-mode basis."""
-    single_mode_vacuum = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="basis dimension"):
-        evolve(DensityMatrix(FockBasis(6), single_mode_vacuum), half_model(0.2), [0.0, 1.0])
+        evolve(model, basis, np.array([2.0, 2.0]))
+    with pytest.raises(ValueError, match="uniform"):
+        evolve(model, basis, np.array([0.0, 0.3, 1.7, 5.0]))
 
 
 def test_purity_range(rng):

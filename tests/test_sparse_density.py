@@ -89,18 +89,6 @@ def rho(state):
 # --- dense references ---------------------------------------------------------
 
 
-def dense_validate(el):
-    herm_dev = np.max(np.abs(el - el.conj().T))
-    if herm_dev > 1e-10:
-        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
-    tr_dev = abs(complex(np.trace(el)) - 1.0)
-    if tr_dev > 1e-10:
-        raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
-    evals = np.linalg.eigvalsh((el + el.conj().T) / 2.0)
-    if evals.min() < -1e-8:
-        raise ValueError(f"negative eigenvalue {evals.min():.3e}")
-
-
 def dense_ops(n):
     """Dense two-mode b1, b2 (mode 0 slowest)."""
     ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
@@ -135,44 +123,6 @@ def test_constructor_takes_dense_or_sparse(rho):
         assert (again.matrix != rho.matrix).nnz == 0
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix(rho.basis, rho.matrix[:-1])
-
-
-def test_validate_passes_like_dense(rho):
-    dense_validate(rho.elements)
-    assert rho.validate() is rho
-
-
-def broken_versions(el):
-    """A non-Hermitian, a wrongly normalized and a non-positive copy of ``el``."""
-    off = np.argwhere((el != 0) & ~np.eye(len(el), dtype=bool))[0]
-    not_hermitian = el.copy()
-    not_hermitian[tuple(off)] += 1e-6
-    pops = np.diag(el).real
-    first, second = np.argsort(pops)[::-1][:2]
-    negative = el.copy()  # trace kept, one population pushed below zero
-    negative[first, first] += 2.0 * pops[second]
-    negative[second, second] -= 2.0 * pops[second]
-    return {"Hermitian": not_hermitian, "trace": 1.5 * el, "eigenvalue": negative}
-
-
-def test_validate_errors_match_dense(rho):
-    for kind, el in broken_versions(rho.elements).items():
-        with pytest.raises(ValueError) as dense_err:
-            dense_validate(el)
-        with pytest.raises(ValueError) as sparse_err:
-            DensityMatrix(rho.basis, el).validate()
-        assert kind in str(dense_err.value)
-        assert str(sparse_err.value) == str(dense_err.value)
-
-
-def test_validate_splits_sector_states_into_small_blocks():
-    """A delta = 0 state connects rows with equal m0 - m1: blocks of <= n_max rows."""
-    from scipy.sparse.csgraph import connected_components
-
-    rho = heated_steady_state()
-    labels = connected_components(abs(rho.matrix), directed=False)[1]
-    stored = np.flatnonzero(np.diff(rho.matrix.indptr))
-    assert np.bincount(labels[stored]).max() <= rho.basis.n_max
 
 
 def test_fidelity_matches_dense(rho):
