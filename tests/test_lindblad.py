@@ -309,7 +309,24 @@ def kron_generator(model, n):
     return gen
 
 
-def test_evolve_matches_dense_expm():
+@pytest.mark.parametrize("start", ["vacuum"])
+def test_evolve_matches_dense_expm(caplog, start):
+    """Heated relaxation of the vacuum from t = 0 over long steps, on the orbits path."""
+    model = half_model(0.3, heating=0.1)
+    basis = FockBasis(6)
+    times = np.linspace(0.0, 5.0, 4)
+    prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        result = evolve(model, basis, times)
+    assert "evolve: orbits path" in caplog.text
+    vec = vacuum_state(basis).density_matrix().elements.reshape(-1)
+    for state in result.states:
+        assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
+        vec = prop @ vec
+
+
+@pytest.mark.parametrize("start", ["vacuum"])
+def test_evolve_on_uniform_grid_matches_dense_expm(start):
     """Heated relaxation of the vacuum on a uniform grid that starts at t = 1."""
     model = half_model(0.3, heating=0.1)
     basis = FockBasis(6)
