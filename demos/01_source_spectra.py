@@ -3,8 +3,10 @@
 The source is characterised by a pump rate epsilon and a cavity decay
 kappa_c.  Below threshold (epsilon < kappa_c) its output carries
 broadband two-mode squeezing: the summed X quadratures and the
-differenced Y quadratures both drop below the vacuum level 1.  At zero
-frequency the noise reduction is (kappa_c - epsilon)^2 / (kappa_c + epsilon)^2.
+differenced Y quadratures both drop below the vacuum level 1, by the
+same amount at every frequency, so ``squeezing_spectra`` returns one
+array for both.  At zero frequency the noise reduction is
+(kappa_c - epsilon)^2 / (kappa_c + epsilon)^2.
 """
 
 import numpy as np
@@ -23,12 +25,12 @@ print(f"  squeeze parameter         r = {r:.6f}  (exp(-2r) = {np.exp(-2 * r):.6f
 print()
 
 omega = np.linspace(0.0, 5.0, 11)
-table = squeezing_spectra(p, omega)
+var = squeezing_spectra(p, omega)
 
-print("spectra (vacuum level = 1):")
-print(f"{'omega/kappa':>12} {'Var(X1+X2)':>12} {'Var(Y1-Y2)':>12}")
-for w, sx, dy in zip(table.omega, table.sum_x_variance, table.diff_y_variance):
-    print(f"{w:12.2f} {sx:12.6f} {dy:12.6f}")
+print("spectrum (vacuum level = 1):")
+print(f"{'omega/kappa':>12} {'Var(X1+X2) = Var(Y1-Y2)':>24}")
+for w, v in zip(omega, var):
+    print(f"{w:12.2f} {v:24.6f}")
 print()
 
 # The squeezing deepens as the pump approaches threshold, while the

@@ -7,12 +7,13 @@ momentum correlations (a ridge along p2 = +p1).  Those two ridges
 together are the EPR correlation pattern.
 
 The same sections evaluated from a truncated density matrix via the
-displaced-parity formula agree with the closed form.
+displaced-parity formula agree with the closed form; that route takes the
+four quadrature axes and returns the values on their product grid.
 """
 
 import numpy as np
 
-from eprsim import FockBasis, TmssSpec, WignerGrid, tmss_fock, wigner_analytic, wigner_from_density
+from eprsim import FockBasis, TmssSpec, tmss_fock, wigner_analytic, wigner_from_density
 
 SHADES = " .:-=+*#%@"
 
@@ -47,10 +48,9 @@ print(f"peak value W(0,0,0,0) = {wigner_analytic(spec, 0.0, 0.0, 0.0, 0.0):.6f}"
 basis = FockBasis(n_max=24)
 rho = tmss_fock(spec, basis).density_matrix()
 pts = np.array([-1.0, 0.0, 1.0])
-grid = WignerGrid(q1=pts, p1=pts, q2=pts, p2=pts)
-filled = wigner_from_density(rho, grid)
+filled = wigner_from_density(rho, pts, pts, pts, pts)
 
 Q1, P1, Q2, P2 = np.meshgrid(pts, pts, pts, pts, indexing="ij")
 reference = wigner_analytic(spec, Q1, P1, Q2, P2)
 print(f"max |analytic - from density matrix| over a 3^4 grid: "
-      f"{np.abs(filled.values - reference).max():.2e}")
+      f"{np.abs(filled - reference).max():.2e}")

@@ -21,11 +21,11 @@ _EXPORTS = {
         "vacuum_state",
     ),
     "nopa": (
-        "NopaParams", "SpectrumTable", "transfer_function", "squeezing_spectra",
+        "NopaParams", "transfer_function", "squeezing_spectra",
         "effective_N_M", "squeeze_parameter",
     ),
     "states": (
-        "TmssSpec", "WignerGrid", "tmss_fock", "wigner_analytic", "wigner_from_density",
+        "TmssSpec", "tmss_fock", "wigner_analytic", "wigner_from_density",
         "edge_population",
     ),
     "lindblad": (
@@ -36,8 +36,8 @@ _EXPORTS = {
         "steady_covariance", "evolve_covariance", "cascade_model", "epr_variances",
     ),
     "metrics": (
-        "BellSettings", "fidelity", "mean_phonon", "epr_criterion", "parity_correlation",
-        "chsh_value", "log_negativity",
+        "BellSettings", "fidelity", "mean_phonon", "epr_criterion", "chsh_value",
+        "log_negativity",
     ),
     "feasibility": (
         "ExperimentParams", "Check", "FeasibilityReport", "coupling_rate", "cooperativity",

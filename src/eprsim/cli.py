@@ -222,9 +222,8 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
         params = NopaParams(eps, 1.0)
     except ValueError as exc:
         raise ConfigError(f"epsilon_over_kappa: {exc}") from exc
-    table = squeezing_spectra(params, omega)
-    rows = zip(table.omega, table.sum_x_variance, table.diff_y_variance)
-    _write((out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], rows)))
+    var = squeezing_spectra(params, omega)  # the X-sum and Y-difference spectra are equal
+    _write((out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], zip(omega, var, var))))
     return 0
 
 
@@ -303,7 +302,7 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
 
 def cmd_wigner(cfg: dict, out: str | None) -> int:
     from .hilbert import FockBasis
-    from .states import TmssSpec, WignerGrid, tmss_fock, wigner_analytic, wigner_from_density
+    from .states import TmssSpec, tmss_fock, wigner_analytic, wigner_from_density
 
     r = _field(cfg, "r", float)
     if r < 0:
@@ -317,7 +316,6 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     n_max = _n_max(cfg, default=30) if from_density else None
 
     spec = TmssSpec(r)
-    grid = WignerGrid(axes["q1"], axes["p1"], axes["q2"], axes["p2"])
     mesh = np.meshgrid(*axes.values(), indexing="ij")
     w_analytic = wigner_analytic(spec, *mesh)
 
@@ -325,10 +323,7 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     w_rho = None
     if from_density:
         state = tmss_fock(spec, FockBasis(n_max))
-        w_grid, trunc_warned = _recording_truncation(wigner_from_density, state, grid)
-        w_rho = w_grid.values
-        if trunc_warned:
-            log.warning("wigner: truncation warning raised at n_max=%d", n_max)
+        w_rho, trunc_warned = _recording_truncation(wigner_from_density, state, *axes.values())
 
     header = ["q1", "p1", "q2", "p2", "w_analytic"]
     cols = [m.ravel() for m in mesh] + [np.atleast_1d(w_analytic).ravel()]
@@ -434,11 +429,11 @@ def cmd_cascade(cfg: dict, out: str | None) -> int:
     wn = 2.0 * (1.0 + 2.0 * n_p - 2.0 * m_p)
     rows = []
     for ratio in ratios:
-        # The model is physical for every valid ratio; a ValueError is rounding.
+        # The model is physical for every valid ratio, so a failure here is rounding.
         try:
             dd = cascade_model(params, gamma=1.0 / float(ratio))
             motion = CovarianceState(np.zeros(4), steady_covariance(dd).cov[4:, 4:])
-        except ValueError as exc:
+        except (ValueError, NumericalError) as exc:
             raise NumericalError(f"cascade at kappa_over_gamma {ratio!r}: {exc}") from exc
         var_q, _ = epr_variances(motion)
         rel = abs(var_q - wn) / wn if wn != 0 else 0.0

@@ -23,25 +23,12 @@ the inverse units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 # Plausibility band for the derived rate: tens of kHz to ~1 MHz
 # (ordinary frequency). Outside it the scheme is not wrong, just outside
 # the regime the scheme was sized for, so the verdict is warn-only.
 GAMMA_BAND_HZ = (1.0e4, 1.0e6)
-
-CHECK_NAMES = (
-    "detuning_over_drive",
-    "detuning_over_coupling",
-    "detuning_over_trap",
-    "trap_over_cavity_decay",
-    "cavity_decay_over_raman_rate",
-    "nopa_bandwidth_over_gamma",
-    "lamb_dicke_refined",
-    "decoherence_budget",
-    "cooperativity",
-    "gamma_magnitude",
-)
 
 
 @dataclass(frozen=True)
@@ -97,19 +84,7 @@ class FeasibilityReport:
     checks: list[Check] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "gamma_eff": self.gamma_eff,
-            "c1": self.c1,
-            "checks": [
-                {
-                    "name": c.name,
-                    "ratio": c.ratio,
-                    "threshold": c.threshold,
-                    "verdict": c.verdict,
-                }
-                for c in self.checks
-            ],
-        }
+        return asdict(self)
 
     def verdict_for(self, name: str) -> str:
         for c in self.checks:
@@ -167,34 +142,20 @@ def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> F
     raman = (p.g0 * p.eta_x / p.delta_big) * p.e_laser
     thr = float(ratio_threshold)
 
-    checks = [
-        Check("detuning_over_drive", p.delta_big / p.e_laser, thr,
-              _grade(p.delta_big / p.e_laser, thr)),
-        Check("detuning_over_coupling", p.delta_big / p.g0, thr,
-              _grade(p.delta_big / p.g0, thr)),
-        Check("detuning_over_trap", p.delta_big / p.nu_x, thr,
-              _grade(p.delta_big / p.nu_x, thr)),
-        Check("trap_over_cavity_decay", p.nu_x / p.kappa_a, thr,
-              _grade(p.nu_x / p.kappa_a, thr)),
-        Check("cavity_decay_over_raman_rate", p.kappa_a / raman, thr,
-              _grade(p.kappa_a / raman, thr)),
-        Check("nopa_bandwidth_over_gamma", p.kappa_c / gamma_eff, thr,
-              _grade(p.kappa_c / gamma_eff, thr)),
-        Check("lamb_dicke_refined", 1.0 / (p.eta_x * math.cosh(r)), thr,
-              _grade(1.0 / (p.eta_x * math.cosh(r)), thr)),
-        Check("decoherence_budget", p.t_decoherence * gamma_eff, thr,
-              _grade(p.t_decoherence * gamma_eff, thr)),
-        Check("cooperativity", c1, thr, _grade(c1, thr)),
-    ]
-
+    ratios = {
+        "detuning_over_drive": p.delta_big / p.e_laser,
+        "detuning_over_coupling": p.delta_big / p.g0,
+        "detuning_over_trap": p.delta_big / p.nu_x,
+        "trap_over_cavity_decay": p.nu_x / p.kappa_a,
+        "cavity_decay_over_raman_rate": p.kappa_a / raman,
+        "nopa_bandwidth_over_gamma": p.kappa_c / gamma_eff,
+        "lamb_dicke_refined": 1.0 / (p.eta_x * math.cosh(r)),
+        "decoherence_budget": p.t_decoherence * gamma_eff,
+        "cooperativity": c1,
+    }
+    checks = [Check(name, ratio, thr, _grade(ratio, thr)) for name, ratio in ratios.items()]
     gamma_ordinary = gamma_eff / (2.0 * math.pi)
     in_band = GAMMA_BAND_HZ[0] <= gamma_ordinary <= GAMMA_BAND_HZ[1]
-    checks.append(
-        Check(
-            "gamma_magnitude",
-            gamma_ordinary / GAMMA_BAND_HZ[0],
-            1.0,
-            "pass" if in_band else "warn",
-        )
-    )
+    checks.append(Check("gamma_magnitude", gamma_ordinary / GAMMA_BAND_HZ[0], 1.0,
+                        "pass" if in_band else "warn"))
     return FeasibilityReport(gamma_eff=gamma_eff, c1=c1, checks=checks)

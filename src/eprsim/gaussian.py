@@ -101,7 +101,9 @@ class DriftDiffusion:
             raise ValueError("diffusion shape must match drift")
         if np.max(np.abs(d - d.T)) > SYMMETRY_ATOL:
             raise ValueError("diffusion must be symmetric")
-        if np.linalg.eigvalsh(d).min() < -PHYSICALITY_ATOL:
+        # Relative to D's scale: a cascade with gamma >> kappa_c has entries
+        # near 1e20 whose rounding leaves eigenvalues far below -1e-8.
+        if np.linalg.eigvalsh(d).min() < -PHYSICALITY_ATOL * max(1.0, np.abs(d).max()):
             raise ValueError("diffusion must be positive semidefinite")
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
@@ -134,7 +136,9 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
     nonsingular for a Hurwitz drift (its eigenvalues are the sums of two
     of A's).  A drift that is not Hurwitz raises ``ValueError``; a solution
     whose residual exceeds ``LYAPUNOV_RESIDUAL_TOL`` (relative to D)
-    raises :class:`~eprsim.hilbert.NumericalError`.
+    raises :class:`~eprsim.hilbert.NumericalError`.  The residual is
+    measured in units of D's largest entry, so a solve that overflowed
+    fails this check without a floating-point warning.
     """
     evals = np.linalg.eigvals(dd.drift)
     worst = evals[np.argmax(evals.real)]
@@ -147,8 +151,10 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
     kron_sum = np.kron(dd.drift, eye) + np.kron(eye, dd.drift)
     sigma = np.linalg.solve(kron_sum, -dd.diffusion.ravel()).reshape(n, n)
     sigma = (sigma + sigma.T) / 2.0
-    resid = np.linalg.norm(dd.drift @ sigma + sigma @ dd.drift.T + dd.diffusion)
-    if not resid <= LYAPUNOV_RESIDUAL_TOL * max(1.0, np.linalg.norm(dd.diffusion)):
+    # Both norms in units of D's largest entry, so squaring cannot overflow.
+    scale = max(1.0, np.abs(dd.diffusion).max())
+    resid = np.linalg.norm((dd.drift @ sigma + sigma @ dd.drift.T + dd.diffusion) / scale)
+    if not resid <= LYAPUNOV_RESIDUAL_TOL * max(1.0 / scale, np.linalg.norm(dd.diffusion / scale)):
         raise NumericalError(f"Lyapunov solve residual {resid:.3e} too large")
     return CovarianceState(np.zeros(n), sigma)
 

@@ -1,12 +1,14 @@
 """Entanglement and nonlocality diagnostics.
 
 Fock-space fidelity and mean phonon number operate on density matrices,
-the displaced-parity correlations and CHSH combinations on a pure state
-or a density matrix, and the Gaussian quantities (EPR criterion helper,
-logarithmic negativity) on covariance data.  The displaced-parity
-correlator is the measurable behind both the Bell test and the Wigner
-function, so the two are proportional point by point — a cross-check
-exercised in the tests.
+the CHSH combination on a pure state or a density matrix, and the
+Gaussian quantities (EPR criterion helper, logarithmic negativity) on
+covariance data.  The displaced-parity correlator behind the Bell test,
+:func:`~eprsim.states.displaced_parity_expectation`, is also the Wigner
+function up to a constant, E = (pi/2)**2 W (Banaszek & Wodkiewicz,
+PRA 58, 4345 (1998)); the tests cross-check the two point by point.
+The two contractions keep separate summation orders, which the golden
+files pin.
 """
 
 from __future__ import annotations
@@ -77,29 +79,14 @@ def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
     return value, value < 4.0
 
 
-def parity_correlation(state: PureState | DensityMatrix, alpha: complex, beta: complex) -> float:
-    """Joint displaced-parity correlator E(alpha, beta) in [-1, 1].
-
-    E = <D1(alpha) D2(beta) P1 P2 D2†(beta) D1†(alpha)> — the product of
-    displaced even/odd phonon-number measurements on the two modes.  Takes
-    a pure state or a density matrix and contracts only on its support.
-    """
-    if abs(alpha) > MAX_SETTING_MAGNITUDE or abs(beta) > MAX_SETTING_MAGNITUDE:
-        raise ValueError(
-            f"displacement magnitude exceeds truncation-safety bound {MAX_SETTING_MAGNITUDE}"
-        )
-    _warn_if_truncated(state, "parity_correlation")
-    return displaced_parity_expectation(state, alpha, beta)
-
-
 def chsh_value(state: PureState | DensityMatrix, s: BellSettings) -> float:
     """CHSH combination B = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
 
     |B| <= 2 for every separable state; displaced-parity measurements on
     the pair-correlated states here push B above 2 for suitable settings.
-    Takes a pure state or a density matrix, as :func:`parity_correlation`.
-    The settings were bounded when ``s`` was built, so the state's
-    truncation is checked once and the four correlators contracted directly.
+    Takes a pure state or a density matrix.  The settings were bounded when
+    ``s`` was built, so the state's truncation is checked once and the four
+    correlators contracted directly.
     """
     _warn_if_truncated(state, "chsh_value")
     e11 = displaced_parity_expectation(state, s.alpha1, s.beta1)

@@ -9,8 +9,8 @@ equivalent squeeze parameter ``r``, all closed-form rational functions
 of ``epsilon / kappa_c``.
 
 Quadrature normalization throughout the package: ``X = c + c†``,
-``Y = -i(c - c†)``, vacuum variance 1.  Spectra are reported as ratios
-to vacuum, so a squeezing spectrum of 1 means "no different from
+``Y = -i(c - c†)``, vacuum variance 1.  Spectra are plain arrays of
+ratios to vacuum, so a squeezing spectrum of 1 means "no different from
 vacuum".
 """
 
@@ -43,25 +43,6 @@ class NopaParams:
             )
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Squeezing spectra on a frequency grid (dimensionless, vacuum = 1)."""
-
-    omega: np.ndarray
-    sum_x_variance: np.ndarray
-    diff_y_variance: np.ndarray
-
-    def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
-        sx = np.asarray(self.sum_x_variance, dtype=float)
-        dy = np.asarray(self.diff_y_variance, dtype=float)
-        if not (om.shape == sx.shape == dy.shape):
-            raise ValueError("spectrum arrays must have equal length")
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "sum_x_variance", sx)
-        object.__setattr__(self, "diff_y_variance", dy)
-
-
 def transfer_function(p: NopaParams, omega):
     """Output transfer factor ``T(w) = (kappa_c - eps + iw)/(kappa_c + eps - iw)``.
 
@@ -77,15 +58,15 @@ def transfer_function(p: NopaParams, omega):
     return t
 
 
-def squeezing_spectra(p: NopaParams, omega_grid) -> SpectrumTable:
-    """Variance spectra of the squeezed output combinations.
+def squeezing_spectra(p: NopaParams, omega_grid) -> np.ndarray:
+    """Variance spectrum of the squeezed output combinations, ``|T(w)|**2``.
 
-    Both the X-sum and Y-difference combinations have variance
-    ``|T(w)|**2`` relative to vacuum.
+    The X-sum and Y-difference combinations have the same variance
+    relative to vacuum, so one array, one value per frequency of
+    ``omega_grid`` (a scalar counts as a one-point grid), serves both.
     """
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    var = np.abs(transfer_function(p, w)) ** 2
-    return SpectrumTable(w, var, var.copy())
+    return np.abs(transfer_function(p, w)) ** 2
 
 
 def effective_N_M(p: NopaParams) -> tuple[float, float]:

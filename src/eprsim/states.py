@@ -25,6 +25,9 @@ reproduces the analytic two-mode-squeezed form with the mapping
 ``a_j = q_j + i p_j``; in these variables the vacuum marginal is
 ``exp(-2 q**2)`` (i.e. ``Var(q) = 1/4``, consistent with ``q = Q/2``
 for the unit-vacuum-variance quadrature ``Q = b + b†``).
+Both Wigner routines return plain arrays: :func:`wigner_analytic`
+broadcasts over its coordinates, and :func:`wigner_from_density` takes
+four axes and fills their product grid.
 
 ``scipy.linalg`` is loaded by the first matrix exponential (a
 single-mode displacement, for a displaced parity), so :func:`tmss_fock`
@@ -62,31 +65,6 @@ class TmssSpec:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError(f"squeeze parameter must be >= 0, got {self.r}")
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    """Product grid of quadrature axes with Wigner values over it.
-
-    ``values`` has shape ``(len(q1), len(p1), len(q2), len(p2))`` or is
-    None for a grid that has not been evaluated yet.
-    """
-
-    q1: np.ndarray
-    p1: np.ndarray
-    q2: np.ndarray
-    p2: np.ndarray
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("q1", "p1", "q2", "p2"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if self.values is not None:
-            expected = (len(self.q1), len(self.p1), len(self.q2), len(self.p2))
-            vals = np.asarray(self.values, dtype=float)
-            if vals.shape != expected:
-                raise ValueError(f"values shape {vals.shape} != axes shape {expected}")
-            object.__setattr__(self, "values", vals)
 
 
 def tmss_fock(spec: TmssSpec, basis: FockBasis) -> PureState:
@@ -221,31 +199,32 @@ def displaced_parity_expectation(
     return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
 
 
-def wigner_from_density(state: PureState | DensityMatrix, grid: WignerGrid) -> WignerGrid:
+def wigner_from_density(state: PureState | DensityMatrix, q1, p1, q2, p2) -> np.ndarray:
     """Wigner function of a pure state or density matrix on a product grid.
 
-    Uses the displaced-parity representation with ``a_j = q_j + i p_j``
-    (see module docstring).  The factorized form — one displaced-parity
-    matrix per mode per phase-space point — turns the grid evaluation
-    into a single tensor contraction, over the state's support only (as
-    :func:`displaced_parity_expectation`).
+    Takes the four quadrature axes and returns the values as an array of
+    shape ``(len(q1), len(p1), len(q2), len(p2))``; an empty axis gives an
+    empty array of that shape.  Uses the displaced-parity representation
+    with ``a_j = q_j + i p_j`` (see module docstring).  The factorized
+    form — one displaced-parity matrix per mode per phase-space point —
+    turns the grid evaluation into a single tensor contraction, over the
+    state's support only (as :func:`displaced_parity_expectation`).
 
     Emits a :class:`TruncationWarning` when the state has significant
     population near the Fock-space edge, where displaced parities lose
     accuracy.
     """
     _warn_if_truncated(state, "wigner_from_density")
+    q1, p1, q2, p2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (q1, p1, q2, p2))
     n = state.basis.n_max
     rows, cols, block = _support(state)
     m0, m1 = (v[:, None] for v in np.divmod(rows, n))
     k0, k1 = np.divmod(cols, n)
-    a1 = grid.q1[:, None] + 1j * grid.p1[None, :]
-    a2 = grid.q2[:, None] + 1j * grid.p2[None, :]
+    a1 = q1[:, None] + 1j * p1[None, :]
+    a2 = q2[:, None] + 1j * p2[None, :]
     stack = (-1, len(rows), len(cols))  # keeps the axes when the grid is empty
     o1 = np.array([_displaced_parity_single(n, a)[k0, m0] for a in a1.ravel()]).reshape(stack)
     o2 = np.array([_displaced_parity_single(n, a)[k1, m1] for a in a2.ravel()]).reshape(stack)
     # E[i, j] over (mode-1 point i, mode-2 point j)
     corr = np.einsum("arc,brc->ab", block * o1, o2).real
-    vals = (2.0 / np.pi) ** 2 * corr
-    shape = (len(grid.q1), len(grid.p1), len(grid.q2), len(grid.p2))
-    return WignerGrid(grid.q1, grid.p1, grid.q2, grid.p2, vals.reshape(shape))
+    return ((2.0 / np.pi) ** 2 * corr).reshape(len(q1), len(p1), len(q2), len(p2))

@@ -506,7 +506,7 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command, module, s
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-def test_wigner_reemits_and_records_a_truncation_warning(tmp_path):
+def test_wigner_reemits_and_records_a_truncation_warning(tmp_path, capsys):
     cfg = write_config(tmp_path, {"schema_version": 1, **TRUNCATING["wigner"], "r": 0.8,
                                   "n_max": 4})
     out = tmp_path / "w.csv"
@@ -514,6 +514,8 @@ def test_wigner_reemits_and_records_a_truncation_warning(tmp_path):
         assert main(["wigner", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "w.csv.meta.json").read_text(encoding="utf-8"))
     assert meta["truncation_warning"] is True
+    # The re-emitted warning is the one report: no log line repeats it.
+    assert "truncation warning raised" not in capsys.readouterr().err
 
 
 def test_non_finite_number_rejected_in_any_command(tmp_path, capsys):
@@ -549,7 +551,7 @@ def _edge_of_m_bound():
      "config error: kappa_over_gamma: expected a non-empty list of positive finite numbers"),
     ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [1e-300]}, 3,
      "numerical failure: cascade at kappa_over_gamma 1e-300: "
-     "diffusion must be positive semidefinite"),
+     "Lyapunov solve residual nan too large"),
     ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [5e-324]}, 3,
      "numerical failure: cascade at kappa_over_gamma 5e-324: gamma must be finite, got inf"),
     ("steady-state", {"model": _edge_of_m_bound(), "n_max": 8}, 3,
@@ -584,6 +586,16 @@ def test_cascade_solves_the_broadband_extreme(tmp_path, capsys):
     _, rows = read_csv(capsys.readouterr().out)
     assert rows[0][0] == 1e300
     assert rows[0][1] == pytest.approx(rows[0][2], rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cascade_solves_the_narrowband_extreme(tmp_path, capsys):
+    """kappa/gamma 1e-20 gives the vacuum limit var_sum_q = 2 without a warning."""
+    cfg = write_config(tmp_path, {"schema_version": 1, "epsilon_over_kappa": 0.5,
+                                  "kappa_over_gamma": [1e-20]})
+    assert main(["cascade", "--config", cfg]) == 0
+    _, rows = read_csv(capsys.readouterr().out)
+    assert abs(rows[0][1] - 2.0) <= 1e-9
 
 
 def test_steady_state_report_is_independent_of_a_tiny_gamma(tmp_path):
@@ -723,6 +735,19 @@ def test_evolve_reproduces_golden_csv(tmp_path):
     cfg = REPO_ROOT / "configs" / "evolve_vacuum.json"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_bytes() == (REPO_ROOT / "golden" / "evolve_vacuum.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, config, goldens", [
+    ("nopa-spectrum", "nopa_spectrum", ["nopa_spectrum.csv"]),
+    ("feasibility", "feasibility_example", ["feasibility_example.json"]),
+    ("wigner", "wigner_slice", ["wigner_slice.csv", "wigner_slice.csv.meta.json"]),
+], ids=["nopa-spectrum", "feasibility", "wigner"])
+def test_shipped_config_reproduces_golden(tmp_path, command, config, goldens):
+    """Each artifact of a shipped config, byte for byte (the first is ``--out``)."""
+    cfg = REPO_ROOT / "configs" / f"{config}.json"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / goldens[0])]) == 0
+    for name in goldens:
+        assert (tmp_path / name).read_bytes() == (REPO_ROOT / "golden" / name).read_bytes()
 
 
 def test_module_entry_point(tmp_path):

@@ -22,7 +22,6 @@ from eprsim import (
     log_negativity,
     mean_phonon,
     model_from_lindblad,
-    parity_correlation,
     squeeze_parameter,
     steady_covariance,
     steady_state,
@@ -143,7 +142,7 @@ def test_parity_correlation_product_coherent():
     rho = coherent_product(basis, g1, g2).density_matrix()
     alpha, beta = 0.1, 0.25
     expected = np.exp(-2.0 * abs(g1 - alpha) ** 2) * np.exp(-2.0 * abs(g2 - beta) ** 2)
-    assert parity_correlation(rho, alpha, beta) == pytest.approx(expected, abs=1e-10)
+    assert displaced_parity_expectation(rho, alpha, beta) == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("r,j", [(0.1, 0.05), (0.6, 0.25), (1.2, 0.5)])
@@ -182,7 +181,7 @@ def test_support_contraction_matches_dense_reference(make_state):
     rho = state.density_matrix() if isinstance(state, PureState) else state
     for alpha, beta in [(0.0, 0.0), (0.3, -0.2), (0.4 - 0.2j, 0.1 + 0.3j), (-0.5j, 0.7)]:
         expected = dense_parity_expectation(rho, complex(alpha), complex(beta))
-        assert abs(parity_correlation(state, alpha, beta) - expected) <= 1e-12
+        assert abs(displaced_parity_expectation(state, alpha, beta) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -206,12 +205,6 @@ def test_chsh_sweep_matches_closed_form_wigner(sign):
             b_val = chsh_value(psi, BellSettings(0.0, root, 0.0, sign * root))
             ref = corr(0, 0) + corr(0, sign * root) + corr(root, 0) - corr(root, sign * root)
             assert abs(b_val - ref) <= math.tanh(r) ** n_max + 1e-9
-
-
-def test_parity_correlation_validation():
-    two = vacuum_state(FockBasis(6)).density_matrix()
-    with pytest.raises(ValueError, match="magnitude"):
-        parity_correlation(two, 3.5, 0.0)
 
 
 def test_bell_settings_validation():

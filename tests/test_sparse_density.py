@@ -21,7 +21,6 @@ from eprsim import (
     PureState,
     TmssSpec,
     TruncationWarning,
-    WignerGrid,
     effective_N_M,
     fidelity,
     mean_phonon,
@@ -96,10 +95,10 @@ def dense_ops(n):
     return np.kron(ladder, eye), np.kron(eye, ladder)
 
 
-def dense_wigner(el, n, grid):
+def dense_wigner(el, n, q1, p1, q2, p2):
     r4 = el.reshape(n, n, n, n)
-    a1 = (grid.q1[:, None] + 1j * grid.p1[None, :]).ravel()
-    a2 = (grid.q2[:, None] + 1j * grid.p2[None, :]).ravel()
+    a1 = (q1[:, None] + 1j * p1[None, :]).ravel()
+    a2 = (q2[:, None] + 1j * p2[None, :]).ravel()
     o1 = np.array([_displaced_parity_single(n, a) for a in a1])
     o2 = np.array([_displaced_parity_single(n, a) for a in a2])
     half = np.einsum("mpnq,anm->apq", r4, o1)
@@ -174,11 +173,11 @@ def test_support_matches_dense(state):
 
 def test_wigner_from_density_matches_dense(state):
     axis = np.linspace(-0.8, 0.8, 3)
-    grid = WignerGrid(axis, axis, axis, 0.5 * axis)
+    axes = (axis, axis, axis, 0.5 * axis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        got = wigner_from_density(state, grid).values
-    expected = dense_wigner(as_rho(state).elements, state.basis.n_max, grid)
+        got = wigner_from_density(state, *axes)
+    expected = dense_wigner(as_rho(state).elements, state.basis.n_max, *axes)
     assert np.max(np.abs(got.reshape(expected.shape) - expected)) <= TOL
 
 

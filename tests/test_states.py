@@ -6,7 +6,6 @@ from eprsim import (
     FockBasis,
     TmssSpec,
     TruncationWarning,
-    WignerGrid,
     edge_population,
     tmss_fock,
     vacuum_state,
@@ -129,36 +128,32 @@ def test_wigner_from_density_matches_analytic():
     spec = TmssSpec(0.3)
     rho = tmss_fock(spec, basis).density_matrix()
     axis = np.linspace(-1.0, 1.0, 3)
-    grid = WignerGrid(axis, axis, axis, axis)
-    out = wigner_from_density(rho, grid)
+    out = wigner_from_density(rho, axis, axis, axis, axis)
     mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     expected = wigner_analytic(spec, *mesh)
-    assert out.values.shape == (3, 3, 3, 3)
-    assert np.max(np.abs(out.values - expected)) < 1e-6
+    assert out.shape == (3, 3, 3, 3)
+    assert np.max(np.abs(out - expected)) < 1e-6
+
+
+def test_wigner_from_density_keeps_the_shape_of_an_empty_axis():
+    rho = tmss_fock(TmssSpec(0.2), FockBasis(6)).density_matrix()
+    assert wigner_from_density(rho, [], [0.0, 1.0], 0.0, [0.1, 0.2, 0.3]).shape == (0, 2, 1, 3)
 
 
 def test_wigner_equals_scaled_displaced_parity():
     basis = FockBasis(16)
     rho = tmss_fock(TmssSpec(0.2), basis).density_matrix()
-    point = WignerGrid([0.4], [-0.2], [0.1], [0.3])
-    w = wigner_from_density(rho, point).values[0, 0, 0, 0]
+    w = wigner_from_density(rho, 0.4, -0.2, 0.1, 0.3)[0, 0, 0, 0]
     e = displaced_parity_expectation(rho, 0.4 - 0.2j, 0.1 + 0.3j)
     assert w == pytest.approx((2.0 / np.pi) ** 2 * e, rel=1e-12)
 
 
-def test_wigner_grid_shape_validation():
-    with pytest.raises(ValueError, match="shape"):
-        WignerGrid([0.0, 1.0], [0.0], [0.0], [0.0], values=np.zeros((1, 1, 1, 1)))
-
-
 def test_edge_population_and_warning():
-    from eprsim import parity_correlation
-
     small = FockBasis(6)
     rho = tmss_fock(TmssSpec(1.2), small).density_matrix()
     assert edge_population(rho) > 1e-3
     with pytest.warns(TruncationWarning):
-        parity_correlation(rho, 0.1, 0.1)
+        wigner_from_density(rho, 0.1, 0.1, 0.1, 0.1)
 
     big = FockBasis(40)
     rho_ok = tmss_fock(TmssSpec(0.5), big).density_matrix()
