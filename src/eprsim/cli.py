@@ -189,22 +189,25 @@ def _sibling(out_path: str | None, suffix: str) -> str | None:
     return None if out_path is None else out_path + suffix
 
 
-def _density_csv(matrix):
-    """Chunks of the ``row, col, re, im`` CSV of every entry of a sparse CSR matrix.
+def _density_csv(rho):
+    """Chunks of the ``row, col, re, im`` CSV of every entry of a density matrix.
 
     All d**2 rows are written, zeros included; a row's zero entries come
     from one preformatted template, so only stored entries are formatted.
     """
     yield "row,col,re,im\n"
-    cols = [_fmt(j) for j in range(matrix.shape[1])]
-    zero_tails = [f",{col},0,0\n" for col in cols]
-    for i in range(matrix.shape[0]):
-        lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+    d = rho.basis.dimension
+    rows, cols = np.divmod(rho.keys, d)
+    bounds = np.searchsorted(rows, np.arange(d + 1))
+    labels = [_fmt(j) for j in range(d)]
+    zero_tails = [f",{label},0,0\n" for label in labels]
+    for i in range(d):
+        lo, hi = bounds[i], bounds[i + 1]
         tails = zero_tails
         if hi > lo:
             tails = list(zero_tails)
-            for j, v in zip(matrix.indices[lo:hi], matrix.data[lo:hi]):
-                tails[j] = f",{cols[j]},{_fmt(v.real)},{_fmt(v.imag)}\n"
+            for j, v in zip(cols[lo:hi], rho.values[lo:hi]):
+                tails[j] = f",{labels[j]},{_fmt(v.real)},{_fmt(v.imag)}\n"
         row = _fmt(i)
         yield row + row.join(tails)
 
@@ -270,7 +273,7 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
     }
     artifacts = [(out, _json_text(report))]
     if density_csv is not None:
-        artifacts.append((density_csv, _density_csv(rho.matrix)))
+        artifacts.append((density_csv, _density_csv(rho)))
     _write(*artifacts)
     return 0
 

@@ -134,7 +134,8 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
     The equation is solved as one linear system in the row-major vec of S,
     ``(kron(A, I) + kron(I, A)) vec(S) = -vec(D)``, whose matrix is
     nonsingular for a Hurwitz drift (its eigenvalues are the sums of two
-    of A's).  A drift that is not Hurwitz raises ``ValueError``; a solution
+    of A's), after A and D are scaled by the power of two nearest
+    ``1 / max|A|``.  A drift that is not Hurwitz raises ``ValueError``; a solution
     whose residual exceeds ``LYAPUNOV_RESIDUAL_TOL`` (relative to D)
     raises :class:`~eprsim.hilbert.NumericalError`.  The residual is
     measured in units of D's largest entry, so a solve that overflowed
@@ -148,13 +149,24 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
         )
     n = dd.drift.shape[0]
     eye = np.eye(n)
-    kron_sum = np.kron(dd.drift, eye) + np.kron(eye, dd.drift)
-    sigma = np.linalg.solve(kron_sum, -dd.diffusion.ravel()).reshape(n, n)
+    # The equation is homogeneous in (A, D).  Scaling both by the power of
+    # two nearest 1 / max|A| is exact, so S keeps its bits, and it keeps the
+    # solve and the residual in range for drifts near 1e300.
+    unit = np.ldexp(1.0, -int(np.round(np.log2(np.abs(dd.drift).max()))))
+    drift, diffusion = dd.drift * unit, dd.diffusion * unit
+    kron_sum = np.kron(drift, eye) + np.kron(eye, drift)
+    # An equation whose entries all lie below the rounding of the largest
+    # (a source 1e300 times slower than the atoms) is lifted to unit size,
+    # by a power of two too, so pivoting cannot bury it in that rounding.
+    row_max = np.abs(kron_sum).max(axis=1)
+    lift = np.where(row_max < np.finfo(float).eps,
+                    np.ldexp(1.0, -np.round(np.log2(row_max)).astype(int)), 1.0)
+    sigma = np.linalg.solve(kron_sum * lift[:, None], -diffusion.ravel() * lift).reshape(n, n)
     sigma = (sigma + sigma.T) / 2.0
     # Both norms in units of D's largest entry, so squaring cannot overflow.
-    scale = max(1.0, np.abs(dd.diffusion).max())
-    resid = np.linalg.norm((dd.drift @ sigma + sigma @ dd.drift.T + dd.diffusion) / scale)
-    if not resid <= LYAPUNOV_RESIDUAL_TOL * max(1.0 / scale, np.linalg.norm(dd.diffusion / scale)):
+    scale = max(1.0, np.abs(diffusion).max())
+    resid = np.linalg.norm((drift @ sigma + sigma @ drift.T + diffusion) / scale)
+    if not resid <= LYAPUNOV_RESIDUAL_TOL * max(1.0 / scale, np.linalg.norm(diffusion / scale)):
         raise NumericalError(f"Lyapunov solve residual {resid:.3e} too large")
     return CovarianceState(np.zeros(n), sigma)
 

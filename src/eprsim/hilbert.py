@@ -4,21 +4,22 @@ Everything downstream (dissipative dynamics, entangled-state construction,
 Bell correlators) is built on the small set of value types defined here:
 a truncated number-state basis, pure states and density matrices.
 Operators are not a type of their own: the master equation builds its
-sparse ladder operators in :mod:`eprsim.lindblad`, and the Bell and
-Wigner routines their single-mode displaced parities in
-:mod:`eprsim.states`.  All values are immutable after construction and
-all operations are pure functions, so they are safe to use concurrently.
-The package's error and warning types live here too, so every layer can
-raise them without importing scipy.
+ladder monomials in :mod:`eprsim.lindblad`, and the Bell and Wigner
+routines their single-mode displaced parities in :mod:`eprsim.states`.
+All values are immutable after construction and all operations are pure
+functions, so they are safe to use concurrently.  The package's error
+and warning types live here too, so every layer can raise them without
+importing scipy.
 
-A :class:`DensityMatrix` stores one sparse CSR matrix of its nonzero
-entries: the states eprsim solves for live in the delta = 0 sector, about
-``n_max**3`` of the ``n_max**4`` entries, and a pure state's density
-matrix is the outer product on its amplitude support.  Every routine here
-works on the stored entries; ``DensityMatrix.elements`` builds the dense
-d x d array on request (d**2 complex values) and no library path reads it.
-scipy is imported inside the routines that need it, so importing this
-module loads numpy only.
+A :class:`DensityMatrix` stores its nonzero entries as two arrays: the
+sorted flat keys ``row * d + col`` and their complex values.  The states
+eprsim solves for live in the delta = 0 sector, about ``n_max**3`` of the
+``n_max**4`` entries, and a pure state's density matrix is the outer
+product on its amplitude support.  Every routine reads those two arrays,
+finding entries by :func:`_lookup` (a ``searchsorted`` on the keys);
+``DensityMatrix.elements`` builds the dense d x d array on request (d**2
+complex values) and no library path reads it.  The module needs numpy
+only: scipy is loaded by the first :func:`_expm` call.
 
 Conventions
 -----------
@@ -31,8 +32,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -93,24 +93,21 @@ class PureState:
 
     def density_matrix(self) -> "DensityMatrix":
         """``|psi><psi|`` of the normalized state, stored on its amplitude support."""
-        import scipy.sparse as sp
-
         psi = self.normalized().amplitudes
         idx = np.flatnonzero(psi)
-        block = np.outer(psi[idx], psi[idx].conj())
-        rows, cols = np.repeat(idx, len(idx)), np.tile(idx, len(idx))
-        d = self.basis.dimension
-        return DensityMatrix(self.basis, sp.csr_matrix((block.ravel(), (rows, cols)), (d, d)))
+        keys = idx[:, None] * self.basis.dimension + idx
+        return DensityMatrix(self.basis, (keys, np.outer(psi[idx], psi[idx].conj())))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density operator on a :class:`FockBasis`, stored as a sparse matrix.
+    """Density operator on a :class:`FockBasis`, stored by its nonzero entries.
 
-    ``matrix`` may be given as a dense array or as a scipy sparse matrix;
-    it is kept as a complex CSR matrix of the nonzero entries (canonical:
-    sorted indices, no duplicates, no explicit zeros).  :attr:`elements`
-    builds the dense array on request.
+    ``matrix`` is a dense d x d array or a pair ``(keys, values)`` of flat
+    indices ``row * d + col`` and their values, repeated keys summed.
+    Either way the state keeps two arrays: ``keys``, the sorted flat
+    indices of its nonzero entries, and ``values``, their complex values.
+    :attr:`elements` builds the dense array on request.
 
     Construction checks the shape only, not Hermiticity, unit trace or
     positivity; the tests check the solvers' states against a dense
@@ -118,35 +115,56 @@ class DensityMatrix:
     """
 
     basis: FockBasis
-    matrix: Any
+    matrix: InitVar[object]
+    keys: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        import scipy.sparse as sp
-
+    def __post_init__(self, matrix):
         d = self.basis.dimension
-        mat = self.matrix if sp.issparse(self.matrix) else np.asarray(self.matrix)
-        if mat.shape != (d, d):
-            raise ValueError(
-                f"density matrix shape {mat.shape} does not match basis dimension {d}"
-            )
-        mat = sp.csr_matrix(mat, dtype=complex, copy=True)
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        object.__setattr__(self, "matrix", mat)
+        if isinstance(matrix, tuple):
+            keys, inverse = np.unique(np.asarray(matrix[0], dtype=np.int64).ravel(),
+                                      return_inverse=True)
+            values = np.zeros(len(keys), dtype=complex)
+            np.add.at(values, inverse, np.asarray(matrix[1], dtype=complex).ravel())
+            if len(keys) and not 0 <= keys[0] <= keys[-1] < d * d:
+                raise ValueError(f"density matrix keys must lie in [0, {d * d})")
+        else:
+            dense = np.asarray(matrix, dtype=complex)
+            if dense.shape != (d, d):
+                raise ValueError(
+                    f"density matrix shape {dense.shape} does not match basis dimension {d}"
+                )
+            keys = np.flatnonzero(dense)
+            values = dense.ravel()[keys]
+        nonzero = values != 0
+        object.__setattr__(self, "keys", keys[nonzero])
+        object.__setattr__(self, "values", values[nonzero])
 
     @property
     def elements(self) -> np.ndarray:
         """The dense d x d array; allocates d**2 complex values on each call."""
-        return self.matrix.toarray()
+        d = self.basis.dimension
+        out = np.zeros(d * d, dtype=complex)
+        out[self.keys] = self.values
+        return out.reshape(d, d)
 
     def trace(self) -> complex:
-        return complex(self.matrix.diagonal().sum())
+        on_diagonal = self.keys % (self.basis.dimension + 1) == 0  # row * d + row
+        return complex(self.values[on_diagonal].sum())
 
     def normalized(self) -> "DensityMatrix":
         tr = self.trace().real
         if tr <= 0:
             raise ValueError(f"trace must be positive to normalize, got {tr}")
-        return DensityMatrix(self.basis, self.matrix / tr)
+        return DensityMatrix(self.basis, (self.keys, self.values / tr))
+
+
+def _lookup(keys, values, wanted, absent=-1) -> np.ndarray:
+    """``values`` at the position of each ``wanted`` in the sorted ``keys`` (``absent`` if none)."""
+    if len(keys) == 0:
+        return np.full(np.shape(wanted), absent)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, values[at], absent)
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:

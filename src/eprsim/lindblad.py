@@ -28,27 +28,29 @@ constant on the orbits of {1, T, S, TS} stays so, and the orbits number
 about a quarter of the sector.  Every term changes the total excitation
 ``m0 + m1 + n0 + n1`` by 0 or +-2, so ordered by the level (half that
 sum) the orbit-space generator is block tridiagonal.  The generator is
-held as the sparse factor pairs of :func:`_terms` (no d**2 x d**2
-matrix is formed), and both solvers work on these orbits, with one
-assembler (:func:`_sector_matrix`):
+held as the factor pairs of :func:`_terms` (no d**2 x d**2 matrix is
+formed).  Each factor is a numpy ladder monomial, a shift per mode and a
+weight per basis state, so it has at most one entry per row.  Both
+solvers work on the orbits, with one assembler (:func:`_sector_matrix`,
+which returns COO triplets):
 
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels (dense blocks of at most a few hundred
-  orbits) and certifies the result on the unreduced space;
+  orbits) and certifies the result on the unreduced sector, term by term;
 * :func:`evolve` propagates one real value per orbit with
   ``expm_multiply`` from the vacuum, where the atoms start.
 
-States come out as sparse :class:`~eprsim.hilbert.DensityMatrix` values.
-The solvers scatter their solution into a sparse matrix of the sector
-entries, and the positions of vec indices are looked up by
-``searchsorted`` on the sorted sector indices, so no array of the d**2
-vectorized entries is made.  :func:`moments` gives the second moments
-and purity that the CLI and the acceptance criteria read off each state,
-summed over stored entries only.
+States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
+sorted vec indices of the sector entries and their values.  Positions of
+vec indices are looked up by ``searchsorted`` on sorted indices, so no
+array of the d**2 vectorized entries is made.  :func:`moments` gives the
+second moments and purity that the CLI and the acceptance criteria read
+off each state, summed over stored entries only.
 
-Only ``scipy.sparse`` is imported with the module: :func:`steady_state`
-needs nothing else, and :func:`evolve` imports ``scipy.sparse.linalg``
-for ``expm_multiply`` when it runs.
+:func:`steady_state` and :func:`purity` need numpy only.  ``scipy.sparse``
+is imported inside :func:`evolve`, for the orbit matrix and
+``expm_multiply``, and inside :func:`moments`, for its quadrature
+operators.
 """
 
 from __future__ import annotations
@@ -59,14 +61,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning
+from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning, _lookup
 from .states import TRUNCATION_POP_WARN, edge_population
 
 log = logging.getLogger(__name__)
 
 STEADY_RESIDUAL_TOL = 1e-8
+
+# Bound on ||L||_1 * (t_end - t_0) for one evolve call, which sets the step
+# count of expm_multiply.  The shipped config needs 3.7e3 and the tests at
+# most 5.8e3; gamma 1e6 on a 6-level basis needs 8e8, over a minute of work.
+_EVOLVE_WORK_BUDGET = 5e4
 
 
 @dataclass(frozen=True)
@@ -117,27 +123,61 @@ class EvolutionResult:
 
 
 def _ladders(basis: FockBasis):
-    """Sparse real annihilation operators (b1, b2) of a two-mode basis."""
+    """Sparse real annihilation operators (b1, b2) of a two-mode basis, for :func:`moments`."""
+    import scipy.sparse as sp
+
     ladder = sp.diags(np.sqrt(np.arange(1.0, basis.n_max)), 1, format="csr")
     eye_1 = sp.identity(basis.n_max, format="csr")
     return sp.kron(ladder, eye_1, format="csr"), sp.kron(eye_1, ladder, format="csr")
 
 
+def _shifted(weight, shift, basis: FockBasis) -> np.ndarray:
+    """``weight`` at the state ``u + shift`` of each basis state u (0 outside the box)."""
+    n = basis.n_max
+    m0, m1 = np.divmod(np.arange(basis.dimension), n)
+    t0, t1 = m0 + shift[0], m1 + shift[1]
+    inside = (t0 >= 0) & (t0 < n) & (t1 >= 0) & (t1 < n)
+    return np.where(inside, weight[np.where(inside, t0 * n + t1, 0)], 0.0)
+
+
+def _flat(shift, basis: FockBasis) -> int:
+    """The change of the composite index under a per-mode ``shift`` inside the box."""
+    return shift[0] * basis.n_max + shift[1]
+
+
 def _terms(model: LindbladModel, basis: FockBasis):
     """Generator as a list of (coeff, A, B) meaning sum coeff * A rho B.
 
-    A and B are sparse (the ladder operators are banded); coefficients
-    and matrix entries are real.
+    A and B are ladder monomials ``(shift, weight)``: row u of the operator
+    holds ``weight[u]`` in the column of the state ``u + shift`` (a shift
+    per mode), and a zero weight leaves the row empty.  Products and
+    adjoints of monomials are monomials; coefficients and weights are real.
     """
     g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
-    b1, b2 = _ladders(basis)
-    b1d, b2d = b1.T.tocsr(), b2.T.tocsr()
-    eye = sp.identity(basis.dimension, format="csr")
+    n = basis.n_max
+
+    def ladder(mode):
+        m = np.divmod(np.arange(basis.dimension), n)[mode]
+        return (1 - mode, mode), np.sqrt(np.where(m < n - 1, m + 1.0, 0.0))
+
+    def product(a, b):
+        # (A B)[u, u + sa + sb] = A[u, u + sa] * B[u + sa, u + sa + sb], left factor first
+        (sa, wa), (sb, wb) = a, b
+        return (sa[0] + sb[0], sa[1] + sb[1]), wa * _shifted(wb, sa, basis)
+
+    def adjoint(a):
+        # A†[u, u - sa] = A[u - sa, u]
+        (s0, s1), wa = a
+        return (-s0, -s1), _shifted(wa, (-s0, -s1), basis)
+
+    b1, b2 = ladder(0), ladder(1)
+    b1d, b2d = adjoint(b1), adjoint(b2)
+    eye = ((0, 0), np.ones(basis.dimension))
     terms = []
 
     def dissipator(rate, lop, lopd):
         # rate * (2 L rho L† - L†L rho - rho L†L)
-        ldl = lopd @ lop
+        ldl = product(lopd, lop)
         terms.append((2.0 * rate, lop, lopd))
         terms.append((-rate, ldl, eye))
         terms.append((-rate, eye, ldl))
@@ -150,8 +190,8 @@ def _terms(model: LindbladModel, basis: FockBasis):
             dissipator(1.0 * h, bd, b)   # n_th = 1
     if m_p != 0:
         c = 2.0 * g * m_p
-        pair = b1 @ b2
-        paird = b1d @ b2d
+        pair = product(b1, b2)
+        paird = product(b1d, b2d)
         terms.append((c, b1, b2))
         terms.append((c, b2, b1))
         terms.append((-c, pair, eye))
@@ -180,53 +220,53 @@ def _sector_indices(basis: FockBasis) -> np.ndarray:
     return ((m0 * n + m1) * d + n0 * n + n1)[keep]
 
 
-def _lookup(keys, values, wanted) -> np.ndarray:
-    """``values`` at the position of each ``wanted`` in the sorted ``keys`` (-1 if absent)."""
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    return np.where(keys[at] == wanted, values[at], -1)
-
-
-def _entries(indptr, keys):
-    """Stored entries of the CSR rows (or CSC columns) ``keys``.
-
-    Returns (owner, pos): ``pos`` indexes the matrix's ``indices``/``data``
-    and ``owner`` is the position in ``keys`` each entry belongs to.
-    """
-    start = indptr[keys]
-    counts = indptr[keys + 1] - start
-    owner = np.repeat(np.arange(len(keys)), counts)
-    pos = np.arange(owner.size) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-    return owner, pos
-
-
-def _sector_matrix(terms, basis: FockBasis, tgt, row_pos, members, col_pos, shape):
-    """Generator restricted to given rows and summed into given columns, as CSC.
+def _sector_matrix(terms, basis: FockBasis, tgt, row_pos, members, col_pos):
+    """Generator restricted to given rows and summed into given columns, as COO triplets.
 
     Keeps the rows at the sorted vec indices ``tgt``, as matrix rows
     ``row_pos``, and sums each column at a sorted vec index ``members`` into
     matrix column ``col_pos`` (columns elsewhere drop out; lookups are
     ``searchsorted``, so nothing is allocated per vec index).  Built
-    generically from the (coeff, A, B) factor pairs: the superoperator entry
-    ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, enumerated from the
-    kept rows, so the work scales with their count.
+    generically from the (coeff, A, B) monomial pairs: the superoperator
+    entry ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, and a
+    monomial has at most one entry per row and per column, so each kept row
+    gives at most one entry per term.  Returns (rows, cols, vals): term by
+    term, in the order of ``tgt`` within a term, with repeated (row, col)
+    pairs not summed.
     """
     d = basis.dimension
+    u, v = np.divmod(tgt, d)
     rows, cols, vals = [], [], []
-    for coeff, a_mat, b_mat in terms:
-        a_csr, b_csc = sp.csr_matrix(a_mat), sp.csc_matrix(b_mat)
-        k, ia = _entries(a_csr.indptr, tgt // d)        # A[u, a]
-        kb, ib = _entries(b_csc.indptr, tgt[k] % d)     # B[c, v]
-        k, ia = k[kb], ia[kb]
-        src = _lookup(members, col_pos, a_csr.indices[ia] * d + b_csc.indices[ib])
-        keep = src >= 0
-        rows.append(row_pos[k[keep]])
+    for coeff, (sa, wa), (sb, wb) in terms:
+        a_w = wa[u]                                              # A[u, u + sa]
+        b_w = _shifted(wb, (-sb[0], -sb[1]), basis)[v]           # B[v - sb, v]
+        src = _lookup(members, col_pos, (u + _flat(sa, basis)) * d + v - _flat(sb, basis))
+        keep = (a_w != 0) & (b_w != 0) & (src >= 0)
+        rows.append(row_pos[keep])
         cols.append(src[keep])
-        vals.append(coeff * a_csr.data[ia[keep]] * b_csc.data[ib[keep]])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    )
-    return mat.tocsc()
+        vals.append(coeff * a_w[keep] * b_w[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _sector_residual(terms, basis: FockBasis, indices, values) -> np.ndarray:
+    """L(rho) at the sorted sector vec ``indices``, for rho holding ``values`` there.
+
+    Pushes each stored entry through each term on its own, not through the
+    assembler :func:`_sector_matrix`: ``A rho B`` takes the entry at (u, v)
+    to (u - sa, v + sb) with the weight ``A[u - sa, u] * B[v, v + sb]``.
+    The generator keeps the sector, so every target is one of ``indices``,
+    and no two entries of one term share a target.
+    """
+    d = basis.dimension
+    u, v = np.divmod(indices, d)
+    out = np.zeros(len(indices))
+    for coeff, (sa, wa), (sb, wb) in terms:
+        a_w = _shifted(wa, (-sa[0], -sa[1]), basis)[u]
+        b_w = wb[v]
+        keep = (a_w != 0) & (b_w != 0)
+        tgt = (u[keep] - _flat(sa, basis)) * d + v[keep] + _flat(sb, basis)
+        out[np.searchsorted(indices, tgt)] += coeff * a_w[keep] * values[keep] * b_w[keep]
+    return out
 
 
 def _level(vec_indices, basis: FockBasis) -> np.ndarray:
@@ -259,50 +299,77 @@ def _orbits(indices, basis: FockBasis):
 
 
 def _orbit_system(terms, basis: FockBasis, first_row: int):
-    """The generator on the orbits of :func:`_orbits`, as CSR.
+    """The generator on the orbits of :func:`_orbits`, as COO triplets.
 
     Rows are kept at the representatives of orbits ``first_row`` and up
     (the vacuum's row is empty for ``first_row = 1``) and columns are summed
-    over each orbit.  Returns (indices, orbit, reps, mat): the sector's vec
-    indices, the orbit of each, each orbit's representative and the matrix.
+    over each orbit.  Returns (indices, orbit, reps, (rows, cols, vals)):
+    the sector's vec indices, the orbit of each, each orbit's
+    representative and the unsummed triplets of :func:`_sector_matrix`.
     """
     indices = _sector_indices(basis)
     orbit, reps = _orbits(indices, basis)
     kept = np.argsort(reps[first_row:]) + first_row
-    size = len(reps)
-    mat = _sector_matrix(terms, basis, reps[kept], kept, indices, orbit, (size, size))
-    return indices, orbit, reps, mat.tocsr()
+    return indices, orbit, reps, _sector_matrix(terms, basis, reps[kept], kept, indices, orbit)
 
 
-def _eliminate_levels(mat, bounds):
-    """Solve the steady-state equations level by level (block Thomas).
+def _summed(rows, cols, vals, size):
+    """The triplets with each (row, col) once, repeats summed, sorted by row and column."""
+    pairs = rows * size + cols
+    order = np.argsort(pairs, kind="stable")
+    pairs, vals = pairs[order], vals[order]
+    del order  # at n_max 40 each of these arrays is a few MB
+    first = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]])
+    return (*np.divmod(pairs[first], size), np.add.reduceat(vals, first))
 
-    ``mat`` (CSR) holds the generator on the orbits, with level ``l`` at
-    orbits ``bounds[l]:bounds[l + 1]``; it is block tridiagonal over the
+
+def _eliminate_levels(rows, cols, vals, bounds):
+    """Solve the steady-state equations level by level (block elimination).
+
+    ``(rows, cols, vals)`` are the generator's entries on the orbits, each
+    (row, col) once and sorted by row, with level ``l`` at orbits
+    ``bounds[l]:bounds[l + 1]``; the matrix is block tridiagonal over the
     levels, with blocks ``Lo_l``, ``D_l``, ``Up_l`` coupling level ``l`` to
     ``l - 1``, ``l``, ``l + 1``.  The vacuum (level 0) is pinned to 1 and
-    its row, dependent because the trace is preserved, is not used.  For
-    ``l = 1, 2, ...`` the dense Schur block ``S_l = D_l - Lo_l X_{l-1}``
-    gives ``[X_l | y_l] = S_l^{-1} [Up_l | -Lo_l y_{l-1}]``, and back
-    substitution ``x_l = y_l - X_l x_{l+1}`` the unnormalized solution.
-    Returns it with the number of stored entries of the ``[X_l | y_l]``.
+    its row, dependent because the trace is preserved, is not used.  From
+    the top level down, the dense Schur block ``S_l = D_l + Up_l W_{l+1}``
+    gives ``W_l = -S_l^{-1} Lo_l``, so that ``x_l = W_l x_{l-1}``; from the
+    vacuum up, these products give the unnormalized solution.  Eliminating
+    from the top is the stable direction: near ``M = sqrt(N (N + 1))`` it
+    leaves about a hundredth of the residual that eliminating from the
+    vacuum does.  ``D_l`` and ``Lo_l`` are filled densely; ``Up_l`` has a
+    few entries per row, so ``Up_l W_{l+1}`` is a sum of row gathers, one
+    per entry slot.  Returns the solution with the number of stored
+    entries of the ``W_l``.
     """
-    size = mat.shape[0]
-    levels = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])] + [slice(size, size)]
-    kept = []
-    x_block, y = np.zeros((1, bounds[2] - bounds[1])), np.ones(1)  # X_0, y_0
-    for lv in range(1, len(levels) - 1):
-        rows = levels[lv]
-        lower = mat[rows, levels[lv - 1]]
-        schur = mat[rows, rows].toarray() - lower @ x_block
-        rhs = np.column_stack([mat[rows, levels[lv + 1]].toarray(), -(lower @ y)])
-        sol = np.linalg.solve(schur, rhs)
-        x_block, y = sol[:, :-1], sol[:, -1]
-        kept.append(sol)
-    x = [y]
-    for sol in reversed(kept[:-1]):
-        x.append(sol[:, -1] - sol[:, :-1] @ x[-1])
-    return np.concatenate([[1.0], *reversed(x)]), sum(sol.size for sol in kept)
+    sizes = np.diff(bounds)
+    offsets = np.r_[0, np.cumsum(sizes[1:] * sizes[:-1])]  # W_l at offsets[l - 1]:offsets[l]
+    # One buffer holds every W_l: its pages become resident level by level,
+    # and the per-level temporaries are not scattered between them.
+    store = np.empty(offsets[-1])
+    starts = np.searchsorted(rows, bounds)
+    w_above = None  # W_{l+1}; the top level has no level above
+    for lv in range(len(sizes) - 1, 0, -1):
+        lo, mid, hi = bounds[lv - 1:lv + 2]
+        at = slice(starts[lv], starts[lv + 1])
+        r, c, v = rows[at] - mid, cols[at], vals[at]
+        below, above = c < mid, c >= hi
+        within = ~below & ~above
+        schur = np.zeros((hi - mid, hi - mid))
+        schur[r[within], c[within] - mid] = v[within]
+        minus_lower = np.zeros((hi - mid, mid - lo))
+        minus_lower[r[below], c[below] - lo] = -v[below]
+        r, c, v = r[above], c[above] - hi, v[above]
+        slot = np.arange(len(r)) - np.searchsorted(r, r)  # position within its row
+        for k in range(slot.max(initial=-1) + 1):
+            take = slot == k
+            schur[r[take]] += v[take, None] * w_above[c[take]]
+        w_above = store[offsets[lv - 1]:offsets[lv]].reshape(minus_lower.shape)
+        w_above[...] = np.linalg.solve(schur, minus_lower)
+    x = [np.ones(1)]
+    for lv in range(1, len(sizes)):
+        x.append(store[offsets[lv - 1]:offsets[lv]].reshape(sizes[lv], -1) @ x[-1])
+    return np.concatenate(x), store.size
 
 
 def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
@@ -311,13 +378,13 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
     kept at the orbit representatives and columns summed over each orbit.
     Ordered by excitation level, this system is block tridiagonal, and
-    :func:`_eliminate_levels` solves it with dense level blocks and the
-    vacuum pinned; the result is then divided by its trace and scattered
-    into a sparse matrix of the sector entries, which is returned as is.
-    The full state is certified by the unreduced residual
-    ``||L(rho)||_F < STEADY_RESIDUAL_TOL``, the norm of the stored entries of
-    L(rho) summed term by term from :func:`_terms` (so not by the assembler
-    that built the solved system); a singular level block or a failed
+    :func:`_eliminate_levels` solves it with dense level blocks, from the
+    top level down, and the vacuum pinned; the result is then divided by
+    its trace and spread over the sector entries, which are returned as
+    they are.  The full state is certified by the unreduced residual
+    ``||L(rho)||_F < STEADY_RESIDUAL_TOL``, the norm of L(rho) on the sector
+    summed term by term from :func:`_terms` (so not by the assembler that
+    built the solved system); a singular level block or a failed
     certification raises :class:`NumericalError`.  A
     :class:`~eprsim.hilbert.TruncationWarning` is emitted when the top Fock
     level holds more than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the
@@ -328,26 +395,25 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     t0 = time.perf_counter()
     d = basis.dimension
     terms = _terms(model, basis)
-    indices, orbit, reps, mat = _orbit_system(terms, basis, first_row=1)
+    indices, orbit, reps, (rows, cols, vals) = _orbit_system(terms, basis, first_row=1)
     size = len(reps)
+    rows, cols, vals = _summed(rows, cols, vals, size)  # frees the unsummed triplets
     bounds = np.r_[0, np.cumsum(np.bincount(_level(reps, basis)))]
     t1 = time.perf_counter()
     try:
-        x, stored = _eliminate_levels(mat, bounds)
+        x, stored = _eliminate_levels(rows, cols, vals, bounds)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
-    rho_sp = sp.csr_matrix((x[orbit] / x[diag].sum(), (indices // d, indices % d)), (d, d))
+    values = x[orbit] / x[diag].sum()
     t2 = time.perf_counter()
-    resid_mat = sum(coeff * (a @ rho_sp @ b) for coeff, a, b in terms)
-    resid_mat.sum_duplicates()
-    resid = float(np.linalg.norm(resid_mat.data))
+    resid = float(np.linalg.norm(_sector_residual(terms, basis, indices, values)))
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
         "largest level %d, stored %d, residual %.3e; assemble %.3fs, eliminate %.3fs, "
         "certify %.3fs",
-        len(indices), size, mat.nnz, len(bounds) - 1, np.diff(bounds).max(), stored,
+        len(indices), size, len(vals), len(bounds) - 1, np.diff(bounds).max(), stored,
         resid, t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < STEADY_RESIDUAL_TOL:
@@ -355,7 +421,7 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
             f"steady-state residual {resid:.3e} exceeds tolerance {STEADY_RESIDUAL_TOL:.0e}"
         )
 
-    rho = DensityMatrix(basis, rho_sp)
+    rho = DensityMatrix(basis, (indices, values))
     pop = edge_population(rho, fraction=0.0)  # the top level alone
     if pop > TRUNCATION_POP_WARN:
         warnings.warn(
@@ -378,11 +444,13 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
     eliminates plus its vacuum row.  The generator does not depend on time,
     so the propagation is one ``expm_multiply`` call over the grid (Al-Mohy &
     Higham 2011) at its double-precision tolerance; a single time gives the
-    vacuum alone.  The returned states are sparse, real and exactly
-    symmetric.  A propagation that overflows raises
-    :class:`~eprsim.hilbert.NumericalError`.
+    vacuum alone.  The returned states are real and exactly symmetric.  The
+    work of ``expm_multiply`` grows with ``||L||_1 * (times[-1] - times[0])``;
+    where that estimate exceeds a fixed budget (5e4)
+    :class:`~eprsim.hilbert.NumericalError` is raised before any propagation.
     """
-    from scipy.sparse.linalg import expm_multiply
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply, norm
 
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -393,28 +461,27 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
         raise ValueError("times must be the uniform grid np.linspace(times[0], times[-1], n)")
 
     t0 = time.perf_counter()
-    d = basis.dimension
-    indices, orbit, reps, mat = _orbit_system(_terms(model, basis), basis, first_row=0)
-    vec = np.zeros(len(reps))
+    indices, orbit, reps, (rows, cols, vals) = _orbit_system(
+        _terms(model, basis), basis, first_row=0)
+    size = len(reps)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc().tocsr()
+    del rows, cols, vals
+    work = norm(mat, 1) * (times[-1] - times[0])
+    if not work <= _EVOLVE_WORK_BUDGET:
+        raise NumericalError(
+            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {work:.2e} exceeds the "
+            f"budget {_EVOLVE_WORK_BUDGET:.0e}; shorten the time span, or lower gamma or n_max")
+    vec = np.zeros(size)
     vec[0] = 1.0  # the vacuum
     t1 = time.perf_counter()
-    # expm_multiply picks its step count from estimated norms of powers of
-    # L t; where those overflow (gamma ~ 1e40 and up) it would fail on a
-    # NaN count, so the first overflow is raised as a numerical failure.
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            vecs = [vec] if len(times) == 1 else expm_multiply(
-                mat, vec, start=0.0, stop=times[-1] - times[0], num=len(times), endpoint=True)
-        except FloatingPointError as exc:
-            raise NumericalError(f"evolve: propagation overflowed ({exc})") from exc
+    vecs = [vec] if len(times) == 1 else expm_multiply(
+        mat, vec, start=0.0, stop=times[-1] - times[0], num=len(times), endpoint=True)
     t2 = time.perf_counter()
     log.info(
         "evolve: orbits path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
-        len(reps), mat.nnz, t1 - t0, t2 - t1,
+        size, mat.nnz, t1 - t0, t2 - t1,
     )
-    rows, cols = indices // d, indices % d
-    states = [DensityMatrix(basis, sp.csr_matrix((vec[orbit], (rows, cols)), (d, d)))
-              for vec in vecs]
+    states = [DensityMatrix(basis, (indices, vec[orbit])) for vec in vecs]
     return EvolutionResult(times, states, **moments(states))
 
 
@@ -427,6 +494,7 @@ def moments(states) -> dict[str, np.ndarray]:
     basis (vacuum variance 1 per mode).  Each ``tr(rho O)`` is summed over
     the nonzero entries of the sparse operator ``O`` only.
     """
+    d = states[0].basis.dimension
     b1, b2 = _ladders(states[0].basis)
     q_sum = b1 + b1.T + b2 + b2.T
     p_diff = -1j * (b1 - b1.T) + 1j * (b2 - b2.T)
@@ -435,7 +503,8 @@ def moments(states) -> dict[str, np.ndarray]:
     values = {}
     for key, op in ops.items():
         op = op.tocoo()
-        values[key] = np.array([np.sum(op.data * _stored_at(s.matrix, op.col, op.row))
+        transposed = op.col.astype(np.int64) * d + op.row  # rho[col, row] pairs with O[row, col]
+        values[key] = np.array([np.sum(op.data * _lookup(s.keys, s.values, transposed, 0))
                                 for s in states])
     return {
         "n1": values["n1"].real,
@@ -452,10 +521,6 @@ def purity(rho: DensityMatrix) -> float:
 
     Summed over the stored entries of rho only.
     """
-    coo = rho.matrix.tocoo()
-    return float(np.sum(coo.data * _stored_at(rho.matrix, coo.col, coo.row)).real)
-
-
-def _stored_at(mat, rows, cols) -> np.ndarray:
-    """Entries ``mat[rows[k], cols[k]]`` of a sparse matrix (0 where none is stored)."""
-    return np.asarray(mat[rows, cols]).ravel()
+    rows, cols = np.divmod(rho.keys, rho.basis.dimension)
+    transposed = cols * rho.basis.dimension + rows
+    return float(np.sum(rho.values * _lookup(rho.keys, rho.values, transposed, 0)).real)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussian import CovarianceState, symplectic_form
 from .hilbert import DensityMatrix, PureState
-from .states import displaced_parity_expectation, _warn_if_truncated
+from .states import _populations, _warn_if_truncated, displaced_parity_expectation
 
 # Displacements beyond this magnitude push coherent amplitude into the
 # truncation edge for typical n_max; reject rather than silently degrade.
@@ -53,7 +53,8 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
     if rho.basis != target.basis:
         raise ValueError(f"basis mismatch: {rho.basis} vs {target.basis}")
     psi = target.normalized().amplitudes
-    return float(np.real(psi.conj() @ (rho.matrix @ psi)))
+    rows, cols = np.divmod(rho.keys, rho.basis.dimension)
+    return float(np.sum(psi[rows].conj() * rho.values * psi[cols]).real)
 
 
 def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
@@ -61,7 +62,7 @@ def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
     if mode_index not in (0, 1):
         raise ValueError(f"mode_index must be 0 or 1, got {mode_index}")
     n = rho.basis.n_max
-    pops = rho.matrix.diagonal().real.reshape(n, n)
+    pops = _populations(rho).reshape(n, n)
     marginal = np.moveaxis(pops, mode_index, 0).reshape(n, -1).sum(axis=1)
     return float(np.arange(n) @ marginal)
 

@@ -119,7 +119,11 @@ def _populations(state: PureState | DensityMatrix) -> np.ndarray:
     if isinstance(state, PureState):
         psi = state.normalized().amplitudes
         return (psi * psi.conj()).real
-    return state.matrix.diagonal().real
+    d = state.basis.dimension
+    on_diagonal = state.keys % (d + 1) == 0  # row * d + row
+    pops = np.zeros(d)
+    pops[state.keys[on_diagonal] // (d + 1)] = state.values[on_diagonal].real
+    return pops
 
 
 def edge_population(state: PureState | DensityMatrix, fraction: float = 0.1) -> float:
@@ -162,18 +166,28 @@ def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
 
 
 def _support(state: PureState | DensityMatrix):
-    """Rows and columns of rho that carry weight, and the dense block on them.
+    """The rows of rho that carry weight, with their entries: (rows, cols, block).
 
-    A pure state's support is its nonzero amplitudes; a density matrix's is
-    the rows and columns that hold a stored entry.
+    A pure state's support is its nonzero amplitudes: ``cols`` is the same
+    1-D index array as ``rows`` and ``block`` the dense outer product on
+    it.  A density matrix's rows are those holding a stored entry, and
+    each row's stored entries fill one row of the 2-D ``cols`` and
+    ``block``, in column order and padded with zero values at column 0,
+    so ``block[i, j]`` is rho at ``(rows[i], cols[i, j])`` either way.
     """
     if isinstance(state, PureState):
         psi = state.normalized().amplitudes
         idx = np.flatnonzero(psi)
         return idx, idx, np.outer(psi[idx], psi[idx].conj())
-    mat = state.matrix
-    rows, cols = np.flatnonzero(np.diff(mat.indptr)), np.unique(mat.indices)
-    return rows, cols, mat[rows][:, cols].toarray()
+    rows_of, cols_of = np.divmod(state.keys, state.basis.dimension)
+    rows, first, counts = np.unique(rows_of, return_index=True, return_counts=True)
+    owner = np.repeat(np.arange(len(rows)), counts)
+    slot = np.arange(len(rows_of)) - np.repeat(first, counts)
+    cols = np.zeros((len(rows), counts.max(initial=0)), dtype=np.int64)
+    block = np.zeros(cols.shape, dtype=complex)
+    cols[owner, slot] = cols_of
+    block[owner, slot] = state.values
+    return rows, cols, block
 
 
 def displaced_parity_expectation(
@@ -181,9 +195,9 @@ def displaced_parity_expectation(
 ) -> float:
     """<D1(a1) D2(a2) P1 P2 D2† D1†> for a pure state or density matrix.
 
-    Contracts rho only on its support: a pure state with k nonzero
-    amplitudes costs k² terms (n_max² for the two-mode squeezed vacuum),
-    a density matrix the block on its nonzero rows and columns.
+    Contracts rho only on its support (:func:`_support`): a pure state with
+    k nonzero amplitudes costs k² terms (n_max² for the two-mode squeezed
+    vacuum), a density matrix one term per stored entry.
     """
     n = state.basis.n_max
     rows, cols, block = _support(state)
@@ -195,7 +209,8 @@ def displaced_parity_expectation(
     # Sequential sums (cumsum), not np.sum's pairwise one: each row's terms
     # from zero, then the row totals.  That is the order of a dense
     # buffered einsum over rho, so the two agree bit for bit where each
-    # of its buffers holds at most one support row (the TMSS at n_max 40).
+    # of its buffers holds at most one support row (the TMSS at n_max 40);
+    # the zero padding of a density matrix's rows adds exact zeros.
     return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
 
 
@@ -208,7 +223,8 @@ def wigner_from_density(state: PureState | DensityMatrix, q1, p1, q2, p2) -> np.
     with ``a_j = q_j + i p_j`` (see module docstring).  The factorized
     form — one displaced-parity matrix per mode per phase-space point —
     turns the grid evaluation into a single tensor contraction, over the
-    state's support only (as :func:`displaced_parity_expectation`).
+    state's support only (as :func:`displaced_parity_expectation`), so a
+    density matrix costs grid points x stored entries.
 
     Emits a :class:`TruncationWarning` when the state has significant
     population near the Fock-space edge, where displaced parities lose
@@ -222,7 +238,7 @@ def wigner_from_density(state: PureState | DensityMatrix, q1, p1, q2, p2) -> np.
     k0, k1 = np.divmod(cols, n)
     a1 = q1[:, None] + 1j * p1[None, :]
     a2 = q2[:, None] + 1j * p2[None, :]
-    stack = (-1, len(rows), len(cols))  # keeps the axes when the grid is empty
+    stack = (-1, *block.shape)  # keeps the axes when the grid is empty
     o1 = np.array([_displaced_parity_single(n, a)[k0, m0] for a in a1.ravel()]).reshape(stack)
     o2 = np.array([_displaced_parity_single(n, a)[k1, m1] for a in a2.ravel()]).reshape(stack)
     # E[i, j] over (mode-1 point i, mode-2 point j)

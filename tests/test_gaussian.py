@@ -126,6 +126,16 @@ def test_steady_covariance_on_random_hurwitz_models(modes, seed, margin, spread)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(dd.diffusion)
 
 
+@pytest.mark.parametrize("ratio", [10.0, 0.1, 3.3])
+def test_steady_covariance_is_exactly_scale_free(ratio):
+    """A and D scaled by a power of two give the same covariance, bit for bit."""
+    dd = cascade_model(NopaParams(0.5, 1.0), gamma=1.0 / ratio)
+    expected = steady_covariance(dd).cov
+    for power in (-900, -7, 5, 900):
+        scaled = DriftDiffusion(np.ldexp(dd.drift, power), np.ldexp(dd.diffusion, power))
+        assert np.array_equal(steady_covariance(scaled).cov, expected)
+
+
 def test_steady_covariance_raises_on_failed_residual(monkeypatch):
     dd = model_from_lindblad(nopa_model(0.5))
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(b))

@@ -4,6 +4,7 @@ Each probe runs in a fresh interpreter, so modules loaded by other tests
 do not hide what an import statement pulls in by itself.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -42,28 +43,36 @@ def test_package_import_loads_no_submodule():
 
 
 def test_solver_layers_do_not_load_scipy_integrate():
-    loaded = modules_after("import eprsim.lindblad, eprsim.gaussian, eprsim.states")
-    assert "scipy.sparse" in loaded
-    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+    """Nor any other scipy module: each layer imports scipy inside the routines that use it."""
+    loaded = modules_after(
+        "import eprsim.hilbert, eprsim.states, eprsim.metrics, eprsim.lindblad, eprsim.gaussian")
+    assert "eprsim.lindblad" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
-def scipy_after_command(tmp_path, command, config, *args):
-    """The scipy modules loaded by one CLI run in a fresh interpreter."""
-    argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out"), *args]
+def scipy_after_command(tmp_path, command, config, *args, **fields):
+    """The scipy modules loaded by one CLI run in a fresh interpreter.
+
+    ``fields`` are set in a copy of the shipped config.
+    """
+    path = CONFIGS / config
+    if fields:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path = tmp_path / config
+        path.write_text(json.dumps({**payload, **fields}), encoding="utf-8")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *args]
     loaded = modules_after(
         f"from eprsim.cli import main\nassert main({argv!r}) == 0")
     return {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
-def test_steady_state_loads_scipy_sparse_alone(tmp_path):
-    """No scipy.linalg, scipy.sparse.linalg or csgraph, unless scipy.sparse brings them.
-
-    Some older scipy releases load csgraph, which may bring the other two,
-    from ``import scipy.sparse`` itself.
-    """
-    loaded = scipy_after_command(tmp_path, "steady-state", "steady_state.json", "--n-max", "6")
-    assert "scipy.sparse" in loaded
-    assert loaded <= set(modules_after("import scipy.sparse"))
+@pytest.mark.parametrize("dump", [False, True], ids=["report", "density-csv"])
+def test_steady_state_loads_no_scipy(tmp_path, dump):
+    """The solve, its certification, the report and the density CSV are numpy only."""
+    fields = {"density_csv": str(tmp_path / "rho.csv")} if dump else {}
+    assert scipy_after_command(
+        tmp_path, "steady-state", "steady_state.json", "--n-max", "6", **fields) == set()
+    assert (tmp_path / "rho.csv").exists() == dump
 
 
 def test_evolve_loads_scipy_sparse_linalg_alone(tmp_path):

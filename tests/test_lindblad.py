@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from conftest import dense_validate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from eprsim import (
     vacuum_state,
 )
 from eprsim import lindblad
-from eprsim.lindblad import _sector_indices, _sector_matrix, _terms
+from eprsim.lindblad import _sector_indices, _sector_matrix, _sector_residual, _terms
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
 
@@ -43,9 +44,27 @@ def random_density(basis, rng):
     return DensityMatrix(basis, rho / np.trace(rho))
 
 
+def dense_monomial(factor, n):
+    """The dense d x d operator of a ladder monomial (shift, weight) of ``_terms``."""
+    (s0, s1), weight = factor
+    d = n * n
+    out = np.zeros((d, d))
+    for u in np.flatnonzero(weight):
+        out[u, u + s0 * n + s1] = weight[u]
+    return out
+
+
 def apply_terms(model, basis, rho):
-    """L(rho) summed term by term, as steady_state certifies it."""
-    return sum(coeff * (a @ rho @ b) for coeff, a, b in _terms(model, basis))
+    """L(rho) of a dense rho, summed term by term over the monomials of ``_terms``."""
+    n = basis.n_max
+    return sum(coeff * (dense_monomial(a, n) @ rho @ dense_monomial(b, n))
+               for coeff, a, b in _terms(model, basis))
+
+
+def sector_matrix(terms, basis, tgt, row_pos, members, col_pos, shape):
+    """``_sector_matrix``'s COO triplets as a scipy sparse matrix, repeats summed."""
+    rows, cols, vals = _sector_matrix(terms, basis, tgt, row_pos, members, col_pos)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
 
 
 def pair_expectation(rho):
@@ -87,7 +106,7 @@ def test_superoperator_matrix_matches_apply(rng):
     basis = FockBasis(4)
     model = half_model(0.4, heating=0.05)
     rho = random_density(basis, rng)
-    via_apply = apply_terms(model, basis, rho.matrix).toarray()
+    via_apply = apply_terms(model, basis, rho.elements)
     via_matrix = (kron_generator(model, 4) @ rho.elements.reshape(-1)).reshape(rho.elements.shape)
     assert np.max(np.abs(via_apply - via_matrix)) < 1e-12
 
@@ -95,7 +114,7 @@ def test_superoperator_matrix_matches_apply(rng):
 def test_generator_preserves_trace_and_hermiticity(rng):
     basis = FockBasis(4)
     rho = random_density(basis, rng)
-    out = apply_terms(half_model(0.3), basis, rho.matrix).toarray()
+    out = apply_terms(half_model(0.3), basis, rho.elements)
     assert abs(np.trace(out)) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
@@ -145,8 +164,8 @@ def reference_steady_state(model, basis):
     indices = _sector_indices(basis)
     size = len(indices)
     positions = np.arange(size)
-    mat = _sector_matrix(_terms(model, basis), basis, indices, positions, indices, positions,
-                         (size, size))
+    mat = sector_matrix(_terms(model, basis), basis, indices, positions, indices, positions,
+                        (size, size))
     mat = mat.tolil()
     mat[0, :] = 0.0
     mat[0, np.nonzero(indices // d == indices % d)[0]] = 1.0
@@ -162,12 +181,24 @@ def test_sector_matrix_matches_superoperator_restriction():
     terms = _terms(half_model(0.3, heating=0.05), basis)
     indices = _sector_indices(basis)
     positions = np.arange(len(indices))
-    sec = _sector_matrix(terms, basis, indices, positions, indices, positions, (len(indices),) * 2)
+    sec = sector_matrix(terms, basis, indices, positions, indices, positions, (len(indices),) * 2)
     full = kron_generator(half_model(0.3, heating=0.05), 5)
     assert np.max(np.abs(sec.toarray() - full[np.ix_(indices, indices)])) < 1e-14
     # the sector is closed: no generator entry leads out of it
     outside = np.setdiff1d(np.arange(basis.dimension**2), indices)
     assert np.max(np.abs(full[np.ix_(outside, indices)])) == 0.0
+
+
+def test_sector_residual_matches_dense_generator(rng):
+    """The certification route: L(rho) pushed entry by entry equals the dense generator."""
+    basis = FockBasis(5)
+    model = half_model(0.3, heating=0.05)
+    indices = _sector_indices(basis)
+    values = rng.normal(size=len(indices))
+    full = kron_generator(model, 5)
+    expected = full[np.ix_(indices, indices)] @ values
+    got = _sector_residual(_terms(model, basis), basis, indices, values)
+    assert np.max(np.abs(got - expected)) < 1e-13
 
 
 def check_against_reference(model, basis):
@@ -225,7 +256,7 @@ def test_steady_state_logs_solver_figures(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
-        r"largest level 20, stored 1533, residual \S+; "
+        r"largest level 20, stored 1416, residual \S+; "
         r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
 
@@ -336,7 +367,7 @@ def test_evolve_on_uniform_grid_matches_dense_expm(start):
     vec = vacuum_state(basis).density_matrix().elements.reshape(-1)
     for state in result.states:
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
-        assert (state.matrix != state.matrix.T).nnz == 0
+        assert np.array_equal(state.elements, state.elements.T)
         vec = prop @ vec
 
 

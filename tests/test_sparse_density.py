@@ -110,18 +110,28 @@ def dense_wigner(el, n, q1, p1, q2, p2):
 
 def test_stores_exactly_the_nonzero_entries(rho):
     el = rho.elements
-    assert rho.matrix.format == "csr" and rho.matrix.dtype == complex
-    assert rho.matrix.nnz == np.count_nonzero(el)
+    assert rho.keys.dtype == np.int64 and rho.values.dtype == complex
+    assert np.all(np.diff(rho.keys) > 0)
+    assert np.array_equal(rho.keys, np.flatnonzero(el))
+    assert np.array_equal(rho.values, el.ravel()[rho.keys])
     assert abs(rho.trace() - np.trace(el)) <= TOL
     assert np.max(np.abs(rho.normalized().elements - el / np.trace(el).real)) <= TOL
 
 
-def test_constructor_takes_dense_or_sparse(rho):
-    for given in (rho.elements, rho.matrix, rho.matrix.tocoo()):
+def test_constructor_takes_dense_or_sparse(rho, rng):
+    """A dense array, or (keys, values) in any order, with repeats summed and zeros dropped."""
+    order = rng.permutation(2 * len(rho.keys))
+    absent = np.flatnonzero(rho.elements.ravel() == 0)[:1]
+    keys = np.r_[np.r_[rho.keys, rho.keys][order], absent]
+    values = np.r_[np.r_[rho.values, rho.values][order] / 2, np.zeros(len(absent))]
+    for given in (rho.elements, (rho.keys, rho.values), (keys, values)):
         again = DensityMatrix(rho.basis, given)
-        assert (again.matrix != rho.matrix).nnz == 0
+        assert np.array_equal(again.keys, rho.keys)
+        assert np.max(np.abs(again.values - rho.values)) <= TOL
     with pytest.raises(ValueError, match="shape"):
-        DensityMatrix(rho.basis, rho.matrix[:-1])
+        DensityMatrix(rho.basis, rho.elements[:-1])
+    with pytest.raises(ValueError, match="keys"):
+        DensityMatrix(rho.basis, ([rho.basis.dimension**2], [1.0]))
 
 
 def test_fidelity_matches_dense(rho):
@@ -163,12 +173,13 @@ def test_moments_match_dense(rho):
 
 
 def test_support_matches_dense(state):
+    """``block[i, j]`` is rho at ``(rows[i], cols[i, j])``, and nothing else is stored."""
     el = as_rho(state).elements
-    nz = el != 0
     rows, cols, block = _support(state)
-    assert np.array_equal(rows, np.flatnonzero(nz.any(axis=1)))
-    assert np.array_equal(cols, np.flatnonzero(nz.any(axis=0)))
-    assert np.max(np.abs(block - el[np.ix_(rows, cols)])) <= TOL
+    assert np.array_equal(rows, np.flatnonzero((el != 0).any(axis=1)))
+    rebuilt = np.zeros_like(el)
+    np.add.at(rebuilt, (rows[:, None], cols), block)
+    assert np.max(np.abs(rebuilt - el)) <= TOL
 
 
 def test_wigner_from_density_matches_dense(state):
@@ -187,3 +198,29 @@ def test_elements_is_a_fresh_dense_array(rho):
     first[0, 0] = 123.0
     assert rho.elements[0, 0] != 123.0
     assert first.dtype == complex
+
+
+def test_mixed_state_wigner_contracts_the_stored_entries():
+    """A heated n_max 20 steady state on a 5^4 grid: no rows x columns block of rho.
+
+    Densifying the block over its stored rows and columns peaked at 195 MB
+    traced; the entries alone make (grid points x stored entries) stacks.
+    """
+    import tracemalloc
+
+    n_p, m_p = effective_N_M(NopaParams(0.3, 1.0))
+    model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rho = steady_state(model, FockBasis(20))
+        axes = [np.linspace(-0.8, 0.8, 5)] * 4
+        wigner_from_density(rho, [0.0], [0.0], [0.0], [0.0])  # imports scipy.linalg untraced
+        tracemalloc.start()
+        try:
+            got = wigner_from_density(rho, *axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 20e6
+    expected = dense_wigner(rho.elements, 20, *axes)
+    assert np.max(np.abs(got.reshape(expected.shape) - expected)) <= TOL

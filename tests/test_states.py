@@ -49,12 +49,13 @@ def test_tmss_requires_two_modes():
 def test_tmss_reduced_state_is_thermal():
     r = 0.5
     n = 30
-    coo = tmss_fock(TmssSpec(r), FockBasis(n)).density_matrix().matrix.tocoo()
+    rho = tmss_fock(TmssSpec(r), FockBasis(n)).density_matrix()
     # Trace out mode 1 over the stored entries: keep <m0 k| rho |n0 k>.
-    (m0, m1), (n0, n1) = np.divmod(coo.row, n), np.divmod(coo.col, n)
+    rows, cols = np.divmod(rho.keys, n * n)
+    (m0, m1), (n0, n1) = np.divmod(rows, n), np.divmod(cols, n)
     keep = m1 == n1
     reduced = np.zeros((n, n), dtype=complex)
-    np.add.at(reduced, (m0[keep], n0[keep]), coo.data[keep])
+    np.add.at(reduced, (m0[keep], n0[keep]), rho.values[keep])
     pops = np.real(np.diag(reduced))
     nbar = np.sinh(r) ** 2
     expected = (nbar / (nbar + 1.0)) ** np.arange(n) / (nbar + 1.0)
