@@ -219,6 +219,10 @@ def cascade_model(nopa: NopaParams, gamma: float) -> DriftDiffusion:
         raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    # The motional noise 2 gamma is D's largest entry; past the float range
+    # it turns D into inf and nan, which fails later with a less plain message.
+    if not np.isfinite(2.0 * gamma):
+        raise ValueError(f"diffusion 2 gamma overflows at gamma = {gamma:.6g}")
     eps, kappa = nopa.epsilon, nopa.kappa_c
     a = np.zeros((8, 8))
     # source block: dc1/dt = -kappa c1 - eps c2† (+ noise), and 1 <-> 2

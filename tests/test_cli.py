@@ -550,6 +550,9 @@ def _edge_of_m_bound():
      "config error: kappa_over_gamma: expected a non-empty list of positive finite numbers"),
     ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [10.0, float("nan")]}, 2,
      "config error: kappa_over_gamma: expected a non-empty list of positive finite numbers"),
+    ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [1e-308]}, 3,
+     "numerical failure: cascade at kappa_over_gamma 1e-308: "
+     "diffusion 2 gamma overflows at gamma = 1e+308"),
     ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [5e-324]}, 3,
      "numerical failure: cascade at kappa_over_gamma 5e-324: gamma must be finite, got inf"),
     ("steady-state", {"model": _edge_of_m_bound(), "n_max": 8}, 3,
@@ -562,7 +565,7 @@ def _edge_of_m_bound():
     ("bell-sweep", {"n_max": 6, "r_grid": {"start": 1e300, "stop": 1e300, "num": 1},
                     "j_grid": {"start": 0.1, "stop": 0.1, "num": 1}}, 3,
      "numerical failure: tmss_fock: cosh(r) overflows at r = 1e+300"),
-], ids=["cascade-inf", "cascade-nan", "cascade-gamma-inf",
+], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300"])
 @pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8
