@@ -46,7 +46,7 @@ print(f"peak value W(0,0,0,0) = {wigner_analytic(spec, 0.0, 0.0, 0.0, 0.0):.6f}"
 
 # Cross-check against the density-matrix route on a small set of points.
 basis = FockBasis(n_max=24)
-rho = tmss_fock(spec, basis).density_matrix()
+rho = tmss_fock(spec, basis)
 pts = np.array([-1.0, 0.0, 1.0])
 filled = wigner_from_density(rho, pts, pts, pts, pts)
 

@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # to one of its names (PEP 562), so a command pays only for what it uses.
 _EXPORTS = {
     "hilbert": (
-        "FockBasis", "PureState", "DensityMatrix", "NumericalError", "TruncationWarning",
-        "vacuum_state",
+        "FockBasis", "DensityMatrix", "NumericalError", "TruncationWarning", "vacuum_state",
     ),
     "nopa": (
         "NopaParams", "transfer_function", "squeezing_spectra",

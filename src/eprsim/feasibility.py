@@ -86,12 +86,6 @@ class FeasibilityReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def verdict_for(self, name: str) -> str:
-        for c in self.checks:
-            if c.name == name:
-                return c.verdict
-        raise KeyError(name)
-
 
 def coupling_rate(p: ExperimentParams) -> float:
     """Effective motional coupling gamma_eff = (g0 eta_x E_L / Delta)^2 / kappa_a."""

@@ -1,8 +1,8 @@
 """Truncated Fock-space linear algebra for the two motional modes.
 
 Everything downstream (dissipative dynamics, entangled-state construction,
-Bell correlators) is built on the small set of value types defined here:
-a truncated number-state basis, pure states and density matrices.
+Bell correlators) is built on the two value types defined here: a
+truncated number-state basis and the one state type, a density matrix.
 Operators are not a type of their own: the master equation builds its
 ladder monomials in :mod:`eprsim.lindblad`, and the Bell and Wigner
 routines their single-mode displaced parities in :mod:`eprsim.states`.
@@ -11,15 +11,16 @@ functions, so they are safe to use concurrently.  The package's error
 and warning types live here too, so every layer can raise them without
 importing scipy.
 
-A :class:`DensityMatrix` stores its nonzero entries as two arrays: the
-sorted flat keys ``row * d + col`` and their complex values.  The states
-eprsim solves for live in the delta = 0 sector, about ``n_max**3`` of the
-``n_max**4`` entries, and a pure state's density matrix is the outer
-product on its amplitude support.  Every routine reads those two arrays,
-finding entries by :func:`_lookup` (a ``searchsorted`` on the keys);
-``DensityMatrix.elements`` builds the dense d x d array on request (d**2
-complex values) and no library path reads it.  The module needs numpy
-only: scipy is loaded by the first :func:`_expm` call.
+A :class:`DensityMatrix` stores its nonzero entries as two plain fields:
+the sorted flat keys ``row * d + col`` and their complex values.  The
+states eprsim solves for live in the delta = 0 sector, about ``n_max**3``
+of the ``n_max**4`` entries, and a pure state (the two-mode squeezed
+vacuum, the vacuum) is the outer product on its amplitude support.  Every
+routine reads those two arrays, finding entries by :func:`_lookup` (a
+``searchsorted`` on the keys); ``DensityMatrix.elements`` builds the
+dense d x d array on request (d**2 complex values) and no library path
+reads it.  The module needs numpy only: scipy is loaded by the first
+:func:`_expm` call.
 
 Conventions
 -----------
@@ -32,7 +33,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,77 +66,35 @@ class FockBasis:
 
 
 @dataclass(frozen=True)
-class PureState:
-    """State vector over a :class:`FockBasis` (amplitudes in the number basis)."""
-
-    basis: FockBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.basis.dimension,):
-            raise ValueError(
-                f"amplitude length {amp.shape} does not match basis dimension "
-                f"{self.basis.dimension}"
-            )
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amp)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "PureState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return PureState(self.basis, self.amplitudes / n)
-
-    def density_matrix(self) -> "DensityMatrix":
-        """``|psi><psi|`` of the normalized state, stored on its amplitude support."""
-        psi = self.normalized().amplitudes
-        idx = np.flatnonzero(psi)
-        keys = idx[:, None] * self.basis.dimension + idx
-        return DensityMatrix(self.basis, (keys, np.outer(psi[idx], psi[idx].conj())))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Density operator on a :class:`FockBasis`, stored by its nonzero entries.
 
-    ``matrix`` is a dense d x d array or a pair ``(keys, values)`` of flat
-    indices ``row * d + col`` and their values, repeated keys summed.
-    Either way the state keeps two arrays: ``keys``, the sorted flat
-    indices of its nonzero entries, and ``values``, their complex values.
-    :attr:`elements` builds the dense array on request.
+    ``keys`` are flat indices ``row * d + col`` and ``values`` their complex
+    values.  Construction sorts the keys, sums the values of repeated keys,
+    drops zeros and checks that every key lies in the d x d matrix, so a
+    state holds each nonzero entry once, in key order.  :attr:`elements`
+    builds the dense array on request.  A pure state is the outer product
+    of its amplitudes on their support.
 
-    Construction checks the shape only, not Hermiticity, unit trace or
-    positivity; the tests check the solvers' states against a dense
-    reference.
+    Construction does not check Hermiticity, unit trace or positivity; the
+    tests check the solvers' states against a dense reference.
     """
 
     basis: FockBasis
-    matrix: InitVar[object]
-    keys: np.ndarray = field(init=False)
-    values: np.ndarray = field(init=False)
+    keys: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self, matrix):
+    def __post_init__(self):
         d = self.basis.dimension
-        if isinstance(matrix, tuple):
-            keys, inverse = np.unique(np.asarray(matrix[0], dtype=np.int64).ravel(),
-                                      return_inverse=True)
-            values = np.zeros(len(keys), dtype=complex)
-            np.add.at(values, inverse, np.asarray(matrix[1], dtype=complex).ravel())
-            if len(keys) and not 0 <= keys[0] <= keys[-1] < d * d:
-                raise ValueError(f"density matrix keys must lie in [0, {d * d})")
-        else:
-            dense = np.asarray(matrix, dtype=complex)
-            if dense.shape != (d, d):
-                raise ValueError(
-                    f"density matrix shape {dense.shape} does not match basis dimension {d}"
-                )
-            keys = np.flatnonzero(dense)
-            values = dense.ravel()[keys]
+        keys = np.asarray(self.keys, dtype=np.int64).ravel()
+        given = np.asarray(self.values, dtype=complex).ravel()
+        if keys.shape != given.shape:
+            raise ValueError(f"{len(given)} values do not match {len(keys)} keys")
+        keys, inverse = np.unique(keys, return_inverse=True)
+        values = np.zeros(len(keys), dtype=complex)
+        np.add.at(values, inverse, given)
+        if len(keys) and not 0 <= keys[0] <= keys[-1] < d * d:
+            raise ValueError(f"density matrix keys must lie in [0, {d * d})")
         nonzero = values != 0
         object.__setattr__(self, "keys", keys[nonzero])
         object.__setattr__(self, "values", values[nonzero])
@@ -147,16 +106,6 @@ class DensityMatrix:
         out = np.zeros(d * d, dtype=complex)
         out[self.keys] = self.values
         return out.reshape(d, d)
-
-    def trace(self) -> complex:
-        on_diagonal = self.keys % (self.basis.dimension + 1) == 0  # row * d + row
-        return complex(self.values[on_diagonal].sum())
-
-    def normalized(self) -> "DensityMatrix":
-        tr = self.trace().real
-        if tr <= 0:
-            raise ValueError(f"trace must be positive to normalize, got {tr}")
-        return DensityMatrix(self.basis, (self.keys, self.values / tr))
 
 
 def _lookup(keys, values, wanted, absent=-1) -> np.ndarray:
@@ -178,7 +127,6 @@ def _single_mode_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
 
 
-def vacuum_state(basis: FockBasis) -> PureState:
-    amp = np.zeros(basis.dimension, dtype=complex)
-    amp[0] = 1.0
-    return PureState(basis, amp)
+def vacuum_state(basis: FockBasis) -> DensityMatrix:
+    """``|00><00|``."""
+    return DensityMatrix(basis, [0], [1.0])

@@ -63,16 +63,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning, _lookup
+from .metrics import fidelity
 from .states import TRUNCATION_POP_WARN, edge_population
 
 log = logging.getLogger(__name__)
 
 STEADY_RESIDUAL_TOL = 1e-8
 
-# Bound on ||L||_1 * (t_end - t_0) for one evolve call, which sets the step
-# count of expm_multiply.  The shipped config needs 3.7e3 and the tests at
-# most 5.8e3; gamma 1e6 on a 6-level basis needs 8e8, over a minute of work.
-_EVOLVE_WORK_BUDGET = 5e4
+# Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the first two
+# factors set the step count of expm_multiply and the orbit matrix's nnz the
+# cost of each step.  The shipped config needs 6.3e7 and the tests, demos and
+# benchmark seeds at most 6.6e7; eps 0.3 at n_max 40 out to t = 31 needs
+# 6.8e9, about 17 s of work, and gamma 1e6 on a 6-level basis 3.6e11.
+_EVOLVE_WORK_BUDGET = 1e9
 
 
 @dataclass(frozen=True)
@@ -421,7 +424,7 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
             f"steady-state residual {resid:.3e} exceeds tolerance {STEADY_RESIDUAL_TOL:.0e}"
         )
 
-    rho = DensityMatrix(basis, (indices, values))
+    rho = DensityMatrix(basis, indices, values)
     pop = edge_population(rho, fraction=0.0)  # the top level alone
     if pop > TRUNCATION_POP_WARN:
         warnings.warn(
@@ -445,9 +448,10 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
     so the propagation is one ``expm_multiply`` call over the grid (Al-Mohy &
     Higham 2011) at its double-precision tolerance; a single time gives the
     vacuum alone.  The returned states are real and exactly symmetric.  The
-    work of ``expm_multiply`` grows with ``||L||_1 * (times[-1] - times[0])``;
-    where that estimate exceeds a fixed budget (5e4)
-    :class:`~eprsim.hilbert.NumericalError` is raised before any propagation.
+    work of ``expm_multiply`` grows with ``||L||_1 * (times[-1] - times[0])``
+    times the orbit matrix's stored entries; where that estimate exceeds a
+    fixed budget (1e9) :class:`~eprsim.hilbert.NumericalError` is raised
+    before any propagation.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply, norm
@@ -466,11 +470,13 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
     size = len(reps)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc().tocsr()
     del rows, cols, vals
-    work = norm(mat, 1) * (times[-1] - times[0])
+    span = norm(mat, 1) * (times[-1] - times[0])
+    work = span * mat.nnz
     if not work <= _EVOLVE_WORK_BUDGET:
         raise NumericalError(
-            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {work:.2e} exceeds the "
-            f"budget {_EVOLVE_WORK_BUDGET:.0e}; shorten the time span, or lower gamma or n_max")
+            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {span:.2e} times nnz {mat.nnz} "
+            f"= {work:.2e} exceeds the budget {_EVOLVE_WORK_BUDGET:.0e}; shorten the time "
+            "span, or lower gamma or n_max")
     vec = np.zeros(size)
     vec[0] = 1.0  # the vacuum
     t1 = time.perf_counter()
@@ -481,7 +487,7 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
         "evolve: orbits path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
         size, mat.nnz, t1 - t0, t2 - t1,
     )
-    states = [DensityMatrix(basis, (indices, vec[orbit])) for vec in vecs]
+    states = [DensityMatrix(basis, indices, vec[orbit]) for vec in vecs]
     return EvolutionResult(times, states, **moments(states))
 
 
@@ -519,8 +525,7 @@ def moments(states) -> dict[str, np.ndarray]:
 def purity(rho: DensityMatrix) -> float:
     """``trace(rho @ rho)`` — 1 for pure states, 1/d for maximally mixed.
 
-    Summed over the stored entries of rho only.
+    :func:`~eprsim.metrics.fidelity` of rho with itself, summed over the
+    stored entries of rho only.
     """
-    rows, cols = np.divmod(rho.keys, rho.basis.dimension)
-    transposed = cols * rho.basis.dimension + rows
-    return float(np.sum(rho.values * _lookup(rho.keys, rho.values, transposed, 0)).real)
+    return fidelity(rho, rho)

@@ -1,9 +1,9 @@
 """Entanglement and nonlocality diagnostics.
 
-Fock-space fidelity and mean phonon number operate on density matrices,
-the CHSH combination on a pure state or a density matrix, and the
-Gaussian quantities (EPR criterion helper, logarithmic negativity) on
-covariance data.  The displaced-parity correlator behind the Bell test,
+Fock-space fidelity, mean phonon number and the CHSH combination operate
+on density matrices, pure or mixed alike, and the Gaussian quantities
+(EPR criterion helper, logarithmic negativity) on covariance data.  The
+displaced-parity correlator behind the Bell test,
 :func:`~eprsim.states.displaced_parity_expectation`, is also the Wigner
 function up to a constant, E = (pi/2)**2 W (Banaszek & Wodkiewicz,
 PRA 58, 4345 (1998)); the tests cross-check the two point by point.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CovarianceState, symplectic_form
-from .hilbert import DensityMatrix, PureState
+from .hilbert import DensityMatrix, _lookup
 from .states import _populations, _warn_if_truncated, displaced_parity_expectation
 
 # Displacements beyond this magnitude push coherent amplitude into the
@@ -48,13 +48,17 @@ class BellSettings:
                 )
 
 
-def fidelity(rho: DensityMatrix, target: PureState) -> float:
-    """Overlap <target| rho |target>, in [0, 1] up to numerical noise."""
+def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
+    """``tr(rho target)``: <psi| rho |psi> for a pure target, in [0, 1] up to numerical noise.
+
+    Summed over the stored entries of ``target``;
+    :func:`~eprsim.lindblad.purity` is this sum with ``target = rho``.
+    """
     if rho.basis != target.basis:
         raise ValueError(f"basis mismatch: {rho.basis} vs {target.basis}")
-    psi = target.normalized().amplitudes
-    rows, cols = np.divmod(rho.keys, rho.basis.dimension)
-    return float(np.sum(psi[rows].conj() * rho.values * psi[cols]).real)
+    d = target.basis.dimension
+    rows, cols = np.divmod(target.keys, d)
+    return float(np.sum(target.values * _lookup(rho.keys, rho.values, cols * d + rows, 0)).real)
 
 
 def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
@@ -80,14 +84,14 @@ def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
     return value, value < 4.0
 
 
-def chsh_value(state: PureState | DensityMatrix, s: BellSettings) -> float:
+def chsh_value(state: DensityMatrix, s: BellSettings) -> float:
     """CHSH combination B = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
 
     |B| <= 2 for every separable state; displaced-parity measurements on
     the pair-correlated states here push B above 2 for suitable settings.
-    Takes a pure state or a density matrix.  The settings were bounded when
-    ``s`` was built, so the state's truncation is checked once and the four
-    correlators contracted directly.
+    The settings were bounded when ``s`` was built, so the state's
+    truncation is checked once and the four correlators contracted
+    directly.
     """
     _warn_if_truncated(state, "chsh_value")
     e11 = displaced_parity_expectation(state, s.alpha1, s.beta1)

@@ -1,13 +1,14 @@
 """Entangled-state constructors, Wigner functions and the truncation diagnostic.
 
 The target state is the two-mode squeezed vacuum, which ``tmss_fock``
-writes directly in the number basis, amplitudes
-``c_m = (-tanh r)^m / cosh r`` on ``|m, m>``; the test suite checks it
-against the squeezing unitary ``exp[r (b1 b2 - b1† b2†)]`` applied to the
-vacuum, and its Wigner function against the closed form
+writes directly in the number basis, as the density matrix of the
+amplitudes ``c_m = (-tanh r)^m / cosh r`` on ``|m, m>``; the test suite
+checks it against the squeezing unitary ``exp[r (b1 b2 - b1† b2†)]``
+applied to the vacuum, and its Wigner function against the closed form
 ``wigner_analytic``.
 
-Every state lives on the two-mode :class:`~eprsim.hilbert.FockBasis`.
+Every state is a :class:`~eprsim.hilbert.DensityMatrix` on the two-mode
+:class:`~eprsim.hilbert.FockBasis`, pure or mixed alike.
 :func:`edge_population` is the one truncation diagnostic: the Bell and
 Wigner routines warn when it exceeds :data:`TRUNCATION_POP_WARN` in the
 top 10% of levels, and :func:`eprsim.lindblad.steady_state` when the top
@@ -44,9 +45,8 @@ import numpy as np
 
 from .hilbert import (
     FockBasis,
-    NumericalError,
-    PureState,
     DensityMatrix,
+    NumericalError,
     TruncationWarning,
     _expm,
     _single_mode_ladder,
@@ -67,14 +67,15 @@ class TmssSpec:
             raise ValueError(f"squeeze parameter must be >= 0, got {self.r}")
 
 
-def tmss_fock(spec: TmssSpec, basis: FockBasis) -> PureState:
+def tmss_fock(spec: TmssSpec, basis: FockBasis) -> DensityMatrix:
     """Two-mode squeezed vacuum in the truncated number basis.
 
-    Amplitudes ``(-tanh r)^m / cosh r`` on the diagonal kets ``|m, m>``,
-    renormalized over the truncated space (the discarded tail is
-    ``tanh(r)**(2 n_max)``).  Raises :class:`~eprsim.hilbert.NumericalError`
-    when ``cosh(r)`` overflows (r above about 710), where no amplitude
-    would be representable.
+    The outer product of the amplitudes ``(-tanh r)^m / cosh r`` on the
+    diagonal kets ``|m, m>``, renormalized over the truncated space (the
+    discarded tail is ``tanh(r)**(2 n_max)``), stored on those n_max**2
+    pairs of kets.  Raises :class:`~eprsim.hilbert.NumericalError` when
+    ``cosh(r)`` overflows (r above about 710), where no amplitude would be
+    representable.
     """
     n = basis.n_max
     m = np.arange(n)
@@ -83,9 +84,14 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> PureState:
             c = (-np.tanh(spec.r)) ** m / np.cosh(spec.r)
         except FloatingPointError as exc:
             raise NumericalError(f"tmss_fock: cosh(r) overflows at r = {spec.r:.6g}") from exc
+    ket = m * n + m
     amp = np.zeros(basis.dimension, dtype=complex)
-    amp[m * n + m] = c
-    return PureState(basis, amp).normalized()
+    amp[ket] = c
+    # Normalized twice over all d amplitudes: the golden files pin the bits this gives.
+    amp /= np.linalg.norm(amp)
+    amp /= np.linalg.norm(amp)
+    return DensityMatrix(basis, ket[:, None] * basis.dimension + ket,
+                         np.outer(amp[ket], amp[ket].conj()))
 
 
 def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):
@@ -115,10 +121,7 @@ def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):
     return w
 
 
-def _populations(state: PureState | DensityMatrix) -> np.ndarray:
-    if isinstance(state, PureState):
-        psi = state.normalized().amplitudes
-        return (psi * psi.conj()).real
+def _populations(state: DensityMatrix) -> np.ndarray:
     d = state.basis.dimension
     on_diagonal = state.keys % (d + 1) == 0  # row * d + row
     pops = np.zeros(d)
@@ -126,12 +129,12 @@ def _populations(state: PureState | DensityMatrix) -> np.ndarray:
     return pops
 
 
-def edge_population(state: PureState | DensityMatrix, fraction: float = 0.1) -> float:
+def edge_population(state: DensityMatrix, fraction: float = 0.1) -> float:
     """Total population with any mode index in the top ``fraction`` of levels.
 
-    Takes either state type.  The band always holds the topmost level, so
-    the truncation diagnostics stay armed even for very small bases where
-    ``fraction`` of ``n_max`` rounds to nothing.
+    The band always holds the topmost level, so the truncation diagnostics
+    stay armed even for very small bases where ``fraction`` of ``n_max``
+    rounds to nothing.
     """
     n = state.basis.n_max
     edge = min(n - 1, int(np.ceil((1.0 - fraction) * n)))
@@ -142,7 +145,7 @@ def edge_population(state: PureState | DensityMatrix, fraction: float = 0.1) -> 
     return float(pops2[mask].sum())
 
 
-def _warn_if_truncated(state: PureState | DensityMatrix, where: str):
+def _warn_if_truncated(state: DensityMatrix, where: str):
     pop = edge_population(state)
     if pop > TRUNCATION_POP_WARN:
         warnings.warn(
@@ -165,20 +168,15 @@ def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
     return out
 
 
-def _support(state: PureState | DensityMatrix):
+def _support(state: DensityMatrix):
     """The rows of rho that carry weight, with their entries: (rows, cols, block).
 
-    A pure state's support is its nonzero amplitudes: ``cols`` is the same
-    1-D index array as ``rows`` and ``block`` the dense outer product on
-    it.  A density matrix's rows are those holding a stored entry, and
-    each row's stored entries fill one row of the 2-D ``cols`` and
-    ``block``, in column order and padded with zero values at column 0,
-    so ``block[i, j]`` is rho at ``(rows[i], cols[i, j])`` either way.
+    The rows are those holding a stored entry, and each row's stored
+    entries fill one row of the 2-D ``cols`` and ``block``, in column order
+    and padded with zero values at column 0, so ``block[i, j]`` is rho at
+    ``(rows[i], cols[i, j])``.  For a pure state these are the dense outer
+    product on its amplitude support.
     """
-    if isinstance(state, PureState):
-        psi = state.normalized().amplitudes
-        idx = np.flatnonzero(psi)
-        return idx, idx, np.outer(psi[idx], psi[idx].conj())
     rows_of, cols_of = np.divmod(state.keys, state.basis.dimension)
     rows, first, counts = np.unique(rows_of, return_index=True, return_counts=True)
     owner = np.repeat(np.arange(len(rows)), counts)
@@ -190,14 +188,12 @@ def _support(state: PureState | DensityMatrix):
     return rows, cols, block
 
 
-def displaced_parity_expectation(
-    state: PureState | DensityMatrix, alpha1: complex, alpha2: complex
-) -> float:
-    """<D1(a1) D2(a2) P1 P2 D2† D1†> for a pure state or density matrix.
+def displaced_parity_expectation(state: DensityMatrix, alpha1: complex, alpha2: complex) -> float:
+    """<D1(a1) D2(a2) P1 P2 D2† D1†> of a density matrix.
 
-    Contracts rho only on its support (:func:`_support`): a pure state with
-    k nonzero amplitudes costs k² terms (n_max² for the two-mode squeezed
-    vacuum), a density matrix one term per stored entry.
+    Contracts rho only on its support (:func:`_support`), one term per
+    stored entry: a pure state with k nonzero amplitudes costs k² terms
+    (n_max² for the two-mode squeezed vacuum).
     """
     n = state.basis.n_max
     rows, cols, block = _support(state)
@@ -210,12 +206,12 @@ def displaced_parity_expectation(
     # from zero, then the row totals.  That is the order of a dense
     # buffered einsum over rho, so the two agree bit for bit where each
     # of its buffers holds at most one support row (the TMSS at n_max 40);
-    # the zero padding of a density matrix's rows adds exact zeros.
+    # the zero padding of the rows adds exact zeros.
     return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
 
 
-def wigner_from_density(state: PureState | DensityMatrix, q1, p1, q2, p2) -> np.ndarray:
-    """Wigner function of a pure state or density matrix on a product grid.
+def wigner_from_density(state: DensityMatrix, q1, p1, q2, p2) -> np.ndarray:
+    """Wigner function of a density matrix on a product grid.
 
     Takes the four quadrature axes and returns the values as an array of
     shape ``(len(q1), len(p1), len(q2), len(p2))``; an empty axis gives an
@@ -223,8 +219,8 @@ def wigner_from_density(state: PureState | DensityMatrix, q1, p1, q2, p2) -> np.
     with ``a_j = q_j + i p_j`` (see module docstring).  The factorized
     form — one displaced-parity matrix per mode per phase-space point —
     turns the grid evaluation into a single tensor contraction, over the
-    state's support only (as :func:`displaced_parity_expectation`), so a
-    density matrix costs grid points x stored entries.
+    state's support only (as :func:`displaced_parity_expectation`), so it
+    costs grid points x stored entries.
 
     Emits a :class:`TruncationWarning` when the state has significant
     population near the Fock-space edge, where displaced parities lose

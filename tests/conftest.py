@@ -3,7 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from eprsim import FockBasis, LindbladModel, NopaParams, effective_N_M, steady_state
+from eprsim import (
+    DensityMatrix,
+    FockBasis,
+    LindbladModel,
+    NopaParams,
+    effective_N_M,
+    steady_state,
+)
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +49,12 @@ def dense_validate(el):
     evals = np.linalg.eigvalsh((el + el.conj().T) / 2.0)
     if evals.min() < -1e-8:
         raise ValueError(f"negative eigenvalue {evals.min():.3e}")
+
+
+def pure(basis, amplitudes):
+    """``|psi><psi|`` of the normalized ``amplitudes``, stored on their support."""
+    psi = np.asarray(amplitudes, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    idx = np.flatnonzero(psi)
+    return DensityMatrix(basis, idx[:, None] * basis.dimension + idx,
+                         np.outer(psi[idx], psi[idx].conj()))

@@ -193,7 +193,7 @@ def test_criterion_05_wigner_consistency(capsys):
     spec = TmssSpec(0.5)
     axis = np.linspace(-2.0, 2.0, 5)
     basis = FockBasis(30)
-    rho = tmss_fock(spec, basis).density_matrix()
+    rho = tmss_fock(spec, basis)
     values = wigner_from_density(rho, axis, axis, axis, axis)
     mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     reference = wigner_analytic(spec, *mesh)

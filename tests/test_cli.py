@@ -612,7 +612,27 @@ def test_evolve_over_its_work_budget_exits_3_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: evolve: work estimate ||L||_1 * (t_end - t_0) = ")
-    assert "exceeds the budget 5e+04" in err
+    assert "exceeds the budget 1e+09" in err
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_evolve_past_its_work_budget_at_n_max_40_exits_3_at_once(tmp_path, capsys):
+    """||L||_1 * (t_end - t_0) = 4.9e4 is light, but times the orbit matrix's nnz it is not.
+
+    The propagation would take about 17 s; the budget counts the 137,840
+    stored entries each step multiplies and refuses it before any step.
+    """
+    cfg = write_config(tmp_path, {"schema_version": 1, "n_max": 40,
+                                  "model": {"epsilon_over_kappa": 0.3},
+                                  "times": {"start": 0.0, "stop": 31.0, "num": 3}})
+    out = tmp_path / "artifact.csv"
+    start = time.perf_counter()
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: evolve: work estimate ||L||_1 * (t_end - t_0) = "
+                          "4.91e+04 times nnz 137840 = 6.77e+09 exceeds the budget 1e+09")
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from conftest import dense_validate
+from conftest import dense_validate, pure
 
 from eprsim import (
     DensityMatrix,
     FockBasis,
-    PureState,
     mean_phonon,
     moments,
     vacuum_state,
@@ -60,63 +59,46 @@ def test_number_op_counts():
     # |2>|3> is index 2*5 + 3
     amp = np.zeros(25)
     amp[13] = 1.0
-    m = moments([PureState(basis, amp).density_matrix()])
+    m = moments([pure(basis, amp)])
     assert m["n1"][0] == pytest.approx(2.0)
     assert m["n2"][0] == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("mode", [-1, 2])
 def test_bad_mode_index(mode):
-    rho = vacuum_state(FockBasis(4)).density_matrix()
+    rho = vacuum_state(FockBasis(4))
     with pytest.raises(ValueError):
         mean_phonon(rho, mode)
 
 
-def test_pure_state_normalization():
-    basis = FockBasis(2)
-    psi = PureState(basis, [3.0, 4.0, 0.0, 0.0])
-    assert psi.norm() == pytest.approx(5.0)
-    assert psi.normalized().norm() == pytest.approx(1.0)
-    rho = psi.density_matrix()
-    assert rho.trace().real == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        PureState(basis, [0.0, 0.0, 0.0, 0.0]).normalized()
-
-
-def test_pure_state_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        PureState(FockBasis(2), [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        PureState(FockBasis(2), [np.inf, 0.0, 0.0, 0.0])
-
-
 def test_density_validate():
     basis = FockBasis(2)
-    dense_validate(vacuum_state(basis).density_matrix().elements)
+    dense_validate(vacuum_state(basis).elements)
 
     not_hermitian = np.eye(4, dtype=complex)
     not_hermitian[0, 1] = 0.5
     with pytest.raises(ValueError, match="[Hh]ermit"):
-        dense_validate(DensityMatrix(basis, not_hermitian).elements)
+        dense_validate(not_hermitian)
 
     wrong_trace = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):
-        dense_validate(DensityMatrix(basis, wrong_trace).elements)
+        dense_validate(wrong_trace)
 
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="eigenvalue"):
-        dense_validate(DensityMatrix(basis, negative).elements)
+        dense_validate(negative)
 
 
 def test_density_matrix_rejects_wrong_dimension():
-    """A matrix shaped for one mode does not fit the two-mode basis."""
-    single_mode_vacuum = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="does not match basis dimension"):
-        DensityMatrix(FockBasis(6), single_mode_vacuum)
+    """A state of a larger basis does not fit: its top-level entry lies outside the matrix."""
+    top = 48 * 49 + 48  # |66><66| of n_max 7, composite index 48 of 49
+    with pytest.raises(ValueError, match="keys must lie in"):
+        DensityMatrix(FockBasis(6), [top], [1.0])
+    with pytest.raises(ValueError, match="values do not match"):
+        DensityMatrix(FockBasis(6), [0, 7], [1.0])
 
 
 def test_vacuum_state():
-    basis = FockBasis(4)
-    psi = vacuum_state(basis)
-    assert psi.amplitudes[0] == 1.0
-    assert np.all(psi.amplitudes[1:] == 0.0)
+    rho = vacuum_state(FockBasis(4))
+    assert rho.keys.tolist() == [0]
+    assert rho.values.tolist() == [1.0]

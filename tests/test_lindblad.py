@@ -41,7 +41,7 @@ def random_density(basis, rng):
     d = basis.dimension
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
-    return DensityMatrix(basis, rho / np.trace(rho))
+    return DensityMatrix(basis, np.arange(d * d), rho / np.trace(rho))
 
 
 def dense_monomial(factor, n):
@@ -350,7 +350,7 @@ def test_evolve_matches_dense_expm(caplog, start):
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
         result = evolve(model, basis, times)
     assert "evolve: orbits path" in caplog.text
-    vec = vacuum_state(basis).density_matrix().elements.reshape(-1)
+    vec = vacuum_state(basis).elements.reshape(-1)
     for state in result.states:
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
         vec = prop @ vec
@@ -364,7 +364,7 @@ def test_evolve_on_uniform_grid_matches_dense_expm(start):
     times = np.linspace(1.0, 3.0, 5)
     prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
     result = evolve(model, basis, times)
-    vec = vacuum_state(basis).density_matrix().elements.reshape(-1)
+    vec = vacuum_state(basis).elements.reshape(-1)
     for state in result.states:
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
         assert np.array_equal(state.elements, state.elements.T)
@@ -386,7 +386,7 @@ def test_evolve_output_states_are_physical():
     result = evolve(model, basis, np.array([0.0, 1.5]))
     final = result.states[-1]
     dense_validate(final.elements)
-    assert final.trace().real == pytest.approx(1.0, abs=1e-9)
+    assert np.trace(final.elements).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_evolve_time_grid_validation():
@@ -402,7 +402,7 @@ def test_evolve_time_grid_validation():
 
 def test_purity_range(rng):
     basis = FockBasis(5)
-    pure = vacuum_state(basis).density_matrix()
+    pure = vacuum_state(basis)
     assert purity(pure) == pytest.approx(1.0, abs=1e-12)
     mixed = random_density(basis, rng)
     assert 0.0 < purity(mixed) < 1.0

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import pure
 
 from eprsim import (
     BellSettings,
@@ -12,7 +13,6 @@ from eprsim import (
     FockBasis,
     LindbladModel,
     NopaParams,
-    PureState,
     TmssSpec,
     TruncationWarning,
     chsh_value,
@@ -22,6 +22,7 @@ from eprsim import (
     log_negativity,
     mean_phonon,
     model_from_lindblad,
+    purity,
     squeeze_parameter,
     steady_covariance,
     steady_state,
@@ -58,30 +59,32 @@ def analytic_parity_correlation(r, alpha, beta):
 def test_fidelity_limits():
     basis = FockBasis(6)
     vac = vacuum_state(basis)
-    assert fidelity(vac.density_matrix(), vac) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(vac, vac) == pytest.approx(1.0, abs=1e-12)
     one = np.zeros(36)
     one[1] = 1.0
-    excited = PureState(basis, one)
-    assert fidelity(excited.density_matrix(), vac) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(pure(basis, one), vac) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_of_mixture():
     basis = FockBasis(4)
     vac = vacuum_state(basis)
     tm = tmss_fock(TmssSpec(0.4), basis)
-    mixed_el = 0.5 * vac.density_matrix().elements + 0.5 * tm.density_matrix().elements
-    from eprsim import DensityMatrix
-
-    mixed = DensityMatrix(basis, mixed_el)
-    expected = 0.5 + 0.5 * abs(np.vdot(vac.amplitudes, tm.amplitudes)) ** 2
+    mixed = DensityMatrix(basis, np.r_[vac.keys, tm.keys], 0.5 * np.r_[vac.values, tm.values])
+    expected = 0.5 + 0.5 * tm.values[0].real  # |<00|tmss>|^2 is the vacuum entry of tmss
     assert fidelity(mixed, vac) == pytest.approx(expected, rel=1e-12)
 
 
+def test_fidelity_with_itself_is_the_purity():
+    """``fidelity(rho, rho)`` and ``purity(rho)`` are one sum, bit for bit."""
+    rho = _heated_steady_state(12)
+    assert fidelity(rho, rho) == purity(rho)
+    assert purity(rho) < 1.0
+
+
 def _fock_2_3():
-    basis = FockBasis(5)
     amp = np.zeros(25)
     amp[2 * 5 + 3] = 1.0  # |2, 3>
-    return PureState(basis, amp).density_matrix()
+    return pure(FockBasis(5), amp)
 
 
 def test_mean_phonon_fock_state():
@@ -93,7 +96,7 @@ def test_mean_phonon_fock_state():
 @pytest.mark.parametrize("make_rho", [
     _fock_2_3,
     lambda: _heated_steady_state(),
-    lambda: coherent_product(FockBasis(8), 0.6, 0.4j).density_matrix(),
+    lambda: coherent_product(FockBasis(8), 0.6, 0.4j),
 ], ids=["fock-2-3", "heated-steady-state", "coherent-rho"])
 def test_mean_phonon_matches_number_operator(make_rho):
     rho = make_rho()
@@ -123,7 +126,7 @@ def coherent_product(basis, g1, g2):
     """The product coherent state |g1>|g2>, displaced by dense expm D(g) from vacuum."""
     b = np.diag(np.sqrt(np.arange(1.0, basis.n_max)), k=1)
     c1, c2 = (scipy.linalg.expm(g * b.T - np.conj(g) * b)[:, 0] for g in (g1, g2))
-    return PureState(basis, np.kron(c1, c2))
+    return pure(basis, np.kron(c1, c2))
 
 
 def dense_parity_expectation(rho, alpha1, alpha2):
@@ -139,7 +142,7 @@ def test_parity_correlation_product_coherent():
     """For |g1>|g2>, E factorizes into exp(-2|g - setting|^2) terms."""
     basis = FockBasis(30)
     g1, g2 = 0.3, -0.2
-    rho = coherent_product(basis, g1, g2).density_matrix()
+    rho = coherent_product(basis, g1, g2)
     alpha, beta = 0.1, 0.25
     expected = np.exp(-2.0 * abs(g1 - alpha) ** 2) * np.exp(-2.0 * abs(g2 - beta) ** 2)
     assert displaced_parity_expectation(rho, alpha, beta) == pytest.approx(expected, abs=1e-10)
@@ -148,40 +151,35 @@ def test_parity_correlation_product_coherent():
 @pytest.mark.parametrize("r,j", [(0.1, 0.05), (0.6, 0.25), (1.2, 0.5)])
 def test_support_contraction_is_bit_identical_for_tmss(r, j):
     """Pure TMSS at n_max 40: the golden sweep's state and truncation."""
-    psi = tmss_fock(TmssSpec(r), FockBasis(40))
-    rho = psi.density_matrix()
+    rho = tmss_fock(TmssSpec(r), FockBasis(40))
     root = complex(math.sqrt(j))
     for alpha, beta in [(0j, 0j), (0j, root), (root, 0j), (root, root), (root, -root)]:
         expected = dense_parity_expectation(rho, alpha, beta)
-        assert displaced_parity_expectation(psi, alpha, beta) == expected
         assert displaced_parity_expectation(rho, alpha, beta) == expected
 
 
 def _vacuum_tmss_mixture():
     basis = FockBasis(20)
-    vac = vacuum_state(basis).density_matrix().elements
-    tmss = tmss_fock(TmssSpec(0.5), basis).density_matrix().elements
-    return DensityMatrix(basis, 0.5 * vac + 0.5 * tmss)
+    vac, tmss = vacuum_state(basis), tmss_fock(TmssSpec(0.5), basis)
+    return DensityMatrix(basis, np.r_[vac.keys, tmss.keys], 0.5 * np.r_[vac.values, tmss.values])
 
 
-def _heated_steady_state():
+def _heated_steady_state(n_max=10):
     n_p, m_p = effective_N_M(NopaParams(0.25, 1.0))
     model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
-    return steady_state(model, FockBasis(10))
+    return steady_state(model, FockBasis(n_max))
 
 
-@pytest.mark.parametrize("make_state", [
+@pytest.mark.parametrize("make_rho", [
     _vacuum_tmss_mixture,
     _heated_steady_state,
     lambda: coherent_product(FockBasis(30), 0.3, -0.2),
-    lambda: coherent_product(FockBasis(30), 0.3, -0.2).density_matrix(),
-], ids=["vacuum-tmss-mixture", "heated-steady-state", "coherent-pure", "coherent-rho"])
-def test_support_contraction_matches_dense_reference(make_state):
-    state = make_state()
-    rho = state.density_matrix() if isinstance(state, PureState) else state
+], ids=["vacuum-tmss-mixture", "heated-steady-state", "coherent-rho"])
+def test_support_contraction_matches_dense_reference(make_rho):
+    rho = make_rho()
     for alpha, beta in [(0.0, 0.0), (0.3, -0.2), (0.4 - 0.2j, 0.1 + 0.3j), (-0.5j, 0.7)]:
         expected = dense_parity_expectation(rho, complex(alpha), complex(beta))
-        assert abs(displaced_parity_expectation(state, alpha, beta) - expected) <= 1e-12
+        assert abs(displaced_parity_expectation(rho, alpha, beta) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -195,14 +193,14 @@ def test_chsh_sweep_matches_closed_form_wigner(sign):
     basis = FockBasis(n_max)
     for r in np.linspace(0.1, 1.2, 12):
         spec = TmssSpec(float(r))
-        psi = tmss_fock(spec, basis)
+        rho = tmss_fock(spec, basis)
 
         def corr(a, b):
             return (math.pi / 2.0) ** 2 * wigner_analytic(spec, a, 0.0, b, 0.0)
 
         for j in np.linspace(0.05, 0.5, 10):
             root = math.sqrt(j)
-            b_val = chsh_value(psi, BellSettings(0.0, root, 0.0, sign * root))
+            b_val = chsh_value(rho, BellSettings(0.0, root, 0.0, sign * root))
             ref = corr(0, 0) + corr(0, sign * root) + corr(root, 0) - corr(root, sign * root)
             assert abs(b_val - ref) <= math.tanh(r) ** n_max + 1e-9
 
@@ -219,7 +217,7 @@ def test_bell_settings_validation():
 @pytest.mark.parametrize("r,j", [(0.3, 0.08), (0.6, 0.1), (0.9, 0.05)])
 def test_chsh_matches_analytic_form(r, j):
     basis = FockBasis(30)
-    rho = tmss_fock(TmssSpec(r), basis).density_matrix()
+    rho = tmss_fock(TmssSpec(r), basis)
     root = np.sqrt(j)
     settings = BellSettings(0.0, root, 0.0, root)
     e11 = analytic_parity_correlation(r, 0.0, 0.0)
@@ -232,7 +230,7 @@ def test_chsh_matches_analytic_form(r, j):
 
 def test_chsh_violation_point():
     basis = FockBasis(30)
-    rho = tmss_fock(TmssSpec(0.8), basis).density_matrix()
+    rho = tmss_fock(TmssSpec(0.8), basis)
     root = np.sqrt(0.05)
     b_val = chsh_value(rho, BellSettings(0.0, root, 0.0, root))
     assert b_val > 2.0
@@ -240,18 +238,17 @@ def test_chsh_violation_point():
 
 def test_chsh_warns_once_on_a_truncated_state():
     """The truncation check runs once per CHSH value, not once per correlator."""
-    psi = tmss_fock(TmssSpec(1.2), FockBasis(6))
-    for state in (psi, psi.density_matrix()):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            chsh_value(state, BellSettings(0.0, 0.3, 0.0, 0.3))
-        assert [w.category for w in caught] == [TruncationWarning]
-        assert str(caught[0].message).startswith("chsh_value: population")
+    rho = tmss_fock(TmssSpec(1.2), FockBasis(6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chsh_value(rho, BellSettings(0.0, 0.3, 0.0, 0.3))
+    assert [w.category for w in caught] == [TruncationWarning]
+    assert str(caught[0].message).startswith("chsh_value: population")
 
 
 def test_chsh_vacuum_stays_classical():
     basis = FockBasis(16)
-    vac = vacuum_state(basis).density_matrix()
+    vac = vacuum_state(basis)
     for j in (0.02, 0.05, 0.2, 0.5):
         root = np.sqrt(j)
         b_val = chsh_value(vac, BellSettings(0.0, root, 0.0, root))

@@ -20,28 +20,26 @@ def ladder(n):
 
 
 def test_tmss_amplitudes():
-    basis = FockBasis(25)
-    r = 0.4
-    psi = tmss_fock(TmssSpec(r), basis)
-    amp = psi.amplitudes.reshape(25, 25)
-    # support only on |m, m>
-    off = amp.copy()
-    np.fill_diagonal(off, 0.0)
-    assert np.all(off == 0.0)
-    diag = np.diag(amp).real
-    # geometric progression with ratio -tanh(r)
-    assert np.allclose(diag[1:] / diag[:-1], -np.tanh(r), atol=1e-12)
-    assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    """Stored on the n_max**2 pairs of diagonal kets, with the closed-form amplitudes."""
+    n, r = 25, 0.4
+    rho = tmss_fock(TmssSpec(r), FockBasis(n))
+    m = np.arange(n)
+    ket = m * n + m
+    assert np.array_equal(rho.keys, (ket[:, None] * n * n + ket).ravel())
+    c = (-np.tanh(r)) ** m / np.cosh(r)
+    assert np.max(np.abs(rho.values - np.outer(c, c).ravel())) <= 1e-15
+    assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tmss_zero_squeezing_is_vacuum():
     basis = FockBasis(8)
-    psi = tmss_fock(TmssSpec(0.0), basis)
-    assert np.allclose(psi.amplitudes, vacuum_state(basis).amplitudes)
+    rho, vac = tmss_fock(TmssSpec(0.0), basis), vacuum_state(basis)
+    assert np.array_equal(rho.keys, vac.keys)
+    assert np.allclose(rho.values, vac.values)
 
 
 def test_tmss_requires_two_modes():
-    assert tmss_fock(TmssSpec(0.3), FockBasis(8)).amplitudes.shape == (64,)
+    assert tmss_fock(TmssSpec(0.3), FockBasis(8)).elements.shape == (64, 64)
     with pytest.raises(ValueError):
         TmssSpec(-0.1)
 
@@ -49,7 +47,7 @@ def test_tmss_requires_two_modes():
 def test_tmss_reduced_state_is_thermal():
     r = 0.5
     n = 30
-    rho = tmss_fock(TmssSpec(r), FockBasis(n)).density_matrix()
+    rho = tmss_fock(TmssSpec(r), FockBasis(n))
     # Trace out mode 1 over the stored entries: keep <m0 k| rho |n0 k>.
     rows, cols = np.divmod(rho.keys, n * n)
     (m0, m1), (n0, n1) = np.divmod(rows, n), np.divmod(cols, n)
@@ -70,9 +68,9 @@ def test_squeeze_unitary_matches_fock_form():
     b, eye = ladder(24), np.eye(24)
     pair = np.kron(b, eye) @ np.kron(eye, b)
     u = scipy.linalg.expm(spec.r * (pair - pair.T))
-    generated = u @ vacuum_state(basis).amplitudes
-    target = tmss_fock(spec, basis).amplitudes
-    overlap = abs(np.vdot(target, generated))
+    generated = u[:, 0]  # applied to the vacuum |00>
+    target = tmss_fock(spec, basis).elements
+    overlap = np.real(generated.conj() @ target @ generated)
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
@@ -127,7 +125,7 @@ def test_wigner_analytic_peak_and_correlations():
 def test_wigner_from_density_matches_analytic():
     basis = FockBasis(24)
     spec = TmssSpec(0.3)
-    rho = tmss_fock(spec, basis).density_matrix()
+    rho = tmss_fock(spec, basis)
     axis = np.linspace(-1.0, 1.0, 3)
     out = wigner_from_density(rho, axis, axis, axis, axis)
     mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")
@@ -137,13 +135,13 @@ def test_wigner_from_density_matches_analytic():
 
 
 def test_wigner_from_density_keeps_the_shape_of_an_empty_axis():
-    rho = tmss_fock(TmssSpec(0.2), FockBasis(6)).density_matrix()
+    rho = tmss_fock(TmssSpec(0.2), FockBasis(6))
     assert wigner_from_density(rho, [], [0.0, 1.0], 0.0, [0.1, 0.2, 0.3]).shape == (0, 2, 1, 3)
 
 
 def test_wigner_equals_scaled_displaced_parity():
     basis = FockBasis(16)
-    rho = tmss_fock(TmssSpec(0.2), basis).density_matrix()
+    rho = tmss_fock(TmssSpec(0.2), basis)
     w = wigner_from_density(rho, 0.4, -0.2, 0.1, 0.3)[0, 0, 0, 0]
     e = displaced_parity_expectation(rho, 0.4 - 0.2j, 0.1 + 0.3j)
     assert w == pytest.approx((2.0 / np.pi) ** 2 * e, rel=1e-12)
@@ -151,11 +149,11 @@ def test_wigner_equals_scaled_displaced_parity():
 
 def test_edge_population_and_warning():
     small = FockBasis(6)
-    rho = tmss_fock(TmssSpec(1.2), small).density_matrix()
+    rho = tmss_fock(TmssSpec(1.2), small)
     assert edge_population(rho) > 1e-3
     with pytest.warns(TruncationWarning):
         wigner_from_density(rho, 0.1, 0.1, 0.1, 0.1)
 
     big = FockBasis(40)
-    rho_ok = tmss_fock(TmssSpec(0.5), big).density_matrix()
+    rho_ok = tmss_fock(TmssSpec(0.5), big)
     assert edge_population(rho_ok) < 1e-10
