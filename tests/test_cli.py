@@ -776,17 +776,69 @@ def test_evolve_reproduces_golden_csv(tmp_path):
     assert out.read_bytes() == (REPO_ROOT / "golden" / "evolve_vacuum.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command, config, goldens", [
+# Shipped configs whose artifacts equal their golden files byte for byte.
+_SHIPPED_GOLDENS = [
     ("nopa-spectrum", "nopa_spectrum", ["nopa_spectrum.csv"]),
     ("feasibility", "feasibility_example", ["feasibility_example.json"]),
     ("wigner", "wigner_slice", ["wigner_slice.csv", "wigner_slice.csv.meta.json"]),
-], ids=["nopa-spectrum", "feasibility", "wigner"])
+    ("cascade", "cascade", ["cascade.csv"]),
+    ("bell-sweep", "bell_beta2_negative",
+     ["bell_beta2_negative.csv", "bell_beta2_negative.csv.summary.json"]),
+    ("bell-sweep", "bell_vacuum", ["bell_vacuum.csv", "bell_vacuum.csv.summary.json"]),
+]
+
+
+@pytest.mark.parametrize("command, config, goldens", _SHIPPED_GOLDENS, ids=[
+    "nopa-spectrum", "feasibility", "wigner", "cascade", "bell-beta2-negative", "bell-vacuum"])
 def test_shipped_config_reproduces_golden(tmp_path, command, config, goldens):
     """Each artifact of a shipped config, byte for byte (the first is ``--out``)."""
     cfg = REPO_ROOT / "configs" / f"{config}.json"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / goldens[0])]) == 0
     for name in goldens:
         assert (tmp_path / name).read_bytes() == (REPO_ROOT / "golden" / name).read_bytes()
+
+
+def test_steady_state_reproduces_golden_report(tmp_path):
+    """The shipped steady-state report: exact, except the fields summed over the Fock state.
+
+    Those four are sums over about 10^4 stored entries of a state that the
+    BLAS solves of the level elimination produce, and they change in the
+    last digits with the BLAS thread count (``fidelity_tmss``
+    1.0000000000000007 at one thread, 1.0000000000000036 at two), so they
+    are held to 1e-12.  The model, the Gaussian route and the warning flag
+    do not depend on it.
+    """
+    out = tmp_path / "steady_state.json"
+    cfg = REPO_ROOT / "configs" / "steady_state.json"
+    assert main(["steady-state", "--config", str(cfg), "--out", str(out)]) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))
+    want = json.loads((REPO_ROOT / "golden" / "steady_state.json").read_text(encoding="utf-8"))
+    fock = ("fidelity_tmss", "purity", "mean_phonon_1", "mean_phonon_2")
+    assert sorted(got) == sorted(want)
+    for key in fock:
+        assert abs(got[key] - want[key]) <= 1e-12, key
+    assert {k: v for k, v in got.items() if k not in fock} == {
+        k: v for k, v in want.items() if k not in fock}
+
+
+# Shipped configs and golden files checked by a test other than the byte test
+# above: config -> (golden files, the test that compares them).  The Bell
+# summary bell_sweep_max.json is read by test_acceptance.py's criterion 7.
+_OWN_GOLDEN_TESTS = {
+    "bell_default": (["bell_sweep.csv", "bell_sweep_max.json"],
+                     test_bell_sweep_reproduces_golden_csv),
+    "evolve_vacuum": (["evolve_vacuum.csv"], test_evolve_reproduces_golden_csv),
+    "steady_state": (["steady_state.json"], test_steady_state_reproduces_golden_report),
+}
+
+
+def test_every_shipped_config_and_golden_file_is_checked():
+    """Each ``configs/*.json`` has a golden check, and each ``golden/`` file is compared."""
+    checked = {config: goldens for _, config, goldens in _SHIPPED_GOLDENS}
+    checked.update({config: goldens for config, (goldens, _) in _OWN_GOLDEN_TESTS.items()})
+    assert sorted(checked) == sorted(p.stem for p in (REPO_ROOT / "configs").glob("*.json"))
+    assert sorted(name for goldens in checked.values() for name in goldens) == sorted(
+        p.name for p in (REPO_ROOT / "golden").iterdir())
 
 
 def test_module_entry_point(tmp_path):
