@@ -34,7 +34,7 @@ for ratio in ratios:
     nopa = NopaParams(epsilon=epsilon_over_kappa * ratio, kappa_c=ratio)
     full = steady_covariance(cascade_model(nopa, gamma=1.0))
     # modes are ordered (source 1, source 2, atoms 1, atoms 2); keep the atoms
-    atoms = CovarianceState(mean=full.mean[4:], cov=full.cov[4:, 4:])
+    atoms = CovarianceState(full.cov[4:, 4:])
     var_sum_q, _ = epr_variances(atoms)
     err = (var_sum_q - white_noise) / white_noise
     rel.append(err)

@@ -29,11 +29,11 @@ r_target = np.log(3.0)  # operating point of the squeezed drive
 
 def show(report, title):
     print(title)
-    print(f"  effective rate gamma_eff = 2pi x {report.gamma_eff / TWO_PI:.4g} Hz")
-    print(f"  single-atom cooperativity C1 = {report.c1:.4g}")
+    print(f"  effective rate gamma_eff = 2pi x {report['gamma_eff'] / TWO_PI:.4g} Hz")
+    print(f"  single-atom cooperativity C1 = {report['c1']:.4g}")
     print(f"  {'check':<28} {'ratio':>12} {'threshold':>10} verdict")
-    for c in report.checks:
-        print(f"  {c.name:<28} {c.ratio:12.4g} {c.threshold:10.3g} {c.verdict}")
+    for c in report["checks"]:
+        print(f"  {c['name']:<28} {c['ratio']:12.4g} {c['threshold']:10.3g} {c['verdict']}")
     print()
 
 

@@ -28,7 +28,7 @@ _EXPORTS = {
         "edge_population",
     ),
     "lindblad": (
-        "LindbladModel", "EvolutionResult", "steady_state", "evolve", "moments", "purity",
+        "LindbladModel", "steady_state", "evolve", "moments", "purity",
     ),
     "gaussian": (
         "CovarianceState", "DriftDiffusion", "symplectic_form", "model_from_lindblad",
@@ -39,8 +39,7 @@ _EXPORTS = {
         "log_negativity",
     ),
     "feasibility": (
-        "ExperimentParams", "Check", "FeasibilityReport", "coupling_rate", "cooperativity",
-        "check_all",
+        "ExperimentParams", "coupling_rate", "cooperativity", "check_all",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -93,11 +93,15 @@ def _field(cfg: dict, name: str, typ, where: str = "", default=None):
 
 
 def _grid_axis(block: dict, where: str) -> np.ndarray:
+    from .hilbert import NumericalError
+
     start = _field(block, "start", float, where)
     stop = _field(block, "stop", float, where)
     num = _field(block, "num", int, where)
     if num < 0:
         raise ConfigError(f"{where}.num: must be >= 0, got {num}")
+    if not math.isfinite(stop - start):  # linspace would fill the grid with nan
+        raise NumericalError(f"{where}: stop - start overflows from {start:.6g} to {stop:.6g}")
     return np.linspace(start, stop, num)
 
 
@@ -122,11 +126,14 @@ def _parse_model(cfg: dict) -> LindbladModel:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _n_max(cfg: dict, default: int) -> int:
-    n = _field(cfg, "n_max", int, default=default)
-    if n < 2:
-        raise ConfigError(f"n_max: must be >= 2, got {n}")
-    return n
+def _basis(cfg: dict, default: int) -> FockBasis:
+    from .hilbert import FockBasis
+
+    n_max = _field(cfg, "n_max", int, default=default)
+    try:
+        return FockBasis(n_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _recording_truncation(fn, *args):
@@ -232,18 +239,17 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
 
 def cmd_steady_state(cfg: dict, out: str | None) -> int:
     from .gaussian import epr_variances, model_from_lindblad, steady_covariance
-    from .hilbert import FockBasis, NumericalError
+    from .hilbert import NumericalError
     from .lindblad import purity, steady_state
     from .metrics import epr_criterion, fidelity, mean_phonon
     from .states import TmssSpec, tmss_fock
 
     model = _parse_model(cfg)
-    n_max = _n_max(cfg, default=40)
+    basis = _basis(cfg, default=40)
     density_csv = cfg.get("density_csv")
     if density_csv is not None and not isinstance(density_csv, str):
         raise ConfigError(f"density_csv: expected a path string, got {density_csv!r}")
 
-    basis = FockBasis(n_max)
     rho, trunc_warned = _recording_truncation(steady_state, model, basis)
 
     r_equiv = float(np.arcsinh(np.sqrt(model.n_param)))
@@ -256,7 +262,7 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
         raise NumericalError(f"Gaussian steady state: {exc}") from exc
     value, entangled = epr_criterion(var_q, var_p)
     report = {
-        "n_max": n_max,
+        "n_max": basis.n_max,
         "gamma": model.gamma,
         "n_param": model.n_param,
         "m_param": model.m_param,
@@ -279,11 +285,10 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
 
 
 def cmd_evolve(cfg: dict, out: str | None) -> int:
-    from .hilbert import FockBasis
-    from .lindblad import evolve
+    from .lindblad import evolve, moments
 
     model = _parse_model(cfg)
-    n_max = _n_max(cfg, default=20)
+    basis = _basis(cfg, default=20)
     times = _grid_axis(_field(cfg, "times", dict), "times")
     if len(times) == 0:
         raise ConfigError("times.num: must be >= 1 for evolve")
@@ -293,18 +298,18 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
 
     try:
         # The grid is a linspace, so only a non-increasing one is refused.
-        res = evolve(model, FockBasis(n_max), times)
+        states = evolve(model, basis, times)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    m = moments(states)
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
-    rows = zip(res.times, res.n1, res.n2, res.b1b2.real, res.b1b2.imag,
-               res.var_sum_q, res.var_diff_p, res.purity)
+    rows = zip(times, m["n1"], m["n2"], m["b1b2"].real, m["b1b2"].imag,
+               m["var_sum_q"], m["var_diff_p"], m["purity"])
     _write((out, _csv(header, rows)))
     return 0
 
 
 def cmd_wigner(cfg: dict, out: str | None) -> int:
-    from .hilbert import FockBasis
     from .states import TmssSpec, tmss_fock, wigner_analytic, wigner_from_density
 
     r = _field(cfg, "r", float)
@@ -316,7 +321,7 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
         for name in ("q1", "p1", "q2", "p2")
     }
     from_density = _field(cfg, "from_density", bool, default=False)
-    n_max = _n_max(cfg, default=30) if from_density else None
+    basis = _basis(cfg, default=30) if from_density else None
 
     spec = TmssSpec(r)
     mesh = np.meshgrid(*axes.values(), indexing="ij")
@@ -325,7 +330,7 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     trunc_warned = False
     w_rho = None
     if from_density:
-        state = tmss_fock(spec, FockBasis(n_max))
+        state = tmss_fock(spec, basis)
         w_rho, trunc_warned = _recording_truncation(wigner_from_density, state, *axes.values())
 
     header = ["q1", "p1", "q2", "p2", "w_analytic"]
@@ -336,8 +341,8 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     rows = zip(*cols) if len(cols[0]) else []
 
     meta = {"truncation_warning": trunc_warned, "from_density": from_density}
-    if n_max is not None:
-        meta["n_max"] = n_max
+    if basis is not None:
+        meta["n_max"] = basis.n_max
     artifacts = [(out, _csv(header, rows))]
     meta_path = _sibling(out, ".meta.json")
     if meta_path is None:
@@ -349,14 +354,14 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
 
 
 def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
-    from .hilbert import FockBasis, vacuum_state
+    from .hilbert import vacuum_state
     from .metrics import MAX_SETTING_MAGNITUDE, BellSettings, chsh_value
     from .states import TmssSpec, tmss_fock
 
     state_kind = cfg.get("state", "tmss")
     if state_kind not in ("tmss", "vacuum"):
         raise ConfigError(f"state: expected 'tmss' or 'vacuum', got {state_kind!r}")
-    n_max = _n_max(cfg, default=40)
+    basis = _basis(cfg, default=40)
     r_default = {"start": 0.1, "stop": 1.2, "num": 12}
     j_default = {"start": 0.05, "stop": 0.5, "num": 10}
     r_grid = _grid_axis(_field(cfg, "r_grid", dict, default=r_default), "r_grid")
@@ -372,7 +377,6 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
         raise ConfigError(
             f"j_grid: sqrt(J) exceeds the truncation-safety bound {MAX_SETTING_MAGNITUDE:g}")
 
-    basis = FockBasis(n_max)
     rows = []
     best = (-np.inf, None, None)
     for r in r_grid:
@@ -385,20 +389,20 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
             if b_val > best[0]:
                 best = (b_val, float(r), float(j))
     summary = {"max_b": best[0], "r": best[1], "j": best[2],
-               "state": state_kind, "n_max": n_max, "beta2_sign": beta2_sign}
+               "state": state_kind, "n_max": basis.n_max, "beta2_sign": beta2_sign}
     _write((out, _csv(["r", "J", "B"], rows)),
            (_sibling(out, ".summary.json"), _json_text(summary)))
     return 0
 
 
 def cmd_feasibility(cfg: dict, out: str | None) -> int:
+    from dataclasses import fields
+
     from . import feasibility as feas
 
     block = _field(cfg, "experiment", dict)
-    kwargs = {}
-    for name in ("g0", "kappa_a", "gamma_atom", "delta_big", "eta_x",
-                 "e_laser", "nu_x", "kappa_c", "t_decoherence"):
-        kwargs[name] = _field(block, name, float, "experiment")
+    kwargs = {f.name: _field(block, f.name, float, "experiment")
+              for f in fields(feas.ExperimentParams)}
     r = _field(cfg, "r", float)
     threshold = _field(cfg, "ratio_threshold", float, default=10.0)
     try:
@@ -406,7 +410,7 @@ def cmd_feasibility(cfg: dict, out: str | None) -> int:
         report = feas.check_all(params, r, threshold)
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
-    _write((out, _json_text(report.as_dict())))
+    _write((out, _json_text(report)))
     return 0
 
 
@@ -435,7 +439,7 @@ def cmd_cascade(cfg: dict, out: str | None) -> int:
         # The model is physical for every valid ratio, so a failure here is rounding.
         try:
             dd = cascade_model(params, gamma=1.0 / float(ratio))
-            motion = CovarianceState(np.zeros(4), steady_covariance(dd).cov[4:, 4:])
+            motion = CovarianceState(steady_covariance(dd).cov[4:, 4:])  # the atoms
         except (ValueError, NumericalError) as exc:
             raise NumericalError(f"cascade at kappa_over_gamma {ratio!r}: {exc}") from exc
         var_q, _ = epr_variances(motion)
@@ -505,8 +509,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"numerical failure: out of memory ({str(exc) or 'allocation failed'}); "
-              "lower n_max", file=sys.stderr)
+        hint = "; lower n_max" if args.command in _TRUNCATING else ""
+        print(f"numerical failure: out of memory ({str(exc) or 'allocation failed'}){hint}",
+              file=sys.stderr)
         return 3
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -14,7 +14,10 @@ grades it pass / warn / fail against a configurable threshold: a "much
 greater than" with ratio >= threshold passes, >= threshold/3 warns,
 anything less fails.  One check (the absolute magnitude of gamma_eff)
 is a plausibility band rather than an inequality and never fails, only
-warns.
+warns.  ``check_all`` returns the plain dict the CLI writes,
+``{"gamma_eff", "c1", "checks"}`` with one ``{"name", "ratio",
+"threshold", "verdict"}`` per check; a quantity past the float range
+raises :class:`~eprsim.hilbert.NumericalError` naming it.
 
 All rates are angular frequencies; ``t_decoherence`` is a plain time in
 the inverse units.
@@ -23,7 +26,9 @@ the inverse units.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
+
+from .hilbert import NumericalError
 
 # Plausibility band for the derived rate: tens of kHz to ~1 MHz
 # (ordinary frequency). Outside it the scheme is not wrong, just outside
@@ -59,42 +64,30 @@ class ExperimentParams:
     t_decoherence: float
 
     def __post_init__(self):
-        for name in (
-            "g0", "kappa_a", "gamma_atom", "delta_big",
-            "e_laser", "nu_x", "kappa_c", "t_decoherence",
-        ):
+        for name in ("g0", "kappa_a", "gamma_atom", "delta_big", "e_laser", "nu_x", "kappa_c",
+                     "t_decoherence"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.eta_x < 1:
             raise ValueError(f"eta_x must be in (0, 1), got {self.eta_x}")
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ratio: float
-    threshold: float
-    verdict: str  # "pass" | "warn" | "fail"
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    gamma_eff: float
-    c1: float
-    checks: list[Check] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def coupling_rate(p: ExperimentParams) -> float:
     """Effective motional coupling gamma_eff = (g0 eta_x E_L / Delta)^2 / kappa_a."""
-    return (p.g0 * p.eta_x * p.e_laser / p.delta_big) ** 2 / p.kappa_a
+    raman = p.g0 * p.eta_x * p.e_laser / p.delta_big
+    try:
+        return raman ** 2 / p.kappa_a
+    except OverflowError:
+        raise NumericalError(
+            f"gamma_eff overflows at g0 eta_x e_laser / delta_big = {raman:.6g}") from None
 
 
 def cooperativity(p: ExperimentParams) -> float:
     """Single-atom cooperativity C1 = g0^2 / (kappa_a * gamma_atom)."""
-    return p.g0**2 / (p.kappa_a * p.gamma_atom)
+    try:
+        return p.g0**2 / (p.kappa_a * p.gamma_atom)
+    except OverflowError:
+        raise NumericalError(f"cooperativity: g0**2 overflows at g0 = {p.g0:.6g}") from None
 
 
 def _grade(ratio: float, threshold: float) -> str:
@@ -105,7 +98,7 @@ def _grade(ratio: float, threshold: float) -> str:
     return "fail"
 
 
-def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> FeasibilityReport:
+def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> dict:
     """Evaluate every validity condition for squeeze parameter ``r``.
 
     The checks, in fixed order:
@@ -131,6 +124,10 @@ def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> F
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    try:
+        cosh_r = math.cosh(r)
+    except OverflowError:
+        raise NumericalError(f"lamb_dicke_refined: cosh(r) overflows at r = {r:.6g}") from None
     gamma_eff = coupling_rate(p)
     c1 = cooperativity(p)
     raman = (p.g0 * p.eta_x / p.delta_big) * p.e_laser
@@ -143,13 +140,14 @@ def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> F
         "trap_over_cavity_decay": p.nu_x / p.kappa_a,
         "cavity_decay_over_raman_rate": p.kappa_a / raman,
         "nopa_bandwidth_over_gamma": p.kappa_c / gamma_eff,
-        "lamb_dicke_refined": 1.0 / (p.eta_x * math.cosh(r)),
+        "lamb_dicke_refined": 1.0 / (p.eta_x * cosh_r),
         "decoherence_budget": p.t_decoherence * gamma_eff,
         "cooperativity": c1,
     }
-    checks = [Check(name, ratio, thr, _grade(ratio, thr)) for name, ratio in ratios.items()]
+    checks = [{"name": name, "ratio": ratio, "threshold": thr, "verdict": _grade(ratio, thr)}
+              for name, ratio in ratios.items()]
     gamma_ordinary = gamma_eff / (2.0 * math.pi)
     in_band = GAMMA_BAND_HZ[0] <= gamma_ordinary <= GAMMA_BAND_HZ[1]
-    checks.append(Check("gamma_magnitude", gamma_ordinary / GAMMA_BAND_HZ[0], 1.0,
-                        "pass" if in_band else "warn"))
-    return FeasibilityReport(gamma_eff=gamma_eff, c1=c1, checks=checks)
+    checks.append({"name": "gamma_magnitude", "ratio": gamma_ordinary / GAMMA_BAND_HZ[0],
+                   "threshold": 1.0, "verdict": "pass" if in_band else "warn"})
+    return {"gamma_eff": gamma_eff, "c1": c1, "checks": checks}

@@ -1,16 +1,16 @@
-"""Exact Gaussian (first/second moment) dynamics.
+"""Exact Gaussian (second-moment) dynamics.
 
 The dissipative model is linear in the mode operators, so Gaussian states
-stay Gaussian and the full dynamics closes on the mean vector and
-covariance matrix.  This module is the independent oracle for the
-Fock-space propagator: both must produce the same moments, and the test
-suite holds them to each other at 1e-6.
+stay Gaussian.  Every state eprsim forms is driven from vacuum inputs and
+has zero mean, so a state is its covariance, ``CovarianceState(cov)``.
+This module is the Fock-space propagator's independent oracle: the test
+suite holds the moments of the two to each other at 1e-6.
 
 Conventions: quadrature ordering (Q1, P1, Q2, P2, ...), with
 ``Q = b + b†``, ``P = -i(b - b†)``; the vacuum covariance is the
 identity.  Covariance dynamics follow
 
-    dSigma/dt = A Sigma + Sigma A^T + D,      dmu/dt = A mu,
+    dSigma/dt = A Sigma + Sigma A^T + D
 
 with drift ``A`` and diffusion ``D`` from :class:`DriftDiffusion`.
 
@@ -51,38 +51,29 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Gaussian state: mean vector and covariance (vacuum = identity)."""
+    """Zero-mean Gaussian state: its covariance (vacuum = identity)."""
 
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or len(mean) % 2:
-            raise ValueError("mean must be a flat vector of even length")
-        if cov.shape != (len(mean), len(mean)):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {len(mean)}")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or len(cov) % 2:
+            raise ValueError(f"cov must be square with even dimension, got shape {cov.shape}")
         asym = np.max(np.abs(cov - cov.T))
         if asym > SYMMETRY_ATOL:
             raise ValueError(f"covariance not symmetric: max asymmetry {asym:.3e}")
-        omega = symplectic_form(len(mean) // 2)
+        omega = symplectic_form(len(cov) // 2)
         evals = np.linalg.eigvalsh(cov + 1j * omega)
         if evals.min() < -PHYSICALITY_ATOL:
             raise ValueError(
                 f"covariance violates the uncertainty bound: min eig(cov + i Omega) "
                 f"= {evals.min():.3e}"
             )
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def n_modes(self) -> int:
-        return len(self.mean) // 2
-
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "CovarianceState":
-        return cls(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+        return len(self.cov) // 2
 
 
 @dataclass(frozen=True)
@@ -168,18 +159,17 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
     resid = np.linalg.norm((drift @ sigma + sigma @ drift.T + diffusion) / scale)
     if not resid <= LYAPUNOV_RESIDUAL_TOL * max(1.0 / scale, np.linalg.norm(diffusion / scale)):
         raise NumericalError(f"Lyapunov solve residual {resid:.3e} too large")
-    return CovarianceState(np.zeros(n), sigma)
+    return CovarianceState(sigma)
 
 
 def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> CovarianceState:
-    """Propagate mean and covariance for a time ``t >= 0``.
+    """Propagate the covariance for a time ``t >= 0``.
 
     Exact up to matrix-exponential accuracy, via the block trick
 
         expm([[A, D], [0, -A^T]] t) = [[F11, F12], [0, F22]]
 
-    giving ``Sigma(t) = F11 Sigma F11^T + F12 F11^T`` and
-    ``mu(t) = F11 mu``.
+    giving ``Sigma(t) = F11 Sigma F11^T + F12 F11^T``.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -196,7 +186,7 @@ def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> C
     f11, f12 = f[:n2, :n2], f[:n2, n2:]
     cov = f11 @ state.cov @ f11.T + f12 @ f11.T
     cov = (cov + cov.T) / 2.0
-    return CovarianceState(f11 @ state.mean, cov)
+    return CovarianceState(cov)
 
 
 def cascade_model(nopa: NopaParams, gamma: float) -> DriftDiffusion:

@@ -51,7 +51,8 @@ class FockBasis:
     """Truncated number-state basis of the two modes.
 
     ``n_max`` is the number of retained Fock states per mode (states
-    ``|0> .. |n_max-1>``), so the composite dimension is ``n_max ** 2``.
+    ``|0> .. |n_max-1>``), so the composite dimension is ``n_max ** 2``;
+    the flat keys ``row * d + col`` of its states, up to n_max**4, are int64.
     """
 
     n_max: int
@@ -59,13 +60,15 @@ class FockBasis:
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        if int(self.n_max) ** 4 >= 2**63:
+            raise ValueError(f"n_max must be below 55109 for int64 keys, got {self.n_max}")
 
     @property
     def dimension(self) -> int:
         return self.n_max**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Density operator on a :class:`FockBasis`, stored by its nonzero entries.
 
@@ -77,7 +80,7 @@ class DensityMatrix:
     of its amplitudes on their support.
 
     Construction does not check Hermiticity, unit trace or positivity; the
-    tests check the solvers' states against a dense reference.
+    tests check the solvers' states against a dense reference.  Equality is identity.
     """
 
     basis: FockBasis

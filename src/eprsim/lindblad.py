@@ -111,20 +111,6 @@ class LindbladModel:
             raise ValueError(f"heating_rate must be >= 0, got {self.heating_rate}")
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Trajectory of density matrices with the :func:`moments` of each."""
-
-    times: np.ndarray
-    states: list[DensityMatrix]
-    n1: np.ndarray          # <b1† b1>(t), real
-    n2: np.ndarray          # <b2† b2>(t), real
-    b1b2: np.ndarray        # <b1 b2>(t), complex
-    var_sum_q: np.ndarray   # Var(Q1 + Q2)(t)
-    var_diff_p: np.ndarray  # Var(P1 - P2)(t)
-    purity: np.ndarray      # tr(rho(t)^2)
-
-
 def _ladders(basis: FockBasis):
     """Sparse real annihilation operators (b1, b2) of a two-mode basis, for :func:`moments`."""
     import scipy.sparse as sp
@@ -436,8 +422,8 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     return rho
 
 
-def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
-    """Relax the vacuum |00><00| through ``times``.
+def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]:
+    """The states the vacuum |00><00| relaxes through, one per entry of ``times``.
 
     The vacuum is the state at ``times[0]``, and ``times`` must be strictly
     increasing and exactly ``np.linspace(times[0], times[-1], len(times))``.
@@ -447,11 +433,11 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
     eliminates plus its vacuum row.  The generator does not depend on time,
     so the propagation is one ``expm_multiply`` call over the grid (Al-Mohy &
     Higham 2011) at its double-precision tolerance; a single time gives the
-    vacuum alone.  The returned states are real and exactly symmetric.  The
-    work of ``expm_multiply`` grows with ``||L||_1 * (times[-1] - times[0])``
-    times the orbit matrix's stored entries; where that estimate exceeds a
-    fixed budget (1e9) :class:`~eprsim.hilbert.NumericalError` is raised
-    before any propagation.
+    vacuum alone.  The states are real and exactly symmetric; :func:`moments`
+    reads their second moments and purity.  The work of ``expm_multiply``
+    grows with ``||L||_1 * (times[-1] - times[0])`` times the orbit matrix's
+    stored entries; where that estimate exceeds a fixed budget (1e9)
+    :class:`~eprsim.hilbert.NumericalError` is raised before any propagation.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply, norm
@@ -487,8 +473,7 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> EvolutionResult:
         "evolve: orbits path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
         size, mat.nnz, t1 - t0, t2 - t1,
     )
-    states = [DensityMatrix(basis, indices, vec[orbit]) for vec in vecs]
-    return EvolutionResult(times, states, **moments(states))
+    return [DensityMatrix(basis, indices, vec[orbit]) for vec in vecs]
 
 
 def moments(states) -> dict[str, np.ndarray]:

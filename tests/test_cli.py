@@ -490,6 +490,7 @@ def test_singular_level_block_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command, module, solver", [
     ("steady-state", "lindblad", "steady_state"),
     ("evolve", "lindblad", "evolve"),
+    ("wigner", "states", "wigner_from_density"),
     ("bell-sweep", "states", "tmss_fock"),
 ])
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command, module, solver):
@@ -505,6 +506,26 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command, module, s
         "numerical failure: out of memory (Unable to allocate 74.5 TiB for an array); "
         "lower n_max\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, config, module, solver", [
+    ("nopa-spectrum", "nopa_spectrum", "nopa", "squeezing_spectra"),
+    ("feasibility", "feasibility_example", "feasibility", "check_all"),
+    ("cascade", "cascade", "gaussian", "steady_covariance"),
+])
+def test_out_of_memory_without_n_max_exits_3(tmp_path, capsys, monkeypatch, command, config,
+                                             module, solver):
+    """A command without --n-max does not suggest lowering it."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr(importlib.import_module(f"eprsim.{module}"), solver, exhausted)
+    cfg = REPO_ROOT / "configs" / f"{config}.json"
+    out = tmp_path / "artifact"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: out of memory (Unable to allocate 74.5 TiB for an array)\n")
+    assert not out.exists()
 
 
 def test_wigner_reemits_and_records_a_truncation_warning(tmp_path, capsys):
@@ -540,6 +561,12 @@ def _point_grid():
     return {"q1": axis, "p1": axis, "q2": axis, "p2": axis}
 
 
+def _experiment(**overrides):
+    """The shipped feasibility config's experiment block, with ``overrides``."""
+    cfg = json.loads((REPO_ROOT / "configs" / "feasibility_example.json").read_text())
+    return {**cfg["experiment"], **overrides}
+
+
 def _edge_of_m_bound():
     """M at the top of the tolerance ``LindbladModel`` allows, with N = 1e4."""
     return {"n_param": 1e4, "m_param": math.sqrt(1e4 * (1e4 + 1.0)) * (1.0 + 1e-12)}
@@ -565,10 +592,23 @@ def _edge_of_m_bound():
     ("bell-sweep", {"n_max": 6, "r_grid": {"start": 1e300, "stop": 1e300, "num": 1},
                     "j_grid": {"start": 0.1, "stop": 0.1, "num": 1}}, 3,
      "numerical failure: tmss_fock: cosh(r) overflows at r = 1e+300"),
+    ("feasibility", {"experiment": _experiment(), "r": 1000.0}, 3,
+     "numerical failure: lamb_dicke_refined: cosh(r) overflows at r = 1000\n"),
+    ("feasibility", {"experiment": _experiment(g0=1e200), "r": 1.0}, 3,
+     "numerical failure: gamma_eff overflows at g0 eta_x e_laser / delta_big = 4.75e+197\n"),
+    ("feasibility", {"experiment": _experiment(g0=1e155), "r": 1.0}, 3,
+     "numerical failure: cooperativity: g0**2 overflows at g0 = 1e+155\n"),
+    ("steady-state", {"model": {"epsilon_over_kappa": 0.5}, "n_max": 10**11}, 2,
+     "config error: n_max must be below 55109 for int64 keys, got 100000000000\n"),
+    ("nopa-spectrum", {"epsilon_over_kappa": 0.5,
+                       "omega_grid": {"start": -1e308, "stop": 1e308, "num": 5}}, 3,
+     "numerical failure: omega_grid: stop - start overflows from -1e+308 to 1e+308\n"),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
-        "bell-sweep-r-1e300"])
+        "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
+        "feasibility-g0-1e155", "steady-state-n-max-1e11", "nopa-spectrum-omega-1e308"])
 @pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
     out = tmp_path / "artifact"

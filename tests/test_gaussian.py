@@ -36,22 +36,22 @@ def test_symplectic_form():
 
 
 def test_vacuum_is_valid():
-    vac = CovarianceState.vacuum(2)
+    vac = CovarianceState(np.eye(4))
     assert vac.n_modes == 2
     assert np.allclose(vac.cov, np.eye(4))
 
 
 def test_covariance_validation():
     with pytest.raises(ValueError, match="uncertainty"):
-        CovarianceState(np.zeros(4), 0.5 * np.eye(4))
+        CovarianceState(0.5 * np.eye(4))
     bad_sym = np.eye(4)
     bad_sym[0, 1] = 1e-6
     with pytest.raises(ValueError, match="symmetric"):
-        CovarianceState(np.zeros(4), bad_sym)
+        CovarianceState(bad_sym)
     with pytest.raises(ValueError, match="shape"):
-        CovarianceState(np.zeros(4), np.eye(6))
+        CovarianceState(np.eye(6)[:4])
     with pytest.raises(ValueError, match="even"):
-        CovarianceState(np.zeros(3), np.eye(3))
+        CovarianceState(np.eye(3))
 
 
 def test_drift_diffusion_validation():
@@ -146,7 +146,7 @@ def test_steady_covariance_raises_on_failed_residual(monkeypatch):
 def test_evolve_covariance_closed_form():
     """With drift -gamma*I the solution interpolates start and steady state."""
     dd = model_from_lindblad(nopa_model(0.4))
-    vac = CovarianceState.vacuum(2)
+    vac = CovarianceState(np.eye(4))
     steady = steady_covariance(dd)
     for t in (0.0, 0.3, 1.0, 4.0):
         out = evolve_covariance(vac, dd, t)
@@ -158,7 +158,7 @@ def test_evolve_covariance_closed_form():
 
 def test_evolve_covariance_semigroup():
     dd = model_from_lindblad(nopa_model(0.25, heating=0.1))
-    vac = CovarianceState.vacuum(2)
+    vac = CovarianceState(np.eye(4))
     step = evolve_covariance(evolve_covariance(vac, dd, 0.7), dd, 0.5)
     direct = evolve_covariance(vac, dd, 1.2)
     assert np.allclose(step.cov, direct.cov, atol=1e-12)
@@ -167,7 +167,7 @@ def test_evolve_covariance_semigroup():
 def test_evolve_covariance_rejects_negative_time():
     dd = model_from_lindblad(nopa_model(0.2))
     with pytest.raises(ValueError):
-        evolve_covariance(CovarianceState.vacuum(2), dd, -0.1)
+        evolve_covariance(CovarianceState(np.eye(4)), dd, -0.1)
 
 
 def test_heating_raises_epr_variance():
@@ -199,4 +199,4 @@ def test_cascade_approaches_white_noise_limit():
 
 
 def test_epr_variances_vacuum():
-    assert epr_variances(CovarianceState.vacuum(2)) == pytest.approx((2.0, 2.0))
+    assert epr_variances(CovarianceState(np.eye(4))) == pytest.approx((2.0, 2.0))

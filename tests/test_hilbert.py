@@ -25,6 +25,13 @@ def test_n_max_too_small(n_max):
         FockBasis(n_max)
 
 
+def test_n_max_bounded_by_int64_flat_keys():
+    """A state's flat keys row * d + col run to n_max**4, which must fit in int64."""
+    assert FockBasis(55108).n_max**4 < 2**63
+    with pytest.raises(ValueError, match="n_max must be below 55109"):
+        FockBasis(55109)
+
+
 def test_annihilation_single_mode():
     b = _single_mode_ladder(4)
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), k=1)

@@ -21,6 +21,7 @@ from eprsim import (
     effective_N_M,
     evolve,
     mean_phonon,
+    moments,
     purity,
     steady_state,
     tmss_fock,
@@ -154,7 +155,7 @@ def test_steady_state_agrees_with_long_time_integration():
     basis = FockBasis(8)
     direct = steady_state(model, basis)
     times = np.array([0.0, 30.0])
-    integrated = evolve(model, basis, times).states[-1]
+    integrated = evolve(model, basis, times)[-1]
     assert np.max(np.abs(direct.elements - integrated.elements)) < 1e-8
 
 
@@ -307,12 +308,12 @@ def test_evolve_relaxation_matches_closed_form():
     model = half_model(0.3)
     basis = FockBasis(14)
     times = np.linspace(0.0, 3.0, 7)
-    result = evolve(model, basis, times)
+    result = moments(evolve(model, basis, times))
     decay = 1.0 - np.exp(-2.0 * times)
-    assert np.allclose(result.n1, model.n_param * decay, atol=1e-7)
-    assert np.allclose(result.n2, model.n_param * decay, atol=1e-7)
-    assert np.allclose(result.b1b2.real, -model.m_param * decay, atol=1e-7)
-    assert np.max(np.abs(result.b1b2.imag)) < 1e-9
+    assert np.allclose(result["n1"], model.n_param * decay, atol=1e-7)
+    assert np.allclose(result["n2"], model.n_param * decay, atol=1e-7)
+    assert np.allclose(result["b1b2"].real, -model.m_param * decay, atol=1e-7)
+    assert np.max(np.abs(result["b1b2"].imag)) < 1e-9
 
 
 def kron_generator(model, n):
@@ -348,10 +349,10 @@ def test_evolve_matches_dense_expm(caplog, start):
     times = np.linspace(0.0, 5.0, 4)
     prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
     with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
-        result = evolve(model, basis, times)
+        states = evolve(model, basis, times)
     assert "evolve: orbits path" in caplog.text
     vec = vacuum_state(basis).elements.reshape(-1)
-    for state in result.states:
+    for state in states:
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
         vec = prop @ vec
 
@@ -363,9 +364,9 @@ def test_evolve_on_uniform_grid_matches_dense_expm(start):
     basis = FockBasis(6)
     times = np.linspace(1.0, 3.0, 5)
     prop = scipy.linalg.expm(kron_generator(model, 6) * (times[1] - times[0]))
-    result = evolve(model, basis, times)
+    states = evolve(model, basis, times)
     vec = vacuum_state(basis).elements.reshape(-1)
-    for state in result.states:
+    for state in states:
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
         assert np.array_equal(state.elements, state.elements.T)
         vec = prop @ vec
@@ -383,8 +384,7 @@ def test_evolve_logs_path_and_figures(caplog):
 def test_evolve_output_states_are_physical():
     model = half_model(0.3)
     basis = FockBasis(10)
-    result = evolve(model, basis, np.array([0.0, 1.5]))
-    final = result.states[-1]
+    final = evolve(model, basis, np.array([0.0, 1.5]))[-1]
     dense_validate(final.elements)
     assert np.trace(final.elements).real == pytest.approx(1.0, abs=1e-9)
 

@@ -37,7 +37,6 @@ def tmss_covariance(r):
     """Analytic two-mode squeezed covariance in (Q1, P1, Q2, P2) ordering."""
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
     return CovarianceState(
-        np.zeros(4),
         np.array(
             [
                 [c, 0.0, -s, 0.0],
@@ -45,7 +44,7 @@ def tmss_covariance(r):
                 [-s, 0.0, c, 0.0],
                 [0.0, s, 0.0, c],
             ]
-        ),
+        )
     )
 
 
@@ -258,8 +257,8 @@ def test_chsh_vacuum_stays_classical():
 
 
 def test_log_negativity_vacuum_and_thermal():
-    assert log_negativity(CovarianceState.vacuum(2)) == pytest.approx(0.0, abs=1e-12)
-    thermal = CovarianceState(np.zeros(4), 3.0 * np.eye(4))
+    assert log_negativity(CovarianceState(np.eye(4))) == pytest.approx(0.0, abs=1e-12)
+    thermal = CovarianceState(3.0 * np.eye(4))
     assert log_negativity(thermal) == pytest.approx(0.0, abs=1e-12)
 
 

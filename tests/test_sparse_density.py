@@ -145,6 +145,14 @@ def test_fields_are_plain_and_replaceable(rho):
     assert np.array_equal(halved.values, rho.values / 2)
 
 
+def test_equality_and_hash_are_by_identity(rho):
+    """Comparing or hashing a state neither compares nor hashes its arrays."""
+    again = dataclasses.replace(rho)
+    assert rho == rho and hash(rho) == hash(rho)
+    assert (rho == again) is False and rho != again
+    assert {rho: 1, again: 2}[rho] == 1
+
+
 def test_fidelity_matches_dense(rho):
     target = tmss_fock(TmssSpec(0.5), rho.basis)
     expected = np.sum(rho.elements * target.elements.T).real  # tr(rho target)
