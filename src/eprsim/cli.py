@@ -377,14 +377,14 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
         raise ConfigError(
             f"j_grid: sqrt(J) exceeds the truncation-safety bound {MAX_SETTING_MAGNITUDE:g}")
 
+    settings = [BellSettings(0.0, math.sqrt(j), 0.0, beta2_sign * math.sqrt(j)) for j in j_grid]
     rows = []
     best = (-np.inf, None, None)
     for r in r_grid:
         state = (vacuum_state(basis) if state_kind == "vacuum"
                  else tmss_fock(TmssSpec(float(r)), basis))
-        for j in j_grid:
-            root = math.sqrt(j)
-            b_val = chsh_value(state, BellSettings(0.0, root, 0.0, beta2_sign * root))
+        for j, s in zip(j_grid, settings):
+            b_val = chsh_value(state, s)
             rows.append((r, j, b_val))
             if b_val > best[0]:
                 best = (b_val, float(r), float(j))

@@ -22,8 +22,8 @@ unidirectionally at finite bandwidth.
 The module needs numpy only.  The stationary covariance is one linear
 solve in the Kronecker-sum form of the Lyapunov equation (the matrices
 here are at most 8 x 8, so the system is at most 64 x 64), and
-``scipy.linalg.expm`` is imported when :func:`evolve_covariance` first
-runs.
+``scipy.linalg.expm`` is imported inside :func:`evolve_covariance`, its
+one user in the package.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import NumericalError, _expm
+from .hilbert import NumericalError
 from .nopa import NopaParams
 
 SYMMETRY_ATOL = 1e-12
@@ -49,9 +49,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceState:
-    """Zero-mean Gaussian state: its covariance (vacuum = identity)."""
+    """Zero-mean Gaussian state: its covariance (vacuum = identity).
+
+    Equality is identity, as for :class:`~eprsim.hilbert.DensityMatrix`.
+    """
 
     cov: np.ndarray
 
@@ -76,9 +79,12 @@ class CovarianceState:
         return len(self.cov) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftDiffusion:
-    """Linear moment dynamics: drift A and diffusion D (both 2n x 2n)."""
+    """Linear moment dynamics: drift A and diffusion D (both 2n x 2n).
+
+    Equality is identity, as for :class:`~eprsim.hilbert.DensityMatrix`.
+    """
 
     drift: np.ndarray
     diffusion: np.ndarray
@@ -171,6 +177,8 @@ def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> C
 
     giving ``Sigma(t) = F11 Sigma F11^T + F12 F11^T``.
     """
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValueError("t must be >= 0")
     if state.cov.shape != dd.drift.shape:
@@ -182,7 +190,7 @@ def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> C
     block[:n2, :n2] = dd.drift
     block[:n2, n2:] = dd.diffusion
     block[n2:, n2:] = -dd.drift.T
-    f = _expm(block * t)
+    f = expm(block * t)
     f11, f12 = f[:n2, :n2], f[:n2, n2:]
     cov = f11 @ state.cov @ f11.T + f12 @ f11.T
     cov = (cov + cov.T) / 2.0

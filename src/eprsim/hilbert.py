@@ -19,8 +19,7 @@ vacuum, the vacuum) is the outer product on its amplitude support.  Every
 routine reads those two arrays, finding entries by :func:`_lookup` (a
 ``searchsorted`` on the keys); ``DensityMatrix.elements`` builds the
 dense d x d array on request (d**2 complex values) and no library path
-reads it.  The module needs numpy only: scipy is loaded by the first
-:func:`_expm` call.
+reads it.  The module needs numpy only.
 
 Conventions
 -----------
@@ -117,13 +116,6 @@ def _lookup(keys, values, wanted, absent=-1) -> np.ndarray:
         return np.full(np.shape(wanted), absent)
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     return np.where(keys[at] == wanted, values[at], absent)
-
-
-def _expm(mat: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm(mat)``; scipy.linalg is loaded on the first call."""
-    from scipy.linalg import expm
-
-    return expm(mat)
 
 
 def _single_mode_ladder(n_max: int) -> np.ndarray:

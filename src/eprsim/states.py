@@ -30,9 +30,9 @@ Both Wigner routines return plain arrays: :func:`wigner_analytic`
 broadcasts over its coordinates, and :func:`wigner_from_density` takes
 four axes and fills their product grid.
 
-``scipy.linalg`` is loaded by the first matrix exponential (a
-single-mode displacement, for a displaced parity), so :func:`tmss_fock`
-alone needs numpy only.
+The module needs numpy only: a displaced parity is one Hermitian
+``eigh`` of the single-mode displacement generator, not a matrix
+exponential.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .hilbert import (
     DensityMatrix,
     NumericalError,
     TruncationWarning,
-    _expm,
     _single_mode_ladder,
 )
 
@@ -158,12 +157,17 @@ def _warn_if_truncated(state: DensityMatrix, where: str):
 
 @functools.lru_cache(maxsize=256)
 def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
-    """Single-mode ``D(alpha) P D†(alpha)`` as a dense, read-only matrix (cached)."""
+    """Single-mode ``D(alpha) P D†(alpha)`` as a dense, read-only matrix (cached).
+
+    The truncated generator ``G = alpha b† - alpha* b`` couples m only to
+    m ± 1, so the truncated parity P anticommutes with it: ``P D† P = D``
+    holds exactly in the truncated space, and ``D P D† = exp(2 G) P``.
+    ``i G`` is Hermitian, so ``exp(2 G)`` comes from its ``eigh``.
+    """
     alpha = complex(alpha)  # equal keys such as 0.5 and 0.5+0j get one matrix
     b = _single_mode_ladder(n_max)
-    d = _expm(alpha * b.conj().T - np.conj(alpha) * b)
-    par = (-1.0) ** np.arange(n_max)
-    out = (d * par) @ d.conj().T
+    lam, v = np.linalg.eigh(1j * (alpha * b.conj().T - np.conj(alpha) * b))
+    out = ((v * np.exp(-2j * lam)) @ v.conj().T) * (-1.0) ** np.arange(n_max)
     out.setflags(write=False)
     return out
 

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eprsim import (
     DensityMatrix,
@@ -58,3 +59,14 @@ def pure(basis, amplitudes):
     idx = np.flatnonzero(psi)
     return DensityMatrix(basis, idx[:, None] * basis.dimension + idx,
                          np.outer(psi[idx], psi[idx].conj()))
+
+
+def expm_displaced_parity(n_max, alpha):
+    """``D(alpha) P D†(alpha)`` from scipy's ``expm`` of the truncated generator.
+
+    The route ``eprsim.states._displaced_parity_single`` took before it
+    diagonalized the generator instead; the tests hold the two together.
+    """
+    b = np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
+    d = scipy.linalg.expm(alpha * b.conj().T - np.conj(alpha) * b)
+    return (d * (-1.0) ** np.arange(n_max)) @ d.conj().T

@@ -61,6 +61,18 @@ def test_drift_diffusion_validation():
         DriftDiffusion(-np.eye(2), -np.eye(2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CovarianceState(np.eye(4)),
+    lambda: DriftDiffusion(-np.eye(4), 2.0 * np.eye(4)),
+], ids=["covariance", "drift-diffusion"])
+def test_equality_and_hash_are_by_identity(make):
+    """Comparing or hashing a Gaussian value neither compares nor hashes its arrays."""
+    one, again = make(), make()
+    assert one == one and hash(one) == hash(one)
+    assert (one == again) is False and one != again
+    assert {one: 1, again: 2}[one] == 1
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_steady_covariance_epr_variances(eps):
     params = NopaParams(eps, 1.0)

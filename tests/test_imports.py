@@ -91,6 +91,16 @@ def test_gaussian_and_rate_commands_load_no_scipy(tmp_path, command, config):
     assert scipy_after_command(tmp_path, command, config) == set()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("bell-sweep", "bell_default.json"),
+    ("bell-sweep", "bell_vacuum.json"),
+    ("wigner", "wigner_slice.json"),
+], ids=["bell-sweep-tmss", "bell-sweep-vacuum", "wigner"])
+def test_displaced_parity_commands_load_no_scipy(tmp_path, command, config):
+    """Each displaced parity is one numpy ``eigh``, not a scipy matrix exponential."""
+    assert scipy_after_command(tmp_path, command, config) == set()
+
+
 def test_dir_lists_every_public_name_before_any_import():
     listed = fresh_output("import eprsim\nprint('\\n'.join(dir(eprsim)))")
     assert set(eprsim.__all__) <= set(listed)

@@ -233,7 +233,6 @@ def test_mixed_state_wigner_contracts_the_stored_entries():
         warnings.simplefilter("ignore", TruncationWarning)
         rho = steady_state(model, FockBasis(20))
         axes = [np.linspace(-0.8, 0.8, 5)] * 4
-        wigner_from_density(rho, [0.0], [0.0], [0.0], [0.0])  # imports scipy.linalg untraced
         tracemalloc.start()
         try:
             got = wigner_from_density(rho, *axes)

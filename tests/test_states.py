@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import expm_displaced_parity
 
 from eprsim import (
     FockBasis,
@@ -12,7 +16,10 @@ from eprsim import (
     wigner_analytic,
     wigner_from_density,
 )
+from eprsim.metrics import MAX_SETTING_MAGNITUDE
 from eprsim.states import _displaced_parity_single, displaced_parity_expectation
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ladder(n):
@@ -99,6 +106,38 @@ def test_parity_of_coherent_state():
     par = _displaced_parity_single(40, alpha)  # [0, 0] = <-alpha| P |-alpha>
     assert par[0, 0].real == pytest.approx(np.exp(-2.0 * alpha**2), abs=1e-10)
     assert np.max(np.abs(par @ par - np.eye(40))) <= 1e-12
+
+
+def _axis(block):
+    return np.linspace(block["start"], block["stop"], block["num"])
+
+
+def _shipped_settings():
+    """Every displacement the shipped configs measure, and some at the magnitude bound."""
+    alphas = {0j}
+    for name in ("bell_default", "bell_beta2_negative", "bell_vacuum"):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+        root = np.sqrt(_axis(cfg["j_grid"]))
+        alphas.update(complex(a) for a in np.concatenate([root, cfg["beta2_sign"] * root]))
+    grid = json.loads((CONFIGS / "wigner_slice.json").read_text(encoding="utf-8"))["grid"]
+    for q, p in ((_axis(grid["q1"]), _axis(grid["p1"])), (_axis(grid["q2"]), _axis(grid["p2"]))):
+        alphas.update(complex(a) for a in (q[:, None] + 1j * p[None, :]).ravel())
+    alphas.update(MAX_SETTING_MAGNITUDE * np.exp(1j * np.pi * np.arange(8) / 4))
+    return sorted(alphas, key=lambda a: (abs(a), np.angle(a)))
+
+
+SHIPPED_SETTINGS = _shipped_settings()
+
+
+@pytest.mark.parametrize("n_max", [2, 5, 20, 40])
+def test_displaced_parity_matches_expm_route(n_max):
+    """The eigh kernel is scipy's expm route, element by element, and a Hermitian involution."""
+    assert max(abs(a) for a in SHIPPED_SETTINGS) == MAX_SETTING_MAGNITUDE
+    for alpha in SHIPPED_SETTINGS:
+        got = _displaced_parity_single(n_max, alpha)
+        assert np.max(np.abs(got - expm_displaced_parity(n_max, alpha))) <= 1e-13, alpha
+        assert np.max(np.abs(got - got.conj().T)) <= 1e-13, alpha
+        assert np.max(np.abs(got @ got - np.eye(n_max))) <= 1e-13, alpha
 
 
 def test_wigner_analytic_vacuum_product():
