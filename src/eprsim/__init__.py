@@ -35,8 +35,7 @@ _EXPORTS = {
         "steady_covariance", "evolve_covariance", "cascade_model", "epr_variances",
     ),
     "metrics": (
-        "BellSettings", "fidelity", "mean_phonon", "epr_criterion", "chsh_value",
-        "log_negativity",
+        "BellSettings", "fidelity", "epr_criterion", "chsh_value", "log_negativity",
     ),
     "feasibility": (
         "ExperimentParams", "coupling_rate", "cooperativity", "check_all",

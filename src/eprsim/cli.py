@@ -92,14 +92,14 @@ def _field(cfg: dict, name: str, typ, where: str = "", default=None):
     return val
 
 
-def _grid_axis(block: dict, where: str) -> np.ndarray:
+def _grid_axis(block: dict, where: str, least: int = 0) -> np.ndarray:
     from .hilbert import NumericalError
 
     start = _field(block, "start", float, where)
     stop = _field(block, "stop", float, where)
     num = _field(block, "num", int, where)
-    if num < 0:
-        raise ConfigError(f"{where}.num: must be >= 0, got {num}")
+    if num < least:
+        raise ConfigError(f"{where}.num: must be >= {least}, got {num}")
     if not math.isfinite(stop - start):  # linspace would fill the grid with nan
         raise NumericalError(f"{where}: stop - start overflows from {start:.6g} to {stop:.6g}")
     return np.linspace(start, stop, num)
@@ -240,8 +240,8 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
 def cmd_steady_state(cfg: dict, out: str | None) -> int:
     from .gaussian import epr_variances, model_from_lindblad, steady_covariance
     from .hilbert import NumericalError
-    from .lindblad import purity, steady_state
-    from .metrics import epr_criterion, fidelity, mean_phonon
+    from .lindblad import moments, steady_state
+    from .metrics import epr_criterion, fidelity
     from .states import TmssSpec, tmss_fock
 
     model = _parse_model(cfg)
@@ -261,6 +261,7 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
     except ValueError as exc:
         raise NumericalError(f"Gaussian steady state: {exc}") from exc
     value, entangled = epr_criterion(var_q, var_p)
+    fock = moments([rho])
     report = {
         "n_max": basis.n_max,
         "gamma": model.gamma,
@@ -268,9 +269,9 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
         "m_param": model.m_param,
         "heating_rate": model.heating_rate,
         "fidelity_tmss": fidelity(rho, target),
-        "purity": purity(rho),
-        "mean_phonon_1": mean_phonon(rho, 0),
-        "mean_phonon_2": mean_phonon(rho, 1),
+        "purity": float(fock["purity"][0]),
+        "mean_phonon_1": float(fock["n1"][0]),
+        "mean_phonon_2": float(fock["n2"][0]),
         "var_sum_q": var_q,
         "var_diff_p": var_p,
         "epr_value": value,
@@ -289,9 +290,7 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
 
     model = _parse_model(cfg)
     basis = _basis(cfg, default=20)
-    times = _grid_axis(_field(cfg, "times", dict), "times")
-    if len(times) == 0:
-        raise ConfigError("times.num: must be >= 1 for evolve")
+    times = _grid_axis(_field(cfg, "times", dict), "times", least=1)
     initial = cfg.get("initial", "vacuum")
     if initial != "vacuum":
         raise ConfigError(f"initial: only 'vacuum' is supported, got {initial!r}")
@@ -364,8 +363,8 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
     basis = _basis(cfg, default=40)
     r_default = {"start": 0.1, "stop": 1.2, "num": 12}
     j_default = {"start": 0.05, "stop": 0.5, "num": 10}
-    r_grid = _grid_axis(_field(cfg, "r_grid", dict, default=r_default), "r_grid")
-    j_grid = _grid_axis(_field(cfg, "j_grid", dict, default=j_default), "j_grid")
+    r_grid = _grid_axis(_field(cfg, "r_grid", dict, default=r_default), "r_grid", least=1)
+    j_grid = _grid_axis(_field(cfg, "j_grid", dict, default=j_default), "j_grid", least=1)
     beta2_sign = _field(cfg, "beta2_sign", float, default=1.0)
     if beta2_sign not in (1.0, -1.0):
         raise ConfigError(f"beta2_sign: expected 1 or -1, got {beta2_sign!r}")
@@ -378,17 +377,17 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
             f"j_grid: sqrt(J) exceeds the truncation-safety bound {MAX_SETTING_MAGNITUDE:g}")
 
     settings = [BellSettings(0.0, math.sqrt(j), 0.0, beta2_sign * math.sqrt(j)) for j in j_grid]
-    rows = []
-    best = (-np.inf, None, None)
-    for r in r_grid:
-        state = (vacuum_state(basis) if state_kind == "vacuum"
-                 else tmss_fock(TmssSpec(float(r)), basis))
-        for j, s in zip(j_grid, settings):
-            b_val = chsh_value(state, s)
-            rows.append((r, j, b_val))
-            if b_val > best[0]:
-                best = (b_val, float(r), float(j))
-    summary = {"max_b": best[0], "r": best[1], "j": best[2],
+
+    def sweep_j(state):
+        return [chsh_value(state, s) for s in settings]
+
+    if state_kind == "vacuum":  # the control does not depend on r: one row for every r
+        b_rows = [sweep_j(vacuum_state(basis))] * len(r_grid)
+    else:
+        b_rows = (sweep_j(tmss_fock(TmssSpec(float(r)), basis)) for r in r_grid)
+    rows = [(r, j, b_val) for r, b_row in zip(r_grid, b_rows) for j, b_val in zip(j_grid, b_row)]
+    r_best, j_best, max_b = max(rows, key=lambda row: row[2])  # the first of equal maxima
+    summary = {"max_b": max_b, "r": float(r_best), "j": float(j_best),
                "state": state_kind, "n_max": basis.n_max, "beta2_sign": beta2_sign}
     _write((out, _csv(["r", "J", "B"], rows)),
            (_sibling(out, ".summary.json"), _json_text(summary)))
@@ -404,7 +403,11 @@ def cmd_feasibility(cfg: dict, out: str | None) -> int:
     kwargs = {f.name: _field(block, f.name, float, "experiment")
               for f in fields(feas.ExperimentParams)}
     r = _field(cfg, "r", float)
+    if r < 0:
+        raise ConfigError(f"r: must be >= 0, got {r}")
     threshold = _field(cfg, "ratio_threshold", float, default=10.0)
+    if threshold <= 0:
+        raise ConfigError(f"ratio_threshold: must be > 0, got {threshold}")
     try:
         params = feas.ExperimentParams(**kwargs)
         report = feas.check_all(params, r, threshold)

@@ -124,6 +124,8 @@ def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> d
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    if not ratio_threshold > 0:  # a threshold <= 0 would pass every check
+        raise ValueError(f"ratio_threshold must be > 0, got {ratio_threshold}")
     try:
         cosh_r = math.cosh(r)
     except OverflowError:

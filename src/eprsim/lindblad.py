@@ -43,14 +43,14 @@ which returns COO triplets):
 States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
 sorted vec indices of the sector entries and their values.  Positions of
 vec indices are looked up by ``searchsorted`` on sorted indices, so no
-array of the d**2 vectorized entries is made.  :func:`moments` gives the
-second moments and purity that the CLI and the acceptance criteria read
-off each state, summed over stored entries only.
+array of the d**2 vectorized entries is made.  :func:`moments` is the one
+routine for the Fock-route numbers that the CLI and the acceptance
+criteria read off a state (mean phonon numbers, second moments and
+purity); it builds its operators from the same ladder monomials as the
+generator and reads rho at the stored entries only.
 
-:func:`steady_state` and :func:`purity` need numpy only.  ``scipy.sparse``
-is imported inside :func:`evolve`, for the orbit matrix and
-``expm_multiply``, and inside :func:`moments`, for its quadrature
-operators.
+Only :func:`evolve` needs scipy: it imports ``scipy.sparse`` for the orbit
+matrix and ``expm_multiply``.  Everything else here is numpy only.
 """
 
 from __future__ import annotations
@@ -111,27 +111,37 @@ class LindbladModel:
             raise ValueError(f"heating_rate must be >= 0, got {self.heating_rate}")
 
 
-def _ladders(basis: FockBasis):
-    """Sparse real annihilation operators (b1, b2) of a two-mode basis, for :func:`moments`."""
-    import scipy.sparse as sp
-
-    ladder = sp.diags(np.sqrt(np.arange(1.0, basis.n_max)), 1, format="csr")
-    eye_1 = sp.identity(basis.n_max, format="csr")
-    return sp.kron(ladder, eye_1, format="csr"), sp.kron(eye_1, ladder, format="csr")
-
-
 def _shifted(weight, shift, basis: FockBasis) -> np.ndarray:
     """``weight`` at the state ``u + shift`` of each basis state u (0 outside the box)."""
     n = basis.n_max
-    m0, m1 = np.divmod(np.arange(basis.dimension), n)
-    t0, t1 = m0 + shift[0], m1 + shift[1]
-    inside = (t0 >= 0) & (t0 < n) & (t1 >= 0) & (t1 < n)
-    return np.where(inside, weight[np.where(inside, t0 * n + t1, 0)], 0.0)
+    (s0, s1), w = shift, np.reshape(weight, (n, n))
+    out = np.zeros_like(w)  # the slices below need |s0|, |s1| <= n; shifts here are <= 2
+    out[max(-s0, 0):n - max(s0, 0), max(-s1, 0):n - max(s1, 0)] = (
+        w[max(s0, 0):n - max(-s0, 0), max(s1, 0):n - max(-s1, 0)])
+    return out.ravel()
 
 
 def _flat(shift, basis: FockBasis) -> int:
     """The change of the composite index under a per-mode ``shift`` inside the box."""
     return shift[0] * basis.n_max + shift[1]
+
+
+def _ladder(mode: int, basis: FockBasis):
+    """The annihilation operator of mode 0 or 1 as a ladder monomial (see :func:`_terms`)."""
+    m = np.divmod(np.arange(basis.dimension), basis.n_max)[mode]
+    return (1 - mode, mode), np.sqrt(np.where(m < basis.n_max - 1, m + 1.0, 0.0))
+
+
+def _product(a, b, basis: FockBasis):
+    """The monomial ``A B``: ``(A B)[u, u + sa + sb] = A[u, u + sa] * B[u + sa, u + sa + sb]``."""
+    (sa, wa), (sb, wb) = a, b
+    return (sa[0] + sb[0], sa[1] + sb[1]), wa * _shifted(wb, sa, basis)
+
+
+def _adjoint(a, basis: FockBasis):
+    """The monomial ``A†``: ``A†[u, u - sa] = A[u - sa, u]``."""
+    (s0, s1), wa = a
+    return (-s0, -s1), _shifted(wa, (-s0, -s1), basis)
 
 
 def _terms(model: LindbladModel, basis: FockBasis):
@@ -143,30 +153,14 @@ def _terms(model: LindbladModel, basis: FockBasis):
     adjoints of monomials are monomials; coefficients and weights are real.
     """
     g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
-    n = basis.n_max
-
-    def ladder(mode):
-        m = np.divmod(np.arange(basis.dimension), n)[mode]
-        return (1 - mode, mode), np.sqrt(np.where(m < n - 1, m + 1.0, 0.0))
-
-    def product(a, b):
-        # (A B)[u, u + sa + sb] = A[u, u + sa] * B[u + sa, u + sa + sb], left factor first
-        (sa, wa), (sb, wb) = a, b
-        return (sa[0] + sb[0], sa[1] + sb[1]), wa * _shifted(wb, sa, basis)
-
-    def adjoint(a):
-        # A†[u, u - sa] = A[u - sa, u]
-        (s0, s1), wa = a
-        return (-s0, -s1), _shifted(wa, (-s0, -s1), basis)
-
-    b1, b2 = ladder(0), ladder(1)
-    b1d, b2d = adjoint(b1), adjoint(b2)
+    b1, b2 = _ladder(0, basis), _ladder(1, basis)
+    b1d, b2d = _adjoint(b1, basis), _adjoint(b2, basis)
     eye = ((0, 0), np.ones(basis.dimension))
     terms = []
 
     def dissipator(rate, lop, lopd):
         # rate * (2 L rho L† - L†L rho - rho L†L)
-        ldl = product(lopd, lop)
+        ldl = _product(lopd, lop, basis)
         terms.append((2.0 * rate, lop, lopd))
         terms.append((-rate, ldl, eye))
         terms.append((-rate, eye, ldl))
@@ -179,8 +173,8 @@ def _terms(model: LindbladModel, basis: FockBasis):
             dissipator(1.0 * h, bd, b)   # n_th = 1
     if m_p != 0:
         c = 2.0 * g * m_p
-        pair = product(b1, b2)
-        paird = product(b1d, b2d)
+        pair = _product(b1, b2, basis)
+        paird = _product(b1d, b2d, basis)
         terms.append((c, b1, b2))
         terms.append((c, b2, b1))
         terms.append((-c, pair, eye))
@@ -482,29 +476,40 @@ def moments(states) -> dict[str, np.ndarray]:
     Returns arrays ``n1``, ``n2`` (real), ``b1b2`` (complex ``<b1 b2>``),
     ``var_sum_q`` = Var(Q1 + Q2), ``var_diff_p`` = Var(P1 - P2) and
     ``purity``, with ``Q = b + b†`` and ``P = -i(b - b†)`` on the truncated
-    basis (vacuum variance 1 per mode).  Each ``tr(rho O)`` is summed over
-    the nonzero entries of the sparse operator ``O`` only.
+    basis (vacuum variance 1 per mode).  Each operator is a sum of the
+    ladder monomials of :func:`_terms`, and a monomial A with shift s gives
+    ``tr(rho A) = sum_u A[u, u + s] rho[u + s, u]``, summed over its nonzero
+    weights in basis order.  Each state's rho is looked up once, at the 13
+    distinct shifts.
     """
-    d = states[0].basis.dimension
-    b1, b2 = _ladders(states[0].basis)
-    q_sum = b1 + b1.T + b2 + b2.T
-    p_diff = -1j * (b1 - b1.T) + 1j * (b2 - b2.T)
-    ops = {"n1": b1.T @ b1, "n2": b2.T @ b2, "b1b2": b1 @ b2,
-           "q": q_sum, "q2": q_sum @ q_sum, "p": p_diff, "p2": p_diff @ p_diff}
-    values = {}
+    basis = states[0].basis
+    d = basis.dimension
+    b1, b2 = _ladder(0, basis), _ladder(1, basis)
+    ladders = (b1, _adjoint(b1, basis), b2, _adjoint(b2, basis))  # b1, b1†, b2, b2†
+    square = {(i, j): _product(a, b, basis)
+              for i, a in enumerate(ladders) for j, b in enumerate(ladders)}
+    q_c, p_c = (1.0, 1.0, 1.0, 1.0), (-1j, 1j, 1j, -1j)  # Q1 + Q2 and P1 - P2
+    ops = {"n1": [(1.0, square[1, 0])], "n2": [(1.0, square[3, 2])],
+           "b1b2": [(1.0, square[0, 2])], "q": zip(q_c, ladders), "p": zip(p_c, ladders),
+           "q2": [(q_c[i] * q_c[j], op) for (i, j), op in square.items()],
+           "p2": [(p_c[i] * p_c[j], op) for (i, j), op in square.items()]}
+    weights = {}  # (key, shift): the operator's weights at that shift, monomials summed
     for key, op in ops.items():
-        op = op.tocoo()
-        transposed = op.col.astype(np.int64) * d + op.row  # rho[col, row] pairs with O[row, col]
-        values[key] = np.array([np.sum(op.data * _lookup(s.keys, s.values, transposed, 0))
-                                for s in states])
-    return {
-        "n1": values["n1"].real,
-        "n2": values["n2"].real,
-        "b1b2": values["b1b2"],
-        "var_sum_q": values["q2"].real - values["q"].real ** 2,
-        "var_diff_p": values["p2"].real - values["p"].real ** 2,
-        "purity": np.array([purity(s) for s in states]),
-    }
+        for c, (shift, w) in op:
+            weights[key, shift] = weights.get((key, shift), 0.0) + c * w
+    weights = {k: (np.flatnonzero(w), w[w != 0]) for k, w in weights.items()}
+    shifts = sorted({shift for _, shift in weights})
+    u = np.arange(d)
+    wanted = (u + np.array([_flat(s, basis) for s in shifts])[:, None]) * d + u
+    values = {key: np.zeros(len(states), dtype=complex) for key in ops}
+    for i, state in enumerate(states):
+        at = dict(zip(shifts, _lookup(state.keys, state.values, wanted, 0)))  # rho[u + s, u]
+        for (key, s), (nz, w) in weights.items():
+            values[key][i] += np.sum(w * at[s][nz])
+    return {"n1": values["n1"].real, "n2": values["n2"].real, "b1b2": values["b1b2"],
+            "var_sum_q": values["q2"].real - values["q"].real ** 2,
+            "var_diff_p": values["p2"].real - values["p"].real ** 2,
+            "purity": np.array([purity(s) for s in states])}
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -1,8 +1,9 @@
 """Entanglement and nonlocality diagnostics.
 
-Fock-space fidelity, mean phonon number and the CHSH combination operate
-on density matrices, pure or mixed alike, and the Gaussian quantities
-(EPR criterion helper, logarithmic negativity) on covariance data.  The
+Fock-space fidelity and the CHSH combination operate on density matrices,
+pure or mixed alike, and the Gaussian quantities (EPR criterion helper,
+logarithmic negativity) on covariance data; :func:`~eprsim.lindblad.moments`
+gives a state's mean phonon numbers, second moments and purity.  The
 displaced-parity correlator behind the Bell test,
 :func:`~eprsim.states.displaced_parity_expectation`, is also the Wigner
 function up to a constant, E = (pi/2)**2 W (Banaszek & Wodkiewicz,
@@ -19,7 +20,7 @@ import numpy as np
 
 from .gaussian import CovarianceState, symplectic_form
 from .hilbert import DensityMatrix, _lookup
-from .states import _populations, _warn_if_truncated, displaced_parity_expectation
+from .states import _warn_if_truncated, displaced_parity_expectation
 
 # Displacements beyond this magnitude push coherent amplitude into the
 # truncation edge for typical n_max; reject rather than silently degrade.
@@ -59,16 +60,6 @@ def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
     d = target.basis.dimension
     rows, cols = np.divmod(target.keys, d)
     return float(np.sum(target.values * _lookup(rho.keys, rho.values, cols * d + rows, 0)).real)
-
-
-def mean_phonon(rho: DensityMatrix, mode_index: int = 0) -> float:
-    """Mean excitation <b† b> on mode 0 or 1, from the diagonal populations."""
-    if mode_index not in (0, 1):
-        raise ValueError(f"mode_index must be 0 or 1, got {mode_index}")
-    n = rho.basis.n_max
-    pops = _populations(rho).reshape(n, n)
-    marginal = np.moveaxis(pops, mode_index, 0).reshape(n, -1).sum(axis=1)
-    return float(np.arange(n) @ marginal)
 
 
 def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:

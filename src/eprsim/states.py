@@ -120,14 +120,6 @@ def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):
     return w
 
 
-def _populations(state: DensityMatrix) -> np.ndarray:
-    d = state.basis.dimension
-    on_diagonal = state.keys % (d + 1) == 0  # row * d + row
-    pops = np.zeros(d)
-    pops[state.keys[on_diagonal] // (d + 1)] = state.values[on_diagonal].real
-    return pops
-
-
 def edge_population(state: DensityMatrix, fraction: float = 0.1) -> float:
     """Total population with any mode index in the top ``fraction`` of levels.
 
@@ -135,9 +127,11 @@ def edge_population(state: DensityMatrix, fraction: float = 0.1) -> float:
     stay armed even for very small bases where ``fraction`` of ``n_max``
     rounds to nothing.
     """
-    n = state.basis.n_max
+    n, d = state.basis.n_max, state.basis.dimension
     edge = min(n - 1, int(np.ceil((1.0 - fraction) * n)))
-    pops2 = _populations(state).reshape(n, n)
+    on_diagonal = state.keys % (d + 1) == 0  # row * d + row
+    pops2 = np.zeros((n, n))
+    pops2.flat[state.keys[on_diagonal] // (d + 1)] = state.values[on_diagonal].real
     mask = np.zeros((n, n), dtype=bool)
     mask[edge:, :] = True
     mask[:, edge:] = True

@@ -61,6 +61,22 @@ def test_steady_state_report(tmp_path, capsys):
     assert report["mean_phonon_1"] == pytest.approx(report["n_param"], abs=1e-4)
 
 
+def test_steady_state_report_reads_moments(tmp_path, capsys):
+    """``mean_phonon_1/2`` and ``purity`` are ``moments([rho])``, bit for bit."""
+    from eprsim import FockBasis, LindbladModel, NopaParams, effective_N_M, moments, steady_state
+
+    cfg = write_config(tmp_path, {"schema_version": 1,
+                                  "model": {"epsilon_over_kappa": 0.2, "heating_rate": 0.05},
+                                  "n_max": 12})
+    assert main(["steady-state", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n_p, m_p = effective_N_M(NopaParams(0.2, 1.0))
+    rho = steady_state(LindbladModel(1.0, n_p, m_p, heating_rate=0.05), FockBasis(12))
+    m = moments([rho])
+    assert (report["mean_phonon_1"], report["mean_phonon_2"], report["purity"]) == (
+        m["n1"][0], m["n2"][0], m["purity"][0])
+
+
 def test_n_max_override(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -243,6 +259,27 @@ def test_bell_sweep_vacuum_classical(tmp_path):
     assert main(["bell-sweep", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out.read_text())
     assert all(row[2] <= 2.0 + 1e-9 for row in rows)
+
+
+def test_bell_sweep_vacuum_evaluates_each_setting_once(tmp_path, monkeypatch):
+    """The vacuum control's row does not depend on r: 10 CHSH values for 12 x 10 rows."""
+    import eprsim.metrics
+
+    calls = []
+    chsh_value = eprsim.metrics.chsh_value
+
+    def counted(state, s):
+        calls.append(s)
+        return chsh_value(state, s)
+
+    monkeypatch.setattr(eprsim.metrics, "chsh_value", counted)
+    cfg = json.loads((REPO_ROOT / "configs" / "bell_vacuum.json").read_text())
+    cfg["n_max"] = 8
+    out = tmp_path / "vac.csv"
+    assert main(["bell-sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out.read_text())
+    assert len(rows) == 120 and len(calls) == 10
+    assert [row[2] for row in rows] == [row[2] for row in rows[:10]] * 12
 
 
 def test_feasibility_json(tmp_path, capsys):
@@ -603,10 +640,23 @@ def _edge_of_m_bound():
     ("nopa-spectrum", {"epsilon_over_kappa": 0.5,
                        "omega_grid": {"start": -1e308, "stop": 1e308, "num": 5}}, 3,
      "numerical failure: omega_grid: stop - start overflows from -1e+308 to 1e+308\n"),
+    ("evolve", {"model": {"epsilon_over_kappa": 0.3}, "n_max": 6,
+                "times": {"start": 0.0, "stop": 5.0, "num": 0}}, 2,
+     "config error: times.num: must be >= 1, got 0\n"),
+    ("bell-sweep", {"n_max": 6, "r_grid": {"start": 0.5, "stop": 0.5, "num": 0}}, 2,
+     "config error: r_grid.num: must be >= 1, got 0\n"),
+    ("bell-sweep", {"n_max": 6, "j_grid": {"start": 0.1, "stop": 0.1, "num": 0}}, 2,
+     "config error: j_grid.num: must be >= 1, got 0\n"),
+    ("feasibility", {"experiment": _experiment(), "r": -1.0}, 2,
+     "config error: r: must be >= 0, got -1.0\n"),
+    ("feasibility", {"experiment": _experiment(), "r": 1.0, "ratio_threshold": -5.0}, 2,
+     "config error: ratio_threshold: must be > 0, got -5.0\n"),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
-        "feasibility-g0-1e155", "steady-state-n-max-1e11", "nopa-spectrum-omega-1e308"])
+        "feasibility-g0-1e155", "steady-state-n-max-1e11", "nopa-spectrum-omega-1e308",
+        "evolve-times-num-0", "bell-sweep-r-num-0", "bell-sweep-j-num-0", "feasibility-r-negative",
+        "feasibility-threshold-negative"])
 @pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):

@@ -122,6 +122,13 @@ def test_threshold_is_configurable():
     assert verdict(report, "detuning_over_drive") == "warn"  # ~10.5 < 25 but > 25/3
 
 
+@pytest.mark.parametrize("threshold", [0.0, -5.0])
+def test_threshold_must_be_positive(threshold):
+    """A threshold <= 0 would grade every check ``pass``."""
+    with pytest.raises(ValueError, match="ratio_threshold must be > 0"):
+        check_all(params(), R_OPERATING, ratio_threshold=threshold)
+
+
 def test_gamma_band_is_advisory_only():
     """Out-of-band coupling rates warn but never fail."""
     report = check_all(params(), R_OPERATING)

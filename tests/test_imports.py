@@ -50,6 +50,14 @@ def test_solver_layers_do_not_load_scipy_integrate():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
+def test_moments_loads_no_scipy():
+    loaded = modules_after(
+        "from eprsim import FockBasis, moments, vacuum_state\n"
+        "assert moments([vacuum_state(FockBasis(4))])['var_sum_q'][0] == 2.0")
+    assert "eprsim.lindblad" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
 def scipy_after_command(tmp_path, command, config, *args, **fields):
     """The scipy modules loaded by one CLI run in a fresh interpreter.
 

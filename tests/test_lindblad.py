@@ -20,7 +20,6 @@ from eprsim import (
     TruncationWarning,
     effective_N_M,
     evolve,
-    mean_phonon,
     moments,
     purity,
     steady_state,
@@ -28,7 +27,13 @@ from eprsim import (
     vacuum_state,
 )
 from eprsim import lindblad
-from eprsim.lindblad import _sector_indices, _sector_matrix, _sector_residual, _terms
+from eprsim.lindblad import (
+    _sector_indices,
+    _sector_matrix,
+    _sector_residual,
+    _shifted,
+    _terms,
+)
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
 
@@ -103,6 +108,20 @@ def test_maximal_correlation_allowed():
     LindbladModel(gamma=1.0, n_param=n, m_param=np.sqrt(n * (n + 1.0)))
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 5])
+def test_shifted_matches_the_index_formula(n_max, rng):
+    """The slice copy against ``weight[u + shift]`` for u + shift inside the box, else 0."""
+    basis = FockBasis(n_max)
+    weight = rng.standard_normal(basis.dimension)
+    m0, m1 = np.divmod(np.arange(basis.dimension), n_max)
+    for s0 in range(-2, 3):
+        for s1 in range(-2, 3):
+            t0, t1 = m0 + s0, m1 + s1
+            inside = (t0 >= 0) & (t0 < n_max) & (t1 >= 0) & (t1 < n_max)
+            expected = np.where(inside, weight[np.where(inside, t0 * n_max + t1, 0)], 0.0)
+            assert np.array_equal(_shifted(weight, (s0, s1), basis), expected), (s0, s1)
+
+
 def test_superoperator_matrix_matches_apply(rng):
     basis = FockBasis(4)
     model = half_model(0.4, heating=0.05)
@@ -130,7 +149,7 @@ def test_uncorrelated_bath_gives_thermal_product():
     m = np.arange(14)
     geom = (n_p / (n_p + 1.0)) ** m / (n_p + 1.0)
     assert np.allclose(pops, np.outer(geom, geom), atol=1e-8)
-    assert mean_phonon(rho, 0) == pytest.approx(n_p, abs=1e-6)
+    assert moments([rho])["n1"][0] == pytest.approx(n_p, abs=1e-6)
     assert purity(rho) == pytest.approx(1.0 / (2.0 * n_p + 1.0) ** 2, abs=1e-6)
 
 
@@ -139,8 +158,8 @@ def test_steady_state_moments_and_fidelity():
     basis = FockBasis(12)
     rho = steady_state(model, basis)
     dense_validate(rho.elements)
-    assert mean_phonon(rho, 0) == pytest.approx(model.n_param, abs=1e-6)
-    assert mean_phonon(rho, 1) == pytest.approx(model.n_param, abs=1e-6)
+    assert moments([rho])["n1"][0] == pytest.approx(model.n_param, abs=1e-6)
+    assert moments([rho])["n2"][0] == pytest.approx(model.n_param, abs=1e-6)
     corr = pair_expectation(rho)
     assert corr.real == pytest.approx(-model.m_param, abs=1e-6)
     assert abs(corr.imag) < 1e-8
@@ -272,7 +291,7 @@ def test_near_threshold_steady_state():
     r = np.arcsinh(np.sqrt(model.n_param))
     assert fidelity(rho, tmss_fock(TmssSpec(r), basis)) > 0.999
     assert purity(rho) > 0.998
-    assert abs(mean_phonon(rho, 0) - model.n_param) < 1e-3
+    assert abs(moments([rho])["n1"][0] - model.n_param) < 1e-3
 
 
 def test_steady_state_is_unique_zero_mode():
@@ -291,7 +310,7 @@ def test_steady_state_with_heating():
     basis = FockBasis(16)
     rho = steady_state(model, basis)
     n_expected = (gamma * model.n_param + h) / (gamma + h)
-    assert mean_phonon(rho, 0) == pytest.approx(n_expected, abs=1e-6)
+    assert moments([rho])["n1"][0] == pytest.approx(n_expected, abs=1e-6)
     corr_expected = -gamma * model.m_param / (gamma + h)
     assert pair_expectation(rho).real == pytest.approx(corr_expected, abs=1e-6)
     # heating destroys purity

@@ -25,7 +25,6 @@ from eprsim import (
     TruncationWarning,
     effective_N_M,
     fidelity,
-    mean_phonon,
     moments,
     purity,
     steady_state,
@@ -165,10 +164,12 @@ def test_purity_matches_dense(rho):
 
 
 def test_mean_phonon_matches_dense(rho):
-    b1, b2 = dense_ops(rho.basis.n_max)
-    for mode, b in enumerate((b1, b2)):
-        expected = np.trace(rho.elements @ b.T @ b).real
-        assert abs(mean_phonon(rho, mode) - expected) <= TOL
+    """``moments`` gives <n_j> as the number-weighted marginal populations do."""
+    n = rho.basis.n_max
+    pops = np.real(np.diag(rho.elements)).reshape(n, n)
+    got = moments([rho])
+    assert abs(got["n1"][0] - np.arange(n) @ pops.sum(axis=1)) <= TOL
+    assert abs(got["n2"][0] - np.arange(n) @ pops.sum(axis=0)) <= TOL
 
 
 def test_moments_match_dense(rho):
