@@ -181,11 +181,19 @@ def _write(*artifacts):
             sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns) -> str:
+    """The CSV text of equal-length float ``columns``, each value as :func:`_fmt` writes it.
+
+    Formatting is most of the cost, so each distinct value of a column (by
+    its bits, so -0.0 and 0.0 stay apart) is formatted once.
+    """
+    texts = []
+    for col in columns:
+        col = np.asarray(col, dtype=float)
+        _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
+        labels = ["%.17g" % x for x in col[first].tolist()]
+        texts.append([labels[i] for i in inverse.ravel().tolist()])
+    return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -233,7 +241,7 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
     except ValueError as exc:
         raise ConfigError(f"epsilon_over_kappa: {exc}") from exc
     var = squeezing_spectra(params, omega)  # the X-sum and Y-difference spectra are equal
-    _write((out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], zip(omega, var, var))))
+    _write((out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], [omega, var, var])))
     return 0
 
 
@@ -302,9 +310,9 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
         raise ConfigError(str(exc)) from exc
     m = moments(states)
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
-    rows = zip(times, m["n1"], m["n2"], m["b1b2"].real, m["b1b2"].imag,
-               m["var_sum_q"], m["var_diff_p"], m["purity"])
-    _write((out, _csv(header, rows)))
+    cols = [times, m["n1"], m["n2"], m["b1b2"].real, m["b1b2"].imag,
+            m["var_sum_q"], m["var_diff_p"], m["purity"]]
+    _write((out, _csv(header, cols)))
     return 0
 
 
@@ -333,16 +341,15 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
         w_rho, trunc_warned = _recording_truncation(wigner_from_density, state, *axes.values())
 
     header = ["q1", "p1", "q2", "p2", "w_analytic"]
-    cols = [m.ravel() for m in mesh] + [np.atleast_1d(w_analytic).ravel()]
+    cols = [m.ravel() for m in mesh] + [np.ravel(w_analytic)]
     if w_rho is not None:
         header.append("w_from_rho")
         cols.append(w_rho.ravel())
-    rows = zip(*cols) if len(cols[0]) else []
 
     meta = {"truncation_warning": trunc_warned, "from_density": from_density}
     if basis is not None:
         meta["n_max"] = basis.n_max
-    artifacts = [(out, _csv(header, rows))]
+    artifacts = [(out, _csv(header, cols))]
     meta_path = _sibling(out, ".meta.json")
     if meta_path is None:
         log.info("wigner metadata: %s", meta)
@@ -389,7 +396,7 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
     r_best, j_best, max_b = max(rows, key=lambda row: row[2])  # the first of equal maxima
     summary = {"max_b": max_b, "r": float(r_best), "j": float(j_best),
                "state": state_kind, "n_max": basis.n_max, "beta2_sign": beta2_sign}
-    _write((out, _csv(["r", "J", "B"], rows)),
+    _write((out, _csv(["r", "J", "B"], zip(*rows))),
            (_sibling(out, ".summary.json"), _json_text(summary)))
     return 0
 
@@ -449,7 +456,7 @@ def cmd_cascade(cfg: dict, out: str | None) -> int:
         rel = abs(var_q - wn) / wn if wn != 0 else 0.0
         rows.append((float(ratio), var_q, wn, rel))
     _write((out, _csv(
-        ["kappa_over_gamma", "var_sum_q", "var_sum_q_whitenoise", "rel_error"], rows)))
+        ["kappa_over_gamma", "var_sum_q", "var_sum_q_whitenoise", "rel_error"], zip(*rows))))
     return 0
 
 
@@ -487,6 +494,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]):
+    """``(command, config, out, n_max)`` from the command line.
+
+    A command followed by distinct ``--config``, ``--out`` and (where it
+    truncates) ``--n-max`` flags, each with a value that does not start
+    with "-", is read here: building the argparse parser costs more than
+    most commands' own output.  Every other command line (help, errors,
+    ``--flag=value`` and abbreviated spellings) goes to argparse, which
+    gives these the same values and writes every message.
+    """
+    command = argv[0] if argv else None
+    flags = {"--config", "--out"} | ({"--n-max"} if command in _TRUNCATING else set())
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if (command in _COMMANDS and len(argv) == 2 * len(given) + 1 and "--config" in given
+            and given.keys() <= flags and not any(v.startswith("-") for v in given.values())):
+        try:
+            n_max = int(given["--n-max"]) if "--n-max" in given else None
+        except ValueError:
+            pass  # argparse reports it
+        else:
+            return command, given["--config"], given.get("--out"), n_max
+    args = _build_parser().parse_args(argv)
+    return args.command, args.config, args.out, getattr(args, "n_max", None)
+
+
 def main(argv=None) -> int:
     from .hilbert import NumericalError
 
@@ -499,12 +531,12 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    args = _build_parser().parse_args(argv)
+    command, config, out, n_max = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = _load_config(args.config)
-        if getattr(args, "n_max", None) is not None:
-            cfg["n_max"] = args.n_max
-        return _COMMANDS[args.command](cfg, args.out)
+        cfg = _load_config(config)
+        if n_max is not None:
+            cfg["n_max"] = n_max
+        return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -512,7 +544,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        hint = "; lower n_max" if args.command in _TRUNCATING else ""
+        hint = "; lower n_max" if command in _TRUNCATING else ""
         print(f"numerical failure: out of memory ({str(exc) or 'allocation failed'}){hint}",
               file=sys.stderr)
         return 3

@@ -23,7 +23,10 @@ The module needs numpy only.  The stationary covariance is one linear
 solve in the Kronecker-sum form of the Lyapunov equation (the matrices
 here are at most 8 x 8, so the system is at most 64 x 64), and
 ``scipy.linalg.expm`` is imported inside :func:`evolve_covariance`, its
-one user in the package.
+one user in the package.  It stays scipy's on purpose: this propagator is
+the independent oracle of the Fock route, whose ``lindblad._expm`` is a
+plain Pade 13 with scaling and squaring, and on the cascade block the
+two part ways beyond t of about 10.
 """
 
 from __future__ import annotations

@@ -37,8 +37,10 @@ which returns COO triplets):
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels (dense blocks of at most a few hundred
   orbits) and certifies the result on the unreduced sector, term by term;
-* :func:`evolve` propagates one real value per orbit with
-  ``expm_multiply`` from the vacuum, where the atoms start.
+* :func:`evolve` propagates one real value per orbit from the vacuum,
+  where the atoms start, with an Arnoldi (Krylov) basis of the orbit
+  matrix and a Pade exponential of its small Hessenberg matrix
+  (:func:`_krylov_propagate`, :func:`_expm`).
 
 States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
 sorted vec indices of the sector entries and their values.  Positions of
@@ -49,8 +51,7 @@ criteria read off a state (mean phonon numbers, second moments and
 purity); it builds its operators from the same ladder monomials as the
 generator and reads rho at the stored entries only.
 
-Only :func:`evolve` needs scipy: it imports ``scipy.sparse`` for the orbit
-matrix and ``expm_multiply``.  Everything else here is numpy only.
+The module is numpy only.
 """
 
 from __future__ import annotations
@@ -70,12 +71,21 @@ log = logging.getLogger(__name__)
 
 STEADY_RESIDUAL_TOL = 1e-8
 
-# Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the first two
-# factors set the step count of expm_multiply and the orbit matrix's nnz the
-# cost of each step.  The shipped config needs 6.3e7 and the tests, demos and
+# Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the span
+# ||L||_1 * (t_end - t_0) sets the Krylov basis and restarts it needs, and
+# the orbit matrix's nnz the cost of each basis vector.  The shipped config needs 6.3e7 and the tests, demos and
 # benchmark seeds at most 6.6e7; eps 0.3 at n_max 40 out to t = 31 needs
 # 6.8e9, about 17 s of work, and gamma 1e6 on a 6-level basis 3.6e11.
 _EVOLVE_WORK_BUDGET = 1e9
+
+# evolve's Krylov propagation (see _krylov_propagate): the a-posteriori
+# estimate that certifies a step, and the basis growth and its cap.  At 64
+# vectors every product in _expm has m n k <= 2**18, which OpenBLAS runs on
+# one thread, so the states do not depend on the BLAS thread count; a larger
+# basis would let them move in the last bits from one thread count to another.
+_KRYLOV_TOL = 1e-14
+_KRYLOV_CHUNK = 16
+_KRYLOV_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -416,6 +426,115 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     return rho
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small dense matrix: the Pade 13 approximant with scaling and squaring.
+
+    ``a`` is scaled by 2**-s until its 1-norm is at most theta_13, where the
+    [13/13] Pade approximant is accurate to double precision, and the
+    result is squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)).
+    """
+    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    squarings = max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm > 0 else 0
+    a = a / 2.0 ** squarings
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a vector, summed by numpy (BLAS splits a long ``dot`` across threads)."""
+    return float(np.sqrt(np.add.reduce(x * x)))
+
+
+def _krylov_propagate(rows, cols, vals, vec, h, steps):
+    """The vectors exp(k h L) vec for k = 0..steps, L given by its summed triplets.
+
+    Arnoldi on L from ``vec`` (two classical Gram-Schmidt passes per
+    vector) gives an orthonormal basis V_m and the Hessenberg H_m, and
+    exp(k tau L) vec ~ beta V_m y_k with y_k = E^k e_1 and E = exp(tau H_m),
+    one small exponential for every step of the grid.  Step k is certified
+    when Saad's a-posteriori estimate beta h_{m+1,m} |e_m^T y_k| is at most
+    :data:`_KRYLOV_TOL` (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The
+    basis grows :data:`_KRYLOV_CHUNK` vectors at a time until every step
+    is certified or it holds :data:`_KRYLOV_CAP` vectors; there the
+    certified steps are kept and Arnoldi restarts from the last of them.
+    When not one step is certified at the cap, tau is halved (the same
+    basis serves); the internal step stays ``h / substeps`` from then on.
+    A basis that spans all of L's space is exact.  Returns the
+    (steps + 1, size) array of vectors with (largest basis, restarts,
+    largest certified estimate, substeps).
+    """
+    size = len(vec)
+    out = np.empty((steps + 1, size))
+    out[0] = vec
+    cap = min(_KRYLOV_CAP, size)
+    basis = np.empty((cap, size))  # pages are touched only as the basis grows
+    hess = np.zeros((cap + 1, cap))
+    start, pos, substeps = vec, 0, 1  # pos: the start's time in internal steps
+    largest = restarts = 0
+    worst = 0.0
+    while pos < steps * substeps:
+        beta = _norm(start)
+        basis[0] = start / beta
+        hess[:] = 0.0
+        m = 0
+        while True:
+            for j in range(m, min(m + _KRYLOV_CHUNK, cap)):
+                w = np.bincount(rows, vals * basis[j][cols], minlength=size)
+                for _ in range(2):  # numpy's einsum: BLAS splits long dot products by thread
+                    c = np.einsum("ij,j->i", basis[:j + 1], w)
+                    w -= c @ basis[:j + 1]
+                    hess[:j + 1, j] += c
+                m = j + 1
+                hess[m, j] = 0.0 if m == size else _norm(w)
+                if hess[m, j] == 0.0:  # an invariant subspace: the basis is exact
+                    break
+                if m < cap:
+                    basis[m] = w / hess[m, j]
+            todo = steps * substeps - pos
+            e = _expm(h / substeps * hess[:m, :m])
+            ys, estimates, y = [], [], e[:, 0]
+            while len(ys) < todo:
+                estimates.append(beta * hess[m, m - 1] * abs(y[-1]))
+                if not estimates[-1] <= _KRYLOV_TOL:
+                    break
+                ys.append(y)
+                y = e @ y
+            if len(ys) == todo:
+                break
+            if m < cap and hess[m, m - 1] != 0.0:
+                continue  # grow the basis
+            if ys:
+                break  # restart from the last certified step
+            if substeps >= 2 ** 30:
+                raise NumericalError("evolve: the Krylov propagation certifies no step")
+            substeps, pos = 2 * substeps, 2 * pos  # halve the internal step
+        largest = max(largest, m)
+        worst = max(worst, *estimates[:len(ys)])
+        first = pos + 1
+        pos += len(ys)
+        keep = [k for k in range(first, pos + 1) if k % substeps == 0 or k == pos]
+        states = [beta * (ys[k - first] @ basis[:m]) for k in keep]
+        for k, state in zip(keep, states):
+            if k % substeps == 0:
+                out[k // substeps] = state
+        start = states[-1]
+        restarts += pos < steps * substeps
+    return out, (largest, restarts, worst, substeps)
+
+
 def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]:
     """The states the vacuum |00><00| relaxes through, one per entry of ``times``.
 
@@ -424,18 +543,18 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     The vacuum is real and alone in its {1, T, S, TS} orbit (orbit 0), and
     the generator keeps a state real and constant on the orbits, so one real
     value per orbit is propagated, with the matrix :func:`steady_state`
-    eliminates plus its vacuum row.  The generator does not depend on time,
-    so the propagation is one ``expm_multiply`` call over the grid (Al-Mohy &
-    Higham 2011) at its double-precision tolerance; a single time gives the
-    vacuum alone.  The states are real and exactly symmetric; :func:`moments`
-    reads their second moments and purity.  The work of ``expm_multiply``
-    grows with ``||L||_1 * (times[-1] - times[0])`` times the orbit matrix's
-    stored entries; where that estimate exceeds a fixed budget (1e9)
-    :class:`~eprsim.hilbert.NumericalError` is raised before any propagation.
+    eliminates plus its vacuum row.  The generator does not depend on time
+    and the grid is uniform, so one Arnoldi basis from the vacuum and one
+    small exponential carry the state across the grid, each step certified
+    by an a-posteriori estimate (:func:`_krylov_propagate`); a single time
+    gives the vacuum alone.  The states are real and exactly symmetric;
+    :func:`moments` reads their second moments and purity.  The span
+    ``||L||_1 * (times[-1] - times[0])`` sets how many basis vectors and
+    restarts the propagation needs, and each vector costs a product with
+    the orbit matrix's stored entries; where span times entries exceeds a
+    fixed budget (1e9) :class:`~eprsim.hilbert.NumericalError` is raised
+    before any propagation.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply, norm
-
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D array")
@@ -448,24 +567,25 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     indices, orbit, reps, (rows, cols, vals) = _orbit_system(
         _terms(model, basis), basis, first_row=0)
     size = len(reps)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc().tocsr()
-    del rows, cols, vals
-    span = norm(mat, 1) * (times[-1] - times[0])
-    work = span * mat.nnz
+    rows, cols, vals = _summed(rows, cols, vals, size)
+    span = np.bincount(cols, np.abs(vals), minlength=size).max() * (times[-1] - times[0])
+    work = span * len(vals)
     if not work <= _EVOLVE_WORK_BUDGET:
         raise NumericalError(
-            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {span:.2e} times nnz {mat.nnz} "
+            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {span:.2e} times nnz {len(vals)} "
             f"= {work:.2e} exceeds the budget {_EVOLVE_WORK_BUDGET:.0e}; shorten the time "
             "span, or lower gamma or n_max")
     vec = np.zeros(size)
     vec[0] = 1.0  # the vacuum
     t1 = time.perf_counter()
-    vecs = [vec] if len(times) == 1 else expm_multiply(
-        mat, vec, start=0.0, stop=times[-1] - times[0], num=len(times), endpoint=True)
+    steps = len(times) - 1
+    vecs, (largest, restarts, worst, substeps) = _krylov_propagate(
+        rows, cols, vals, vec, (times[-1] - times[0]) / max(steps, 1), steps)
     t2 = time.perf_counter()
     log.info(
-        "evolve: orbits path, %d unknowns, nnz %d; assemble %.3fs, propagate %.3fs",
-        size, mat.nnz, t1 - t0, t2 - t1,
+        "evolve: orbits path, %d unknowns, nnz %d, Krylov basis %d, restarts %d, "
+        "substeps %d, largest estimate %.1e; assemble %.3fs, propagate %.3fs",
+        size, len(vals), largest, restarts, substeps, worst, t1 - t0, t2 - t1,
     )
     return [DensityMatrix(basis, indices, vec[orbit]) for vec in vecs]
 

@@ -70,3 +70,26 @@ def expm_displaced_parity(n_max, alpha):
     b = np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
     d = scipy.linalg.expm(alpha * b.conj().T - np.conj(alpha) * b)
     return (d * (-1.0) ** np.arange(n_max)) @ d.conj().T
+
+
+def expm_multiply_evolve(model, basis, times):
+    """The states of ``eprsim.lindblad.evolve`` by the route it took before its Krylov basis.
+
+    scipy's ``expm_multiply`` (Al-Mohy & Higham 2011) propagates the vacuum
+    on the orbit matrix over the uniform grid ``times``; the tests hold the
+    numpy propagation to it.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
+    from eprsim.lindblad import _orbit_system, _terms
+
+    indices, orbit, reps, (rows, cols, vals) = _orbit_system(
+        _terms(model, basis), basis, first_row=0)
+    size = len(reps)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    vec = np.zeros(size)
+    vec[0] = 1.0
+    vecs = [vec] if len(times) == 1 else expm_multiply(
+        mat, vec, start=0.0, stop=times[-1] - times[0], num=len(times), endpoint=True)
+    return [DensityMatrix(basis, indices, v[orbit]) for v in vecs]

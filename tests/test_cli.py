@@ -811,7 +811,7 @@ def test_density_csv_lists_every_entry_in_dense_order(tmp_path):
     d = dense.shape[0]
     idx = np.arange(d * d)
     flat = dense.reshape(-1)
-    expected = _csv(["row", "col", "re", "im"], zip(idx // d, idx % d, flat.real, flat.imag))
+    expected = _csv(["row", "col", "re", "im"], [idx // d, idx % d, flat.real, flat.imag])
     assert dump.read_text(encoding="utf-8") == expected
 
 
@@ -929,6 +929,27 @@ def test_every_shipped_config_and_golden_file_is_checked():
     assert sorted(checked) == sorted(p.stem for p in (REPO_ROOT / "configs").glob("*.json"))
     assert sorted(name for goldens in checked.values() for name in goldens) == sorted(
         p.name for p in (REPO_ROOT / "golden").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "c.json"],
+    ["evolve", "--out", "o.csv", "--config", "c.json"],
+    ["evolve", "--n-max", "7", "--config", "c.json", "--out", "o.csv"],
+    ["wigner", "--config", "c.json", "--n-max", " +3"],
+    ["feasibility", "--config", "", "--out", "a-b.json"],
+    ["cascade", "--config=c.json", "--out", "o.csv"],
+    ["steady-state", "--conf", "c.json"],
+    ["bell-sweep", "--config", "a", "--config", "b"],
+    ["nopa-spectrum", "--out", "-", "--config", "c.json"],
+    ["evolve", "--config", "c.json", "--n-max", "-4"],
+])
+def test_command_line_reader_agrees_with_argparse(argv):
+    """The direct reader of plain command lines gives what the argparse parser gives."""
+    from eprsim.cli import _build_parser, _parse_args
+
+    args = _build_parser().parse_args(argv)
+    assert _parse_args(argv) == (args.command, args.config, args.out,
+                                 getattr(args, "n_max", None))
 
 
 def test_module_entry_point(tmp_path):

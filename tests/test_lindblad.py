@@ -1,12 +1,13 @@
 import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from conftest import dense_validate
+from conftest import dense_validate, expm_multiply_evolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -28,10 +29,14 @@ from eprsim import (
 )
 from eprsim import lindblad
 from eprsim.lindblad import (
+    _expm,
+    _krylov_propagate,
+    _orbit_system,
     _sector_indices,
     _sector_matrix,
     _sector_residual,
     _shifted,
+    _summed,
     _terms,
 )
 from eprsim.metrics import fidelity
@@ -396,8 +401,70 @@ def test_evolve_logs_path_and_figures(caplog):
         evolve(half_model(0.2), FockBasis(8), [0.0, 1.0])
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
-        r"^evolve: orbits path, 120 unknowns, nnz \d+; assemble \S+s, propagate \S+s$", line
+        r"^evolve: orbits path, 120 unknowns, nnz 1072, Krylov basis \d+, restarts 0, "
+        r"substeps 1, largest estimate \S+; assemble \S+s, propagate \S+s$", line
     ), line
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    eps=st.floats(0.05, 0.6),
+    heating=st.floats(0.0, 0.1),
+    n_max=st.integers(4, 12),
+    span=st.floats(0.05, 10.0),
+    num=st.integers(2, 11),
+)
+def test_evolve_matches_expm_multiply(eps, heating, n_max, span, num):
+    """The Krylov propagation against scipy's expm_multiply, element by element."""
+    model, basis = half_model(eps, heating=heating), FockBasis(n_max)
+    times = np.linspace(0.0, span, num)
+    for got, want in zip(evolve(model, basis, times), expm_multiply_evolve(model, basis, times)):
+        assert np.max(np.abs(got.elements - want.elements)) <= 1e-12
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+
+
+def test_expm_matches_scipy(rng):
+    """The Pade 13 exponential on the zero matrix, random matrices and generator Hessenbergs."""
+    assert relative_gap(_expm(np.zeros((4, 4))), np.eye(4)) <= 1e-13
+    for n in (1, 3, 10, 40):
+        a = rng.standard_normal((n, n))
+        assert relative_gap(_expm(a), scipy.linalg.expm(a)) <= 1e-13, n
+    basis = FockBasis(8)
+    _, _, reps, (rows, cols, vals) = _orbit_system(
+        _terms(half_model(0.3, heating=0.1), basis), basis, first_row=0)
+    dense = np.zeros((len(reps), len(reps)))
+    np.add.at(dense, (rows, cols), vals)
+    hess = scipy.linalg.hessenberg(dense)
+    for norm in (1e-3, 1.0, 10.0, 100.0, 1e3):
+        for h in (hess, hess[:64, :64]):
+            h = h * (norm / np.abs(h).sum(axis=0).max())
+            assert relative_gap(_expm(h), scipy.linalg.expm(h)) <= 1e-13, norm
+
+
+def test_evolve_basis_memory_is_bounded_by_the_cap():
+    """At n_max 40 a square Arnoldi basis would take 1 GB; the propagation holds the cap.
+
+    The traced peak covers the basis (cap x size), the output vectors, the
+    matrix-vector product's two nnz-long temporaries and a few vectors more.
+    """
+    basis = FockBasis(40)
+    _, _, reps, triplets = _orbit_system(_terms(half_model(0.3), basis), basis, first_row=0)
+    size = len(reps)
+    rows, cols, vals = _summed(*triplets, size)
+    del triplets
+    vec = np.zeros(size)
+    vec[0] = 1.0
+    tracemalloc.start()
+    try:
+        out, (largest, _, _, _) = _krylov_propagate(rows, cols, vals, vec, 0.4, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert largest == lindblad._KRYLOV_CAP < size
+    assert peak <= 8 * (size * (lindblad._KRYLOV_CAP + len(out) + 4) + 2 * len(vals))
 
 
 def test_evolve_output_states_are_physical():
