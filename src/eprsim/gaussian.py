@@ -25,8 +25,9 @@ here are at most 8 x 8, so the system is at most 64 x 64), and
 ``scipy.linalg.expm`` is imported inside :func:`evolve_covariance`, its
 one user in the package.  It stays scipy's on purpose: this propagator is
 the independent oracle of the Fock route, whose ``lindblad._expm`` is a
-plain Pade 13 with scaling and squaring, and on the cascade block the
-two part ways beyond t of about 10.
+plain Pade 13 with scaling and squaring.  On the cascade block the two
+agree to 1e-14 (relative, 1-norm) up to t of about 10 and drift apart
+beyond it, to 6e-14 at t = 40.
 """
 
 from __future__ import annotations

@@ -72,10 +72,11 @@ log = logging.getLogger(__name__)
 STEADY_RESIDUAL_TOL = 1e-8
 
 # Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the span
-# ||L||_1 * (t_end - t_0) sets the Krylov basis and restarts it needs, and
-# the orbit matrix's nnz the cost of each basis vector.  The shipped config needs 6.3e7 and the tests, demos and
-# benchmark seeds at most 6.6e7; eps 0.3 at n_max 40 out to t = 31 needs
-# 6.8e9, about 17 s of work, and gamma 1e6 on a 6-level basis 3.6e11.
+# ||L||_1 * (t_end - t_0) sets how many Krylov vectors and restarts the
+# propagation needs, and the orbit matrix's nnz the cost of each vector.
+# The shipped config needs 6.3e7 and the tests, demos and benchmark seeds at
+# most 6.6e7; eps 0.3 at n_max 40 out to t = 31 needs 6.8e9, and gamma 1e6
+# on a 6-level basis 3.6e11.
 _EVOLVE_WORK_BUDGET = 1e9
 
 # evolve's Krylov propagation (see _krylov_propagate): the a-posteriori
@@ -505,11 +506,8 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
                     basis[m] = w / hess[m, j]
             todo = steps * substeps - pos
             e = _expm(h / substeps * hess[:m, :m])
-            ys, estimates, y = [], [], e[:, 0]
-            while len(ys) < todo:
-                estimates.append(beta * hess[m, m - 1] * abs(y[-1]))
-                if not estimates[-1] <= _KRYLOV_TOL:
-                    break
+            ys, y = [], e[:, 0]
+            while len(ys) < todo and beta * hess[m, m - 1] * abs(y[-1]) <= _KRYLOV_TOL:
                 ys.append(y)
                 y = e @ y
             if len(ys) == todo:
@@ -522,7 +520,7 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
                 raise NumericalError("evolve: the Krylov propagation certifies no step")
             substeps, pos = 2 * substeps, 2 * pos  # halve the internal step
         largest = max(largest, m)
-        worst = max(worst, *estimates[:len(ys)])
+        worst = max(worst, beta * hess[m, m - 1] * max(abs(y[-1]) for y in ys))
         first = pos + 1
         pos += len(ys)
         keep = [k for k in range(first, pos + 1) if k % substeps == 0 or k == pos]

@@ -467,6 +467,13 @@ def test_evolve_basis_memory_is_bounded_by_the_cap():
     assert peak <= 8 * (size * (lindblad._KRYLOV_CAP + len(out) + 4) + 2 * len(vals))
 
 
+def test_evolve_uncertified_raises(monkeypatch):
+    """A step no basis or step halving can certify ends in NumericalError, not a loop."""
+    monkeypatch.setattr(lindblad, "_KRYLOV_TOL", -1.0)
+    with pytest.raises(NumericalError, match="certifies no step"):
+        evolve(half_model(0.2), FockBasis(6), [0.0, 1.0])
+
+
 def test_evolve_output_states_are_physical():
     model = half_model(0.3)
     basis = FockBasis(10)
