@@ -692,7 +692,7 @@ def test_cascade_solves_the_narrowband_extreme(tmp_path, capsys):
 
 
 def test_evolve_over_its_work_budget_exits_3_at_once(tmp_path, capsys):
-    """gamma 1e6 would keep expm_multiply busy for hours; the estimate refuses it first."""
+    """gamma 1e6 would keep the propagation busy for hours; the estimate refuses it first."""
     cfg = write_config(tmp_path, {"schema_version": 1, "n_max": 6,
                                   "model": {"epsilon_over_kappa": 0.3, "gamma": 1e6},
                                   "times": {"start": 0.0, "stop": 5.0, "num": 3}})
