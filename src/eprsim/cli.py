@@ -478,45 +478,27 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a known ``command``, with its subparser alone.
+
+    One subparser costs a seventh of the seven; the subparsers' metavar
+    still names every command, so usage lines and messages are the same.
+    """
     parser = argparse.ArgumentParser(
         prog="eprsim",
         description="Deterministic batch simulations of remotely entangled motional modes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    known = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_COMMANDS) if known else None)
+    for name in [command] if known else _COMMANDS:
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         if name in _TRUNCATING:
             p.add_argument("--n-max", type=int, default=None, dest="n_max",
                            help="override the config's Fock truncation")
     return parser
-
-
-def _parse_args(argv: list[str]):
-    """``(command, config, out, n_max)`` from the command line.
-
-    A command followed by distinct ``--config``, ``--out`` and (where it
-    truncates) ``--n-max`` flags, each with a value that does not start
-    with "-", is read here: building the argparse parser costs more than
-    most commands' own output.  Every other command line (help, errors,
-    ``--flag=value`` and abbreviated spellings) goes to argparse, which
-    gives these the same values and writes every message.
-    """
-    command = argv[0] if argv else None
-    flags = {"--config", "--out"} | ({"--n-max"} if command in _TRUNCATING else set())
-    given = dict(zip(argv[1::2], argv[2::2]))
-    if (command in _COMMANDS and len(argv) == 2 * len(given) + 1 and "--config" in given
-            and given.keys() <= flags and not any(v.startswith("-") for v in given.values())):
-        try:
-            n_max = int(given["--n-max"]) if "--n-max" in given else None
-        except ValueError:
-            pass  # argparse reports it
-        else:
-            return command, given["--config"], given.get("--out"), n_max
-    args = _build_parser().parse_args(argv)
-    return args.command, args.config, args.out, getattr(args, "n_max", None)
 
 
 def main(argv=None) -> int:
@@ -531,12 +513,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    command, config, out, n_max = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        cfg = _load_config(config)
-        if n_max is not None:
-            cfg["n_max"] = n_max
-        return _COMMANDS[command](cfg, out)
+        cfg = _load_config(args.config)
+        if getattr(args, "n_max", None) is not None:
+            cfg["n_max"] = args.n_max
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -544,7 +527,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        hint = "; lower n_max" if command in _TRUNCATING else ""
+        hint = "; lower n_max" if args.command in _TRUNCATING else ""
         print(f"numerical failure: out of memory ({str(exc) or 'allocation failed'}){hint}",
               file=sys.stderr)
         return 3

@@ -80,13 +80,13 @@ STEADY_RESIDUAL_TOL = 1e-8
 _EVOLVE_WORK_BUDGET = 1e9
 
 # evolve's Krylov propagation (see _krylov_propagate): the a-posteriori
-# estimate that certifies a step, and the basis growth and its cap.  At 64
-# vectors every product in _expm has m n k <= 2**18, which OpenBLAS runs on
-# one thread, so the states do not depend on the BLAS thread count; a larger
-# basis would let them move in the last bits from one thread count to another.
+# estimate that certifies a step, the first basis size (each growth doubles
+# it) and the cap.  A restart starts from a state that carries rounding
+# error, which the propagator's transient growth then amplifies; the shipped
+# config needs 224 vectors for its whole grid, so at 256 it needs no restart.
 _KRYLOV_TOL = 1e-14
-_KRYLOV_CHUNK = 16
-_KRYLOV_CAP = 64
+_KRYLOV_FIRST = 16
+_KRYLOV_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -427,13 +427,57 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     return rho
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as a sum of block products, each at most 64 x 64 x 64, in a fixed order.
+
+    OpenBLAS runs a product that small on one thread, so the result does not
+    depend on the BLAS thread count; a whole product of larger matrices is
+    split across threads and may move in its last bits.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], 64):
+        for j in range(0, b.shape[1], 64):
+            for k in range(0, a.shape[1], 64):
+                out[i:i + 64, j:j + 64] += a[i:i + 64, k:k + 64] @ b[k:k + 64, j:j + 64]
+    return out
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by Gaussian elimination with partial pivoting on the augmented matrix [a | b].
+
+    Only the rows within a's lower bandwidth are eliminated at each step:
+    the Pade denominator of a Hessenberg matrix has 12 subdiagonals, and
+    partial pivoting keeps that band.  Back substitution runs on blocks of
+    64 rows, the bulk of it in :func:`_matmul`.
+    """
+    n = len(a)
+    rows, cols = np.nonzero(a)
+    band = int((rows - cols).max(initial=0))
+    x = np.concatenate([a, b], axis=1)
+    for k in range(n):
+        end = min(k + band + 1, n)
+        p = k + int(np.argmax(np.abs(x[k:end, k])))
+        if p != k:
+            x[[k, p]] = x[[p, k]]
+        x[k + 1:end, k + 1:] -= (x[k + 1:end, k] / x[k, k])[:, None] * x[k, k + 1:]
+    u, y = x[:, :n], x[:, n:]
+    for k1 in range(n, 0, -64):
+        k0 = max(k1 - 64, 0)
+        for k in range(k1 - 1, k0 - 1, -1):
+            y[k] /= u[k, k]
+            y[k0:k] -= u[k0:k, k, None] * y[k]
+        y[:k0] -= _matmul(u[:k0, k0:k1], y[k0:k1])
+    return y
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a small dense matrix: the Pade 13 approximant with scaling and squaring.
 
     ``a`` is scaled by 2**-s until its 1-norm is at most theta_13, where the
     [13/13] Pade approximant is accurate to double precision, and the
     result is squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)).
+    (2005)).  Its products are :func:`_matmul`'s and its solve
+    :func:`_solve`, so the result does not depend on the BLAS thread count.
     """
     b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
@@ -442,21 +486,36 @@ def _expm(a: np.ndarray) -> np.ndarray:
     squarings = max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm > 0 else 0
     a = a / 2.0 ** squarings
     eye = np.eye(len(a))
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
+    a2 = _matmul(a, a)
+    a4 = _matmul(a2, a2)
+    a6 = _matmul(a2, a4)
+    u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = _solve(v - u, v + u)
     for _ in range(squarings):
-        r = r @ r
+        r = _matmul(r, r)
     return r
 
 
 def _norm(x: np.ndarray) -> float:
     """The 2-norm of a vector, summed by numpy (BLAS splits a long ``dot`` across threads)."""
     return float(np.sqrt(np.add.reduce(x * x)))
+
+
+def _certified(hess, m, beta, tau, todo):
+    """The coefficient vectors y_k = exp(k tau H_m) e_1, k = 1..todo, that Saad's estimate certifies.
+
+    The estimate of step k is beta h_{m+1,m} |e_m^T y_k|; the steps up to the
+    first one above :data:`_KRYLOV_TOL` are returned.
+    """
+    e = _expm(tau * hess[:m, :m])
+    ys, y = [], e[:, 0]
+    while len(ys) < todo and beta * hess[m, m - 1] * abs(y[-1]) <= _KRYLOV_TOL:
+        ys.append(y)
+        y = np.einsum("ij,j->i", e, y)
+    return ys
 
 
 def _krylov_propagate(rows, cols, vals, vec, h, steps):
@@ -468,14 +527,16 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
     one small exponential for every step of the grid.  Step k is certified
     when Saad's a-posteriori estimate beta h_{m+1,m} |e_m^T y_k| is at most
     :data:`_KRYLOV_TOL` (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The
-    basis grows :data:`_KRYLOV_CHUNK` vectors at a time until every step
-    is certified or it holds :data:`_KRYLOV_CAP` vectors; there the
+    basis starts with :data:`_KRYLOV_FIRST` vectors and doubles until every
+    step is certified or it holds :data:`_KRYLOV_CAP` vectors; there the
     certified steps are kept and Arnoldi restarts from the last of them.
-    When not one step is certified at the cap, tau is halved (the same
-    basis serves); the internal step stays ``h / substeps`` from then on.
-    A basis that spans all of L's space is exact.  Returns the
-    (steps + 1, size) array of vectors with (largest basis, restarts,
-    largest certified estimate, substeps).
+    When not one step is certified at the cap, tau is halved on the same
+    basis; the internal step stays ``h / substeps`` from then on.  A basis
+    that spans all of L's space is exact.  Matrix-vector products are
+    numpy's einsum, not BLAS (which splits long ones across threads), and
+    :func:`_expm` multiplies in blocks, so the vectors do not depend on the
+    BLAS thread count.  Returns the (steps + 1, size) array of vectors with (largest basis,
+    restarts, largest certified estimate, substeps).
     """
     size = len(vec)
     out = np.empty((steps + 1, size))
@@ -491,40 +552,32 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
         basis[0] = start / beta
         hess[:] = 0.0
         m = 0
-        while True:
-            for j in range(m, min(m + _KRYLOV_CHUNK, cap)):
-                w = np.bincount(rows, vals * basis[j][cols], minlength=size)
-                for _ in range(2):  # numpy's einsum: BLAS splits long dot products by thread
-                    c = np.einsum("ij,j->i", basis[:j + 1], w)
-                    w -= c @ basis[:j + 1]
-                    hess[:j + 1, j] += c
-                m = j + 1
-                hess[m, j] = 0.0 if m == size else _norm(w)
-                if hess[m, j] == 0.0:  # an invariant subspace: the basis is exact
+        while True:  # double the basis until every step is certified, or to the cap
+            for m in range(m + 1, min(max(2 * m, _KRYLOV_FIRST), cap) + 1):
+                w = np.bincount(rows, vals * basis[m - 1][cols], minlength=size)
+                for _ in range(2):
+                    c = np.einsum("ij,j->i", basis[:m], w)
+                    w -= np.einsum("i,ij->j", c, basis[:m])
+                    hess[:m, m - 1] += c
+                hess[m, m - 1] = 0.0 if m == size else _norm(w)
+                if hess[m, m - 1] == 0.0:  # an invariant subspace: the basis is exact
                     break
                 if m < cap:
-                    basis[m] = w / hess[m, j]
-            todo = steps * substeps - pos
-            e = _expm(h / substeps * hess[:m, :m])
-            ys, y = [], e[:, 0]
-            while len(ys) < todo and beta * hess[m, m - 1] * abs(y[-1]) <= _KRYLOV_TOL:
-                ys.append(y)
-                y = e @ y
-            if len(ys) == todo:
+                    basis[m] = w / hess[m, m - 1]
+            ys = _certified(hess, m, beta, h / substeps, steps * substeps - pos)
+            if len(ys) == steps * substeps - pos or m == cap or hess[m, m - 1] == 0.0:
                 break
-            if m < cap and hess[m, m - 1] != 0.0:
-                continue  # grow the basis
-            if ys:
-                break  # restart from the last certified step
+        while not ys:  # at the cap, not one step certified: halve the internal step
             if substeps >= 2 ** 30:
                 raise NumericalError("evolve: the Krylov propagation certifies no step")
-            substeps, pos = 2 * substeps, 2 * pos  # halve the internal step
+            substeps, pos = 2 * substeps, 2 * pos
+            ys = _certified(hess, m, beta, h / substeps, steps * substeps - pos)
         largest = max(largest, m)
         worst = max(worst, beta * hess[m, m - 1] * max(abs(y[-1]) for y in ys))
         first = pos + 1
         pos += len(ys)
         keep = [k for k in range(first, pos + 1) if k % substeps == 0 or k == pos]
-        states = [beta * (ys[k - first] @ basis[:m]) for k in keep]
+        states = [beta * np.einsum("i,ij->j", ys[k - first], basis[:m]) for k in keep]
         for k, state in zip(keep, states):
             if k % substeps == 0:
                 out[k // substeps] = state
