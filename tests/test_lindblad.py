@@ -36,6 +36,7 @@ from eprsim.lindblad import (
     _sector_matrix,
     _sector_residual,
     _shifted,
+    _solve,
     _summed,
     _terms,
 )
@@ -442,6 +443,15 @@ def test_expm_matches_scipy(rng):
         for h in (hess, hess[:64, :64]):
             h = h * (norm / np.abs(h).sum(axis=0).max())
             assert relative_gap(_expm(h), scipy.linalg.expm(h)) <= 1e-13, norm
+
+
+@pytest.mark.parametrize("n, band", [(1, 0), (7, 7), (150, 3), (150, 12), (200, 200)])
+def test_solve_matches_numpy(rng, n, band):
+    """Elimination within the lower band, with row swaps forced by a small diagonal."""
+    a = np.triu(rng.standard_normal((n, n)), -band)
+    a[np.diag_indices(n)] *= 1e-3
+    b = rng.standard_normal((n, n + 5))
+    assert relative_gap(_solve(a, b), np.linalg.solve(a, b)) <= 1e-12
 
 
 def test_evolve_basis_memory_is_bounded_by_the_cap():
