@@ -446,7 +446,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b by Gaussian elimination with partial pivoting on the augmented matrix [a | b].
 
     Only the rows within a's lower bandwidth are eliminated at each step:
-    the Pade denominator of a Hessenberg matrix has 12 subdiagonals, and
+    the Pade denominator of a Hessenberg matrix has 13 subdiagonals, and
     partial pivoting keeps that band.  Back substitution runs on blocks of
     64 rows, the bulk of it in :func:`_matmul`.
     """
@@ -505,7 +505,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _certified(hess, m, beta, tau, todo):
-    """The coefficient vectors y_k = exp(k tau H_m) e_1, k = 1..todo, that Saad's estimate certifies.
+    """The vectors y_k = exp(k tau H_m) e_1, k = 1..todo, that Saad's estimate certifies.
 
     The estimate of step k is beta h_{m+1,m} |e_m^T y_k|; the steps up to the
     first one above :data:`_KRYLOV_TOL` are returned.
@@ -535,8 +535,8 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
     that spans all of L's space is exact.  Matrix-vector products are
     numpy's einsum, not BLAS (which splits long ones across threads), and
     :func:`_expm` multiplies in blocks, so the vectors do not depend on the
-    BLAS thread count.  Returns the (steps + 1, size) array of vectors with (largest basis,
-    restarts, largest certified estimate, substeps).
+    BLAS thread count.  Returns the (steps + 1, size) array of vectors with
+    (largest basis, restarts, largest certified estimate, substeps).
     """
     size = len(vec)
     out = np.empty((steps + 1, size))
