@@ -74,7 +74,9 @@ class DensityMatrix:
     ``keys`` are flat indices ``row * d + col`` and ``values`` their complex
     values.  Construction sorts the keys, sums the values of repeated keys,
     drops zeros and checks that every key lies in the d x d matrix, so a
-    state holds each nonzero entry once, in key order.  :attr:`elements`
+    state holds each nonzero entry once, in key order.  Both arrays are
+    the state's own copies and read-only, so a state cannot change after
+    construction and may key a memo.  :attr:`elements`
     builds the dense array on request.  A pure state is the outer product
     of its amplitudes on their support.
 
@@ -98,8 +100,9 @@ class DensityMatrix:
         if len(keys) and not 0 <= keys[0] <= keys[-1] < d * d:
             raise ValueError(f"density matrix keys must lie in [0, {d * d})")
         nonzero = values != 0
-        object.__setattr__(self, "keys", keys[nonzero])
-        object.__setattr__(self, "values", values[nonzero])
+        for name, arr in (("keys", keys[nonzero]), ("values", values[nonzero])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def elements(self) -> np.ndarray:

@@ -14,6 +14,7 @@ files pin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ class BellSettings:
 def fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
     """``tr(rho target)``: <psi| rho |psi> for a pure target, in [0, 1] up to numerical noise.
 
-    Summed over the stored entries of ``target``;
-    :func:`~eprsim.lindblad.purity` is this sum with ``target = rho``.
+    Summed over the stored entries of ``target``; for an exactly Hermitian
+    rho, :func:`~eprsim.lindblad.purity` gives this sum with
+    ``target = rho`` bit for bit.
     """
     if rho.basis != target.basis:
         raise ValueError(f"basis mismatch: {rho.basis} vs {target.basis}")
@@ -75,16 +77,25 @@ def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
     return value, value < 4.0
 
 
+@functools.lru_cache(maxsize=1)
+def _check_truncation_once(state: DensityMatrix):
+    """:func:`chsh_value`'s truncation check, memoized for the last state checked."""
+    _warn_if_truncated(state, "chsh_value", stacklevel=4)
+
+
 def chsh_value(state: DensityMatrix, s: BellSettings) -> float:
     """CHSH combination B = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
 
     |B| <= 2 for every separable state; displaced-parity measurements on
     the pair-correlated states here push B above 2 for suitable settings.
-    The settings were bounded when ``s`` was built, so the state's
-    truncation is checked once and the four correlators contracted
-    directly.
+    The settings were bounded when ``s`` was built, so only the state's
+    truncation is checked, and once per state: the memo holds the last
+    state checked, so a sweep of settings over one state warns at most
+    once, and calling again with that same state warns no more.  The four
+    correlators share the state's support layout (see
+    :func:`~eprsim.states.displaced_parity_expectation`).
     """
-    _warn_if_truncated(state, "chsh_value")
+    _check_truncation_once(state)
     e11 = displaced_parity_expectation(state, s.alpha1, s.beta1)
     e12 = displaced_parity_expectation(state, s.alpha1, s.beta2)
     e21 = displaced_parity_expectation(state, s.alpha2, s.beta1)

@@ -14,6 +14,15 @@ Wigner routines warn when it exceeds :data:`TRUNCATION_POP_WARN` in the
 top 10% of levels, and :func:`eprsim.lindblad.steady_state` when the top
 level alone exceeds it.
 
+Work that depends on the state alone is done once per state.  The
+support layout that every displaced-parity contraction reads
+(:func:`_support`) is memoized, and so is
+:func:`~eprsim.metrics.chsh_value`'s truncation check: a Bell sweep over
+one state builds one layout and checks the state once, not once per
+correlator.  Each memo holds one state, the last one seen, keyed by
+identity; a :class:`~eprsim.hilbert.DensityMatrix` cannot change after
+construction, so a memo is never stale.
+
 Wigner convention
 -----------------
 The two-mode Wigner function is normalized so that the vacuum value at
@@ -138,14 +147,14 @@ def edge_population(state: DensityMatrix, fraction: float = 0.1) -> float:
     return float(pops2[mask].sum())
 
 
-def _warn_if_truncated(state: DensityMatrix, where: str):
+def _warn_if_truncated(state: DensityMatrix, where: str, stacklevel: int = 3):
     pop = edge_population(state)
     if pop > TRUNCATION_POP_WARN:
         warnings.warn(
             f"{where}: population {pop:.2e} in the top 10% of Fock levels "
             f"exceeds {TRUNCATION_POP_WARN:.0e}; results may be truncation-limited",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -166,6 +175,7 @@ def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def _support(state: DensityMatrix):
     """The rows of rho that carry weight, with their entries: (rows, cols, block).
 
@@ -174,6 +184,11 @@ def _support(state: DensityMatrix):
     and padded with zero values at column 0, so ``block[i, j]`` is rho at
     ``(rows[i], cols[i, j])``.  For a pure state these are the dense outer
     product on its amplitude support.
+
+    Built once per state: the memo holds the last state's layout (a state
+    hashes by identity and its arrays are read-only), so the correlators
+    of a Bell sweep over one state share it.  The three arrays are
+    read-only too.
     """
     rows_of, cols_of = np.divmod(state.keys, state.basis.dimension)
     rows, first, counts = np.unique(rows_of, return_index=True, return_counts=True)
@@ -183,6 +198,8 @@ def _support(state: DensityMatrix):
     block = np.zeros(cols.shape, dtype=complex)
     cols[owner, slot] = cols_of
     block[owner, slot] = state.values
+    for arr in (rows, cols, block):
+        arr.setflags(write=False)
     return rows, cols, block
 
 
@@ -191,7 +208,10 @@ def displaced_parity_expectation(state: DensityMatrix, alpha1: complex, alpha2: 
 
     Contracts rho only on its support (:func:`_support`), one term per
     stored entry: a pure state with k nonzero amplitudes costs k² terms
-    (n_max² for the two-mode squeezed vacuum).
+    (n_max² for the two-mode squeezed vacuum).  The support layout is
+    built on the first call for a state and reused while it is the last
+    state seen; each call gathers its two displaced parities at that
+    layout and sums the terms afresh.
     """
     n = state.basis.n_max
     rows, cols, block = _support(state)

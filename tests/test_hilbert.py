@@ -105,6 +105,18 @@ def test_density_matrix_rejects_wrong_dimension():
         DensityMatrix(FockBasis(6), [0, 7], [1.0])
 
 
+def test_density_matrix_arrays_are_read_only_copies():
+    keys, values = np.array([5, 0, 5]), np.array([0.25, 0.5, 0.25])
+    rho = DensityMatrix(FockBasis(2), keys, values)
+    for arr in (rho.keys, rho.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    keys[0] = 1
+    assert rho.keys.tolist() == [0, 5]
+    assert rho.values.tolist() == [0.5, 0.5]
+
+
 def test_vacuum_state():
     rho = vacuum_state(FockBasis(4))
     assert rho.keys.tolist() == [0]

@@ -88,6 +88,15 @@ def test_evolve_loads_no_scipy(tmp_path):
     assert scipy_after_command(tmp_path, "evolve", "evolve_vacuum.json", "--n-max", "6") == set()
 
 
+def test_evolve_loads_no_metrics_or_gaussian(tmp_path):
+    """``moments`` reads the purity off the stored values, not through ``metrics.fidelity``."""
+    argv = ["evolve", "--config", str(CONFIGS / "evolve_vacuum.json"),
+            "--out", str(tmp_path / "out"), "--n-max", "6"]
+    loaded = modules_after(f"from eprsim.cli import main\nassert main({argv!r}) == 0")
+    assert "eprsim.lindblad" in loaded
+    assert {"eprsim.metrics", "eprsim.gaussian"}.isdisjoint(loaded)
+
+
 @pytest.mark.parametrize("command, config", [
     ("cascade", "cascade.json"),
     ("nopa-spectrum", "nopa_spectrum.json"),

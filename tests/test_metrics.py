@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from eprsim import (
     chsh_value,
     effective_N_M,
     epr_criterion,
+    evolve,
     fidelity,
     log_negativity,
     model_from_lindblad,
@@ -30,7 +32,15 @@ from eprsim import (
     vacuum_state,
     wigner_analytic,
 )
-from eprsim.states import _displaced_parity_single, displaced_parity_expectation
+from eprsim import states
+from eprsim.cli import main
+from eprsim.states import (
+    _displaced_parity_single,
+    displaced_parity_expectation,
+    wigner_from_density,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tmss_covariance(r):
@@ -74,10 +84,18 @@ def test_fidelity_of_mixture():
 
 
 def test_fidelity_with_itself_is_the_purity():
-    """``fidelity(rho, rho)`` and ``purity(rho)`` are one sum, bit for bit."""
-    rho = _heated_steady_state(12)
-    assert fidelity(rho, rho) == purity(rho)
-    assert purity(rho) < 1.0
+    """``purity`` sums ``|rho_ij|**2``, the products ``fidelity(rho, rho)`` forms, in its order.
+
+    Bit for bit on the solvers' states and the TMSS, all exactly Hermitian.
+    """
+    n_p, m_p = effective_N_M(NopaParams(0.3, 1.0))
+    heated = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
+    rhos = [_heated_steady_state(12, h) for h in (0.0, 0.02, 0.03, 0.05)]
+    rhos += evolve(heated, FockBasis(10), np.linspace(0.0, 4.0, 5))
+    rhos += [tmss_fock(TmssSpec(r), FockBasis(20)) for r in (0.0, 0.3, 1.0, 2.0)]
+    for rho in rhos:
+        assert purity(rho) == fidelity(rho, rho)
+    assert purity(rhos[3]) < 1.0
 
 
 def _fock_2_3():
@@ -162,9 +180,9 @@ def _vacuum_tmss_mixture():
     return DensityMatrix(basis, np.r_[vac.keys, tmss.keys], 0.5 * np.r_[vac.values, tmss.values])
 
 
-def _heated_steady_state(n_max=10):
+def _heated_steady_state(n_max=10, heating_rate=0.05):
     n_p, m_p = effective_N_M(NopaParams(0.25, 1.0))
-    model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=0.05)
+    model = LindbladModel(gamma=1.0, n_param=n_p, m_param=m_p, heating_rate=heating_rate)
     return steady_state(model, FockBasis(n_max))
 
 
@@ -235,13 +253,61 @@ def test_chsh_violation_point():
 
 
 def test_chsh_warns_once_on_a_truncated_state():
-    """The truncation check runs once per CHSH value, not once per correlator."""
+    """The truncation check runs once per state, not once per correlator or CHSH value."""
     rho = tmss_fock(TmssSpec(1.2), FockBasis(6))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         chsh_value(rho, BellSettings(0.0, 0.3, 0.0, 0.3))
-    assert [w.category for w in caught] == [TruncationWarning]
-    assert str(caught[0].message).startswith("chsh_value: population")
+        assert [w.category for w in caught] == [TruncationWarning]
+        assert str(caught[0].message).startswith("chsh_value: population")
+        assert caught[0].filename == __file__  # attributed to the caller of chsh_value
+        chsh_value(rho, BellSettings(0.0, 0.2, 0.0, -0.2))
+        assert len(caught) == 1
+        chsh_value(tmss_fock(TmssSpec(1.2), FockBasis(6)), BellSettings(0.0, 0.3, 0.0, 0.3))
+        assert [w.category for w in caught] == [TruncationWarning] * 2
+        assert caught[1].message.args == caught[0].message.args
+
+
+def test_bell_sweep_builds_one_layout_and_checks_once_per_state(monkeypatch, tmp_path):
+    """The default 12 x 10 sweep: 12 support layouts and 12 truncation checks, not 480 and 120."""
+    checked = []
+    edge_population = states.edge_population
+    monkeypatch.setattr(states, "edge_population",
+                        lambda state: checked.append(state) or edge_population(state))
+    builds = states._support.cache_info().misses
+    assert main(["bell-sweep", "--config", str(CONFIGS / "bell_default.json"),
+                 "--out", str(tmp_path / "bell.csv")]) == 0
+    assert states._support.cache_info().misses - builds == 12
+    assert len(checked) == len(set(map(id, checked))) == 12
+
+
+def test_support_layout_is_read_only_and_never_stale():
+    """Two states with the same keys and different values each get their own E."""
+    basis = FockBasis(12)
+    weak, strong = tmss_fock(TmssSpec(0.3), basis), tmss_fock(TmssSpec(0.6), basis)
+    assert np.array_equal(weak.keys, strong.keys)
+    for arr in states._support(weak):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
+    alpha, beta = 0.2 + 0.1j, -0.3j
+    first = {rho: displaced_parity_expectation(rho, alpha, beta) for rho in (weak, strong)}
+    for rho in (weak, strong, strong, weak):
+        e = displaced_parity_expectation(rho, alpha, beta)
+        assert e == first[rho]
+        assert abs(e - dense_parity_expectation(rho, alpha, beta)) <= 1e-12
+    assert abs(first[weak] - first[strong]) > 0.1
+
+
+def test_wigner_after_a_sweep_reads_its_own_state():
+    basis = FockBasis(16)
+    swept = tmss_fock(TmssSpec(0.4), basis)
+    for j in (0.05, 0.2):
+        chsh_value(swept, BellSettings(0.0, math.sqrt(j), 0.0, math.sqrt(j)))
+    rho = tmss_fock(TmssSpec(0.2), basis)
+    w = wigner_from_density(rho, 0.4, -0.2, 0.1, 0.3)[0, 0, 0, 0]
+    e = dense_parity_expectation(rho, 0.4 - 0.2j, 0.1 + 0.3j)
+    assert w == pytest.approx((2.0 / np.pi) ** 2 * e, rel=1e-12)
 
 
 def test_chsh_vacuum_stays_classical():
