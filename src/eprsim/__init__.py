@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 # Public names by defining module.  Each module is imported on first access
 # to one of its names (PEP 562), so a command pays only for what it uses.
 _EXPORTS = {
-    "hilbert": (
-        "FockBasis", "DensityMatrix", "NumericalError", "TruncationWarning", "vacuum_state",
-    ),
+    "errors": ("NumericalError", "TruncationWarning"),
+    "hilbert": ("FockBasis", "DensityMatrix", "vacuum_state"),
     "nopa": (
         "NopaParams", "transfer_function", "squeezing_spectra",
         "effective_N_M", "squeeze_parameter",

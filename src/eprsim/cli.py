@@ -30,10 +30,11 @@ import os
 import sys
 import warnings
 
-import numpy as np
+from .errors import NumericalError, TruncationWarning
 
-# The eprsim layers are imported inside each command, so a command loads
-# only the modules (and the parts of scipy) that it runs.
+# numpy and the eprsim layers are imported inside the functions that use
+# them, so a command loads only what it runs: usage and config errors and
+# ``feasibility`` need the standard library alone.
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +94,7 @@ def _field(cfg: dict, name: str, typ, where: str = "", default=None):
 
 
 def _grid_axis(block: dict, where: str, least: int = 0) -> np.ndarray:
-    from .hilbert import NumericalError
+    import numpy as np
 
     start = _field(block, "start", float, where)
     stop = _field(block, "stop", float, where)
@@ -138,8 +139,6 @@ def _basis(cfg: dict, default: int) -> FockBasis:
 
 def _recording_truncation(fn, *args):
     """``fn(*args)`` and whether it warned of truncation; every warning is re-emitted."""
-    from .hilbert import TruncationWarning
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         result = fn(*args)
@@ -187,6 +186,8 @@ def _csv(header: list[str], columns) -> str:
     Formatting is most of the cost, so each distinct value of a column (by
     its bits, so -0.0 and 0.0 stay apart) is formatted once.
     """
+    import numpy as np
+
     texts = []
     for col in columns:
         col = np.asarray(col, dtype=float)
@@ -210,6 +211,8 @@ def _density_csv(rho):
     All d**2 rows are written, zeros included; a row's zero entries come
     from one preformatted template, so only stored entries are formatted.
     """
+    import numpy as np
+
     yield "row,col,re,im\n"
     d = rho.basis.dimension
     rows, cols = np.divmod(rho.keys, d)
@@ -246,8 +249,9 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
 
 
 def cmd_steady_state(cfg: dict, out: str | None) -> int:
+    import numpy as np
+
     from .gaussian import epr_variances, model_from_lindblad, steady_covariance
-    from .hilbert import NumericalError
     from .lindblad import moments, steady_state
     from .metrics import epr_criterion, fidelity
     from .states import TmssSpec, tmss_fock
@@ -317,6 +321,8 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
 
 
 def cmd_wigner(cfg: dict, out: str | None) -> int:
+    import numpy as np
+
     from .states import TmssSpec, tmss_fock, wigner_analytic, wigner_from_density
 
     r = _field(cfg, "r", float)
@@ -360,6 +366,8 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
 
 
 def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
+    import numpy as np
+
     from .hilbert import vacuum_state
     from .metrics import MAX_SETTING_MAGNITUDE, BellSettings, chsh_value
     from .states import TmssSpec, tmss_fock
@@ -426,7 +434,6 @@ def cmd_feasibility(cfg: dict, out: str | None) -> int:
 
 def cmd_cascade(cfg: dict, out: str | None) -> int:
     from .gaussian import CovarianceState, cascade_model, epr_variances, steady_covariance
-    from .hilbert import NumericalError
     from .nopa import NopaParams, effective_N_M
 
     eps = _field(cfg, "epsilon_over_kappa", float)
@@ -502,8 +509,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .hilbert import NumericalError
-
     level = os.environ.get("EPRSIM_LOG", "WARNING").upper()
     if level not in ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG"):
         level = "WARNING"

@@ -16,8 +16,10 @@ anything less fails.  One check (the absolute magnitude of gamma_eff)
 is a plausibility band rather than an inequality and never fails, only
 warns.  ``check_all`` returns the plain dict the CLI writes,
 ``{"gamma_eff", "c1", "checks"}`` with one ``{"name", "ratio",
-"threshold", "verdict"}`` per check; a quantity past the float range
-raises :class:`~eprsim.hilbert.NumericalError` naming it.
+"threshold", "verdict"}`` per check.  ``gamma_eff``, ``c1`` and every
+ratio must be finite and every divisor nonzero: a quantity past the
+float range, or a divisor that underflows to 0, raises
+:class:`~eprsim.errors.NumericalError` naming it.
 
 All rates are angular frequencies; ``t_decoherence`` is a plain time in
 the inverse units.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hilbert import NumericalError
+from .errors import NumericalError
 
 # Plausibility band for the derived rate: tens of kHz to ~1 MHz
 # (ordinary frequency). Outside it the scheme is not wrong, just outside
@@ -72,22 +74,37 @@ class ExperimentParams:
             raise ValueError(f"eta_x must be in (0, 1), got {self.eta_x}")
 
 
+def _quotient(name: str, num: float, den: float) -> float:
+    """``num / den`` for the quantity ``name``, which must be a finite number.
+
+    A float ``/`` overflows to inf silently and raises ZeroDivisionError on
+    a divisor that underflowed to 0; both raise :class:`NumericalError` here.
+    """
+    value = num / den if den != 0 else math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"{name}: {num:.6g} / {den:.6g} is not a finite number")
+    return value
+
+
 def coupling_rate(p: ExperimentParams) -> float:
     """Effective motional coupling gamma_eff = (g0 eta_x E_L / Delta)^2 / kappa_a."""
     raman = p.g0 * p.eta_x * p.e_laser / p.delta_big
     try:
-        return raman ** 2 / p.kappa_a
+        square = raman ** 2
     except OverflowError:
-        raise NumericalError(
-            f"gamma_eff overflows at g0 eta_x e_laser / delta_big = {raman:.6g}") from None
+        square = math.inf
+    if not math.isfinite(square):
+        raise NumericalError(f"gamma_eff overflows at g0 eta_x e_laser / delta_big = {raman:.6g}")
+    return _quotient("gamma_eff", square, p.kappa_a)
 
 
 def cooperativity(p: ExperimentParams) -> float:
     """Single-atom cooperativity C1 = g0^2 / (kappa_a * gamma_atom)."""
     try:
-        return p.g0**2 / (p.kappa_a * p.gamma_atom)
+        g0_squared = p.g0**2
     except OverflowError:
         raise NumericalError(f"cooperativity: g0**2 overflows at g0 = {p.g0:.6g}") from None
+    return _quotient("cooperativity", g0_squared, p.kappa_a * p.gamma_atom)
 
 
 def _grade(ratio: float, threshold: float) -> str:
@@ -135,17 +152,21 @@ def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> d
     raman = (p.g0 * p.eta_x / p.delta_big) * p.e_laser
     thr = float(ratio_threshold)
 
-    ratios = {
-        "detuning_over_drive": p.delta_big / p.e_laser,
-        "detuning_over_coupling": p.delta_big / p.g0,
-        "detuning_over_trap": p.delta_big / p.nu_x,
-        "trap_over_cavity_decay": p.nu_x / p.kappa_a,
-        "cavity_decay_over_raman_rate": p.kappa_a / raman,
-        "nopa_bandwidth_over_gamma": p.kappa_c / gamma_eff,
-        "lamb_dicke_refined": 1.0 / (p.eta_x * cosh_r),
-        "decoherence_budget": p.t_decoherence * gamma_eff,
-        "cooperativity": c1,
+    quotients = {
+        "detuning_over_drive": (p.delta_big, p.e_laser),
+        "detuning_over_coupling": (p.delta_big, p.g0),
+        "detuning_over_trap": (p.delta_big, p.nu_x),
+        "trap_over_cavity_decay": (p.nu_x, p.kappa_a),
+        "cavity_decay_over_raman_rate": (p.kappa_a, raman),
+        "nopa_bandwidth_over_gamma": (p.kappa_c, gamma_eff),
+        "lamb_dicke_refined": (1.0, p.eta_x * cosh_r),
     }
+    ratios = {name: _quotient(name, num, den) for name, (num, den) in quotients.items()}
+    ratios["decoherence_budget"] = p.t_decoherence * gamma_eff
+    if not math.isfinite(ratios["decoherence_budget"]):
+        raise NumericalError("decoherence_budget: t_decoherence * gamma_eff overflows "
+                             f"at gamma_eff = {gamma_eff:.6g}")
+    ratios["cooperativity"] = c1
     checks = [{"name": name, "ratio": ratio, "threshold": thr, "verdict": _grade(ratio, thr)}
               for name, ratio in ratios.items()]
     gamma_ordinary = gamma_eff / (2.0 * math.pi)

@@ -138,7 +138,7 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
     of A's), after A and D are scaled by the power of two nearest
     ``1 / max|A|``.  A drift that is not Hurwitz raises ``ValueError``; a solution
     whose residual exceeds ``LYAPUNOV_RESIDUAL_TOL`` (relative to D)
-    raises :class:`~eprsim.hilbert.NumericalError`.  The residual is
+    raises :class:`~eprsim.errors.NumericalError`.  The residual is
     measured in units of D's largest entry, so a solve that overflowed
     fails this check without a floating-point warning.
     """

@@ -8,8 +8,8 @@ ladder monomials in :mod:`eprsim.lindblad`, and the Bell and Wigner
 routines their single-mode displaced parities in :mod:`eprsim.states`.
 All values are immutable after construction and all operations are pure
 functions, so they are safe to use concurrently.  The package's error
-and warning types live here too, so every layer can raise them without
-importing scipy.
+and warning types are defined in :mod:`eprsim.errors`, which imports
+nothing, and re-exported here for the numpy layers.
 
 A :class:`DensityMatrix` stores its nonzero entries as two plain fields:
 the sorted flat keys ``row * d + col`` and their complex values.  The
@@ -36,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class NumericalError(RuntimeError):
-    """A solver failed to reach its accuracy contract."""
-
-
-class TruncationWarning(UserWarning):
-    """State has significant population near the truncation edge."""
+from .errors import NumericalError, TruncationWarning  # re-exported for the numpy layers
 
 
 @dataclass(frozen=True)

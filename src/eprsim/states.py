@@ -81,7 +81,7 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> DensityMatrix:
     The outer product of the amplitudes ``(-tanh r)^m / cosh r`` on the
     diagonal kets ``|m, m>``, renormalized over the truncated space (the
     discarded tail is ``tanh(r)**(2 n_max)``), stored on those n_max**2
-    pairs of kets.  Raises :class:`~eprsim.hilbert.NumericalError` when
+    pairs of kets.  Raises :class:`~eprsim.errors.NumericalError` when
     ``cosh(r)`` overflows (r above about 710), where no amplitude would be
     representable.
     """
@@ -111,7 +111,7 @@ def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):
     Broadcasts over array inputs.  The squeezed (correlated) directions
     q1+q2 and p1-p2 tighten as ``exp(2r)`` grows; their conjugate
     combinations spread correspondingly, keeping the integral at 1.
-    Raises :class:`~eprsim.hilbert.NumericalError` when ``exp(2r)``
+    Raises :class:`~eprsim.errors.NumericalError` when ``exp(2r)``
     overflows (r above about 354).
     """
     q1, p1, q2, p2 = (np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))

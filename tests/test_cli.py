@@ -635,6 +635,23 @@ def _edge_of_m_bound():
      "numerical failure: gamma_eff overflows at g0 eta_x e_laser / delta_big = 4.75e+197\n"),
     ("feasibility", {"experiment": _experiment(g0=1e155), "r": 1.0}, 3,
      "numerical failure: cooperativity: g0**2 overflows at g0 = 1e+155\n"),
+    ("feasibility", {"experiment": _experiment(kappa_a=1e-200, gamma_atom=1e-200), "r": 1.0}, 3,
+     "numerical failure: cooperativity: 6.31655e+16 / 0 is not a finite number\n"),
+    ("feasibility", {"experiment": _experiment(kappa_a=1e-320), "r": 1.0}, 3,
+     "numerical failure: gamma_eff: 1.42517e+12 / 9.99989e-321 is not a finite number\n"),
+    ("feasibility", {"experiment": _experiment(delta_big=1e-320), "r": 1.0}, 3,
+     "numerical failure: gamma_eff overflows at g0 eta_x e_laser / delta_big = inf\n"),
+    ("feasibility", {"experiment": _experiment(delta_big=1e308), "r": 1.0}, 3,
+     "numerical failure: nopa_bandwidth_over_gamma: 6.28319e+06 / 0 is not a finite number\n"),
+    ("feasibility", {"experiment": _experiment(e_laser=1e-320), "r": 1.0}, 3,
+     "numerical failure: detuning_over_drive: 2.51327e+10 / 9.99989e-321 "
+     "is not a finite number\n"),
+    ("feasibility", {"experiment": _experiment(eta_x=1e-320), "r": 1.0}, 3,
+     "numerical failure: cavity_decay_over_raman_rate: 1.25664e+07 / 2.35927e-313 "
+     "is not a finite number\n"),
+    ("feasibility", {"experiment": _experiment(t_decoherence=1e308), "r": 1.0}, 3,
+     "numerical failure: decoherence_budget: t_decoherence * gamma_eff overflows "
+     "at gamma_eff = 113411\n"),
     ("steady-state", {"model": {"epsilon_over_kappa": 0.5}, "n_max": 10**11}, 2,
      "config error: n_max must be below 55109 for int64 keys, got 100000000000\n"),
     ("nopa-spectrum", {"epsilon_over_kappa": 0.5,
@@ -654,7 +671,10 @@ def _edge_of_m_bound():
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
-        "feasibility-g0-1e155", "steady-state-n-max-1e11", "nopa-spectrum-omega-1e308",
+        "feasibility-g0-1e155", "feasibility-kappa-gamma-1e-200", "feasibility-kappa-1e-320",
+        "feasibility-delta-1e-320", "feasibility-delta-1e308", "feasibility-e-laser-1e-320",
+        "feasibility-eta-1e-320", "feasibility-t-decoherence-1e308", "steady-state-n-max-1e11",
+        "nopa-spectrum-omega-1e308",
         "evolve-times-num-0", "bell-sweep-r-num-0", "bell-sweep-j-num-0", "feasibility-r-negative",
         "feasibility-threshold-negative"])
 @pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8

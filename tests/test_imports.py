@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import eprsim
+from eprsim.cli import _COMMANDS
 
 SRC = str(Path(eprsim.__file__).resolve().parent.parent)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -31,10 +32,62 @@ def modules_after(statement):
     return fresh_output(f"import sys\n{statement}\nprint('\\n'.join(sys.modules))")
 
 
+def loaded_from(loaded, *packages):
+    return [m for m in loaded if m.split(".")[0] in packages]
+
+
 def test_cli_import_loads_no_scipy():
     loaded = modules_after("import eprsim.cli")
     assert "eprsim.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_numpy():
+    """The front end imports numpy inside the functions that compute with it."""
+    loaded = modules_after("import eprsim.cli")
+    assert "eprsim.cli" in loaded
+    assert loaded_from(loaded, "numpy") == []
+
+
+def test_feasibility_run_loads_no_numpy(tmp_path):
+    """The shipped feasibility grading is plain ``math``, end to end."""
+    argv = ["feasibility", "--config", str(CONFIGS / "feasibility_example.json"),
+            "--out", str(tmp_path / "out.json")]
+    loaded = modules_after(f"from eprsim.cli import main\nassert main({argv!r}) == 0")
+    assert "eprsim.feasibility" in loaded
+    assert loaded_from(loaded, "numpy", "scipy") == []
+    assert (tmp_path / "out.json").exists()
+
+
+def test_usage_error_loads_no_numpy():
+    """``python -m eprsim`` with no arguments prints its usage and exits 2 before any numpy."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "eprsim"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    assert "usage: eprsim" in proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "eprsim.cli" in imported
+    assert loaded_from(imported, "numpy") == []
+
+
+def _bad_config(tmp_path, case):
+    """The path of a config that fails in the way ``case`` names."""
+    if case == "unreadable":
+        return tmp_path / "missing.json"
+    path = tmp_path / "config.json"
+    path.write_text("{not json" if case == "invalid-json" else '{"schema_version": 99}',
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", ["unreadable", "invalid-json", "wrong-schema"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_config_errors_load_no_numpy(tmp_path, command, case):
+    argv = [command, "--config", str(_bad_config(tmp_path, case))]
+    loaded = modules_after(f"from eprsim.cli import main\nassert main({argv!r}) == 2")
+    assert loaded_from(loaded, "numpy") == []
 
 
 def test_package_import_loads_no_submodule():
