@@ -35,8 +35,13 @@ solvers work on the orbits, with one assembler (:func:`_sector_matrix`,
 which returns COO triplets):
 
 * :func:`steady_state` solves for one value per orbit by block
-  elimination over the levels (dense blocks of at most a few hundred
-  orbits) and certifies the result on the unreduced sector, term by term;
+  elimination over the levels.  It keeps the inverse of each level's dense
+  Schur block (at most a few hundred orbits at n_max 40), built by a block
+  recursion that is mostly matrix products (:func:`_inverse`), solves by
+  products with those inverses and refines the result with one more sweep
+  through them; a singular or non-finite inverse raises
+  :class:`NumericalError`, and the result is certified on the unreduced
+  sector, term by term;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
   where the atoms start, with an Arnoldi (Krylov) basis of the orbit
   matrix and a Pade exponential of its small Hessenberg matrix
@@ -69,6 +74,19 @@ from .states import TRUNCATION_POP_WARN, edge_population
 log = logging.getLogger(__name__)
 
 STEADY_RESIDUAL_TOL = 1e-8
+
+# Budgets that steady_state checks before it allocates: the bytes of the
+# level inverses, 8 * sum n_l**2, and the elimination's work, sum n_l**3,
+# over the orbit counts n_l of the levels (:func:`_level_sizes`).  n_max 80
+# needs 0.65 GiB and 1.0e11 (12 s at one BLAS thread on a 2-core x86-64
+# host), n_max 100, the largest that passes, 1.96 GiB and 4.8e11, and
+# n_max 130 would need 7.2 GiB, near all the memory of an 8 GB host.
+_STEADY_STORE_BUDGET = 2 * 2**30
+_STEADY_WORK_BUDGET = 5e11
+
+# The largest block that steady_state's block-recursive inverse
+# (:func:`_inverse`) hands to np.linalg.inv.
+_INVERSE_LEAF = 64
 
 # Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the span
 # ||L||_1 * (t_end - t_0) sets how many Krylov vectors and restarts the
@@ -278,6 +296,17 @@ def _level(vec_indices, basis: FockBasis) -> np.ndarray:
     return (u // n + u % n + v // n + v % n) // 2
 
 
+def _level_sizes(n_max: int) -> np.ndarray:
+    """The number of orbits of :func:`_orbits` on each level, in closed form.
+
+    Level ``l`` of ``0 .. 2 n_max - 2`` holds ``(c**2 + 2 c + [l even]) // 4``
+    orbits, with ``c = min(l, 2 n_max - 2 - l) + 1``; nothing is enumerated.
+    """
+    lv = np.arange(2 * n_max - 1)
+    c = np.minimum(lv, 2 * n_max - 2 - lv) + 1
+    return (c * c + 2 * c + (lv % 2 == 0)) // 4
+
+
 def _orbits(indices, basis: FockBasis):
     """Orbit of each sector element under transpose T and mode swap S.
 
@@ -321,53 +350,127 @@ def _summed(rows, cols, vals, size):
     return (*np.divmod(pairs[first], size), np.add.reduceat(vals, first))
 
 
-def _eliminate_levels(rows, cols, vals, bounds):
-    """Solve the steady-state equations level by level (block elimination).
+def _inverse(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the square ``a`` to ``out`` by a 2 x 2 block recursion.
+
+    With ``a`` split at half its size into ``[[A, B], [C, D]]``, the inverse is
+    ``[[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1], [-S^-1 C A^-1, S^-1]]`` with
+    the Schur complement ``S = D - C A^-1 B``: six matrix products and two
+    half-size inverses, which recurse.  Blocks of at most ``_INVERSE_LEAF``
+    rows go to ``np.linalg.inv``.  The split does not pivot, so the caller
+    refines what it solves with the result.
+    """
+    n = len(a)
+    if n <= _INVERSE_LEAF:
+        out[...] = np.linalg.inv(a)
+        return
+    h = n // 2
+    inv_a, upper, lower, inv_s = out[:h, :h], out[:h, h:], out[h:, :h], out[h:, h:]
+    _inverse(a[:h, :h], inv_a)
+    c_inv_a = a[h:, :h] @ inv_a
+    _inverse(a[h:, h:] - c_inv_a @ a[:h, h:], inv_s)
+    np.negative(inv_s @ c_inv_a, out=lower)
+    np.negative((inv_a @ a[:h, h:]) @ inv_s, out=upper)
+    inv_a -= upper @ c_inv_a
+
+
+def _level_blocks(rows, cols, vals, bounds):
+    """The orbit system's entries split by level, for :func:`_eliminate_levels`.
 
     ``(rows, cols, vals)`` are the generator's entries on the orbits, each
     (row, col) once and sorted by row, with level ``l`` at orbits
-    ``bounds[l]:bounds[l + 1]``; the matrix is block tridiagonal over the
-    levels, with blocks ``Lo_l``, ``D_l``, ``Up_l`` coupling level ``l`` to
-    ``l - 1``, ``l``, ``l + 1``.  The vacuum (level 0) is pinned to 1 and
-    its row, dependent because the trace is preserved, is not used.  From
-    the top level down, the dense Schur block ``S_l = D_l + Up_l W_{l+1}``
-    gives ``W_l = -S_l^{-1} Lo_l``, so that ``x_l = W_l x_{l-1}``; from the
-    vacuum up, these products give the unnormalized solution.  Eliminating
-    from the top is the stable direction: near ``M = sqrt(N (N + 1))`` it
-    leaves about a hundredth of the residual that eliminating from the
-    vacuum does.  ``D_l`` and ``Lo_l`` are filled densely; ``Up_l`` has a
-    few entries per row, so ``Up_l W_{l+1}`` is a sum of row gathers, one
-    per entry slot.  Returns the solution with the number of stored
-    entries of the ``W_l``.
+    ``bounds[l]:bounds[l + 1]``.  Every term moves the level by at most one,
+    so the matrix is block tridiagonal over the levels, with blocks
+    ``Lo_l``, ``D_l``, ``Up_l`` coupling level ``l`` to ``l - 1``, ``l``,
+    ``l + 1``.  Returns, for each level ``l >= 1`` (entry 0 is None), those
+    three blocks as (row, col, value) triplets in the block's own
+    coordinates.
+    """
+    starts = np.searchsorted(rows, bounds)
+    blocks = [None]
+    for lv in range(1, len(bounds) - 1):
+        at = slice(starts[lv], starts[lv + 1])
+        r, c, v = rows[at] - bounds[lv], cols[at], vals[at]
+        side = (c >= bounds[lv]).astype(np.int8) + (c >= bounds[lv + 1])
+        blocks.append([(r[side == k], c[side == k] - bounds[lv - 1 + k], v[side == k])
+                       for k in range(3)])
+    return blocks
+
+
+def _eliminate_levels(blocks, bounds):
+    """Solve the steady-state equations level by level (block elimination).
+
+    ``blocks`` are the ``Lo_l``, ``D_l``, ``Up_l`` of :func:`_level_blocks`,
+    with level ``l`` at orbits ``bounds[l]:bounds[l + 1]``.  The vacuum
+    (level 0) is pinned to 1 and its row, dependent because the trace is
+    preserved, is not used.  From the top level down, each level's Schur
+    block ``S_l = D_l - (Up_l X_{l+1}) Lo_{l+1}`` (two dense products) is
+    inverted by :func:`_inverse`, and only its inverse ``X_l`` is kept;
+    from the vacuum up, ``x_l = -X_l (Lo_l x_{l-1})``.  Eliminating from the
+    top is the stable direction: near ``M = sqrt(N (N + 1))`` it leaves
+    about a hundredth of the residual that eliminating from the vacuum
+    does.  An explicit inverse is less accurate than a pivoted solve, so
+    one sweep of iterative refinement with the same inverses always
+    follows: with ``r`` the residual of the orbit equations,
+    ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}`` from the top down, then
+    ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the vacuum up, and ``x_l += d_l``.
+    A singular level block, or an inverse that is not finite, raises
+    ``np.linalg.LinAlgError``.  Returns the solution, the number of stored
+    inverse entries, and the residual's 2-norm before and after the
+    refinement.
     """
     sizes = np.diff(bounds)
-    offsets = np.r_[0, np.cumsum(sizes[1:] * sizes[:-1])]  # W_l at offsets[l - 1]:offsets[l]
-    # One buffer holds every W_l: its pages become resident level by level,
+    top = len(sizes) - 1
+    offsets = np.r_[0, np.cumsum(sizes[1:] ** 2)]  # X_l at offsets[l - 1]:offsets[l]
+    # One buffer holds every X_l: its pages become resident level by level,
     # and the per-level temporaries are not scattered between them.
     store = np.empty(offsets[-1])
-    starts = np.searchsorted(rows, bounds)
-    w_above = None  # W_{l+1}; the top level has no level above
-    for lv in range(len(sizes) - 1, 0, -1):
-        lo, mid, hi = bounds[lv - 1:lv + 2]
-        at = slice(starts[lv], starts[lv + 1])
-        r, c, v = rows[at] - mid, cols[at], vals[at]
-        below, above = c < mid, c >= hi
-        within = ~below & ~above
-        schur = np.zeros((hi - mid, hi - mid))
-        schur[r[within], c[within] - mid] = v[within]
-        minus_lower = np.zeros((hi - mid, mid - lo))
-        minus_lower[r[below], c[below] - lo] = -v[below]
-        r, c, v = r[above], c[above] - hi, v[above]
-        slot = np.arange(len(r)) - np.searchsorted(r, r)  # position within its row
-        for k in range(slot.max(initial=-1) + 1):
-            take = slot == k
-            schur[r[take]] += v[take, None] * w_above[c[take]]
-        w_above = store[offsets[lv - 1]:offsets[lv]].reshape(minus_lower.shape)
-        w_above[...] = np.linalg.solve(schur, minus_lower)
+
+    def inverse(lv):
+        return store[offsets[lv - 1]:offsets[lv]].reshape(sizes[lv], sizes[lv])
+
+    def dense(lv, k):
+        """Level ``lv``'s block ``k`` (0 Lo, 1 D, 2 Up) as a dense array."""
+        r, c, v = blocks[lv][k]
+        out = np.zeros((sizes[lv], sizes[lv - 1 + k]))
+        out[r, c] = v
+        return out
+
+    def apply(lv, k, vec):
+        """Level ``lv``'s block ``k`` times ``vec``."""
+        r, c, v = blocks[lv][k]
+        return np.bincount(r, v * vec[c], minlength=sizes[lv])
+
+    def residual(x):
+        """-(A x) on each level of the per-level vectors ``x``; level 0's row is not used."""
+        return [None] + [-sum(apply(lv, k, x[lv - 1 + k]) for k in range(3 if lv < top else 2))
+                         for lv in range(1, top + 1)]
+
+    for lv in range(top, 0, -1):
+        if lv < top:  # D_l goes in last, so at most three level-sized arrays are alive
+            schur = (dense(lv, 2) @ inverse(lv + 1)) @ dense(lv + 1, 0)
+            rows, cols, vals = blocks[lv][1]
+            schur[rows, cols] -= vals
+            np.negative(schur, out=schur)
+        else:
+            schur = dense(lv, 1)
+        _inverse(schur, inverse(lv))
+        del schur  # the next level's temporaries reuse its memory
+        if not np.isfinite(inverse(lv)).all():
+            raise np.linalg.LinAlgError(f"the inverse of level {lv} is not finite")
     x = [np.ones(1)]
-    for lv in range(1, len(sizes)):
-        x.append(store[offsets[lv - 1]:offsets[lv]].reshape(sizes[lv], -1) @ x[-1])
-    return np.concatenate(x), store.size
+    for lv in range(1, top + 1):
+        x.append(-(inverse(lv) @ apply(lv, 0, x[-1])))
+    res = residual(x)
+    before = float(np.linalg.norm(np.concatenate(res[1:])))
+    for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
+        res[lv] -= apply(lv, 2, inverse(lv + 1) @ res[lv + 1])
+    delta = np.zeros(1)
+    for lv in range(1, top + 1):
+        delta = inverse(lv) @ (res[lv] - apply(lv, 0, delta))
+        x[lv] += delta
+    after = float(np.linalg.norm(np.concatenate(residual(x)[1:])))
+    return np.concatenate(x), store.size, before, after
 
 
 def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
@@ -376,18 +479,33 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
     kept at the orbit representatives and columns summed over each orbit.
     Ordered by excitation level, this system is block tridiagonal, and
-    :func:`_eliminate_levels` solves it with dense level blocks, from the
-    top level down, and the vacuum pinned; the result is then divided by
-    its trace and spread over the sector entries, which are returned as
-    they are.  The full state is certified by the unreduced residual
+    :func:`_eliminate_levels` solves it with the inverses of dense level
+    blocks, from the top level down, and the vacuum pinned, then refines the
+    result once with the same inverses; the result is then divided by its
+    trace and spread over the sector entries, which are returned as they
+    are.  The full state is certified by the unreduced residual
     ``||L(rho)||_F < STEADY_RESIDUAL_TOL``, the norm of L(rho) on the sector
     summed term by term from :func:`_terms` (so not by the assembler that
-    built the solved system); a singular level block or a failed
-    certification raises :class:`NumericalError`.  A
-    :class:`~eprsim.errors.TruncationWarning` is emitted when the top Fock
+    built the solved system).  :class:`NumericalError` is raised before
+    anything is allocated when the stored inverses (8 * sum n_l**2 bytes)
+    or the elimination's work (sum n_l**3) would exceed
+    ``_STEADY_STORE_BUDGET`` or ``_STEADY_WORK_BUDGET``, and after the solve
+    for a singular or non-finite level inverse or a failed certification.
+    A :class:`~eprsim.errors.TruncationWarning` is emitted when the top Fock
     level holds more than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the
     population.
     """
+    counts = _level_sizes(basis.n_max)
+    sizes = counts.astype(float)
+    store_bytes, work = 8 * (sizes**2).sum(), (sizes**3).sum()
+    if not store_bytes <= _STEADY_STORE_BUDGET:
+        raise NumericalError(
+            f"steady-state: the level inverses need 8 * sum n_l**2 = {store_bytes / 2**30:.3g} "
+            f"GiB, over the budget {_STEADY_STORE_BUDGET / 2**30:.3g} GiB; lower n_max")
+    if not work <= _STEADY_WORK_BUDGET:
+        raise NumericalError(
+            f"steady-state: the level elimination's work sum n_l**3 = {work:.3g} exceeds the "
+            f"budget {_STEADY_WORK_BUDGET:.0e}; lower n_max")
     # Every LindbladModel is symmetric between the modes (one gamma, one
     # heating_rate for both), so the mode-swap reduction always applies.
     t0 = time.perf_counter()
@@ -396,10 +514,13 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     indices, orbit, reps, (rows, cols, vals) = _orbit_system(terms, basis, first_row=1)
     size = len(reps)
     rows, cols, vals = _summed(rows, cols, vals, size)  # frees the unsummed triplets
-    bounds = np.r_[0, np.cumsum(np.bincount(_level(reps, basis)))]
+    bounds = np.r_[0, np.cumsum(counts)]
+    nnz = len(vals)
+    blocks = _level_blocks(rows, cols, vals, bounds)
+    del rows, cols, vals  # the blocks hold every entry
     t1 = time.perf_counter()
     try:
-        x, stored = _eliminate_levels(rows, cols, vals, bounds)
+        x, stored, before, after = _eliminate_levels(blocks, bounds)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
@@ -409,10 +530,10 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
-        "largest level %d, stored %d, residual %.3e; assemble %.3fs, eliminate %.3fs, "
-        "certify %.3fs",
-        len(indices), size, len(vals), len(bounds) - 1, np.diff(bounds).max(), stored,
-        resid, t1 - t0, t2 - t1, t3 - t2,
+        "largest level %d, stored %d (%.1f MB), orbit residual %.3e refined to %.3e, "
+        "residual %.3e; assemble %.3fs, eliminate %.3fs, certify %.3fs",
+        len(indices), size, nnz, len(counts), counts.max(), stored,
+        stored * 8 / 1e6, before, after, resid, t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < STEADY_RESIDUAL_TOL:
         raise NumericalError(

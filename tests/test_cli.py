@@ -512,7 +512,7 @@ def test_singular_level_block_exits_3(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "inv", singular)
     cfg = write_config(
         tmp_path,
         {"schema_version": 1, "model": {"epsilon_over_kappa": 0.2}, "n_max": 6},
@@ -668,6 +668,9 @@ def _edge_of_m_bound():
      "config error: r: must be >= 0, got -1.0\n"),
     ("feasibility", {"experiment": _experiment(), "r": 1.0, "ratio_threshold": -5.0}, 2,
      "config error: ratio_threshold: must be > 0, got -5.0\n"),
+    ("steady-state", {"model": {"epsilon_over_kappa": 0.5}, "n_max": 130}, 3,
+     "numerical failure: steady-state: the level inverses need 8 * sum n_l**2 = 7.19 GiB, "
+     "over the budget 2 GiB; lower n_max\n"),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
@@ -676,7 +679,7 @@ def _edge_of_m_bound():
         "feasibility-eta-1e-320", "feasibility-t-decoherence-1e308", "steady-state-n-max-1e11",
         "nopa-spectrum-omega-1e308",
         "evolve-times-num-0", "bell-sweep-r-num-0", "bell-sweep-j-num-0", "feasibility-r-negative",
-        "feasibility-threshold-negative"])
+        "feasibility-threshold-negative", "steady-state-n-max-130"])
 @pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):

@@ -30,8 +30,12 @@ from eprsim import (
 from eprsim import lindblad
 from eprsim.lindblad import (
     _expm,
+    _inverse,
     _krylov_propagate,
+    _level,
+    _level_sizes,
     _orbit_system,
+    _orbits,
     _sector_indices,
     _sector_matrix,
     _sector_residual,
@@ -242,10 +246,17 @@ def check_against_reference(model, basis):
     return rho
 
 
-@pytest.mark.parametrize("n_max", [10, 20, 30])
-@pytest.mark.parametrize("heating", [0.0, 0.1])
-def test_steady_state_matches_unreduced_reference(n_max, heating):
-    check_against_reference(half_model(0.5, heating=heating), FockBasis(n_max))
+# (eps/kappa, heating, gamma, n_max).  From n_max 20 the largest level
+# (110 orbits, 240 at n_max 30) is past _INVERSE_LEAF, so the inverse recurses.
+@pytest.mark.parametrize("eps, heating, gamma, n_max", [
+    *[pytest.param(0.5, h, 1.0, n, id=f"{h}-{n}") for h in (0.0, 0.1) for n in (10, 20, 30)],
+    *[pytest.param(0.8, 0.05, 1.0, n, id=f"eps0.8-h0.05-{n}") for n in (20, 30)],
+    *[pytest.param(0.5, 0.1, 1e3, n, id=f"eps0.5-h0.1-gamma1e3-{n}") for n in (20, 30)],
+])
+def test_steady_state_matches_unreduced_reference(eps, heating, gamma, n_max):
+    n_p, m_p = effective_N_M(NopaParams(eps, 1.0))
+    model = LindbladModel(gamma=gamma, n_param=n_p, m_param=m_p, heating_rate=heating)
+    check_against_reference(model, FockBasis(n_max))
 
 
 @settings(max_examples=25, deadline=None)
@@ -271,9 +282,61 @@ def test_singular_level_block_raises(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "inv", singular)
     with pytest.raises(NumericalError, match="level elimination failed: Singular matrix"):
         steady_state(half_model(0.2), FockBasis(6))
+
+
+def test_non_finite_level_inverse_raises(monkeypatch):
+    """A leaf inverse of NaNs stops the elimination at the top level (10 at n_max 6)."""
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.nan))
+    with pytest.raises(NumericalError,
+                       match="^steady-state level elimination failed: "
+                             "the inverse of level 10 is not finite$"):
+        steady_state(half_model(0.2), FockBasis(6))
+
+
+@pytest.mark.parametrize("size", [1, 64, 65, 127, 421])
+def test_block_inverse_matches_numpy(size, rng):
+    """Sizes at and just past the leaf, and odd splits, against np.linalg.inv."""
+    a = rng.standard_normal((size, size)) + size * np.eye(size)
+    got = np.empty_like(a)
+    _inverse(a, got)
+    assert np.max(np.abs(got - np.linalg.inv(a))) <= 1e-14 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 5, 8, 13, 40])
+def test_level_sizes_count_the_orbits(n_max):
+    basis = FockBasis(n_max)
+    indices = _sector_indices(basis)
+    _, reps = _orbits(indices, basis)
+    assert np.array_equal(_level_sizes(n_max), np.bincount(_level(reps, basis)))
+
+
+def test_steady_state_budgets_admit_n_max_80():
+    sizes = _level_sizes(80).astype(float)
+    assert 8 * (sizes**2).sum() <= lindblad._STEADY_STORE_BUDGET
+    assert (sizes**3).sum() <= lindblad._STEADY_WORK_BUDGET
+
+
+@pytest.mark.parametrize("n_max, store_budget, message", [
+    (130, None, r"the level inverses need 8 \* sum n_l\*\*2 = 7.19 GiB, over the budget 2 GiB"),
+    (55108, None, r"the level inverses need 8 \* sum n_l\*\*2 = "),
+    (130, 2.0**40, r"the level elimination's work sum n_l\*\*3 = 2.96e\+12 exceeds the "
+                   r"budget 5e\+11"),
+])
+def test_steady_state_over_budget_raises_before_allocating(monkeypatch, n_max, store_budget,
+                                                           message):
+    if store_budget is not None:
+        monkeypatch.setattr(lindblad, "_STEADY_STORE_BUDGET", store_budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=f"^steady-state: {message}.*; lower n_max$"):
+            steady_state(half_model(0.5), FockBasis(n_max))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20  # the level sizes alone: 2 n_max - 1 counts
 
 
 def test_steady_state_logs_solver_figures(caplog):
@@ -282,7 +345,8 @@ def test_steady_state_logs_solver_figures(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
-        r"largest level 20, stored 1416, residual \S+; "
+        r"largest level 20, stored 1475 \(0\.0 MB\), orbit residual \S+ refined to \S+, "
+        r"residual \S+; "
         r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
 
