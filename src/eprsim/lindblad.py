@@ -37,9 +37,11 @@ which returns COO triplets):
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels.  It keeps the inverse of each level's dense
   Schur block (at most a few hundred orbits at n_max 40), built by a block
-  recursion that is mostly matrix products (:func:`_inverse`), solves by
-  products with those inverses and refines the result with one more sweep
-  through them; a singular or non-finite inverse raises
+  recursion that is mostly matrix products (:func:`_inverse`); the
+  couplings between levels have a few entries per row and per column, so
+  each Schur update is row gathers of the inverse above (:func:`_coupled`).
+  It solves by products with those inverses and refines the result with
+  one more sweep through them; a singular or non-finite inverse raises
   :class:`NumericalError`, and the result is certified on the unreduced
   sector, term by term;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
@@ -48,9 +50,10 @@ which returns COO triplets):
   (:func:`_krylov_propagate`, :func:`_expm`).
 
 States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
-sorted vec indices of the sector entries and their values.  Positions of
-vec indices are looked up by ``searchsorted`` on sorted indices, so no
-array of the d**2 vectorized entries is made.  :func:`moments` is the one
+sorted vec indices of the sector entries and their values.  A sector entry
+is fixed by (m0, m1, n0), so positions of vec indices are read from one
+(n_max, n_max, n_max) table (:func:`_position_table`), and no array of the
+d**2 vectorized entries is made.  :func:`moments` is the one
 routine for the Fock-route numbers that the CLI and the acceptance
 criteria read off a state (mean phonon numbers, second moments and
 purity); it builds its operators from the same ladder monomials as the
@@ -78,7 +81,7 @@ STEADY_RESIDUAL_TOL = 1e-8
 # Budgets that steady_state checks before it allocates: the bytes of the
 # level inverses, 8 * sum n_l**2, and the elimination's work, sum n_l**3,
 # over the orbit counts n_l of the levels (:func:`_level_sizes`).  n_max 80
-# needs 0.65 GiB and 1.0e11 (12 s at one BLAS thread on a 2-core x86-64
+# needs 0.65 GiB and 1.0e11 (6-8 s at one BLAS thread on a 2-core x86-64
 # host), n_max 100, the largest that passes, 1.96 GiB and 4.8e11, and
 # n_max 130 would need 7.2 GiB, near all the memory of an 8 GB host.
 _STEADY_STORE_BUDGET = 2 * 2**30
@@ -231,13 +234,45 @@ def _sector_indices(basis: FockBasis) -> np.ndarray:
     return ((m0 * n + m1) * d + n0 * n + n1)[keep]
 
 
+def _position_table(members, positions, basis: FockBasis) -> np.ndarray:
+    """``positions`` laid out by the sector vec indices ``members``, -1 elsewhere.
+
+    A sector entry ``<m0 m1| rho |n0 n1>`` has ``n1 = m1 - m0 + n0``, so the
+    (n_max, n_max, n_max) table indexed by (m0, m1, n0) has a place for each;
+    read it with :func:`_find`, or flat at ``u * n_max + v // n_max`` for a
+    sector entry at vec index ``u * d + v``.
+    """
+    n, d = basis.n_max, basis.dimension
+    table = np.full((n, n, n), -1, dtype=np.intp)
+    u, v = np.divmod(members, d)
+    table.reshape(-1)[u * n + v // n] = positions
+    return table
+
+
+def _find(table, wanted, basis: FockBasis) -> np.ndarray:
+    """The entry of :func:`_position_table`'s ``table`` at each vec index ``wanted``.
+
+    -1 where ``wanted`` is outside the d x d matrix, outside the sector or
+    not a member, so it equals ``hilbert._lookup(members, positions,
+    wanted)`` for any integer ``wanted``; one pass, with no search.
+    """
+    n, d = basis.n_max, basis.dimension
+    u, v = np.divmod(wanted, d)
+    inside = (u >= 0) & (u < d)
+    u = np.where(inside, u, 0)
+    offset = np.arange(d) % n - np.arange(d) // n  # m1 - m0 of a row, n1 - n0 of a column
+    inside &= offset[u] == offset[v]
+    return np.where(inside, table.reshape(-1)[u * n + v // n], -1)
+
+
 def _sector_matrix(terms, basis: FockBasis, tgt, row_pos, members, col_pos):
     """Generator restricted to given rows and summed into given columns, as COO triplets.
 
     Keeps the rows at the sorted vec indices ``tgt``, as matrix rows
     ``row_pos``, and sums each column at a sorted vec index ``members`` into
-    matrix column ``col_pos`` (columns elsewhere drop out; lookups are
-    ``searchsorted``, so nothing is allocated per vec index).  Built
+    matrix column ``col_pos`` (columns elsewhere drop out; ``members`` lie in
+    the sector, and each term's columns are read from their
+    :func:`_position_table` in one pass).  Built
     generically from the (coeff, A, B) monomial pairs: the superoperator
     entry ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, and a
     monomial has at most one entry per row and per column, so each kept row
@@ -247,11 +282,12 @@ def _sector_matrix(terms, basis: FockBasis, tgt, row_pos, members, col_pos):
     """
     d = basis.dimension
     u, v = np.divmod(tgt, d)
+    table = _position_table(members, col_pos, basis)
     rows, cols, vals = [], [], []
     for coeff, (sa, wa), (sb, wb) in terms:
         a_w = wa[u]                                              # A[u, u + sa]
         b_w = _shifted(wb, (-sb[0], -sb[1]), basis)[v]           # B[v - sb, v]
-        src = _lookup(members, col_pos, (u + _flat(sa, basis)) * d + v - _flat(sb, basis))
+        src = _find(table, (u + _flat(sa, basis)) * d + v - _flat(sb, basis), basis)
         keep = (a_w != 0) & (b_w != 0) & (src >= 0)
         rows.append(row_pos[keep])
         cols.append(src[keep])
@@ -269,10 +305,12 @@ def _sector_residual(terms, basis: FockBasis, indices, values) -> np.ndarray:
     their weights are summed first (the 32 terms of a heated model have 13
     pairs) and each pair is scattered once.  The generator keeps the
     sector, so every target is one of ``indices``, and no two entries of
-    one pair share a target.
+    one pair share a target, which is found in the :func:`_position_table`
+    of ``indices``.
     """
-    d = basis.dimension
+    n, d = basis.n_max, basis.dimension
     u, v = np.divmod(indices, d)
+    table = _position_table(indices, np.arange(len(indices)), basis).reshape(-1)
     pairs = {}  # (sa, sb) -> the (coeff, wa, wb) of its terms
     for coeff, (sa, wa), (sb, wb) in terms:
         pairs.setdefault((sa, sb), []).append((coeff, wa, wb))
@@ -280,8 +318,8 @@ def _sector_residual(terms, basis: FockBasis, indices, values) -> np.ndarray:
     for (sa, sb), group in pairs.items():
         w = sum(coeff * _shifted(wa, (-sa[0], -sa[1]), basis)[u] * wb[v] for coeff, wa, wb in group)
         keep = w != 0  # every entry a term moves out of the box has a zero weight
-        tgt = (u[keep] - _flat(sa, basis)) * d + v[keep] + _flat(sb, basis)
-        out[np.searchsorted(indices, tgt)] += w[keep] * values[keep]
+        tgt = (u[keep] - _flat(sa, basis)) * n + (v[keep] + _flat(sb, basis)) // n  # (m0, m1, n0)
+        out[table[tgt]] += w[keep] * values[keep]
     return out
 
 
@@ -374,6 +412,23 @@ def _inverse(a: np.ndarray, out: np.ndarray) -> None:
     inv_a -= upper @ c_inv_a
 
 
+def _slots(keys, others, vals, size: int):
+    """Entries grouped by ``keys`` as padded (index, weight) slot arrays.
+
+    Returns the ``(size, k)`` arrays ``idx`` and ``w``: row ``i`` holds the
+    ``others`` and ``vals`` of the entries with key ``i``, in their given
+    order, padded with index 0 and weight 0 to the largest count ``k``.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, others, vals = keys[order], others[order], vals[order]
+    counts = np.bincount(keys, minlength=size)
+    slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]
+    idx = np.zeros((size, counts.max(initial=0)), dtype=np.intp)
+    w = np.zeros(idx.shape)
+    idx[keys, slot], w[keys, slot] = others, vals
+    return idx, w
+
+
 def _level_blocks(rows, cols, vals, bounds):
     """The orbit system's entries split by level, for :func:`_eliminate_levels`.
 
@@ -397,6 +452,39 @@ def _level_blocks(rows, cols, vals, bounds):
     return blocks
 
 
+def _combine(idx, w, mat, out) -> None:
+    """Write ``sum_s w[r, s] * mat[idx[r, s]]`` to each row ``out[r]`` (slots of :func:`_slots`).
+
+    The rows of ``mat`` are gathered in chunks of at most ``_INVERSE_LEAF``,
+    so the gather never holds all of the slots' rows at once.
+    """
+    step = max(1, _INVERSE_LEAF // max(1, idx.shape[1]))
+    for i in range(0, len(idx), step):
+        at = slice(i, i + step)
+        out[at] = np.einsum("rs,rsj->rj", w[at], mat[idx[at]])
+
+
+def _coupled(up, x, lo, size: int) -> np.ndarray:
+    """``Up_l X Lo_{l+1}`` for the triplets ``up`` of ``Up_l`` and ``lo`` of ``Lo_{l+1}``.
+
+    ``size`` is n_l, the number of orbits on level ``l``.  A level-changing
+    shift pair gives at most one entry per row and per column, so ``Up_l``
+    has a few entries per row and ``Lo_{l+1}`` per column; :func:`_slots`
+    lays them out that way.  Row gathers of ``X`` by
+    ``Up_l``'s rows give ``(Up_l X)^T``, and row gathers of that by
+    ``Lo_{l+1}``'s columns give the product's transpose, whose transpose is
+    returned: ``2 k n_l (n_{l+1} + n_l)`` flops for ``k`` slots, where two
+    dense products take ``2 n_l n_{l+1} (n_{l+1} + n_l)``.  A padding slot
+    adds ``0 * X[0]``, which is 0 because the caller checks that ``X`` is
+    finite.  The slots are built per call, so none outlives its level.
+    """
+    upper = np.empty((len(x), size))  # (Up_l X)^T
+    _combine(*_slots(*up, size), x, upper.T)
+    out = np.empty((size, size))
+    _combine(*_slots(lo[1], lo[0], lo[2], size), upper, out)
+    return out.T
+
+
 def _eliminate_levels(blocks, bounds):
     """Solve the steady-state equations level by level (block elimination).
 
@@ -404,12 +492,13 @@ def _eliminate_levels(blocks, bounds):
     with level ``l`` at orbits ``bounds[l]:bounds[l + 1]``.  The vacuum
     (level 0) is pinned to 1 and its row, dependent because the trace is
     preserved, is not used.  From the top level down, each level's Schur
-    block ``S_l = D_l - (Up_l X_{l+1}) Lo_{l+1}`` (two dense products) is
-    inverted by :func:`_inverse`, and only its inverse ``X_l`` is kept;
-    from the vacuum up, ``x_l = -X_l (Lo_l x_{l-1})``.  Eliminating from the
-    top is the stable direction: near ``M = sqrt(N (N + 1))`` it leaves
-    about a hundredth of the residual that eliminating from the vacuum
-    does.  An explicit inverse is less accurate than a pivoted solve, so
+    block ``S_l = D_l - Up_l X_{l+1} Lo_{l+1}`` is formed by row gathers of
+    ``X_{l+1}`` (:func:`_coupled`: ``Up_l`` and ``Lo_{l+1}`` have at most a
+    few entries per row and per column), then inverted by :func:`_inverse`,
+    and only its inverse ``X_l`` is kept; from the vacuum up,
+    ``x_l = -X_l (Lo_l x_{l-1})``.  Eliminating from the top is the stable
+    direction: near ``M = sqrt(N (N + 1))`` it leaves about a hundredth of
+    the residual that eliminating from the vacuum does.  An explicit inverse is less accurate than a pivoted solve, so
     one sweep of iterative refinement with the same inverses always
     follows: with ``r`` the residual of the orbit equations,
     ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}`` from the top down, then
@@ -429,13 +518,6 @@ def _eliminate_levels(blocks, bounds):
     def inverse(lv):
         return store[offsets[lv - 1]:offsets[lv]].reshape(sizes[lv], sizes[lv])
 
-    def dense(lv, k):
-        """Level ``lv``'s block ``k`` (0 Lo, 1 D, 2 Up) as a dense array."""
-        r, c, v = blocks[lv][k]
-        out = np.zeros((sizes[lv], sizes[lv - 1 + k]))
-        out[r, c] = v
-        return out
-
     def apply(lv, k, vec):
         """Level ``lv``'s block ``k`` times ``vec``."""
         r, c, v = blocks[lv][k]
@@ -447,13 +529,13 @@ def _eliminate_levels(blocks, bounds):
                          for lv in range(1, top + 1)]
 
     for lv in range(top, 0, -1):
-        if lv < top:  # D_l goes in last, so at most three level-sized arrays are alive
-            schur = (dense(lv, 2) @ inverse(lv + 1)) @ dense(lv + 1, 0)
-            rows, cols, vals = blocks[lv][1]
-            schur[rows, cols] -= vals
-            np.negative(schur, out=schur)
+        if lv < top:
+            schur = _coupled(blocks[lv][2], inverse(lv + 1), blocks[lv + 1][0], sizes[lv])
         else:
-            schur = dense(lv, 1)
+            schur = np.zeros((sizes[lv], sizes[lv]))
+        rows, cols, vals = blocks[lv][1]
+        schur[rows, cols] -= vals
+        np.negative(schur, out=schur)  # D_l - Up_l X_{l+1} Lo_{l+1}
         _inverse(schur, inverse(lv))
         del schur  # the next level's temporaries reuse its memory
         if not np.isfinite(inverse(lv)).all():
@@ -614,10 +696,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a2 = _matmul(a, a)
     a4 = _matmul(a2, a2)
     a6 = _matmul(a2, a4)
-    u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    sums = []
+    for k in (1, 0):  # the odd coefficients, then the even; each sum grows in one buffer
+        w = b[12 + k] * a6
+        w += b[10 + k] * a4
+        w += b[8 + k] * a2
+        w = _matmul(a6, w)
+        w += b[6 + k] * a6
+        w += b[4 + k] * a4
+        w += b[2 + k] * a2
+        w += b[k] * eye
+        sums.append(w)
+    del a2, a4, a6, w, eye
+    u, v = _matmul(a, sums[0]), sums[1]
+    del sums
     r = _solve(v - u, v + u)
     for _ in range(squarings):
         r = _matmul(r, r)

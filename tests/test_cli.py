@@ -1,13 +1,19 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import TruncationWarning
 from eprsim.cli import main
@@ -690,6 +696,43 @@ def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, c
     assert stderr.startswith(err)
     assert stderr.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# Model fields near and past their bounds, non-finite, and of the wrong type.
+_ODD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, -0.0, 0.0,
+                               5e-324, 1e308, True, None, "0.5", [0.5], {"v": 0.5}])
+_MODEL_FIELDS = {
+    "epsilon_over_kappa": st.one_of(st.floats(0.0, 1e-6), st.floats(0.999, 1.001),
+                                    st.floats(0.0, 1.0), _ODD_VALUES),
+    "heating_rate": st.one_of(st.floats(0.0, 1e3), _ODD_VALUES),
+    "gamma": st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), _ODD_VALUES),
+    "n_param": st.one_of(st.floats(0.0, 10.0), _ODD_VALUES),
+    "m_param": st.one_of(st.floats(0.0, 3.5), _ODD_VALUES),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.one_of(st.fixed_dictionaries({}, optional=_MODEL_FIELDS), _ODD_VALUES),
+       n_max=st.one_of(st.integers(2, 12), st.sampled_from([1, 2.5, "8", None])))
+def test_generated_steady_state_configs_keep_the_exit_contract(model, n_max):
+    """Exit 0, 2 or 3; a failure is one stderr line and no file, a success finite and quiet."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), {"schema_version": 1, "model": model, "n_max": n_max})
+        out = Path(tmp) / "report.json"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["steady-state", "--config", cfg, "--out", str(out)])
+        noisy = [str(w.message) for w in caught if not issubclass(w.category, TruncationWarning)]
+        assert code in (0, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
+        else:
+            report = json.loads(out.read_text(encoding="utf-8"))
+            numbers = [v for v in report.values() if not isinstance(v, bool)]
+            assert all(math.isfinite(v) for v in numbers), report
+            assert not noisy, noisy
 
 
 def test_cascade_solves_the_broadband_extreme(tmp_path, capsys):

@@ -28,18 +28,26 @@ from eprsim import (
     vacuum_state,
 )
 from eprsim import lindblad
+from eprsim.hilbert import _lookup
 from eprsim.lindblad import (
+    _coupled,
+    _eliminate_levels,
     _expm,
+    _find,
+    _flat,
     _inverse,
     _krylov_propagate,
     _level,
+    _level_blocks,
     _level_sizes,
     _orbit_system,
     _orbits,
+    _position_table,
     _sector_indices,
     _sector_matrix,
     _sector_residual,
     _shifted,
+    _slots,
     _solve,
     _summed,
     _terms,
@@ -229,6 +237,105 @@ def test_sector_residual_matches_dense_generator(rng):
     expected = full[np.ix_(indices, indices)] @ values
     got = _sector_residual(_terms(model, basis), basis, indices, values)
     assert np.max(np.abs(got - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 7])
+def test_position_table_matches_searchsorted_lookup(n_max, rng):
+    """``_find`` on the table against ``_lookup`` on the sorted members, for every vec index.
+
+    The wanted indices are every sector index moved by every per-mode shift
+    pair up to 2, so they leave the box and wrap across rows of the flat
+    index, and every integer from -d**2 to 2 d**2; the members are the
+    whole sector and a random half of it.
+    """
+    basis = FockBasis(n_max)
+    d = basis.dimension
+    indices = _sector_indices(basis)
+    u, v = np.divmod(indices, d)
+    shifts = [(s0, s1) for s0 in range(-2, 3) for s1 in range(-2, 3)]
+    wanted = [(u + _flat(sa, basis)) * d + v - _flat(sb, basis) for sa in shifts for sb in shifts]
+    wanted.append(np.arange(-d * d, 2 * d * d))
+    half = np.sort(rng.choice(indices, len(indices) // 2, replace=False))
+    for members in (indices, half):
+        positions = rng.permutation(len(members))
+        table = _position_table(members, positions, basis)
+        assert table.shape == (n_max, n_max, n_max)
+        for q in wanted:
+            assert np.array_equal(_find(table, q, basis), _lookup(members, positions, q))
+
+
+def searchsorted_residual(terms, basis, indices, values):
+    """``_sector_residual`` with each target found by ``searchsorted`` on ``indices``."""
+    d = basis.dimension
+    u, v = np.divmod(indices, d)
+    pairs = {}
+    for coeff, (sa, wa), (sb, wb) in terms:
+        pairs.setdefault((sa, sb), []).append((coeff, wa, wb))
+    out = np.zeros(len(indices))
+    for (sa, sb), group in pairs.items():
+        w = sum(coeff * _shifted(wa, (-sa[0], -sa[1]), basis)[u] * wb[v] for coeff, wa, wb in group)
+        keep = w != 0
+        tgt = (u[keep] - _flat(sa, basis)) * d + v[keep] + _flat(sb, basis)
+        out[np.searchsorted(indices, tgt)] += w[keep] * values[keep]
+    return out
+
+
+def test_sector_residual_matches_searchsorted_reference():
+    """On a solved heated state the position table scatters exactly as searchsorted does."""
+    model, basis = half_model(0.3, heating=0.05), FockBasis(12)
+    rho = steady_state(model, basis)
+    indices = _sector_indices(basis)
+    values = _lookup(rho.keys, rho.values.real, indices, 0.0)
+    terms = _terms(model, basis)
+    got = _sector_residual(terms, basis, indices, values)
+    assert np.array_equal(got, searchsorted_residual(terms, basis, indices, values))
+    assert np.abs(got).max() > 0.0
+
+
+def level_system(model, n_max):
+    """The per-level blocks of the steady-state orbit system and the level bounds."""
+    basis = FockBasis(n_max)
+    _, _, reps, triplets = _orbit_system(_terms(model, basis), basis, first_row=1)
+    bounds = np.r_[0, np.cumsum(_level_sizes(n_max))]
+    return _level_blocks(*_summed(*triplets, len(reps)), bounds), bounds
+
+
+@pytest.mark.parametrize("n_max", [8, 20])
+@pytest.mark.parametrize("model", [
+    half_model(0.5, heating=0.1), half_model(0.5), LindbladModel(1.0, 0.3, 0.0),
+], ids=["heated", "unheated", "m0"])
+def test_coupled_product_matches_dense_products(model, n_max, rng):
+    """Every level's gathered Up_l X Lo_{l+1} against the two dense products, within 1e-13."""
+    blocks, bounds = level_system(model, n_max)
+    sizes = np.diff(bounds)
+
+    def dense(triplets, shape):
+        out = np.zeros(shape)
+        out[triplets[0], triplets[1]] = triplets[2]
+        return out
+
+    for lv in range(1, len(sizes) - 1):
+        (up_r, up_c, up_v), (lo_r, lo_c, lo_v) = blocks[lv][2], blocks[lv + 1][0]
+        for idx, _ in (_slots(up_r, up_c, up_v, sizes[lv]), _slots(lo_c, lo_r, lo_v, sizes[lv])):
+            assert 1 <= idx.shape[1] <= 4  # at most one slot per level-changing shift pair
+        x = rng.standard_normal((sizes[lv + 1], sizes[lv + 1]))
+        want = ((dense(blocks[lv][2], (sizes[lv], sizes[lv + 1])) @ x)
+                @ dense(blocks[lv + 1][0], (sizes[lv + 1], sizes[lv])))
+        got = _coupled(blocks[lv][2], x, blocks[lv + 1][0], sizes[lv])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), lv
+
+
+def test_elimination_memory_is_the_store_and_three_level_blocks():
+    """At n_max 30 (largest level 240) the gathers stay in chunks: no n_l x k x n_{l+1} array."""
+    blocks, bounds = level_system(half_model(0.5, heating=0.05), 30)
+    sizes = np.diff(bounds).astype(float)
+    tracemalloc.start()
+    try:
+        _eliminate_levels(blocks, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ((sizes[1:] ** 2).sum() + 3 * sizes.max() ** 2)
 
 
 def check_against_reference(model, basis):
