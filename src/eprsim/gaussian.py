@@ -21,13 +21,10 @@ unidirectionally at finite bandwidth.
 
 The module needs numpy only.  The stationary covariance is one linear
 solve in the Kronecker-sum form of the Lyapunov equation (the matrices
-here are at most 8 x 8, so the system is at most 64 x 64), and
-``scipy.linalg.expm`` is imported inside :func:`evolve_covariance`, its
-one user in the package.  It stays scipy's on purpose: this propagator is
-the independent oracle of the Fock route, whose ``lindblad._expm`` is a
-plain Pade 13 with scaling and squaring.  On the cascade block the two
-agree to 1e-14 (relative, 1-norm) up to t of about 10 and drift apart
-beyond it, to 6e-14 at t = 40.
+here are at most 8 x 8, so the system is at most 64 x 64).  Relaxation
+under a drift ``-c I``, the drift of every two-mode master equation, has
+a closed form that needs neither that solve nor a matrix exponential, so
+it stays independent of the Fock route's ``lindblad._expm``.
 """
 
 from __future__ import annotations
@@ -173,32 +170,24 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
 
 
 def evolve_covariance(state: CovarianceState, dd: DriftDiffusion, t: float) -> CovarianceState:
-    """Propagate the covariance for a time ``t >= 0``.
+    """Propagate the covariance for a time ``t >= 0`` under a drift ``-c I``.
 
-    Exact up to matrix-exponential accuracy, via the block trick
-
-        expm([[A, D], [0, -A^T]] t) = [[F11, F12], [0, F22]]
-
-    giving ``Sigma(t) = F11 Sigma F11^T + F12 F11^T``.
+    Every :func:`model_from_lindblad` drift is ``-(gamma + heating_rate) I``,
+    for which ``Sigma(t) = exp(-2ct) Sigma + (1 - exp(-2ct)) D / (2c)``
+    exactly, and symmetric; any other drift raises ``ValueError``.
     """
-    from scipy.linalg import expm
-
     if t < 0:
         raise ValueError("t must be >= 0")
     if state.cov.shape != dd.drift.shape:
         raise ValueError("state and model dimensions differ")
+    c = -dd.drift[0, 0]
+    if not (c > 0 and np.array_equal(dd.drift, -c * np.eye(len(dd.drift)))):
+        raise ValueError("evolve_covariance needs a drift -c I with c > 0, "
+                         "as model_from_lindblad builds")
     if t == 0:
         return state
-    n2 = state.cov.shape[0]
-    block = np.zeros((2 * n2, 2 * n2))
-    block[:n2, :n2] = dd.drift
-    block[:n2, n2:] = dd.diffusion
-    block[n2:, n2:] = -dd.drift.T
-    f = expm(block * t)
-    f11, f12 = f[:n2, :n2], f[:n2, n2:]
-    cov = f11 @ state.cov @ f11.T + f12 @ f11.T
-    cov = (cov + cov.T) / 2.0
-    return CovarianceState(cov)
+    return CovarianceState(np.exp(-2.0 * c * t) * state.cov
+                           - np.expm1(-2.0 * c * t) * dd.diffusion / (2.0 * c))
 
 
 def cascade_model(nopa: NopaParams, gamma: float) -> DriftDiffusion:

@@ -498,15 +498,15 @@ def _eliminate_levels(blocks, bounds):
     and only its inverse ``X_l`` is kept; from the vacuum up,
     ``x_l = -X_l (Lo_l x_{l-1})``.  Eliminating from the top is the stable
     direction: near ``M = sqrt(N (N + 1))`` it leaves about a hundredth of
-    the residual that eliminating from the vacuum does.  An explicit inverse is less accurate than a pivoted solve, so
-    one sweep of iterative refinement with the same inverses always
-    follows: with ``r`` the residual of the orbit equations,
-    ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}`` from the top down, then
-    ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the vacuum up, and ``x_l += d_l``.
-    A singular level block, or an inverse that is not finite, raises
-    ``np.linalg.LinAlgError``.  Returns the solution, the number of stored
-    inverse entries, and the residual's 2-norm before and after the
-    refinement.
+    the residual that eliminating from the vacuum does.  An explicit inverse
+    is less accurate than a pivoted solve, so one sweep of iterative
+    refinement with the same inverses always follows: with ``r`` the
+    residual of the orbit equations, ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}``
+    from the top down, then ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the
+    vacuum up, and ``x_l += d_l``.  A singular level block, or an inverse
+    that is not finite, raises ``np.linalg.LinAlgError``.  Returns the
+    solution, the number of stored inverse entries, and the residual's
+    2-norm before and after the refinement.
     """
     sizes = np.diff(bounds)
     top = len(sizes) - 1
@@ -566,9 +566,12 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     result once with the same inverses; the result is then divided by its
     trace and spread over the sector entries, which are returned as they
     are.  The full state is certified by the unreduced residual
-    ``||L(rho)||_F < STEADY_RESIDUAL_TOL``, the norm of L(rho) on the sector
-    summed term by term from :func:`_terms` (so not by the assembler that
-    built the solved system).  :class:`NumericalError` is raised before
+    ``||L(rho)||_F / s < STEADY_RESIDUAL_TOL``, the norm of L(rho) on the
+    sector summed term by term from :func:`_terms` (so not by the assembler
+    that built the solved system), in units of the rate scale
+    ``s = 2**round(log2(max(gamma, heating_rate)))``: L scales with its
+    rates while the state depends only on their ratios, and a power of two
+    divides exactly.  :class:`NumericalError` is raised before
     anything is allocated when the stored inverses (8 * sum n_l**2 bytes)
     or the elimination's work (sum n_l**3) would exceed
     ``_STEADY_STORE_BUDGET`` or ``_STEADY_WORK_BUDGET``, and after the solve
@@ -608,18 +611,20 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
     values = x[orbit] / x[diag].sum()
     t2 = time.perf_counter()
-    resid = float(np.linalg.norm(_sector_residual(terms, basis, indices, values)))
+    scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
+    resid = float(np.linalg.norm(_sector_residual(terms, basis, indices, values) / scale))
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
         "largest level %d, stored %d (%.1f MB), orbit residual %.3e refined to %.3e, "
-        "residual %.3e; assemble %.3fs, eliminate %.3fs, certify %.3fs",
+        "residual %.3e in units of s = %g; assemble %.3fs, eliminate %.3fs, certify %.3fs",
         len(indices), size, nnz, len(counts), counts.max(), stored,
-        stored * 8 / 1e6, before, after, resid, t1 - t0, t2 - t1, t3 - t2,
+        stored * 8 / 1e6, before, after, resid, scale, t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < STEADY_RESIDUAL_TOL:
         raise NumericalError(
-            f"steady-state residual {resid:.3e} exceeds tolerance {STEADY_RESIDUAL_TOL:.0e}"
+            f"steady-state residual {resid:.3e} (in units of s = {scale:g}) exceeds "
+            f"tolerance {STEADY_RESIDUAL_TOL:.0e}"
         )
 
     rho = DensityMatrix(basis, indices, values)

@@ -72,6 +72,25 @@ def expm_displaced_parity(n_max, alpha):
     return (d * (-1.0) ** np.arange(n_max)) @ d.conj().T
 
 
+def block_expm_covariance(cov, dd, t):
+    """The covariance at ``t`` from scipy's ``expm`` of the 8 x 8 block matrix.
+
+    The route ``eprsim.gaussian.evolve_covariance`` took before its closed
+    form, and valid for any drift:
+
+        expm([[A, D], [0, -A^T]] t) = [[F11, F12], [0, F22]],
+        Sigma(t) = F11 Sigma F11^T + F12 F11^T.
+    """
+    n = len(cov)
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = dd.drift
+    block[:n, n:] = dd.diffusion
+    block[n:, n:] = -dd.drift.T
+    f = scipy.linalg.expm(block * t)
+    f11, f12 = f[:n, :n], f[:n, n:]
+    return f11 @ cov @ f11.T + f12 @ f11.T
+
+
 def expm_multiply_evolve(model, basis, times):
     """The states of ``eprsim.lindblad.evolve`` by the route it took before its Krylov basis.
 

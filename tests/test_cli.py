@@ -807,6 +807,21 @@ def test_steady_state_report_is_independent_of_a_tiny_gamma(tmp_path):
     assert reports[1] == pytest.approx(reports[0], rel=1e-13, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 16/9 at n_max 8
+def test_steady_state_certifies_a_large_gamma(tmp_path):
+    """The residual is certified in units of the rates: gamma 3e6 exits 0 with gamma 1's state."""
+    states = []
+    for gamma in (1.0, 3e6):
+        dump = tmp_path / f"rho_{gamma:g}.csv"
+        cfg = write_config(tmp_path, {"schema_version": 1, "n_max": 8, "density_csv": str(dump),
+                                      "model": {"n_param": 16 / 9, "m_param": 20 / 9,
+                                                "gamma": gamma}})
+        assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        _, rows = read_csv(dump.read_text(encoding="utf-8"))
+        states.append(np.array(rows))
+    assert np.abs(states[1] - states[0]).max() <= 1e-12
+
+
 # --- unwritable outputs -----------------------------------------------------
 
 

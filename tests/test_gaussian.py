@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import block_expm_covariance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +181,27 @@ def test_evolve_covariance_rejects_negative_time():
     dd = model_from_lindblad(nopa_model(0.2))
     with pytest.raises(ValueError):
         evolve_covariance(CovarianceState(np.eye(4)), dd, -0.1)
+
+
+@pytest.mark.parametrize("eps, heating", [(0.3, 0.0), (0.5, 0.05), (0.7, 0.02)])
+@pytest.mark.parametrize("start", [1.0, 3.0], ids=["vacuum", "thermal"])
+def test_evolve_covariance_matches_block_expm(eps, heating, start):
+    """The closed form against the block-matrix exponential, out to t = 40."""
+    dd = model_from_lindblad(nopa_model(eps, heating))
+    initial = CovarianceState(start * np.eye(4))
+    scale = np.abs(steady_covariance(dd).cov).max()
+    for t in np.arange(0.0, 40.5, 0.5):
+        got = evolve_covariance(initial, dd, t).cov
+        assert np.array_equal(got, got.T)
+        gap = np.abs(got - block_expm_covariance(initial.cov, dd, t)).max()
+        assert gap <= 5e-12 * scale, t
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_evolve_covariance_rejects_a_drift_that_is_not_scalar(t):
+    dd = cascade_model(NopaParams(0.5, 1.0), gamma=0.01)
+    with pytest.raises(ValueError, match=r"drift -c I with c > 0"):
+        evolve_covariance(CovarianceState(np.eye(8)), dd, t)
 
 
 def test_heating_raises_epr_variance():

@@ -4,6 +4,7 @@ Each probe runs in a fresh interpreter, so modules loaded by other tests
 do not hide what an import statement pulls in by itself.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -34,12 +35,6 @@ def modules_after(statement):
 
 def loaded_from(loaded, *packages):
     return [m for m in loaded if m.split(".")[0] in packages]
-
-
-def test_cli_import_loads_no_scipy():
-    loaded = modules_after("import eprsim.cli")
-    assert "eprsim.cli" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_cli_import_loads_no_numpy():
@@ -95,24 +90,105 @@ def test_package_import_loads_no_submodule():
     assert [m for m in loaded if m.split(".")[0] == "eprsim"] == ["eprsim"]
 
 
+def test_evolve_loads_no_metrics_or_gaussian(tmp_path):
+    """``moments`` reads the purity off the stored values, not through ``metrics.fidelity``."""
+    argv = ["evolve", "--config", str(CONFIGS / "evolve_vacuum.json"),
+            "--out", str(tmp_path / "out"), "--n-max", "6"]
+    loaded = modules_after(f"from eprsim.cli import main\nassert main({argv!r}) == 0")
+    assert "eprsim.lindblad" in loaded
+    assert {"eprsim.metrics", "eprsim.gaussian"}.isdisjoint(loaded)
+
+
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency, also in code that no command reaches."""
+    paths = sorted(Path(SRC, "eprsim").glob("*.py"))
+    assert "gaussian.py" in {path.name for path in paths}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# The first meta-path finder of a scipy probe: it refuses scipy and every
+# scipy.* and records each attempt, so an ImportError that the code catches
+# still shows.
+_REFUSE_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    attempts = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.attempts.append(name)
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def scipy_probe(statement):
+    """The modules loaded by ``statement`` in a fresh interpreter that refuses scipy.
+
+    Returns ``(loaded, scipy)``: every module loaded, and the scipy modules
+    that were loaded or asked for.
+    """
+    lines = fresh_output(f"{_REFUSE_SCIPY}\n{statement}\n"
+                         "print('\\n'.join([*sys.modules, '--', *RefuseScipy.attempts]))")
+    cut = lines.index("--")
+    loaded, attempts = lines[:cut], lines[cut + 1:]
+    return loaded, set(loaded_from(loaded, "scipy")) | set(attempts)
+
+
+def test_cli_import_loads_no_scipy():
+    loaded, scipy = scipy_probe("import eprsim.cli")
+    assert "eprsim.cli" in loaded
+    assert scipy == set()
+
+
 def test_solver_layers_do_not_load_scipy_integrate():
-    """Nor any other scipy module: each layer imports scipy inside the routines that use it."""
-    loaded = modules_after(
+    """Nor any other scipy module."""
+    loaded, scipy = scipy_probe(
         "import eprsim.hilbert, eprsim.states, eprsim.metrics, eprsim.lindblad, eprsim.gaussian")
     assert "eprsim.lindblad" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert scipy == set()
 
 
 def test_moments_loads_no_scipy():
-    loaded = modules_after(
+    loaded, scipy = scipy_probe(
         "from eprsim import FockBasis, moments, vacuum_state\n"
         "assert moments([vacuum_state(FockBasis(4))])['var_sum_q'][0] == 2.0")
     assert "eprsim.lindblad" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert scipy == set()
+
+
+def test_public_names_and_gaussian_routines_load_no_scipy():
+    """Every public name resolves, and the Gaussian relaxation and steady state run."""
+    loaded, scipy = scipy_probe(
+        "import numpy as np\n"
+        "import eprsim\n"
+        "for name in eprsim.__all__:\n"
+        "    getattr(eprsim, name)\n"
+        "dd = eprsim.model_from_lindblad(eprsim.LindbladModel(1.0, 16 / 9, 20 / 9, 0.05))\n"
+        "eprsim.evolve_covariance(eprsim.CovarianceState(np.eye(4)), dd, 1.0)\n"
+        "eprsim.steady_covariance(dd)")
+    assert "eprsim.gaussian" in loaded
+    assert scipy == set()
 
 
 def scipy_after_command(tmp_path, command, config, *args, **fields):
-    """The scipy modules loaded by one CLI run in a fresh interpreter.
+    """The scipy modules one CLI run loads or asks for, in a fresh interpreter.
 
     ``fields`` are set in a copy of the shipped config.
     """
@@ -122,9 +198,7 @@ def scipy_after_command(tmp_path, command, config, *args, **fields):
         path = tmp_path / config
         path.write_text(json.dumps({**payload, **fields}), encoding="utf-8")
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *args]
-    loaded = modules_after(
-        f"from eprsim.cli import main\nassert main({argv!r}) == 0")
-    return {m for m in loaded if m.split(".")[0] == "scipy"}
+    return scipy_probe(f"from eprsim.cli import main\nassert main({argv!r}) == 0")[1]
 
 
 @pytest.mark.parametrize("dump", [False, True], ids=["report", "density-csv"])
@@ -141,32 +215,38 @@ def test_evolve_loads_no_scipy(tmp_path):
     assert scipy_after_command(tmp_path, "evolve", "evolve_vacuum.json", "--n-max", "6") == set()
 
 
-def test_evolve_loads_no_metrics_or_gaussian(tmp_path):
-    """``moments`` reads the purity off the stored values, not through ``metrics.fidelity``."""
-    argv = ["evolve", "--config", str(CONFIGS / "evolve_vacuum.json"),
-            "--out", str(tmp_path / "out"), "--n-max", "6"]
-    loaded = modules_after(f"from eprsim.cli import main\nassert main({argv!r}) == 0")
-    assert "eprsim.lindblad" in loaded
-    assert {"eprsim.metrics", "eprsim.gaussian"}.isdisjoint(loaded)
-
-
-@pytest.mark.parametrize("command, config", [
+_GAUSSIAN_AND_RATE_RUNS = [
     ("cascade", "cascade.json"),
     ("nopa-spectrum", "nopa_spectrum.json"),
     ("feasibility", "feasibility_example.json"),
-])
+]
+_DISPLACED_PARITY_RUNS = [
+    ("bell-sweep", "bell_default.json"),
+    ("bell-sweep", "bell_vacuum.json"),
+    ("bell-sweep", "bell_beta2_negative.json"),
+    ("wigner", "wigner_slice.json"),
+]
+
+
+@pytest.mark.parametrize("command, config", _GAUSSIAN_AND_RATE_RUNS)
 def test_gaussian_and_rate_commands_load_no_scipy(tmp_path, command, config):
     assert scipy_after_command(tmp_path, command, config) == set()
 
 
-@pytest.mark.parametrize("command, config", [
-    ("bell-sweep", "bell_default.json"),
-    ("bell-sweep", "bell_vacuum.json"),
-    ("wigner", "wigner_slice.json"),
-], ids=["bell-sweep-tmss", "bell-sweep-vacuum", "wigner"])
+@pytest.mark.parametrize(
+    "command, config", _DISPLACED_PARITY_RUNS,
+    ids=["bell-sweep-tmss", "bell-sweep-vacuum", "bell-sweep-beta2-negative", "wigner"])
 def test_displaced_parity_commands_load_no_scipy(tmp_path, command, config):
     """Each displaced parity is one numpy ``eigh``, not a scipy matrix exponential."""
     assert scipy_after_command(tmp_path, command, config) == set()
+
+
+def test_scipy_probes_cover_every_command_and_config():
+    """A new command or shipped config needs a scipy probe of its own."""
+    runs = [("steady-state", "steady_state.json"), ("evolve", "evolve_vacuum.json"),
+            *_GAUSSIAN_AND_RATE_RUNS, *_DISPLACED_PARITY_RUNS]
+    assert {command for command, _ in runs} == set(_COMMANDS)
+    assert {config for _, config in runs} == {p.name for p in CONFIGS.glob("*.json")}
 
 
 def test_dir_lists_every_public_name_before_any_import():

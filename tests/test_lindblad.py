@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from eprsim import (
+    CovarianceState,
     DensityMatrix,
     FockBasis,
     LindbladModel,
@@ -20,7 +21,10 @@ from eprsim import (
     NumericalError,
     TruncationWarning,
     effective_N_M,
+    epr_variances,
     evolve,
+    evolve_covariance,
+    model_from_lindblad,
     moments,
     purity,
     steady_state,
@@ -385,6 +389,20 @@ def test_steady_state_uncertified_raises(monkeypatch):
         steady_state(half_model(0.2), FockBasis(6))
 
 
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1056 at eps 0.97
+@pytest.mark.parametrize("n_max", [10, 25])
+def test_steady_state_certifies_relative_to_the_rates(n_max):
+    """Near threshold at gamma 1e3 the residual is certified in units of s = 1024.
+
+    The state agrees with gamma 1's as far as the ill-conditioned system
+    allows (1.8e-9 at n_max 25).
+    """
+    model = half_model(0.97)
+    fast = LindbladModel(1e3, model.n_param, model.m_param)
+    rho = steady_state(fast, FockBasis(n_max))
+    assert np.abs(rho.values - steady_state(model, FockBasis(n_max)).values).max() <= 1e-8
+
+
 def test_singular_level_block_raises(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -453,7 +471,7 @@ def test_steady_state_logs_solver_figures(caplog):
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
         r"largest level 20, stored 1475 \(0\.0 MB\), orbit residual \S+ refined to \S+, "
-        r"residual \S+; "
+        r"residual \S+ in units of s = 1; "
         r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
 
@@ -655,6 +673,40 @@ def test_evolve_uncertified_raises(monkeypatch):
     monkeypatch.setattr(lindblad, "_KRYLOV_TOL", -1.0)
     with pytest.raises(NumericalError, match="certifies no step"):
         evolve(half_model(0.2), FockBasis(6), [0.0, 1.0])
+
+
+def test_heated_relaxation_approaches_the_gaussian_route():
+    """Fock Var(Q1 + Q2) against the closed-form covariance at eps 0.5, h 0.05, t in [0, 5].
+
+    The gap is the truncation's (0.61 / 0.19 / 0.054 at n_max 12 / 16 / 20).
+    """
+    model = half_model(0.5, heating=0.05)
+    times = np.linspace(0.0, 5.0, 11)
+    dd, vac = model_from_lindblad(model), CovarianceState(np.eye(4))
+    exact = np.array([epr_variances(evolve_covariance(vac, dd, t))[0] for t in times])
+    gaps = [np.abs(moments(evolve(model, FockBasis(n_max), times))["var_sum_q"] - exact).max()
+            for n_max in (12, 16, 20)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 0.06
+
+
+def test_orbit_generator_relaxes_at_the_gaussian_rate():
+    """The slowest nonzero decay rate rises with n_max toward the drift's 2 (gamma + h).
+
+    A quadratic Lindbladian's rates are sums of its drift's (Prosen, New J.
+    Phys. 10, 043026 (2008)); the truncation slows the slowest.
+    """
+    model = half_model(0.3, heating=0.05)
+    rates = []
+    for n_max in (4, 6, 8, 10):
+        basis = FockBasis(n_max)
+        _, _, reps, (rows, cols, vals) = _orbit_system(_terms(model, basis), basis, first_row=0)
+        dense = np.zeros((len(reps), len(reps)))
+        np.add.at(dense, (rows, cols), vals)
+        decay = -np.linalg.eigvals(dense).real
+        rates.append(decay[decay > 1e-9].min())
+    assert np.all(np.diff(rates) > 0), rates
+    assert abs(rates[-1] - 2.0 * (model.gamma + model.heating_rate)) <= 0.01, rates
 
 
 def test_evolve_output_states_are_physical():
