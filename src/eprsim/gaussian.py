@@ -149,9 +149,10 @@ def steady_covariance(dd: DriftDiffusion) -> CovarianceState:
     eye = np.eye(n)
     # The equation is homogeneous in (A, D).  Scaling both by the power of
     # two nearest 1 / max|A| is exact, so S keeps its bits, and it keeps the
-    # solve and the residual in range for drifts near 1e300.
-    unit = np.ldexp(1.0, -int(np.round(np.log2(np.abs(dd.drift).max()))))
-    drift, diffusion = dd.drift * unit, dd.diffusion * unit
+    # solve and the residual in range for drifts near 1e300; np.ldexp does
+    # not form that power, which overflows for a subnormal max|A|.
+    k = -int(np.round(np.log2(np.abs(dd.drift).max())))
+    drift, diffusion = np.ldexp(dd.drift, k), np.ldexp(dd.diffusion, k)
     kron_sum = np.kron(drift, eye) + np.kron(eye, drift)
     # An equation whose entries all lie below the rounding of the largest
     # (a source 1e300 times slower than the atoms) is lifted to unit size,

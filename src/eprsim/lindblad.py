@@ -35,14 +35,18 @@ solvers work on the orbits, with one assembler (:func:`_sector_matrix`,
 which returns COO triplets):
 
 * :func:`steady_state` solves for one value per orbit by block
-  elimination over the levels.  It keeps the inverse of each level's dense
-  Schur block (at most a few hundred orbits at n_max 40), built by a block
+  elimination over the levels, on the system divided by a power of two of
+  its rates.  It keeps the float32 inverse of each level's dense Schur
+  block (at most a few hundred orbits at n_max 40), built by a block
   recursion that is mostly matrix products (:func:`_inverse`); the
   couplings between levels have a few entries per row and per column, so
   each Schur update is row gathers of the inverse above (:func:`_coupled`).
-  It solves by products with those inverses and refines the result with
-  one more sweep through them; a singular or non-finite inverse raises
-  :class:`NumericalError`, and the result is certified on the unreduced
+  It solves by products with those inverses and refines the result in
+  float64 sweeps through them until a sweep gains less than 10 times.  A
+  result whose backward error stays above about 10 float64 roundings, or a
+  singular or non-finite float32 inverse, is solved again by the same
+  routine in float64, where a singular or non-finite inverse raises
+  :class:`NumericalError`; the result is certified on the unreduced
   sector, term by term;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
   where the atoms start, with an Arnoldi (Krylov) basis of the orbit
@@ -80,16 +84,25 @@ STEADY_RESIDUAL_TOL = 1e-8
 
 # Budgets that steady_state checks before it allocates: the bytes of the
 # level inverses, 8 * sum n_l**2, and the elimination's work, sum n_l**3,
-# over the orbit counts n_l of the levels (:func:`_level_sizes`).  n_max 80
-# needs 0.65 GiB and 1.0e11 (6-8 s at one BLAS thread on a 2-core x86-64
-# host), n_max 100, the largest that passes, 1.96 GiB and 4.8e11, and
-# n_max 130 would need 7.2 GiB, near all the memory of an 8 GB host.
+# over the orbit counts n_l of the levels (:func:`_level_sizes`).  The store
+# is float32, half that, but a model that falls back to float64 allocates
+# all of it.  n_max 80 needs 0.65 GiB and 1.0e11: in float32 it runs in
+# 4.4-4.6 s with maxrss 434 MB at one BLAS thread on a 2-core x86-64 host
+# (the float64 elimination alone took 8.6-9.1 s and 798 MB).  n_max 100,
+# the largest that passes, needs 1.96 GiB and 4.8e11, and n_max 130 would
+# need 7.2 GiB, near all the memory of an 8 GB host.
 _STEADY_STORE_BUDGET = 2 * 2**30
 _STEADY_WORK_BUDGET = 5e11
 
 # The largest block that steady_state's block-recursive inverse
 # (:func:`_inverse`) hands to np.linalg.inv.
 _INVERSE_LEAF = 64
+
+# steady_state's float64 refinement sweeps (:func:`_eliminate_levels`), and
+# the backward error, about 10 float64 roundings, above which a float32
+# result is solved again in float64: a stalled refinement reads 1e-11 or more.
+_REFINE_SWEEPS = 6
+_BACKWARD_TOL = 1e-15
 
 # Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the span
 # ||L||_1 * (t_end - t_0) sets how many Krylov vectors and restarts the
@@ -395,8 +408,9 @@ def _inverse(a: np.ndarray, out: np.ndarray) -> None:
     ``[[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1], [-S^-1 C A^-1, S^-1]]`` with
     the Schur complement ``S = D - C A^-1 B``: six matrix products and two
     half-size inverses, which recurse.  Blocks of at most ``_INVERSE_LEAF``
-    rows go to ``np.linalg.inv``.  The split does not pivot, so the caller
-    refines what it solves with the result.
+    rows go to ``np.linalg.inv``.  Every product and leaf stays in ``a``'s
+    dtype.  The split does not pivot, so the caller refines what it solves
+    with the result.
     """
     n = len(a)
     if n <= _INVERSE_LEAF:
@@ -455,10 +469,12 @@ def _level_blocks(rows, cols, vals, bounds):
 def _combine(idx, w, mat, out) -> None:
     """Write ``sum_s w[r, s] * mat[idx[r, s]]`` to each row ``out[r]`` (slots of :func:`_slots`).
 
-    The rows of ``mat`` are gathered in chunks of at most ``_INVERSE_LEAF``,
-    so the gather never holds all of the slots' rows at once.
+    The weights are cast to ``mat``'s dtype, and the rows of ``mat`` are
+    gathered in chunks of at most ``_INVERSE_LEAF``, so the gather never
+    holds all of the slots' rows at once.
     """
     step = max(1, _INVERSE_LEAF // max(1, idx.shape[1]))
+    w = w.astype(mat.dtype, copy=False)
     for i in range(0, len(idx), step):
         at = slice(i, i + step)
         out[at] = np.einsum("rs,rsj->rj", w[at], mat[idx[at]])
@@ -474,18 +490,19 @@ def _coupled(up, x, lo, size: int) -> np.ndarray:
     ``Up_l``'s rows give ``(Up_l X)^T``, and row gathers of that by
     ``Lo_{l+1}``'s columns give the product's transpose, whose transpose is
     returned: ``2 k n_l (n_{l+1} + n_l)`` flops for ``k`` slots, where two
-    dense products take ``2 n_l n_{l+1} (n_{l+1} + n_l)``.  A padding slot
-    adds ``0 * X[0]``, which is 0 because the caller checks that ``X`` is
-    finite.  The slots are built per call, so none outlives its level.
+    dense products take ``2 n_l n_{l+1} (n_{l+1} + n_l)``, in ``X``'s dtype.
+    A padding slot adds ``0 * X[0]``, which is 0 because the caller checks
+    that ``X`` is finite.  The slots are built per call, so none outlives its
+    level.
     """
-    upper = np.empty((len(x), size))  # (Up_l X)^T
+    upper = np.empty((len(x), size), x.dtype)  # (Up_l X)^T
     _combine(*_slots(*up, size), x, upper.T)
-    out = np.empty((size, size))
+    out = np.empty((size, size), x.dtype)
     _combine(*_slots(lo[1], lo[0], lo[2], size), upper, out)
     return out.T
 
 
-def _eliminate_levels(blocks, bounds):
+def _eliminate_levels(blocks, bounds, dtype):
     """Solve the steady-state equations level by level (block elimination).
 
     ``blocks`` are the ``Lo_l``, ``D_l``, ``Up_l`` of :func:`_level_blocks`,
@@ -495,28 +512,35 @@ def _eliminate_levels(blocks, bounds):
     block ``S_l = D_l - Up_l X_{l+1} Lo_{l+1}`` is formed by row gathers of
     ``X_{l+1}`` (:func:`_coupled`: ``Up_l`` and ``Lo_{l+1}`` have at most a
     few entries per row and per column), then inverted by :func:`_inverse`,
-    and only its inverse ``X_l`` is kept; from the vacuum up,
-    ``x_l = -X_l (Lo_l x_{l-1})``.  Eliminating from the top is the stable
-    direction: near ``M = sqrt(N (N + 1))`` it leaves about a hundredth of
-    the residual that eliminating from the vacuum does.  An explicit inverse
-    is less accurate than a pivoted solve, so one sweep of iterative
-    refinement with the same inverses always follows: with ``r`` the
+    and only its inverse ``X_l`` is kept, in ``dtype`` (float32 halves the
+    store and the time).  Eliminating from the top is the stable direction:
+    near ``M = sqrt(N (N + 1))`` it leaves about a hundredth of the residual
+    that eliminating from the vacuum does.  The solve is a sweep of
+    iterative refinement from the vacuum alone: with ``r`` the float64
     residual of the orbit equations, ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}``
     from the top down, then ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the
-    vacuum up, and ``x_l += d_l``.  A singular level block, or an inverse
-    that is not finite, raises ``np.linalg.LinAlgError``.  Returns the
-    solution, the number of stored inverse entries, and the residual's
-    2-norm before and after the refinement.
+    vacuum up, and ``x_l += d_l``, each product with ``X_l`` taking its
+    vector in ``dtype`` and giving it back in float64.  Up to
+    ``_REFINE_SWEEPS`` more sweeps follow, until one cuts the normwise
+    backward error ``eta = ||r||_inf / (||A||_inf ||x||_inf)`` by less than
+    10 times.  A singular level block, or an inverse that is not finite,
+    raises ``np.linalg.LinAlgError``.  Returns the solution, the number and
+    itemsize of the stored inverse entries, and ``eta`` after the solve and
+    after each refinement sweep.
     """
     sizes = np.diff(bounds)
     top = len(sizes) - 1
     offsets = np.r_[0, np.cumsum(sizes[1:] ** 2)]  # X_l at offsets[l - 1]:offsets[l]
     # One buffer holds every X_l: its pages become resident level by level,
     # and the per-level temporaries are not scattered between them.
-    store = np.empty(offsets[-1])
+    store = np.empty(offsets[-1], dtype)
 
     def inverse(lv):
         return store[offsets[lv - 1]:offsets[lv]].reshape(sizes[lv], sizes[lv])
+
+    def times(lv, vec):
+        """``X_l vec`` in float64, from ``vec`` cast to the store's dtype."""
+        return (inverse(lv) @ vec.astype(dtype)).astype(float)
 
     def apply(lv, k, vec):
         """Level ``lv``'s block ``k`` times ``vec``."""
@@ -532,7 +556,7 @@ def _eliminate_levels(blocks, bounds):
         if lv < top:
             schur = _coupled(blocks[lv][2], inverse(lv + 1), blocks[lv + 1][0], sizes[lv])
         else:
-            schur = np.zeros((sizes[lv], sizes[lv]))
+            schur = np.zeros((sizes[lv], sizes[lv]), dtype)
         rows, cols, vals = blocks[lv][1]
         schur[rows, cols] -= vals
         np.negative(schur, out=schur)  # D_l - Up_l X_{l+1} Lo_{l+1}
@@ -540,19 +564,21 @@ def _eliminate_levels(blocks, bounds):
         del schur  # the next level's temporaries reuse its memory
         if not np.isfinite(inverse(lv)).all():
             raise np.linalg.LinAlgError(f"the inverse of level {lv} is not finite")
-    x = [np.ones(1)]
-    for lv in range(1, top + 1):
-        x.append(-(inverse(lv) @ apply(lv, 0, x[-1])))
-    res = residual(x)
-    before = float(np.linalg.norm(np.concatenate(res[1:])))
-    for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
-        res[lv] -= apply(lv, 2, inverse(lv + 1) @ res[lv + 1])
-    delta = np.zeros(1)
-    for lv in range(1, top + 1):
-        delta = inverse(lv) @ (res[lv] - apply(lv, 0, delta))
-        x[lv] += delta
-    after = float(np.linalg.norm(np.concatenate(residual(x)[1:])))
-    return np.concatenate(x), store.size, before, after
+    norm_a = max(sum(np.bincount(r, np.abs(v), minlength=sizes[lv]) for r, _, v in blocks[lv]).max()
+                 for lv in range(1, top + 1))
+    x = [np.ones(1)] + [np.zeros(n) for n in sizes[1:]]
+    res, etas = residual(x), []
+    while len(etas) <= _REFINE_SWEEPS and (len(etas) < 2 or etas[-1] < etas[-2] / 10):
+        for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
+            res[lv] -= apply(lv, 2, times(lv + 1, res[lv + 1]))
+        delta = np.zeros(1)
+        for lv in range(1, top + 1):
+            delta = times(lv, res[lv] - apply(lv, 0, delta))
+            x[lv] += delta
+        res = residual(x)
+        etas.append(float(max(np.abs(r).max() for r in res[1:])
+                          / (norm_a * max(np.abs(v).max() for v in x))))
+    return np.concatenate(x), store.size, store.itemsize, etas
 
 
 def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
@@ -560,23 +586,28 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
 
     One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
     kept at the orbit representatives and columns summed over each orbit.
-    Ordered by excitation level, this system is block tridiagonal, and
-    :func:`_eliminate_levels` solves it with the inverses of dense level
+    Ordered by excitation level, this system is block tridiagonal.  It is
+    divided by the rate scale ``s = 2**round(log2(max(gamma,
+    heating_rate)))``, which keeps its entries in float32's range (gamma may
+    be 1e-300) and, as a power of two, changes no float64 bit.
+    :func:`_eliminate_levels` solves it with float32 inverses of dense level
     blocks, from the top level down, and the vacuum pinned, then refines the
-    result once with the same inverses; the result is then divided by its
-    trace and spread over the sector entries, which are returned as they
-    are.  The full state is certified by the unreduced residual
-    ``||L(rho)||_F / s < STEADY_RESIDUAL_TOL``, the norm of L(rho) on the
-    sector summed term by term from :func:`_terms` (so not by the assembler
-    that built the solved system), in units of the rate scale
-    ``s = 2**round(log2(max(gamma, heating_rate)))``: L scales with its
-    rates while the state depends only on their ratios, and a power of two
-    divides exactly.  :class:`NumericalError` is raised before
-    anything is allocated when the stored inverses (8 * sum n_l**2 bytes)
-    or the elimination's work (sum n_l**3) would exceed
-    ``_STEADY_STORE_BUDGET`` or ``_STEADY_WORK_BUDGET``, and after the solve
-    for a singular or non-finite level inverse or a failed certification.
-    A :class:`~eprsim.errors.TruncationWarning` is emitted when the top Fock
+    result in float64 sweeps with the same inverses.  A result whose
+    backward error is still above ``_BACKWARD_TOL``, or a singular or
+    non-finite float32 inverse, is solved again in float64 once the float32
+    store is freed; only that run's failure is raised.  The result is then
+    divided by its trace and spread over the sector entries, which are
+    returned as they are.  The full state is certified by the unreduced
+    residual ``||L(rho)||_F / s < STEADY_RESIDUAL_TOL``, the norm of L(rho)
+    on the sector summed term by term from :func:`_terms` (so not by the
+    assembler that built the solved system): L scales with its rates while
+    the state depends only on their ratios.  :class:`NumericalError` is
+    raised before anything is allocated when the float64 store of the
+    inverses (8 * sum n_l**2 bytes, which the fallback needs) or the
+    elimination's work (sum n_l**3) would exceed ``_STEADY_STORE_BUDGET`` or
+    ``_STEADY_WORK_BUDGET``, and after the solve for a singular or
+    non-finite level inverse or a failed certification.  A
+    :class:`~eprsim.errors.TruncationWarning` is emitted when the top Fock
     level holds more than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the
     population.
     """
@@ -595,31 +626,42 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     # heating_rate for both), so the mode-swap reduction always applies.
     t0 = time.perf_counter()
     d = basis.dimension
+    scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
     terms = _terms(model, basis)
     indices, orbit, reps, (rows, cols, vals) = _orbit_system(terms, basis, first_row=1)
     size = len(reps)
     rows, cols, vals = _summed(rows, cols, vals, size)  # frees the unsummed triplets
+    vals /= scale
     bounds = np.r_[0, np.cumsum(counts)]
     nnz = len(vals)
     blocks = _level_blocks(rows, cols, vals, bounds)
     del rows, cols, vals  # the blocks hold every entry
     t1 = time.perf_counter()
     try:
-        x, stored, before, after = _eliminate_levels(blocks, bounds)
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite inverse or eta
+            x, stored, itemsize, etas = _eliminate_levels(blocks, bounds, np.float32)
+        path = "float32" if etas[-1] <= _BACKWARD_TOL else (
+            f"float64 fallback (float32 backward error {etas[-1]:.1e} "
+            f"after {len(etas) - 1} sweeps)")
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
+        path = f"float64 fallback (float32: {exc})"
+    if path != "float32":  # out of the handler, so its traceback no longer holds the store
+        try:
+            x, stored, itemsize, etas = _eliminate_levels(blocks, bounds, np.float64)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
     values = x[orbit] / x[diag].sum()
     t2 = time.perf_counter()
-    scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
     resid = float(np.linalg.norm(_sector_residual(terms, basis, indices, values) / scale))
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
-        "largest level %d, stored %d (%.1f MB), orbit residual %.3e refined to %.3e, "
-        "residual %.3e in units of s = %g; assemble %.3fs, eliminate %.3fs, certify %.3fs",
-        len(indices), size, nnz, len(counts), counts.max(), stored,
-        stored * 8 / 1e6, before, after, resid, scale, t1 - t0, t2 - t1, t3 - t2,
+        "largest level %d, stored %d (%.1f MB), %s, backward error %.1e refined to %.1e "
+        "in %d sweeps, residual %.3e in units of s = %g; assemble %.3fs, eliminate %.3fs, "
+        "certify %.3fs",
+        len(indices), size, nnz, len(counts), counts.max(), stored, stored * itemsize / 1e6,
+        path, etas[0], etas[-1], len(etas) - 1, resid, scale, t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < STEADY_RESIDUAL_TOL:
         raise NumericalError(

@@ -107,6 +107,14 @@ def test_steady_covariance_matches_scipy_lyapunov(eps, heating):
     assert np.abs(steady_covariance(dd).cov - lyapunov_reference(dd)).max() <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [5e-324, 1e-300, 1e300])
+def test_steady_covariance_of_an_undriven_model_is_the_vacuum_at_any_rate(gamma):
+    """The scaling to unit drift does not overflow for a subnormal gamma."""
+    cov = steady_covariance(model_from_lindblad(LindbladModel(gamma, 0.0, 0.0))).cov
+    assert np.array_equal(cov, np.eye(4))
+
+
 @pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
 def test_cascade_covariance_matches_scipy_lyapunov(ratio):
     dd = cascade_model(NopaParams(0.5, 1.0), gamma=1.0 / ratio)

@@ -330,16 +330,19 @@ def test_coupled_product_matches_dense_products(model, n_max, rng):
 
 
 def test_elimination_memory_is_the_store_and_three_level_blocks():
-    """At n_max 30 (largest level 240) the gathers stay in chunks: no n_l x k x n_{l+1} array."""
+    """At n_max 30 (largest level 240) the gathers stay in chunks: no n_l x k x n_{l+1} array.
+
+    The store and the level blocks are float32: 4 bytes an entry.
+    """
     blocks, bounds = level_system(half_model(0.5, heating=0.05), 30)
     sizes = np.diff(bounds).astype(float)
     tracemalloc.start()
     try:
-        _eliminate_levels(blocks, bounds)
+        _eliminate_levels(blocks, bounds, np.float32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * ((sizes[1:] ** 2).sum() + 3 * sizes.max() ** 2)
+    assert peak < 4 * ((sizes[1:] ** 2).sum() + 3 * sizes.max() ** 2)
 
 
 def check_against_reference(model, basis):
@@ -470,10 +473,63 @@ def test_steady_state_logs_solver_figures(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
-        r"largest level 20, stored 1475 \(0\.0 MB\), orbit residual \S+ refined to \S+, "
-        r"residual \S+ in units of s = 1; "
+        r"largest level 20, stored 1475 \(0\.0 MB\), float32, backward error \S+ refined to "
+        r"\S+ in [1-6] sweeps, residual \S+ in units of s = 1; "
         r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
+
+
+def solved(model, n_max, caplog):
+    """The steady state (None if not certified) and the precision path its INFO line names."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        try:
+            rho = steady_state(model, FockBasis(n_max))
+        except NumericalError:
+            rho = None
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
+    return rho, re.search(r"MB\), (float32|float64 fallback)", line)[1]
+
+
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1056 at eps 0.97
+@pytest.mark.parametrize("n_max", [6, 12])
+def test_float32_elimination_certifies_what_float64_certifies(monkeypatch, caplog, n_max):
+    """The float32 run with its fallback certifies exactly the models the float64 run does.
+
+    Near threshold without heating the float32 refinement stalls and falls
+    back; far from it the float32 run never does.
+    """
+    models = {(eps, h, g): LindbladModel(g, *effective_N_M(NopaParams(eps, 1.0)), h)
+              for eps in (0.3, 0.7, 0.9, 0.97) for h in (0.0, 0.02) for g in (1.0, 1e3, 1e-300)}
+    runs = {key: solved(model, n_max, caplog) for key, model in models.items()}
+    monkeypatch.setattr(lindblad, "_BACKWARD_TOL", -1.0)  # every float32 result falls back
+    forced = {key: solved(model, n_max, caplog) for key, model in models.items()}
+    assert {path for _, path in forced.values()} == {"float64 fallback"}
+    assert ({key for key, (rho, _) in runs.items() if rho is not None}
+            == {key for key, (rho, _) in forced.items() if rho is not None})
+    assert runs[0.97, 0.0, 1.0][1] == "float64 fallback"
+    assert {path for (eps, _, _), (_, path) in runs.items() if eps == 0.3} == {"float32"}
+
+
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # eps 0.7 at n_max 10
+@pytest.mark.parametrize("n_max", [10, 20, 30])
+@pytest.mark.parametrize("eps, heating", [(0.3, 0.0), (0.3, 0.05), (0.7, 0.0), (0.7, 0.05)])
+def test_float32_state_agrees_with_the_float64_state(monkeypatch, caplog, eps, heating, n_max):
+    """The refined float32 state against the forced float64 one, relative to its largest entry.
+
+    Both are backward stable to about 1e-17, but at eps/kappa 0.7 the orbit
+    system's condition number (1e4 to 1e5) leaves each about 1e-13 from a
+    refinement with long double residuals, in the direction the trace
+    normalises: at n_max 10 without heating float32 is 9.3e-14 from it and
+    float64 1.3e-13, on opposite sides, so the two differ by 2.2e-13.
+    """
+    model = half_model(eps, heating=heating)
+    rho, path = solved(model, n_max, caplog)
+    monkeypatch.setattr(lindblad, "_BACKWARD_TOL", -1.0)
+    ref, ref_path = solved(model, n_max, caplog)
+    assert (path, ref_path) == ("float32", "float64 fallback")
+    assert np.array_equal(rho.keys, ref.keys)
+    assert np.abs(rho.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
 def test_near_threshold_steady_state():
