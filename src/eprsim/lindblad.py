@@ -30,17 +30,21 @@ about a quarter of the sector.  Every term changes the total excitation
 sum) the orbit-space generator is block tridiagonal.  The generator is
 held as the factor pairs of :func:`_terms` (no d**2 x d**2 matrix is
 formed).  Each factor is a numpy ladder monomial, a shift per mode and a
-weight per basis state, so it has at most one entry per row.  Both
-solvers work on the orbits, with one assembler (:func:`_sector_matrix`,
-which returns COO triplets):
+weight per basis state, so it has at most one entry per row.  The terms
+with one shift pair (sa, sb) read one entry per row, and a heated model's
+32 terms have 13 pairs: 5 keep the level, 4 lower it and 4 raise it.  Both
+solvers work on the orbits, with one assembler (:func:`_orbit_blocks`).
+It writes each row's entries into fixed-width slots, one block each for
+the pairs that lower, keep and raise the level, with no sort over the
+sector:
 
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels, on the system divided by a power of two of
   its rates.  It keeps the float32 inverse of each level's dense Schur
   block (at most a few hundred orbits at n_max 40), built by a block
   recursion that is mostly matrix products (:func:`_inverse`); the
-  couplings between levels have a few entries per row and per column, so
-  each Schur update is row gathers of the inverse above (:func:`_coupled`).
+  couplings between levels have at most 4 slots a row, so each Schur
+  update is row gathers of the inverse above (:func:`_coupled`).
   It solves by products with those inverses and refines the result in
   float64 sweeps through them until a sweep gains less than 10 times.  A
   result whose backward error stays above about 10 float64 roundings, or a
@@ -50,8 +54,9 @@ which returns COO triplets):
   sector, term by term;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
   where the atoms start, with an Arnoldi (Krylov) basis of the orbit
-  matrix and a Pade exponential of its small Hessenberg matrix
-  (:func:`_krylov_propagate`, :func:`_expm`).
+  matrix, read row by row from the slots (:func:`_triplets`), and a Pade
+  exponential of its small Hessenberg matrix (:func:`_krylov_propagate`,
+  :func:`_expm`).
 
 States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
 sorted vec indices of the sector entries and their values.  A sector entry
@@ -87,7 +92,7 @@ STEADY_RESIDUAL_TOL = 1e-8
 # over the orbit counts n_l of the levels (:func:`_level_sizes`).  The store
 # is float32, half that, but a model that falls back to float64 allocates
 # all of it.  n_max 80 needs 0.65 GiB and 1.0e11: in float32 it runs in
-# 4.4-4.6 s with maxrss 434 MB at one BLAS thread on a 2-core x86-64 host
+# 3.7-4.1 s with maxrss 391 MB at one BLAS thread on a 2-core x86-64 host
 # (the float64 elimination alone took 8.6-9.1 s and 798 MB).  n_max 100,
 # the largest that passes, needs 1.96 GiB and 4.8e11, and n_max 130 would
 # need 7.2 GiB, near all the memory of an 8 GB host.
@@ -97,6 +102,11 @@ _STEADY_WORK_BUDGET = 5e11
 # The largest block that steady_state's block-recursive inverse
 # (:func:`_inverse`) hands to np.linalg.inv.
 _INVERSE_LEAF = 64
+
+# The rows of a Schur product that steady_state gathers at a time (:func:`_combine`).
+# At n_max 40, 32 rows of 4 slots gather at most 225 kB; 16 rows took 1.6 times as
+# long, and 64 rows raised the solve's peak memory by 0.1 MB.
+_GATHER_ROWS = 32
 
 # steady_state's float64 refinement sweeps (:func:`_eliminate_levels`), and
 # the backward error, about 10 float64 roundings, above which a float32
@@ -241,10 +251,12 @@ def _sector_indices(basis: FockBasis) -> np.ndarray:
     memory scale with the sector, not with the d*d vectorized space.
     """
     n, d = basis.n_max, basis.dimension
-    m0, m1, n0 = np.indices((n, n, n)).reshape(3, -1)
-    n1 = m1 - m0 + n0
-    keep = (n1 >= 0) & (n1 < n)
-    return ((m0 * n + m1) * d + n0 * n + n1)[keep]
+    m0, m1, n0 = np.ogrid[:n, :n, :n]
+    vec = m1 - m0 + n0  # n1
+    keep = (vec >= 0) & (vec < n)
+    vec += n0 * n
+    vec += (m0 * n + m1) * d
+    return vec[keep]
 
 
 def _position_table(members, positions, basis: FockBasis) -> np.ndarray:
@@ -252,13 +264,12 @@ def _position_table(members, positions, basis: FockBasis) -> np.ndarray:
 
     A sector entry ``<m0 m1| rho |n0 n1>`` has ``n1 = m1 - m0 + n0``, so the
     (n_max, n_max, n_max) table indexed by (m0, m1, n0) has a place for each;
-    read it with :func:`_find`, or flat at ``u * n_max + v // n_max`` for a
-    sector entry at vec index ``u * d + v``.
+    read it with :func:`_find`, or flat at ``vec // n_max`` for a sector
+    entry at vec index ``vec = u * d + v``, which is ``u * n_max + v // n_max``.
     """
-    n, d = basis.n_max, basis.dimension
+    n = basis.n_max
     table = np.full((n, n, n), -1, dtype=np.intp)
-    u, v = np.divmod(members, d)
-    table.reshape(-1)[u * n + v // n] = positions
+    table.reshape(-1)[members // n] = positions
     return table
 
 
@@ -278,41 +289,19 @@ def _find(table, wanted, basis: FockBasis) -> np.ndarray:
     return np.where(inside, table.reshape(-1)[u * n + v // n], -1)
 
 
-def _sector_matrix(terms, basis: FockBasis, tgt, row_pos, members, col_pos):
-    """Generator restricted to given rows and summed into given columns, as COO triplets.
-
-    Keeps the rows at the sorted vec indices ``tgt``, as matrix rows
-    ``row_pos``, and sums each column at a sorted vec index ``members`` into
-    matrix column ``col_pos`` (columns elsewhere drop out; ``members`` lie in
-    the sector, and each term's columns are read from their
-    :func:`_position_table` in one pass).  Built
-    generically from the (coeff, A, B) monomial pairs: the superoperator
-    entry ((u,v), (a,c)) of ``A rho B`` is ``A[u,a] * B[c,v]``, and a
-    monomial has at most one entry per row and per column, so each kept row
-    gives at most one entry per term.  Returns (rows, cols, vals): term by
-    term, in the order of ``tgt`` within a term, with repeated (row, col)
-    pairs not summed.
-    """
-    d = basis.dimension
-    u, v = np.divmod(tgt, d)
-    table = _position_table(members, col_pos, basis)
-    rows, cols, vals = [], [], []
+def _pairs(terms) -> dict:
+    """The (coeff, wa, wb) of the terms of :func:`_terms` by shift pair (sa, sb), in term order."""
+    pairs = {}
     for coeff, (sa, wa), (sb, wb) in terms:
-        a_w = wa[u]                                              # A[u, u + sa]
-        b_w = _shifted(wb, (-sb[0], -sb[1]), basis)[v]           # B[v - sb, v]
-        src = _find(table, (u + _flat(sa, basis)) * d + v - _flat(sb, basis), basis)
-        keep = (a_w != 0) & (b_w != 0) & (src >= 0)
-        rows.append(row_pos[keep])
-        cols.append(src[keep])
-        vals.append(coeff * a_w[keep] * b_w[keep])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        pairs.setdefault((sa, sb), []).append((coeff, wa, wb))
+    return pairs
 
 
 def _sector_residual(terms, basis: FockBasis, indices, values) -> np.ndarray:
     """L(rho) at the sorted sector vec ``indices``, for rho holding ``values`` there.
 
     Pushes each stored entry through the terms on its own, not through the
-    assembler :func:`_sector_matrix`: ``A rho B`` takes the entry at (u, v)
+    assembler :func:`_orbit_blocks`: ``A rho B`` takes the entry at (u, v)
     to (u - sa, v + sb) with the weight ``A[u - sa, u] * B[v, v + sb]``.
     Terms with the same shift pair (sa, sb) move every entry alike, so
     their weights are summed first (the 32 terms of a heated model have 13
@@ -324,11 +313,8 @@ def _sector_residual(terms, basis: FockBasis, indices, values) -> np.ndarray:
     n, d = basis.n_max, basis.dimension
     u, v = np.divmod(indices, d)
     table = _position_table(indices, np.arange(len(indices)), basis).reshape(-1)
-    pairs = {}  # (sa, sb) -> the (coeff, wa, wb) of its terms
-    for coeff, (sa, wa), (sb, wb) in terms:
-        pairs.setdefault((sa, sb), []).append((coeff, wa, wb))
     out = np.zeros(len(indices))
-    for (sa, sb), group in pairs.items():
+    for (sa, sb), group in _pairs(terms).items():
         w = sum(coeff * _shifted(wa, (-sa[0], -sa[1]), basis)[u] * wb[v] for coeff, wa, wb in group)
         keep = w != 0  # every entry a term moves out of the box has a zero weight
         tgt = (u[keep] - _flat(sa, basis)) * n + (v[keep] + _flat(sb, basis)) // n  # (m0, m1, n0)
@@ -362,43 +348,136 @@ def _orbits(indices, basis: FockBasis):
     """Orbit of each sector element under transpose T and mode swap S.
 
     T: (m0,m1;n0,n1) -> (n0,n1;m0,m1), S: (m0,m1;n0,n1) -> (m1,m0;n1,n0).
+    ``indices`` are the sorted sector vec indices of :func:`_sector_indices`.
     Returns (orbit, reps): the orbit number of each entry of ``indices``
     and the vec index of each orbit's representative (its smallest member).
     Orbits are ordered by :func:`_level`, then by representative, so each
     level is a contiguous range and the vacuum |00><00|, alone on level 0,
-    is orbit 0.
+    is orbit 0.  Only the representatives are sorted, by level.
     """
     n, d = basis.n_max, basis.dimension
-    u, v = indices // d, indices % d
-    su, sv = (u % n) * n + u // n, (v % n) * n + v // n
-    rep = np.minimum.reduce([indices, v * d + u, su * d + sv, sv * d + su])
-    keys, orbit = np.unique(_level(rep, basis) * d * d + rep, return_inverse=True)
-    return orbit, keys % (d * d)
+    u, v = np.divmod(indices, d)  # at n_max 40 each of these arrays is 0.3 MB, so few are kept
+    rep = v * d
+    rep += u
+    np.minimum(rep, indices, out=rep)  # T
+    su, sv = u % n, v % n
+    su *= n
+    sv *= n
+    su += np.floor_divide(u, n, out=u)
+    sv += np.floor_divide(v, n, out=v)
+    del u, v
+    image = su * d
+    image += sv
+    np.minimum(rep, image, out=rep)  # S
+    np.multiply(sv, d, out=image)
+    image += su
+    np.minimum(rep, image, out=rep)  # TS
+    del su, sv, image
+    reps = indices[rep == indices]
+    order = np.argsort(_level(reps, basis), kind="stable")
+    rank = np.empty(len(reps), dtype=np.intp)
+    rank[order] = np.arange(len(reps))
+    return np.take(rank, np.searchsorted(reps, rep), out=rep), reps[order]
 
 
-def _orbit_system(terms, basis: FockBasis, first_row: int):
-    """The generator on the orbits of :func:`_orbits`, as COO triplets.
+def _neighbour_starts(bounds, kind) -> np.ndarray:
+    """The first orbit of level ``l - 1 + kind`` for each orbit on level ``l``.
 
-    Rows are kept at the representatives of orbits ``first_row`` and up
-    (the vacuum's row is empty for ``first_row = 1``) and columns are summed
-    over each orbit.  Returns (indices, orbit, reps, (rows, cols, vals)):
-    the sector's vec indices, the orbit of each, each orbit's
-    representative and the unsummed triplets of :func:`_sector_matrix`.
+    Level ``l`` is at orbits ``bounds[l]:bounds[l + 1]``, and ``kind`` 0, 1
+    or 2 names the level below, the same level or the level above; the
+    missing levels below level 0 and above the top are replaced by the level
+    itself, where the blocks of :func:`_orbit_blocks` have no entry.
     """
+    top = len(bounds) - 2
+    return bounds[np.clip(np.repeat(np.arange(top + 1), np.diff(bounds)) + kind - 1, 0, top)]
+
+
+def _orbit_blocks(terms, basis: FockBasis):
+    """The generator on the orbits of :func:`_orbits`, as three blocks of slots.
+
+    Row ``i`` is kept at orbit ``i``'s representative and each column is
+    summed over an orbit.  ``A rho B`` takes row (u, v) from the entry at
+    (u + sa, v - sb), with the weight ``A[u, u + sa] * B[v - sb, v]``, so the
+    terms with one shift pair (sa, sb) reach one column per row.  A pair
+    moves the level of :func:`_level` by ``(sum(sa) - sum(sb)) / 2``: of the
+    at most 13 pairs, 4 lower it, 5 keep it and 4 raise it, so ordered by
+    level the system is block tridiagonal, with blocks ``Lo_l``, ``D_l`` and
+    ``Up_l`` coupling level ``l`` to ``l - 1``, ``l`` and ``l + 1``.
+    Returns (bounds, blocks): the level bounds (level ``l`` at orbits
+    ``bounds[l]:bounds[l + 1]``) and, for the lowering, level-keeping and
+    raising pairs, the (pairs, orbits) slot arrays ``idx`` (int16, or int32
+    past 32767 orbits a level) and ``w`` (float64).  Row ``i`` has the
+    weight ``w[s, i]`` in column ``idx[s, i]`` of the level its block
+    reaches, counted from that level's first orbit.  A row's slots hold its
+    distinct columns in ascending order, then column 0 with weight 0; pairs
+    that reach one column share a slot.  A weight is its first term's plus
+    the later ones summed in term order, pair by pair where pairs share a
+    slot: :func:`evolve`'s golden output depends on that order to the last
+    bit.  Level ``l``'s blocks are the slots at its orbits; nothing is
+    sorted.
+    """
+    n, d = basis.n_max, basis.dimension
+    counts = _level_sizes(n)
+    bounds = np.r_[0, np.cumsum(counts)]
+    itype = np.int16 if counts.max() <= np.iinfo(np.int16).max else np.int32
+    pairs = _pairs(terms)
+    # 0, 1 or 2 as the pair lowers, keeps or raises the level
+    kinds = {(sa, sb): (sa[0] + sa[1] - sb[0] - sb[1]) // 2 + 1 for sa, sb in pairs}
+    # The blocks come first, so the temporaries below are freed above them in memory.
+    shapes = [(list(kinds.values()).count(kind), bounds[-1]) for kind in range(3)]
+    blocks = [(np.zeros(shape, itype), np.zeros(shape)) for shape in shapes]
     indices = _sector_indices(basis)
     orbit, reps = _orbits(indices, basis)
-    kept = np.argsort(reps[first_row:]) + first_row
-    return indices, orbit, reps, _sector_matrix(terms, basis, reps[kept], kept, indices, orbit)
+    table = _position_table(indices, orbit, basis)
+    del indices, orbit
+    u, v = np.divmod(reps, d)
+    del reps
+    columns = {}  # (sa, sb) -> its column, -1 where every weight of its terms is 0
+    for (sa, sb), group in pairs.items():
+        met = np.logical_or.reduce([wa[u] * _shifted(wb, (-sb[0], -sb[1]), basis)[v] != 0
+                                    for _, wa, wb in group])
+        src = _find(table, (u + _flat(sa, basis)) * d + v - _flat(sb, basis), basis)
+        src -= _neighbour_starts(bounds, kinds[sa, sb])
+        columns[sa, sb] = np.where(met, src, -1).astype(itype)
+    del table
+    for kind, (idx, w) in enumerate(blocks):
+        group = [pair for pair in pairs if kinds[pair] == kind]
+        cols = np.array([columns.pop(pair) for pair in group])
+        first = cols >= 0  # the first slot of each distinct column of a row
+        for s in range(1, len(cols)):
+            first[s] &= ~((cols[:s] == cols[s]) & first[:s]).any(axis=0)
+        head, seen = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)  # w holds the later weights
+        for (sa, sb), col in zip(group, cols):
+            top = rest = 0.0  # the pair's first weight at each row, and its later ones summed
+            met = False
+            for coeff, wa, wb in pairs[sa, sb]:
+                a, b = wa[u], _shifted(wb, (-sb[0], -sb[1]), basis)[v]  # A[u, u + sa], B[v - sb, v]
+                weight, hit = coeff * a * b, a * b != 0
+                top = np.where(met | ~hit, top, weight)
+                rest = np.where(met & hit, rest + weight, rest)
+                met = met | hit
+            slot = np.sum(first & (cols < col), axis=0)  # the rank of its column in the row
+            for s in range(len(group)):
+                at = (slot == s) & (col >= 0)
+                head[s] = np.where(at & ~seen[s], top, head[s])
+                w[s] = np.where(at, np.where(seen[s], w[s] + top + rest, rest), w[s])
+                seen[s] |= at
+                idx[s] = np.where(at, col, idx[s])
+        w += head
+    return bounds, blocks
 
 
-def _summed(rows, cols, vals, size):
-    """The triplets with each (row, col) once, repeats summed, sorted by row and column."""
-    pairs = rows * size + cols
-    order = np.argsort(pairs, kind="stable")
-    pairs, vals = pairs[order], vals[order]
-    del order  # at n_max 40 each of these arrays is a few MB
-    first = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]])
-    return (*np.divmod(pairs[first], size), np.add.reduceat(vals, first))
+def _triplets(blocks, bounds):
+    """The entries of :func:`_orbit_blocks`' system as (rows, cols, vals), sorted by row and column.
+
+    A row's slots of each block hold distinct columns in ascending order, and
+    the blocks reach the levels below, at and above the row's, so the slots
+    read row by row are in order; the slots of weight 0 are dropped.
+    """
+    cols = np.concatenate([idx + _neighbour_starts(bounds, k) for k, (idx, _) in enumerate(blocks)])
+    vals = np.concatenate([w for _, w in blocks]).T.ravel()
+    keep = vals != 0
+    return np.repeat(np.arange(bounds[-1]), len(cols))[keep], cols.T.ravel()[keep], vals[keep]
 
 
 def _inverse(a: np.ndarray, out: np.ndarray) -> None:
@@ -426,101 +505,90 @@ def _inverse(a: np.ndarray, out: np.ndarray) -> None:
     inv_a -= upper @ c_inv_a
 
 
-def _slots(keys, others, vals, size: int):
-    """Entries grouped by ``keys`` as padded (index, weight) slot arrays.
+def _lowering_by_column(blocks, bounds, dtype) -> np.ndarray:
+    """``Lo_{l+1}`` transposed, as weights in the slots of ``Up_l`` (:func:`_orbit_blocks`).
 
-    Returns the ``(size, k)`` arrays ``idx`` and ``w``: row ``i`` holds the
-    ``others`` and ``vals`` of the entries with key ``i``, in their given
-    order, padded with index 0 and weight 0 to the largest count ``k``.
+    Each pair that lowers the level undoes one that raises it, and T and S
+    map the raising pairs onto one another, so ``Lo_{l+1}[j, i]`` is
+    nonzero only where some member of orbit ``i`` rises to orbit ``j``,
+    that is where a slot of ``Up_l``'s row ``i`` holds column ``j``.
+    Returns the (pairs, orbits) weights ``Lo_{l+1}[idx[s, i], i]`` at
+    Up_l's slots ``idx[s, i]``, in ``dtype``, and 0 where those weigh 0.
+    A row's slots of ``Lo_{l+1}`` hold distinct columns, so one of them at
+    most matches and the weight is not rounded before its cast.
     """
-    order = np.argsort(keys, kind="stable")
-    keys, others, vals = keys[order], others[order], vals[order]
-    counts = np.bincount(keys, minlength=size)
-    slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]
-    idx = np.zeros((size, counts.max(initial=0)), dtype=np.intp)
-    w = np.zeros(idx.shape)
-    idx[keys, slot], w[keys, slot] = others, vals
-    return idx, w
-
-
-def _level_blocks(rows, cols, vals, bounds):
-    """The orbit system's entries split by level, for :func:`_eliminate_levels`.
-
-    ``(rows, cols, vals)`` are the generator's entries on the orbits, each
-    (row, col) once and sorted by row, with level ``l`` at orbits
-    ``bounds[l]:bounds[l + 1]``.  Every term moves the level by at most one,
-    so the matrix is block tridiagonal over the levels, with blocks
-    ``Lo_l``, ``D_l``, ``Up_l`` coupling level ``l`` to ``l - 1``, ``l``,
-    ``l + 1``.  Returns, for each level ``l >= 1`` (entry 0 is None), those
-    three blocks as (row, col, value) triplets in the block's own
-    coordinates.
-    """
-    starts = np.searchsorted(rows, bounds)
-    blocks = [None]
-    for lv in range(1, len(bounds) - 1):
-        at = slice(starts[lv], starts[lv + 1])
-        r, c, v = rows[at] - bounds[lv], cols[at], vals[at]
-        side = (c >= bounds[lv]).astype(np.int8) + (c >= bounds[lv + 1])
-        blocks.append([(r[side == k], c[side == k] - bounds[lv - 1 + k], v[side == k])
-                       for k in range(3)])
-    return blocks
+    (lo_idx, lo_w), _, (up_idx, up_w) = blocks
+    place = np.arange(bounds[-1]) - _neighbour_starts(bounds, 1)  # from its level's first orbit
+    above = _neighbour_starts(bounds, 2)
+    out = np.zeros(up_idx.shape, dtype)
+    for lowered, up, w in zip(out, up_idx, up_w):
+        rows = up + above  # the orbits of level l + 1 that Up_l reaches
+        for idx, lo in zip(lo_idx, lo_w):
+            lowered += np.where(idx[rows] == place, lo[rows], 0.0)
+        lowered[w == 0] = 0.0
+    return out
 
 
 def _combine(idx, w, mat, out) -> None:
-    """Write ``sum_s w[r, s] * mat[idx[r, s]]`` to each row ``out[r]`` (slots of :func:`_slots`).
+    """Write ``sum_s w[s, r] * mat[idx[s, r]]`` to each row ``out[r]``.
 
-    The weights are cast to ``mat``'s dtype, and the rows of ``mat`` are
-    gathered in chunks of at most ``_INVERSE_LEAF``, so the gather never
-    holds all of the slots' rows at once.
+    The weights are cast to ``mat``'s dtype, and the rows of ``out`` are
+    made ``_GATHER_ROWS`` at a time, so the gather never holds all of the
+    slots' rows at once.  Each row's sum runs over its slots in order, so
+    the result does not depend on the chunks.
     """
-    step = max(1, _INVERSE_LEAF // max(1, idx.shape[1]))
-    w = w.astype(mat.dtype, copy=False)
-    for i in range(0, len(idx), step):
-        at = slice(i, i + step)
-        out[at] = np.einsum("rs,rsj->rj", w[at], mat[idx[at]])
+    w = w.astype(mat.dtype)
+    for r in range(0, idx.shape[1], _GATHER_ROWS):
+        at = slice(r, r + _GATHER_ROWS)
+        out[at] = np.einsum("rs,rsj->rj", w[:, at].T, mat[idx[:, at].T])
 
 
-def _coupled(up, x, lo, size: int) -> np.ndarray:
-    """``Up_l X Lo_{l+1}`` for the triplets ``up`` of ``Up_l`` and ``lo`` of ``Lo_{l+1}``.
+def _coupled(idx, up, lowered, x, space) -> np.ndarray:
+    """``Up_l X Lo_{l+1}`` from the slots of Up_l, in ``X``'s dtype.
 
-    ``size`` is n_l, the number of orbits on level ``l``.  A level-changing
-    shift pair gives at most one entry per row and per column, so ``Up_l``
-    has a few entries per row and ``Lo_{l+1}`` per column; :func:`_slots`
-    lays them out that way.  Row gathers of ``X`` by
-    ``Up_l``'s rows give ``(Up_l X)^T``, and row gathers of that by
-    ``Lo_{l+1}``'s columns give the product's transpose, whose transpose is
-    returned: ``2 k n_l (n_{l+1} + n_l)`` flops for ``k`` slots, where two
-    dense products take ``2 n_l n_{l+1} (n_{l+1} + n_l)``, in ``X``'s dtype.
-    A padding slot adds ``0 * X[0]``, which is 0 because the caller checks
-    that ``X`` is finite.  The slots are built per call, so none outlives its
-    level.
+    ``idx`` and ``up`` are Up_l's columns and weights, and ``lowered`` holds
+    ``Lo_{l+1}`` transposed in the same slots (:func:`_lowering_by_column`).
+    Row gathers of ``X`` give ``(Up_l X)[i] = sum_s up[s, i] X[idx[s, i]]``,
+    and row gathers of its transpose give the product's transpose, with rows
+    ``sum_s lowered[s, i] (Up_l X)^T[idx[s, i]]``: ``2 k n_l (n_{l+1} +
+    n_l)`` flops for ``k`` slots, where two dense products take ``2 n_l
+    n_{l+1} (n_{l+1} + n_l)``.  A slot with weight 0 adds ``0 * X[0]``,
+    which is 0 because the caller checks that ``X`` is finite.  ``space``
+    holds the two results, ``(Up_l X)^T`` and then the product's transpose,
+    and its view of the product is returned.
     """
-    upper = np.empty((len(x), size), x.dtype)  # (Up_l X)^T
-    _combine(*_slots(*up, size), x, upper.T)
-    out = np.empty((size, size), x.dtype)
-    _combine(*_slots(lo[1], lo[0], lo[2], size), upper, out)
+    size = idx.shape[1]
+    upper = space[:len(x) * size].reshape(len(x), size)  # (Up_l X)^T
+    _combine(idx, up, x, upper.T)
+    out = space[len(x) * size:(len(x) + size) * size].reshape(size, size)
+    _combine(idx, lowered, upper, out)
     return out.T
 
 
 def _eliminate_levels(blocks, bounds, dtype):
     """Solve the steady-state equations level by level (block elimination).
 
-    ``blocks`` are the ``Lo_l``, ``D_l``, ``Up_l`` of :func:`_level_blocks`,
-    with level ``l`` at orbits ``bounds[l]:bounds[l + 1]``.  The vacuum
-    (level 0) is pinned to 1 and its row, dependent because the trace is
-    preserved, is not used.  From the top level down, each level's Schur
-    block ``S_l = D_l - Up_l X_{l+1} Lo_{l+1}`` is formed by row gathers of
-    ``X_{l+1}`` (:func:`_coupled`: ``Up_l`` and ``Lo_{l+1}`` have at most a
-    few entries per row and per column), then inverted by :func:`_inverse`,
-    and only its inverse ``X_l`` is kept, in ``dtype`` (float32 halves the
-    store and the time).  Eliminating from the top is the stable direction:
-    near ``M = sqrt(N (N + 1))`` it leaves about a hundredth of the residual
+    ``blocks`` are the slots of ``Lo_l``, ``D_l`` and ``Up_l`` from
+    :func:`_orbit_blocks`, with level ``l`` at orbits
+    ``bounds[l]:bounds[l + 1]``.  The vacuum (level 0) is pinned to 1 and
+    its row, dependent because the trace is preserved, is not used.  From
+    the top level down, each level's Schur block
+    ``S_l = D_l - Up_l X_{l+1} Lo_{l+1}`` is formed by row gathers of
+    ``X_{l+1}`` over Up_l's slots, with ``Lo_{l+1}`` read into the same
+    slots (:func:`_coupled`, :func:`_lowering_by_column`), then inverted by
+    :func:`_inverse`, and only its inverse ``X_l`` is kept, in ``dtype``
+    (float32 halves the store and the time).  The Schur block and the
+    gathered product are built in the store's space of the levels not
+    eliminated yet, so the largest level's temporaries take no memory of
+    their own.  Eliminating from the top is the stable direction: near
+    ``M = sqrt(N (N + 1))`` it leaves about a hundredth of the residual
     that eliminating from the vacuum does.  The solve is a sweep of
     iterative refinement from the vacuum alone: with ``r`` the float64
     residual of the orbit equations, ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}``
     from the top down, then ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the
     vacuum up, and ``x_l += d_l``, each product with ``X_l`` taking its
-    vector in ``dtype`` and giving it back in float64.  Up to
+    vector in ``dtype`` and giving it back in float64.  The residual is a
+    gather per slot over all the levels, not a scatter per level.  Up to
     ``_REFINE_SWEEPS`` more sweeps follow, until one cuts the normwise
     backward error ``eta = ||r||_inf / (||A||_inf ||x||_inf)`` by less than
     10 times.  A singular level block, or an inverse that is not finite,
@@ -530,6 +598,9 @@ def _eliminate_levels(blocks, bounds, dtype):
     """
     sizes = np.diff(bounds)
     top = len(sizes) - 1
+    (lo_idx, lo_w), (d_idx, d_w), (up_idx, up_w) = blocks
+    norm_a = sum(np.abs(ws) for _, w in blocks for ws in w)[bounds[1]:].max()  # ||A||_inf
+    lowered = _lowering_by_column(blocks, bounds, dtype)
     offsets = np.r_[0, np.cumsum(sizes[1:] ** 2)]  # X_l at offsets[l - 1]:offsets[l]
     # One buffer holds every X_l: its pages become resident level by level,
     # and the per-level temporaries are not scattered between them.
@@ -538,47 +609,58 @@ def _eliminate_levels(blocks, bounds, dtype):
     def inverse(lv):
         return store[offsets[lv - 1]:offsets[lv]].reshape(sizes[lv], sizes[lv])
 
+    def level(lv):
+        return slice(bounds[lv], bounds[lv + 1])
+
     def times(lv, vec):
         """``X_l vec`` in float64, from ``vec`` cast to the store's dtype."""
         return (inverse(lv) @ vec.astype(dtype)).astype(float)
 
-    def apply(lv, k, vec):
-        """Level ``lv``'s block ``k`` times ``vec``."""
-        r, c, v = blocks[lv][k]
-        return np.bincount(r, v * vec[c], minlength=sizes[lv])
-
-    def residual(x):
-        """-(A x) on each level of the per-level vectors ``x``; level 0's row is not used."""
-        return [None] + [-sum(apply(lv, k, x[lv - 1 + k]) for k in range(3 if lv < top else 2))
-                         for lv in range(1, top + 1)]
+    def apply(idx, w, lv, vec):
+        """Level ``lv``'s rows of the block with slots ``idx``, ``w``, times ``vec``."""
+        at = level(lv)
+        return np.einsum("sr,sr->r", w[:, at], vec[idx[:, at]])
 
     for lv in range(top, 0, -1):
+        at, n = level(lv), sizes[lv]
         if lv < top:
-            schur = _coupled(blocks[lv][2], inverse(lv + 1), blocks[lv + 1][0], sizes[lv])
+            space = store[:offsets[lv - 1]]  # the levels below, not eliminated yet
+            if len(space) < (sizes[lv + 1] + n) * n:
+                space = np.empty((sizes[lv + 1] + n) * n, dtype)
+            schur = _coupled(up_idx[:, at], up_w[:, at], lowered[:, at], inverse(lv + 1), space)
         else:
-            schur = np.zeros((sizes[lv], sizes[lv]), dtype)
-        rows, cols, vals = blocks[lv][1]
-        schur[rows, cols] -= vals
+            schur = np.zeros((n, n), dtype)
+        rows = np.arange(n)
+        for idx, w in zip(d_idx[:, at], d_w[:, at]):  # a slot has one entry per row
+            schur[rows, idx] -= w
         np.negative(schur, out=schur)  # D_l - Up_l X_{l+1} Lo_{l+1}
         _inverse(schur, inverse(lv))
-        del schur  # the next level's temporaries reuse its memory
         if not np.isfinite(inverse(lv)).all():
             raise np.linalg.LinAlgError(f"the inverse of level {lv} is not finite")
-    norm_a = max(sum(np.bincount(r, np.abs(v), minlength=sizes[lv]) for r, _, v in blocks[lv]).max()
-                 for lv in range(1, top + 1))
-    x = [np.ones(1)] + [np.zeros(n) for n in sizes[1:]]
+    del lowered
+
+    def residual(x):
+        """-(A x) at every orbit; the vacuum's row is not used."""
+        out = np.zeros(len(x))
+        for kind, (idx, w) in enumerate(blocks):
+            start = _neighbour_starts(bounds, kind)
+            for i, ws in zip(idx, w):
+                out -= ws * x[i + start]
+        return out
+
+    x = np.zeros(bounds[-1])
+    x[0] = 1.0
     res, etas = residual(x), []
     while len(etas) <= _REFINE_SWEEPS and (len(etas) < 2 or etas[-1] < etas[-2] / 10):
         for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
-            res[lv] -= apply(lv, 2, times(lv + 1, res[lv + 1]))
+            res[level(lv)] -= apply(up_idx, up_w, lv, times(lv + 1, res[level(lv + 1)]))
         delta = np.zeros(1)
         for lv in range(1, top + 1):
-            delta = times(lv, res[lv] - apply(lv, 0, delta))
-            x[lv] += delta
+            delta = times(lv, res[level(lv)] - apply(lo_idx, lo_w, lv, delta))
+            x[level(lv)] += delta
         res = residual(x)
-        etas.append(float(max(np.abs(r).max() for r in res[1:])
-                          / (norm_a * max(np.abs(v).max() for v in x))))
-    return np.concatenate(x), store.size, store.itemsize, etas
+        etas.append(float(np.abs(res[bounds[1]:]).max() / (norm_a * np.abs(x).max())))
+    return x, store.size, store.itemsize, etas
 
 
 def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
@@ -586,8 +668,9 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
 
     One unknown per orbit of {1, T, S, TS} in the delta = 0 sector: rows are
     kept at the orbit representatives and columns summed over each orbit.
-    Ordered by excitation level, this system is block tridiagonal.  It is
-    divided by the rate scale ``s = 2**round(log2(max(gamma,
+    Ordered by excitation level, this system is block tridiagonal, and
+    :func:`_orbit_blocks` assembles it straight into the slot blocks of
+    each level.  It is divided by the rate scale ``s = 2**round(log2(max(gamma,
     heating_rate)))``, which keeps its entries in float32's range (gamma may
     be 1e-300) and, as a power of two, changes no float64 bit.
     :func:`_eliminate_levels` solves it with float32 inverses of dense level
@@ -595,9 +678,11 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     result in float64 sweeps with the same inverses.  A result whose
     backward error is still above ``_BACKWARD_TOL``, or a singular or
     non-finite float32 inverse, is solved again in float64 once the float32
-    store is freed; only that run's failure is raised.  The result is then
-    divided by its trace and spread over the sector entries, which are
-    returned as they are.  The full state is certified by the unreduced
+    store is freed; only that run's failure is raised.  The elimination
+    holds the slot blocks and the store alone: the sector's entries and
+    their orbits are made after it, when the blocks are freed.  The result
+    is then divided by its trace and spread over the sector entries, which
+    are returned as they are.  The full state is certified by the unreduced
     residual ``||L(rho)||_F / s < STEADY_RESIDUAL_TOL``, the norm of L(rho)
     on the sector summed term by term from :func:`_terms` (so not by the
     assembler that built the solved system): L scales with its rates while
@@ -627,15 +712,12 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     t0 = time.perf_counter()
     d = basis.dimension
     scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
-    terms = _terms(model, basis)
-    indices, orbit, reps, (rows, cols, vals) = _orbit_system(terms, basis, first_row=1)
-    size = len(reps)
-    rows, cols, vals = _summed(rows, cols, vals, size)  # frees the unsummed triplets
-    vals /= scale
-    bounds = np.r_[0, np.cumsum(counts)]
-    nnz = len(vals)
-    blocks = _level_blocks(rows, cols, vals, bounds)
-    del rows, cols, vals  # the blocks hold every entry
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    for _, w in blocks:
+        w /= scale
+    size = bounds[-1]
+    nnz = sum(np.count_nonzero(w[:, bounds[1]:]) for _, w in blocks)
+    slot_bytes = sum(idx.nbytes + w.nbytes for idx, w in blocks)
     t1 = time.perf_counter()
     try:
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite inverse or eta
@@ -650,18 +732,24 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
             x, stored, itemsize, etas = _eliminate_levels(blocks, bounds, np.float64)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
+    del blocks  # the sector's entries and their orbits are made again, after the elimination
+    indices = _sector_indices(basis)
+    orbit, _ = _orbits(indices, basis)
     diag = orbit[indices // d == indices % d]  # repeats sum to the orbit size
     values = x[orbit] / x[diag].sum()
+    del x, orbit
     t2 = time.perf_counter()
-    resid = float(np.linalg.norm(_sector_residual(terms, basis, indices, values) / scale))
+    resid = _sector_residual(_terms(model, basis), basis, indices, values)
+    resid = float(np.linalg.norm(resid / scale))
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
-        "largest level %d, stored %d (%.1f MB), %s, backward error %.1e refined to %.1e "
-        "in %d sweeps, residual %.3e in units of s = %g; assemble %.3fs, eliminate %.3fs, "
-        "certify %.3fs",
+        "largest level %d, stored %d (%.1f MB; slot blocks %.1f MB), %s, backward error %.1e "
+        "refined to %.1e in %d sweeps, residual %.3e in units of s = %g; assemble %.3fs, "
+        "eliminate %.3fs, certify %.3fs",
         len(indices), size, nnz, len(counts), counts.max(), stored, stored * itemsize / 1e6,
-        path, etas[0], etas[-1], len(etas) - 1, resid, scale, t1 - t0, t2 - t1, t3 - t2,
+        slot_bytes / 1e6, path, etas[0], etas[-1], len(etas) - 1, resid, scale,
+        t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < STEADY_RESIDUAL_TOL:
         raise NumericalError(
@@ -879,10 +967,10 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
         raise ValueError("times must be the uniform grid np.linspace(times[0], times[-1], n)")
 
     t0 = time.perf_counter()
-    indices, orbit, reps, (rows, cols, vals) = _orbit_system(
-        _terms(model, basis), basis, first_row=0)
-    size = len(reps)
-    rows, cols, vals = _summed(rows, cols, vals, size)
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    size = bounds[-1]
+    rows, cols, vals = _triplets(blocks, bounds)
+    del blocks
     span = np.bincount(cols, np.abs(vals), minlength=size).max() * (times[-1] - times[0])
     work = span * len(vals)
     if not work <= _EVOLVE_WORK_BUDGET:
@@ -902,6 +990,8 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
         "substeps %d, largest estimate %.1e; assemble %.3fs, propagate %.3fs",
         size, len(vals), largest, restarts, substeps, worst, t1 - t0, t2 - t1,
     )
+    indices = _sector_indices(basis)
+    orbit, _ = _orbits(indices, basis)
     return [DensityMatrix(basis, indices, vec[orbit]) for vec in vecs]
 
 

@@ -101,11 +101,13 @@ def expm_multiply_evolve(model, basis, times):
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
-    from eprsim.lindblad import _orbit_system, _terms
+    from eprsim.lindblad import _orbit_blocks, _orbits, _sector_indices, _terms, _triplets
 
-    indices, orbit, reps, (rows, cols, vals) = _orbit_system(
-        _terms(model, basis), basis, first_row=0)
-    size = len(reps)
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    rows, cols, vals = _triplets(blocks, bounds)
+    size = bounds[-1]
+    indices = _sector_indices(basis)
+    orbit, _ = _orbits(indices, basis)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     vec = np.zeros(size)
     vec[0] = 1.0

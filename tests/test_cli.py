@@ -715,7 +715,10 @@ _MODEL_FIELDS = {
 @given(model=st.one_of(st.fixed_dictionaries({}, optional=_MODEL_FIELDS), _ODD_VALUES),
        n_max=st.one_of(st.integers(2, 12), st.sampled_from([1, 2.5, "8", None])))
 def test_generated_steady_state_configs_keep_the_exit_contract(model, n_max):
-    """Exit 0, 2 or 3; a failure is one stderr line and no file, a success finite and quiet."""
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite.
+
+    A success records no warning but the TruncationWarning.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), {"schema_version": 1, "model": model, "n_max": n_max})
         out = Path(tmp) / "report.json"
@@ -728,6 +731,7 @@ def test_generated_steady_state_configs_keep_the_exit_contract(model, n_max):
         if code:
             assert err.getvalue().count("\n") == 1, err.getvalue()
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
+            assert not caught, [str(w.message) for w in caught]
         else:
             report = json.loads(out.read_text(encoding="utf-8"))
             numbers = [v for v in report.values() if not isinstance(v, bool)]

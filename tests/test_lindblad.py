@@ -35,26 +35,24 @@ from eprsim import lindblad
 from eprsim.hilbert import _lookup
 from eprsim.lindblad import (
     _coupled,
-    _eliminate_levels,
     _expm,
     _find,
     _flat,
     _inverse,
     _krylov_propagate,
     _level,
-    _level_blocks,
     _level_sizes,
-    _orbit_system,
+    _lowering_by_column,
+    _neighbour_starts,
+    _orbit_blocks,
     _orbits,
     _position_table,
     _sector_indices,
-    _sector_matrix,
     _sector_residual,
     _shifted,
-    _slots,
     _solve,
-    _summed,
     _terms,
+    _triplets,
 )
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
@@ -89,10 +87,64 @@ def apply_terms(model, basis, rho):
                for coeff, a, b in _terms(model, basis))
 
 
-def sector_matrix(terms, basis, tgt, row_pos, members, col_pos, shape):
-    """``_sector_matrix``'s COO triplets as a scipy sparse matrix, repeats summed."""
-    rows, cols, vals = _sector_matrix(terms, basis, tgt, row_pos, members, col_pos)
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
+def sector_matrix(model, basis):
+    """The generator on the whole delta = 0 sector, as a scipy sparse matrix from ``_terms``.
+
+    Row (u, v) of ``A rho B`` reads the entry at (u + sa, v - sb) with the
+    weight ``A[u, u + sa] * B[v - sb, v]``; the column is found by
+    searchsorted on the sorted sector indices, and repeats are summed.
+    """
+    d = basis.dimension
+    indices = _sector_indices(basis)
+    u, v = np.divmod(indices, d)
+    rows, cols, vals = [], [], []
+    for coeff, (sa, wa), (sb, wb) in _terms(model, basis):
+        a_w, b_w = wa[u], _shifted(wb, (-sb[0], -sb[1]), basis)[v]
+        keep = (a_w != 0) & (b_w != 0)
+        src = ((u + _flat(sa, basis)) * d + v - _flat(sb, basis))[keep]
+        cols.append(np.searchsorted(indices, src))
+        assert np.array_equal(indices[cols[-1]], src)  # the generator keeps the sector
+        rows.append(np.flatnonzero(keep))
+        vals.append(coeff * a_w[keep] * b_w[keep])
+    shape = (len(indices), len(indices))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=shape).tocsc()
+
+
+def orbit_triplets(model, basis):
+    """The orbit matrix that ``evolve`` propagates, as summed triplets, and its size."""
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    return _triplets(blocks, bounds), bounds[-1]
+
+
+def dense_orbit_matrix(model, basis):
+    """The generator on the orbits, written out densely from the monomials of ``_terms``.
+
+    The superoperator entry ((u, v), (a, c)) of ``A rho B`` is
+    ``A[u, a] * B[c, v]``.  Rows are kept at the orbit representatives and
+    the columns of the delta = 0 sector are summed over each orbit.
+    """
+    n, d = basis.n_max, basis.dimension
+    indices = _sector_indices(basis)
+    orbit, reps = _orbits(indices, basis)
+    (u, v), (a, c) = np.divmod(reps, d), np.divmod(indices, d)
+    by_orbit = np.zeros((len(indices), len(reps)))
+    by_orbit[np.arange(len(indices)), orbit] = 1.0
+    out = np.zeros((len(reps), len(reps)))
+    for coeff, left, right in _terms(model, basis):
+        mat_a, mat_b = dense_monomial(left, n), dense_monomial(right, n)
+        out += (coeff * mat_a[u][:, a] * mat_b[c][:, v].T) @ by_orbit
+    return out
+
+
+def dense_blocks(blocks, bounds):
+    """The slot blocks of ``_orbit_blocks`` summed into one dense orbit matrix."""
+    out = np.zeros((bounds[-1], bounds[-1]))
+    rows = np.arange(bounds[-1])
+    for kind, (idx, w) in enumerate(blocks):
+        for i, ws in zip(idx, w):
+            np.add.at(out, (rows, i + _neighbour_starts(bounds, kind)), ws)
+    return out
 
 
 def pair_expectation(rho):
@@ -205,10 +257,7 @@ def reference_steady_state(model, basis):
     d = basis.dimension
     indices = _sector_indices(basis)
     size = len(indices)
-    positions = np.arange(size)
-    mat = sector_matrix(_terms(model, basis), basis, indices, positions, indices, positions,
-                        (size, size))
-    mat = mat.tolil()
+    mat = sector_matrix(model, basis).tolil()
     mat[0, :] = 0.0
     mat[0, np.nonzero(indices // d == indices % d)[0]] = 1.0
     rhs = np.zeros(size)
@@ -218,17 +267,63 @@ def reference_steady_state(model, basis):
     return full.reshape(d, d)
 
 
-def test_sector_matrix_matches_superoperator_restriction():
+def test_dense_orbit_oracle_matches_the_master_equation():
+    """The test's orbit matrix from ``_terms`` against the generator from the master equation."""
     basis = FockBasis(5)
-    terms = _terms(half_model(0.3, heating=0.05), basis)
+    model = half_model(0.3, heating=0.05)
+    full = kron_generator(model, 5)
     indices = _sector_indices(basis)
-    positions = np.arange(len(indices))
-    sec = sector_matrix(terms, basis, indices, positions, indices, positions, (len(indices),) * 2)
-    full = kron_generator(half_model(0.3, heating=0.05), 5)
-    assert np.max(np.abs(sec.toarray() - full[np.ix_(indices, indices)])) < 1e-14
+    orbit, reps = _orbits(indices, basis)
+    by_orbit = np.zeros((len(indices), len(reps)))
+    by_orbit[np.arange(len(indices)), orbit] = 1.0
+    want = full[np.ix_(reps, indices)] @ by_orbit
+    assert np.max(np.abs(dense_orbit_matrix(model, basis) - want)) < 1e-14
     # the sector is closed: no generator entry leads out of it
     outside = np.setdiff1d(np.arange(basis.dimension**2), indices)
     assert np.max(np.abs(full[np.ix_(outside, indices)])) == 0.0
+
+
+ORBIT_MODELS = pytest.mark.parametrize("model", [
+    half_model(0.5, heating=0.1), half_model(0.5), LindbladModel(1.0, 0.3, 0.0),
+], ids=["heated", "unheated", "m0"])
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 5, 8, 10])
+@ORBIT_MODELS
+def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max):
+    """Every slot block, ``Lo_{l+1}`` read into Up_l's slots, and evolve's triplets, entry by entry.
+
+    The blocks hold each entry at its level: ``Lo_l``, ``D_l`` and ``Up_l``
+    reach levels ``l - 1``, ``l`` and ``l + 1``; no slot leaves the orbits.
+    """
+    basis = FockBasis(n_max)
+    want = dense_orbit_matrix(model, basis)
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    assert [len(idx) for idx, _ in blocks] == ([4, 5, 4] if model.m_param else [2, 1, 2])
+    sizes = np.diff(bounds)
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    for kind, (idx, w) in enumerate(blocks):
+        reached = np.clip(level + kind - 1, 0, len(sizes) - 1)
+        assert np.all((idx >= 0) & (idx < sizes[reached])), kind
+        assert np.all((w == 0) | (level + kind - 1 == reached)), kind
+        # a row's columns ascend, then the empty slots: column 0, weight 0
+        assert np.all((w[1:] == 0) | ((w[:-1] != 0) & (idx[1:] > idx[:-1]))), kind
+        assert np.all((w != 0) | (idx == 0)), kind
+    got = dense_blocks(blocks, bounds)
+    assert np.array_equal(got != 0, want != 0)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    rows, cols, vals = _triplets(blocks, bounds)
+    assert np.all(np.diff(rows * bounds[-1] + cols) > 0)  # by row and column, each once
+    assert len(vals) == np.count_nonzero(want)
+    assert np.all(np.abs(vals - want[rows, cols]) <= 1e-15 * np.abs(want[rows, cols]))
+    lowered = _lowering_by_column(blocks, bounds, float)
+    (up_idx, _) = blocks[2]
+    transposed = np.zeros_like(want)
+    rows = np.arange(bounds[-1])
+    for i, ws in zip(up_idx, lowered):
+        np.add.at(transposed, (rows, i + _neighbour_starts(bounds, 2)), ws)
+    upper = level[:, None] + 1 == level[None, :]
+    assert np.all(np.abs(transposed - want.T * upper) <= 1e-15 * np.abs(want.T))
 
 
 def test_sector_residual_matches_dense_generator(rng):
@@ -296,53 +391,51 @@ def test_sector_residual_matches_searchsorted_reference():
     assert np.abs(got).max() > 0.0
 
 
-def level_system(model, n_max):
-    """The per-level blocks of the steady-state orbit system and the level bounds."""
-    basis = FockBasis(n_max)
-    _, _, reps, triplets = _orbit_system(_terms(model, basis), basis, first_row=1)
-    bounds = np.r_[0, np.cumsum(_level_sizes(n_max))]
-    return _level_blocks(*_summed(*triplets, len(reps)), bounds), bounds
-
-
 @pytest.mark.parametrize("n_max", [8, 20])
-@pytest.mark.parametrize("model", [
-    half_model(0.5, heating=0.1), half_model(0.5), LindbladModel(1.0, 0.3, 0.0),
-], ids=["heated", "unheated", "m0"])
+@ORBIT_MODELS
 def test_coupled_product_matches_dense_products(model, n_max, rng):
     """Every level's gathered Up_l X Lo_{l+1} against the two dense products, within 1e-13."""
-    blocks, bounds = level_system(model, n_max)
+    basis = FockBasis(n_max)
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    lowered = _lowering_by_column(blocks, bounds, float)
     sizes = np.diff(bounds)
+    (lo_idx, lo_w), _, (up_idx, up_w) = blocks
+    assert len(up_idx) <= 4  # one slot per level-raising shift pair
 
-    def dense(triplets, shape):
+    def dense(idx, w, shape):
         out = np.zeros(shape)
-        out[triplets[0], triplets[1]] = triplets[2]
+        for i, ws in zip(idx, w):
+            np.add.at(out, (np.arange(shape[0]), i), ws)
         return out
 
     for lv in range(1, len(sizes) - 1):
-        (up_r, up_c, up_v), (lo_r, lo_c, lo_v) = blocks[lv][2], blocks[lv + 1][0]
-        for idx, _ in (_slots(up_r, up_c, up_v, sizes[lv]), _slots(lo_c, lo_r, lo_v, sizes[lv])):
-            assert 1 <= idx.shape[1] <= 4  # at most one slot per level-changing shift pair
+        at, above = slice(bounds[lv], bounds[lv + 1]), slice(bounds[lv + 1], bounds[lv + 2])
         x = rng.standard_normal((sizes[lv + 1], sizes[lv + 1]))
-        want = ((dense(blocks[lv][2], (sizes[lv], sizes[lv + 1])) @ x)
-                @ dense(blocks[lv + 1][0], (sizes[lv + 1], sizes[lv])))
-        got = _coupled(blocks[lv][2], x, blocks[lv + 1][0], sizes[lv])
+        want = ((dense(up_idx[:, at], up_w[:, at], (sizes[lv], sizes[lv + 1])) @ x)
+                @ dense(lo_idx[:, above], lo_w[:, above], (sizes[lv + 1], sizes[lv])))
+        space = np.empty((sizes[lv + 1] + sizes[lv]) * sizes[lv])
+        got = _coupled(up_idx[:, at], up_w[:, at], lowered[:, at], x, space)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), lv
 
 
-def test_elimination_memory_is_the_store_and_three_level_blocks():
-    """At n_max 30 (largest level 240) the gathers stay in chunks: no n_l x k x n_{l+1} array.
+def test_steady_state_memory_is_the_store_three_level_blocks_and_the_slots():
+    """At n_max 30 (largest level 240) the whole solve holds no sector-wide triplet array.
 
-    The store and the level blocks are float32: 4 bytes an entry.
+    The traced peak of the steady_state call stays below the float32 store
+    and three float32 blocks of the largest level, plus the slot arrays:
+    int16 columns and float64 weights for 13 shift pairs, and the float32
+    weights of ``Lo_{l+1}`` transposed in the 4 slots of ``Up_l``.
     """
-    blocks, bounds = level_system(half_model(0.5, heating=0.05), 30)
-    sizes = np.diff(bounds).astype(float)
+    model, basis = half_model(0.5, heating=0.05), FockBasis(30)
+    sizes = _level_sizes(30).astype(float)
     tracemalloc.start()
     try:
-        _eliminate_levels(blocks, bounds, np.float32)
+        steady_state(model, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * ((sizes[1:] ** 2).sum() + 3 * sizes.max() ** 2)
+    slots = (13 * (2 + 8) + 4 * 4) * sizes.sum()
+    assert peak < 4 * ((sizes[1:] ** 2).sum() + 3 * sizes.max() ** 2) + slots
 
 
 def check_against_reference(model, basis):
@@ -473,8 +566,8 @@ def test_steady_state_logs_solver_figures(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
-        r"largest level 20, stored 1475 \(0\.0 MB\), float32, backward error \S+ refined to "
-        r"\S+ in [1-6] sweeps, residual \S+ in units of s = 1; "
+        r"largest level 20, stored 1475 \(0\.0 MB; slot blocks 0\.0 MB\), float32, "
+        r"backward error \S+ refined to \S+ in [1-6] sweeps, residual \S+ in units of s = 1; "
         r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
 
@@ -678,11 +771,9 @@ def test_expm_matches_scipy(rng):
     for n in (1, 3, 10, 40):
         a = rng.standard_normal((n, n))
         assert relative_gap(_expm(a), scipy.linalg.expm(a)) <= 1e-13, n
-    basis = FockBasis(8)
-    _, _, reps, (rows, cols, vals) = _orbit_system(
-        _terms(half_model(0.3, heating=0.1), basis), basis, first_row=0)
-    dense = np.zeros((len(reps), len(reps)))
-    np.add.at(dense, (rows, cols), vals)
+    (rows, cols, vals), size = orbit_triplets(half_model(0.3, heating=0.1), FockBasis(8))
+    dense = np.zeros((size, size))
+    dense[rows, cols] = vals
     hess = scipy.linalg.hessenberg(dense)
     for norm in (1e-3, 1.0, 10.0, 100.0, 1e3):
         for h in (hess, hess[:64, :64]):
@@ -706,11 +797,7 @@ def test_evolve_basis_memory_is_bounded_by_the_cap():
     matrix-vector product's two nnz-long temporaries, a few vectors more and
     16 cap x cap matrices: the Hessenberg matrix and the small exponential's.
     """
-    basis = FockBasis(40)
-    _, _, reps, triplets = _orbit_system(_terms(half_model(0.3), basis), basis, first_row=0)
-    size = len(reps)
-    rows, cols, vals = _summed(*triplets, size)
-    del triplets
+    (rows, cols, vals), size = orbit_triplets(half_model(0.3), FockBasis(40))
     vec = np.zeros(size)
     vec[0] = 1.0
     tracemalloc.start()
@@ -755,10 +842,9 @@ def test_orbit_generator_relaxes_at_the_gaussian_rate():
     model = half_model(0.3, heating=0.05)
     rates = []
     for n_max in (4, 6, 8, 10):
-        basis = FockBasis(n_max)
-        _, _, reps, (rows, cols, vals) = _orbit_system(_terms(model, basis), basis, first_row=0)
-        dense = np.zeros((len(reps), len(reps)))
-        np.add.at(dense, (rows, cols), vals)
+        (rows, cols, vals), size = orbit_triplets(model, FockBasis(n_max))
+        dense = np.zeros((size, size))
+        dense[rows, cols] = vals
         decay = -np.linalg.eigvals(dense).real
         rates.append(decay[decay > 1e-9].min())
     assert np.all(np.diff(rates) > 0), rates
