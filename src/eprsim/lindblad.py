@@ -36,7 +36,8 @@ with one shift pair (sa, sb) read one entry per row, and a heated model's
 solvers work on the orbits, with one assembler (:func:`_orbit_blocks`).
 It writes each row's entries into fixed-width slots, one block each for
 the pairs that lower, keep and raise the level, with no sort over the
-sector:
+sector.  The slots are the only form of the orbit matrix: both solvers
+multiply by it with one product (:func:`_apply`), which uses no BLAS:
 
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels, on the system divided by a power of two of
@@ -46,17 +47,17 @@ sector:
   couplings between levels have at most 4 slots a row, so each Schur
   update is row gathers of the inverse above (:func:`_coupled`).
   It solves by products with those inverses and refines the result in
-  float64 sweeps through them until a sweep gains less than 10 times.  A
-  result whose backward error stays above about 10 float64 roundings, or a
-  singular or non-finite float32 inverse, is solved again by the same
-  routine in float64, where a singular or non-finite inverse raises
+  float64 sweeps through them, on residuals from :func:`_apply`, until a
+  sweep gains less than 10 times.  A result whose backward error stays
+  above about 10 float64 roundings, or a singular or non-finite float32
+  inverse, is solved again by the same routine in float64, where a
+  singular or non-finite inverse raises
   :class:`NumericalError`; the result is certified on the unreduced
   sector, term by term;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
   where the atoms start, with an Arnoldi (Krylov) basis of the orbit
-  matrix, read row by row from the slots (:func:`_triplets`), and a Pade
-  exponential of its small Hessenberg matrix (:func:`_krylov_propagate`,
-  :func:`_expm`).
+  matrix, each vector a slot product, and a Pade exponential of its small
+  Hessenberg matrix (:func:`_krylov_propagate`, :func:`_expm`).
 
 States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
 sorted vec indices of the sector entries and their values.  A sector entry
@@ -75,13 +76,12 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, FockBasis, NumericalError, TruncationWarning, _lookup
-from .states import TRUNCATION_POP_WARN, edge_population
+from .hilbert import DensityMatrix, FockBasis, NumericalError, _lookup
+from .states import _warn_if_truncated
 
 log = logging.getLogger(__name__)
 
@@ -263,30 +263,15 @@ def _position_table(members, positions, basis: FockBasis) -> np.ndarray:
     """``positions`` laid out by the sector vec indices ``members``, -1 elsewhere.
 
     A sector entry ``<m0 m1| rho |n0 n1>`` has ``n1 = m1 - m0 + n0``, so the
-    (n_max, n_max, n_max) table indexed by (m0, m1, n0) has a place for each;
-    read it with :func:`_find`, or flat at ``vec // n_max`` for a sector
-    entry at vec index ``vec = u * d + v``, which is ``u * n_max + v // n_max``.
+    (n_max, n_max, n_max) table indexed by (m0, m1, n0) has a place for each.
+    Read it flat at ``vec // n_max`` for a sector entry at vec index
+    ``vec = u * d + v``, which is ``u * n_max + v // n_max``; only sector
+    entries have a place, so a caller reads it where a term meets its source.
     """
     n = basis.n_max
     table = np.full((n, n, n), -1, dtype=np.intp)
     table.reshape(-1)[members // n] = positions
     return table
-
-
-def _find(table, wanted, basis: FockBasis) -> np.ndarray:
-    """The entry of :func:`_position_table`'s ``table`` at each vec index ``wanted``.
-
-    -1 where ``wanted`` is outside the d x d matrix, outside the sector or
-    not a member, so it equals ``hilbert._lookup(members, positions,
-    wanted)`` for any integer ``wanted``; one pass, with no search.
-    """
-    n, d = basis.n_max, basis.dimension
-    u, v = np.divmod(wanted, d)
-    inside = (u >= 0) & (u < d)
-    u = np.where(inside, u, 0)
-    offset = np.arange(d) % n - np.arange(d) // n  # m1 - m0 of a row, n1 - n0 of a column
-    inside &= offset[u] == offset[v]
-    return np.where(inside, table.reshape(-1)[u * n + v // n], -1)
 
 
 def _pairs(terms) -> dict:
@@ -389,7 +374,8 @@ def _neighbour_starts(bounds, kind) -> np.ndarray:
     itself, where the blocks of :func:`_orbit_blocks` have no entry.
     """
     top = len(bounds) - 2
-    return bounds[np.clip(np.repeat(np.arange(top + 1), np.diff(bounds)) + kind - 1, 0, top)]
+    levels = np.minimum(np.maximum(np.arange(top + 1) + kind - 1, 0), top)
+    return np.repeat(bounds[levels], np.diff(bounds))
 
 
 def _orbit_blocks(terms, basis: FockBasis):
@@ -398,7 +384,9 @@ def _orbit_blocks(terms, basis: FockBasis):
     Row ``i`` is kept at orbit ``i``'s representative and each column is
     summed over an orbit.  ``A rho B`` takes row (u, v) from the entry at
     (u + sa, v - sb), with the weight ``A[u, u + sa] * B[v - sb, v]``, so the
-    terms with one shift pair (sa, sb) reach one column per row.  A pair
+    terms with one shift pair (sa, sb) reach one column per row, the orbit
+    that :func:`_position_table` holds for that entry, read only at the rows
+    where some term's weights meet.  Each term's product is made once.  A pair
     moves the level of :func:`_level` by ``(sum(sa) - sum(sb)) / 2``: of the
     at most 13 pairs, 4 lower it, 5 keep it and 4 raise it, so ordered by
     level the system is block tridiagonal, with blocks ``Lo_l``, ``D_l`` and
@@ -428,36 +416,38 @@ def _orbit_blocks(terms, basis: FockBasis):
     blocks = [(np.zeros(shape, itype), np.zeros(shape)) for shape in shapes]
     indices = _sector_indices(basis)
     orbit, reps = _orbits(indices, basis)
-    table = _position_table(indices, orbit, basis)
+    table = _position_table(indices, orbit, basis).reshape(-1)
     del indices, orbit
     u, v = np.divmod(reps, d)
     del reps
-    columns = {}  # (sa, sb) -> its column, -1 where every weight of its terms is 0
-    for (sa, sb), group in pairs.items():
-        met = np.logical_or.reduce([wa[u] * _shifted(wb, (-sb[0], -sb[1]), basis)[v] != 0
-                                    for _, wa, wb in group])
-        src = _find(table, (u + _flat(sa, basis)) * d + v - _flat(sb, basis), basis)
-        src -= _neighbour_starts(bounds, kinds[sa, sb])
-        columns[sa, sb] = np.where(met, src, -1).astype(itype)
-    del table
     for kind, (idx, w) in enumerate(blocks):
-        group = [pair for pair in pairs if kinds[pair] == kind]
-        cols = np.array([columns.pop(pair) for pair in group])
-        first = cols >= 0  # the first slot of each distinct column of a row
-        for s in range(1, len(cols)):
-            first[s] &= ~((cols[:s] == cols[s]) & first[:s]).any(axis=0)
-        head, seen = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)  # w holds the later weights
-        for (sa, sb), col in zip(group, cols):
+        start = _neighbour_starts(bounds, kind)
+        cols, tops, rests = [], [], []  # by pair: its column (-1 where no term meets), weights
+        for (sa, sb), group in pairs.items():
+            if kinds[sa, sb] != kind:
+                continue
             top = rest = 0.0  # the pair's first weight at each row, and its later ones summed
             met = False
-            for coeff, wa, wb in pairs[sa, sb]:
+            for coeff, wa, wb in group:
                 a, b = wa[u], _shifted(wb, (-sb[0], -sb[1]), basis)[v]  # A[u, u + sa], B[v - sb, v]
                 weight, hit = coeff * a * b, a * b != 0
                 top = np.where(met | ~hit, top, weight)
                 rest = np.where(met & hit, rest + weight, rest)
                 met = met | hit
+            col = np.full(len(u), -1, itype)
+            src = (u[met] + _flat(sa, basis)) * n + (v[met] - _flat(sb, basis)) // n  # (m0, m1, n0)
+            col[met] = table[src] - start[met]
+            cols.append(col)
+            tops.append(top)
+            rests.append(rest)
+        cols = np.array(cols)
+        first = cols >= 0  # the first slot of each distinct column of a row
+        for s in range(1, len(cols)):
+            first[s] &= ~((cols[:s] == cols[s]) & first[:s]).any(axis=0)
+        head, seen = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)  # w holds the later weights
+        for col, top, rest in zip(cols, tops, rests):
             slot = np.sum(first & (cols < col), axis=0)  # the rank of its column in the row
-            for s in range(len(group)):
+            for s in range(len(cols)):
                 at = (slot == s) & (col >= 0)
                 head[s] = np.where(at & ~seen[s], top, head[s])
                 w[s] = np.where(at, np.where(seen[s], w[s] + top + rest, rest), w[s])
@@ -467,17 +457,20 @@ def _orbit_blocks(terms, basis: FockBasis):
     return bounds, blocks
 
 
-def _triplets(blocks, bounds):
-    """The entries of :func:`_orbit_blocks`' system as (rows, cols, vals), sorted by row and column.
+def _apply(blocks, bounds, x) -> np.ndarray:
+    """The system of :func:`_orbit_blocks` times ``x``, with no BLAS.
 
-    A row's slots of each block hold distinct columns in ascending order, and
-    the blocks reach the levels below, at and above the row's, so the slots
-    read row by row are in order; the slots of weight 0 are dropped.
+    Each row sums its slots in order: the levels below, at and above its
+    own, each in ascending column, so a row's entries are summed in the
+    order of their columns.  A slot with weight 0 adds ``0 * x[...]``,
+    which changes no sum while ``x`` is finite.
     """
-    cols = np.concatenate([idx + _neighbour_starts(bounds, k) for k, (idx, _) in enumerate(blocks)])
-    vals = np.concatenate([w for _, w in blocks]).T.ravel()
-    keep = vals != 0
-    return np.repeat(np.arange(bounds[-1]), len(cols))[keep], cols.T.ravel()[keep], vals[keep]
+    out = np.zeros(len(x))
+    for kind, (idx, w) in enumerate(blocks):
+        start = _neighbour_starts(bounds, kind)
+        for i, ws in zip(idx, w):
+            out += ws * x[i + start]
+    return out
 
 
 def _inverse(a: np.ndarray, out: np.ndarray) -> None:
@@ -587,8 +580,8 @@ def _eliminate_levels(blocks, bounds, dtype):
     residual of the orbit equations, ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}``
     from the top down, then ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the
     vacuum up, and ``x_l += d_l``, each product with ``X_l`` taking its
-    vector in ``dtype`` and giving it back in float64.  The residual is a
-    gather per slot over all the levels, not a scatter per level.  Up to
+    vector in ``dtype`` and giving it back in float64.  The residual is
+    ``-(A x)`` by :func:`_apply`, a gather per slot over all the levels.  Up to
     ``_REFINE_SWEEPS`` more sweeps follow, until one cuts the normwise
     backward error ``eta = ||r||_inf / (||A||_inf ||x||_inf)`` by less than
     10 times.  A singular level block, or an inverse that is not finite,
@@ -639,18 +632,9 @@ def _eliminate_levels(blocks, bounds, dtype):
             raise np.linalg.LinAlgError(f"the inverse of level {lv} is not finite")
     del lowered
 
-    def residual(x):
-        """-(A x) at every orbit; the vacuum's row is not used."""
-        out = np.zeros(len(x))
-        for kind, (idx, w) in enumerate(blocks):
-            start = _neighbour_starts(bounds, kind)
-            for i, ws in zip(idx, w):
-                out -= ws * x[i + start]
-        return out
-
     x = np.zeros(bounds[-1])
     x[0] = 1.0
-    res, etas = residual(x), []
+    res, etas = -_apply(blocks, bounds, x), []  # the vacuum's row is not used
     while len(etas) <= _REFINE_SWEEPS and (len(etas) < 2 or etas[-1] < etas[-2] / 10):
         for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
             res[level(lv)] -= apply(up_idx, up_w, lv, times(lv + 1, res[level(lv + 1)]))
@@ -658,7 +642,7 @@ def _eliminate_levels(blocks, bounds, dtype):
         for lv in range(1, top + 1):
             delta = times(lv, res[level(lv)] - apply(lo_idx, lo_w, lv, delta))
             x[level(lv)] += delta
-        res = residual(x)
+        res = -_apply(blocks, bounds, x)
         etas.append(float(np.abs(res[bounds[1]:]).max() / (norm_a * np.abs(x).max())))
     return x, store.size, store.itemsize, etas
 
@@ -692,9 +676,9 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     elimination's work (sum n_l**3) would exceed ``_STEADY_STORE_BUDGET`` or
     ``_STEADY_WORK_BUDGET``, and after the solve for a singular or
     non-finite level inverse or a failed certification.  A
-    :class:`~eprsim.errors.TruncationWarning` is emitted when the top Fock
-    level holds more than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the
-    population.
+    :class:`~eprsim.errors.TruncationWarning` is emitted, by the check the
+    Bell and Wigner routines use, when the top Fock level alone holds more
+    than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the population.
     """
     counts = _level_sizes(basis.n_max)
     sizes = counts.astype(float)
@@ -758,14 +742,7 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
         )
 
     rho = DensityMatrix(basis, indices, values)
-    pop = edge_population(rho, fraction=0.0)  # the top level alone
-    if pop > TRUNCATION_POP_WARN:
-        warnings.warn(
-            f"steady_state: top Fock level holds population {pop:.2e}; "
-            "increase n_max",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_if_truncated(rho, "steady_state", fraction=0.0)  # the top level alone
     return rho
 
 
@@ -870,8 +847,8 @@ def _certified(hess, m, beta, tau, todo):
     return ys
 
 
-def _krylov_propagate(rows, cols, vals, vec, h, steps):
-    """The vectors exp(k h L) vec for k = 0..steps, L given by its summed triplets.
+def _krylov_propagate(blocks, bounds, vec, h, steps):
+    """The vectors exp(k h L) vec for k = 0..steps, L the slot blocks of :func:`_orbit_blocks`.
 
     Arnoldi on L from ``vec`` (two classical Gram-Schmidt passes per
     vector) gives an orthonormal basis V_m and the Hessenberg H_m, and
@@ -884,10 +861,11 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
     certified steps are kept and Arnoldi restarts from the last of them.
     When not one step is certified at the cap, tau is halved on the same
     basis; the internal step stays ``h / substeps`` from then on.  A basis
-    that spans all of L's space is exact.  Matrix-vector products are
-    numpy's einsum, not BLAS (which splits long ones across threads), and
-    :func:`_expm` multiplies in blocks, so the vectors do not depend on the
-    BLAS thread count.  Returns the (steps + 1, size) array of vectors with
+    that spans all of L's space is exact.  Products with L are
+    :func:`_apply`'s and the Gram-Schmidt products numpy's einsum, neither
+    BLAS (which splits long ones across threads), and :func:`_expm`
+    multiplies in blocks, so the vectors do not depend on the BLAS thread
+    count.  Returns the (steps + 1, size) array of vectors with
     (largest basis, restarts, largest certified estimate, substeps).
     """
     size = len(vec)
@@ -906,7 +884,7 @@ def _krylov_propagate(rows, cols, vals, vec, h, steps):
         m = 0
         while True:  # double the basis until every step is certified, or to the cap
             for m in range(m + 1, min(max(2 * m, _KRYLOV_FIRST), cap) + 1):
-                w = np.bincount(rows, vals * basis[m - 1][cols], minlength=size)
+                w = _apply(blocks, bounds, basis[m - 1])
                 for _ in range(2):
                     c = np.einsum("ij,j->i", basis[:m], w)
                     w -= np.einsum("i,ij->j", c, basis[:m])
@@ -954,9 +932,12 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     :func:`moments` reads their second moments and purity.  The span
     ``||L||_1 * (times[-1] - times[0])`` sets how many basis vectors and
     restarts the propagation needs, and each vector costs a product with
-    the orbit matrix's stored entries; where span times entries exceeds a
+    the orbit matrix's nonzero slots (nnz); where span times nnz exceeds a
     fixed budget (1e9) :class:`~eprsim.errors.NumericalError` is raised
-    before any propagation.
+    before any propagation.  Both are read from the slots of
+    :func:`_orbit_blocks`, and every product with the orbit matrix is
+    :func:`_apply`'s, which uses no BLAS, so the states do not depend on
+    the BLAS thread count.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -969,13 +950,14 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     t0 = time.perf_counter()
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
     size = bounds[-1]
-    rows, cols, vals = _triplets(blocks, bounds)
-    del blocks
-    span = np.bincount(cols, np.abs(vals), minlength=size).max() * (times[-1] - times[0])
-    work = span * len(vals)
+    nnz = sum(np.count_nonzero(w) for _, w in blocks)
+    columns = sum(np.bincount((idx + _neighbour_starts(bounds, k)).ravel(), np.abs(w).ravel(), size)
+                  for k, (idx, w) in enumerate(blocks))  # of |L|, whose 1-norm is their largest
+    span = columns.max() * (times[-1] - times[0])
+    work = span * nnz
     if not work <= _EVOLVE_WORK_BUDGET:
         raise NumericalError(
-            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {span:.2e} times nnz {len(vals)} "
+            f"evolve: work estimate ||L||_1 * (t_end - t_0) = {span:.2e} times nnz {nnz} "
             f"= {work:.2e} exceeds the budget {_EVOLVE_WORK_BUDGET:.0e}; shorten the time "
             "span, or lower gamma or n_max")
     vec = np.zeros(size)
@@ -983,12 +965,12 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     t1 = time.perf_counter()
     steps = len(times) - 1
     vecs, (largest, restarts, worst, substeps) = _krylov_propagate(
-        rows, cols, vals, vec, (times[-1] - times[0]) / max(steps, 1), steps)
+        blocks, bounds, vec, (times[-1] - times[0]) / max(steps, 1), steps)
     t2 = time.perf_counter()
     log.info(
         "evolve: orbits path, %d unknowns, nnz %d, Krylov basis %d, restarts %d, "
         "substeps %d, largest estimate %.1e; assemble %.3fs, propagate %.3fs",
-        size, len(vals), largest, restarts, substeps, worst, t1 - t0, t2 - t1,
+        size, nnz, largest, restarts, substeps, worst, t1 - t0, t2 - t1,
     )
     indices = _sector_indices(basis)
     orbit, _ = _orbits(indices, basis)

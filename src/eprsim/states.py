@@ -147,11 +147,14 @@ def edge_population(state: DensityMatrix, fraction: float = 0.1) -> float:
     return float(pops2[mask].sum())
 
 
-def _warn_if_truncated(state: DensityMatrix, where: str, stacklevel: int = 3):
-    pop = edge_population(state)
+def _warn_if_truncated(state: DensityMatrix, where: str, stacklevel: int = 3,
+                       fraction: float = 0.1):
+    """Warn when :func:`edge_population` in the top ``fraction`` of levels is too large."""
+    pop = edge_population(state, fraction)
     if pop > TRUNCATION_POP_WARN:
+        band = f"the top {fraction:.0%} of Fock levels" if fraction else "the top Fock level"
         warnings.warn(
-            f"{where}: population {pop:.2e} in the top 10% of Fock levels "
+            f"{where}: population {pop:.2e} in {band} "
             f"exceeds {TRUNCATION_POP_WARN:.0e}; results may be truncation-limited",
             TruncationWarning,
             stacklevel=stacklevel,

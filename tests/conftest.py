@@ -96,19 +96,23 @@ def expm_multiply_evolve(model, basis, times):
 
     scipy's ``expm_multiply`` (Al-Mohy & Higham 2011) propagates the vacuum
     on the orbit matrix over the uniform grid ``times``; the tests hold the
-    numpy propagation to it.
+    numpy propagation to it.  The orbit matrix is read from the slots of
+    ``_orbit_blocks``.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
-    from eprsim.lindblad import _orbit_blocks, _orbits, _sector_indices, _terms, _triplets
+    from eprsim.lindblad import _neighbour_starts, _orbit_blocks, _orbits, _sector_indices, _terms
 
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
-    rows, cols, vals = _triplets(blocks, bounds)
     size = bounds[-1]
     indices = _sector_indices(basis)
     orbit, _ = _orbits(indices, basis)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    # every slot, the empty ones too: tocsr sums their weight 0 into column 0 of a level
+    cols = np.concatenate([idx + _neighbour_starts(bounds, k) for k, (idx, _) in enumerate(blocks)])
+    vals = np.concatenate([w for _, w in blocks])
+    rows = np.broadcast_to(np.arange(size), cols.shape)
+    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)).tocsr()
     vec = np.zeros(size)
     vec[0] = 1.0
     vecs = [vec] if len(times) == 1 else expm_multiply(

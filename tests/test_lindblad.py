@@ -34,9 +34,9 @@ from eprsim import (
 from eprsim import lindblad
 from eprsim.hilbert import _lookup
 from eprsim.lindblad import (
+    _apply,
     _coupled,
     _expm,
-    _find,
     _flat,
     _inverse,
     _krylov_propagate,
@@ -52,7 +52,6 @@ from eprsim.lindblad import (
     _shifted,
     _solve,
     _terms,
-    _triplets,
 )
 from eprsim.metrics import fidelity
 from eprsim.states import TmssSpec
@@ -111,12 +110,6 @@ def sector_matrix(model, basis):
                          shape=shape).tocsc()
 
 
-def orbit_triplets(model, basis):
-    """The orbit matrix that ``evolve`` propagates, as summed triplets, and its size."""
-    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
-    return _triplets(blocks, bounds), bounds[-1]
-
-
 def dense_orbit_matrix(model, basis):
     """The generator on the orbits, written out densely from the monomials of ``_terms``.
 
@@ -138,7 +131,7 @@ def dense_orbit_matrix(model, basis):
 
 
 def dense_blocks(blocks, bounds):
-    """The slot blocks of ``_orbit_blocks`` summed into one dense orbit matrix."""
+    """The slot blocks of ``_orbit_blocks`` summed into one dense orbit matrix, ``evolve``'s."""
     out = np.zeros((bounds[-1], bounds[-1]))
     rows = np.arange(bounds[-1])
     for kind, (idx, w) in enumerate(blocks):
@@ -290,11 +283,14 @@ ORBIT_MODELS = pytest.mark.parametrize("model", [
 
 @pytest.mark.parametrize("n_max", [2, 3, 5, 8, 10])
 @ORBIT_MODELS
-def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max):
-    """Every slot block, ``Lo_{l+1}`` read into Up_l's slots, and evolve's triplets, entry by entry.
+def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max, rng):
+    """Every slot block, ``Lo_{l+1}`` read into Up_l's slots, and the slot product, entry by entry.
 
     The blocks hold each entry at its level: ``Lo_l``, ``D_l`` and ``Up_l``
     reach levels ``l - 1``, ``l`` and ``l + 1``; no slot leaves the orbits.
+    ``_apply`` sums each row in the order of its columns, as a ``bincount``
+    over the entries sorted by row and column does, bit for bit: the bytes
+    of ``golden/evolve_vacuum.csv`` depend on that order.
     """
     basis = FockBasis(n_max)
     want = dense_orbit_matrix(model, basis)
@@ -312,10 +308,17 @@ def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max):
     got = dense_blocks(blocks, bounds)
     assert np.array_equal(got != 0, want != 0)
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-    rows, cols, vals = _triplets(blocks, bounds)
-    assert np.all(np.diff(rows * bounds[-1] + cols) > 0)  # by row and column, each once
+    cols = np.concatenate([idx + _neighbour_starts(bounds, k) for k, (idx, _) in enumerate(blocks)])
+    vals = np.concatenate([w for _, w in blocks])
+    rows = np.broadcast_to(np.arange(bounds[-1]), cols.shape)[vals != 0]
+    cols, vals = cols[vals != 0], vals[vals != 0]
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
     assert len(vals) == np.count_nonzero(want)
-    assert np.all(np.abs(vals - want[rows, cols]) <= 1e-15 * np.abs(want[rows, cols]))
+    for x in rng.standard_normal((3, bounds[-1])):
+        got = _apply(blocks, bounds, x)
+        assert np.all(np.abs(got - want @ x) <= 1e-13 * (np.abs(want) @ np.abs(x)))
+        assert np.array_equal(got, np.bincount(rows, vals * x[cols], minlength=bounds[-1]))
     lowered = _lowering_by_column(blocks, bounds, float)
     (up_idx, _) = blocks[2]
     transposed = np.zeros_like(want)
@@ -340,27 +343,20 @@ def test_sector_residual_matches_dense_generator(rng):
 
 @pytest.mark.parametrize("n_max", [2, 3, 7])
 def test_position_table_matches_searchsorted_lookup(n_max, rng):
-    """``_find`` on the table against ``_lookup`` on the sorted members, for every vec index.
+    """The table read flat at ``vec // n_max`` against ``_lookup`` on the sorted members.
 
-    The wanted indices are every sector index moved by every per-mode shift
-    pair up to 2, so they leave the box and wrap across rows of the flat
-    index, and every integer from -d**2 to 2 d**2; the members are the
-    whole sector and a random half of it.
+    Every sector index is read; the members are the whole sector and a
+    random half of it, so the other half reads -1.
     """
     basis = FockBasis(n_max)
-    d = basis.dimension
     indices = _sector_indices(basis)
-    u, v = np.divmod(indices, d)
-    shifts = [(s0, s1) for s0 in range(-2, 3) for s1 in range(-2, 3)]
-    wanted = [(u + _flat(sa, basis)) * d + v - _flat(sb, basis) for sa in shifts for sb in shifts]
-    wanted.append(np.arange(-d * d, 2 * d * d))
     half = np.sort(rng.choice(indices, len(indices) // 2, replace=False))
     for members in (indices, half):
         positions = rng.permutation(len(members))
         table = _position_table(members, positions, basis)
         assert table.shape == (n_max, n_max, n_max)
-        for q in wanted:
-            assert np.array_equal(_find(table, q, basis), _lookup(members, positions, q))
+        got = table.reshape(-1)[indices // n_max]
+        assert np.array_equal(got, _lookup(members, positions, indices))
 
 
 def searchsorted_residual(terms, basis, indices, values):
@@ -663,7 +659,7 @@ def test_steady_state_with_heating():
 
 def test_steady_state_truncation_warning():
     model = half_model(0.6)  # N is about 3.5: far too hot for n_max = 8
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning, match=r"^steady_state: population \S+ in the top Fock level"):
         steady_state(model, FockBasis(8))
 
 
@@ -771,9 +767,9 @@ def test_expm_matches_scipy(rng):
     for n in (1, 3, 10, 40):
         a = rng.standard_normal((n, n))
         assert relative_gap(_expm(a), scipy.linalg.expm(a)) <= 1e-13, n
-    (rows, cols, vals), size = orbit_triplets(half_model(0.3, heating=0.1), FockBasis(8))
-    dense = np.zeros((size, size))
-    dense[rows, cols] = vals
+    basis = FockBasis(8)
+    bounds, blocks = _orbit_blocks(_terms(half_model(0.3, heating=0.1), basis), basis)
+    dense = dense_blocks(blocks, bounds)
     hess = scipy.linalg.hessenberg(dense)
     for norm in (1e-3, 1.0, 10.0, 100.0, 1e3):
         for h in (hess, hess[:64, :64]):
@@ -793,22 +789,24 @@ def test_solve_matches_numpy(rng, n, band):
 def test_evolve_basis_memory_is_bounded_by_the_cap():
     """At n_max 40 a square Arnoldi basis would take 1 GB; the propagation holds the cap.
 
-    The traced peak covers the basis (cap x size), the output vectors, the
-    matrix-vector product's two nnz-long temporaries, a few vectors more and
+    The traced peak covers the basis (cap x size), the output vectors, eight
+    orbit-length vectors (the slot product's temporaries and Arnoldi's) and
     16 cap x cap matrices: the Hessenberg matrix and the small exponential's.
     """
-    (rows, cols, vals), size = orbit_triplets(half_model(0.3), FockBasis(40))
+    basis = FockBasis(40)
+    bounds, blocks = _orbit_blocks(_terms(half_model(0.3), basis), basis)
+    size = bounds[-1]
     vec = np.zeros(size)
     vec[0] = 1.0
     tracemalloc.start()
     try:
-        out, (largest, _, _, _) = _krylov_propagate(rows, cols, vals, vec, 0.4, 10)
+        out, (largest, _, _, _) = _krylov_propagate(blocks, bounds, vec, 0.4, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     cap = lindblad._KRYLOV_CAP
     assert largest == cap < size
-    assert peak <= 8 * (size * (cap + len(out) + 4) + 2 * len(vals) + 16 * cap ** 2)
+    assert peak <= 8 * (size * (cap + len(out) + 8) + 16 * cap ** 2)
 
 
 def test_evolve_uncertified_raises(monkeypatch):
@@ -842,9 +840,9 @@ def test_orbit_generator_relaxes_at_the_gaussian_rate():
     model = half_model(0.3, heating=0.05)
     rates = []
     for n_max in (4, 6, 8, 10):
-        (rows, cols, vals), size = orbit_triplets(model, FockBasis(n_max))
-        dense = np.zeros((size, size))
-        dense[rows, cols] = vals
+        basis = FockBasis(n_max)
+        bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+        dense = dense_blocks(blocks, bounds)
         decay = -np.linalg.eigvals(dense).real
         rates.append(decay[decay > 1e-9].min())
     assert np.all(np.diff(rates) > 0), rates

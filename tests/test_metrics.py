@@ -273,7 +273,7 @@ def test_bell_sweep_builds_one_layout_and_checks_once_per_state(monkeypatch, tmp
     checked = []
     edge_population = states.edge_population
     monkeypatch.setattr(states, "edge_population",
-                        lambda state: checked.append(state) or edge_population(state))
+                        lambda state, *band: checked.append(state) or edge_population(state, *band))
     builds = states._support.cache_info().misses
     assert main(["bell-sweep", "--config", str(CONFIGS / "bell_default.json"),
                  "--out", str(tmp_path / "bell.csv")]) == 0
