@@ -48,12 +48,10 @@ multiply by it with one product (:func:`_apply`), which uses no BLAS:
   update is row gathers of the inverse above (:func:`_coupled`).
   It solves by products with those inverses and refines the result in
   float64 sweeps through them, on residuals from :func:`_apply`, until a
-  sweep gains less than 10 times.  A result whose backward error stays
-  above about 10 float64 roundings, or a singular or non-finite float32
-  inverse, is solved again by the same routine in float64, where a
-  singular or non-finite inverse raises
-  :class:`NumericalError`; the result is certified on the unreduced
-  sector, term by term;
+  sweep gains less than 10 times; a singular or non-finite inverse raises
+  :class:`NumericalError`, and the result is certified on the unreduced
+  sector, term by term.  A box that misses more than half of each mode's
+  thermal state (:func:`_tail`) is refused first;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
   where the atoms start, with an Arnoldi (Krylov) basis of the orbit
   matrix, each vector a slot product, and a Pade exponential of its small
@@ -87,16 +85,15 @@ log = logging.getLogger(__name__)
 
 STEADY_RESIDUAL_TOL = 1e-8
 
-# Budgets that steady_state checks before it allocates: the bytes of the
-# level inverses, 8 * sum n_l**2, and the elimination's work, sum n_l**3,
-# over the orbit counts n_l of the levels (:func:`_level_sizes`).  The store
-# is float32, half that, but a model that falls back to float64 allocates
-# all of it.  n_max 80 needs 0.65 GiB and 1.0e11: in float32 it runs in
-# 3.7-4.1 s with maxrss 391 MB at one BLAS thread on a 2-core x86-64 host
-# (the float64 elimination alone took 8.6-9.1 s and 798 MB).  n_max 100,
-# the largest that passes, needs 1.96 GiB and 4.8e11, and n_max 130 would
-# need 7.2 GiB, near all the memory of an 8 GB host.
-_STEADY_STORE_BUDGET = 2 * 2**30
+# Before it allocates, steady_state refuses a box that misses more than
+# _TAIL_BOUND of each mode's state (:func:`_tail`; the float32 refinement
+# stalls only where it misses 0.9 or more), and an elimination whose work,
+# sum n_l**3 over the orbit counts n_l of the levels (:func:`_level_sizes`),
+# exceeds _STEADY_WORK_BUDGET; so the float32 inverses, 4 * sum n_l**2 bytes,
+# stay under 1 GiB.  n_max 80 needs 1.0e11 and 0.33 GiB, and runs in 3.7-4.1 s
+# with maxrss 391 MB at one BLAS thread on a 2-core x86-64 host; n_max 100,
+# the largest that passes, needs 4.79e11 and 0.98 GiB.
+_TAIL_BOUND = 0.5
 _STEADY_WORK_BUDGET = 5e11
 
 # The largest block that steady_state's block-recursive inverse
@@ -108,11 +105,8 @@ _INVERSE_LEAF = 64
 # long, and 64 rows raised the solve's peak memory by 0.1 MB.
 _GATHER_ROWS = 32
 
-# steady_state's float64 refinement sweeps (:func:`_eliminate_levels`), and
-# the backward error, about 10 float64 roundings, above which a float32
-# result is solved again in float64: a stalled refinement reads 1e-11 or more.
+# steady_state's float64 refinement sweeps (:func:`_eliminate_levels`).
 _REFINE_SWEEPS = 6
-_BACKWARD_TOL = 1e-15
 
 # Bound on ||L||_1 * (t_end - t_0) * nnz for one evolve call: the span
 # ||L||_1 * (t_end - t_0) sets how many Krylov vectors and restarts the
@@ -569,8 +563,9 @@ def _eliminate_levels(blocks, bounds, dtype):
     ``S_l = D_l - Up_l X_{l+1} Lo_{l+1}`` is formed by row gathers of
     ``X_{l+1}`` over Up_l's slots, with ``Lo_{l+1}`` read into the same
     slots (:func:`_coupled`, :func:`_lowering_by_column`), then inverted by
-    :func:`_inverse`, and only its inverse ``X_l`` is kept, in ``dtype``
-    (float32 halves the store and the time).  The Schur block and the
+    :func:`_inverse`, and only its inverse ``X_l`` is kept, in ``dtype``:
+    :func:`steady_state` runs float32, which halves the store and the time,
+    and float64 is the reference it is tested against.  The Schur block and the
     gathered product are built in the store's space of the levels not
     eliminated yet, so the largest level's temporaries take no memory of
     their own.  Eliminating from the top is the stable direction: near
@@ -647,6 +642,18 @@ def _eliminate_levels(blocks, bounds, dtype):
     return x, store.size, store.itemsize, etas
 
 
+def _tail(model: LindbladModel, n_max: int):
+    """nbar of each mode's thermal steady state, and p = (nbar / (nbar + 1))**n_max outside the box.
+
+    ``nbar = (gamma N + h) / (gamma + h)`` is the mean of N and 1 weighted by
+    gamma and h over their larger, so no finite model overflows.
+    """
+    s = max(model.gamma, model.heating_rate)
+    w_n, w_1 = model.gamma / s, model.heating_rate / s
+    nbar = (w_n * model.n_param + w_1) / (w_n + w_1)
+    return nbar, (nbar / (nbar + 1.0)) ** n_max
+
+
 def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     """Steady state of the master equation.
 
@@ -659,34 +666,31 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     be 1e-300) and, as a power of two, changes no float64 bit.
     :func:`_eliminate_levels` solves it with float32 inverses of dense level
     blocks, from the top level down, and the vacuum pinned, then refines the
-    result in float64 sweeps with the same inverses.  A result whose
-    backward error is still above ``_BACKWARD_TOL``, or a singular or
-    non-finite float32 inverse, is solved again in float64 once the float32
-    store is freed; only that run's failure is raised.  The elimination
-    holds the slot blocks and the store alone: the sector's entries and
-    their orbits are made after it, when the blocks are freed.  The result
-    is then divided by its trace and spread over the sector entries, which
-    are returned as they are.  The full state is certified by the unreduced
+    result in float64 sweeps with the same inverses.  The elimination holds
+    the slot blocks and the store alone: the sector's entries and their
+    orbits are made after it, when the blocks are freed.  The result is
+    then divided by its trace and spread over the sector entries, which are
+    returned as they are.  The full state is certified by the unreduced
     residual ``||L(rho)||_F / s < STEADY_RESIDUAL_TOL``, the norm of L(rho)
     on the sector summed term by term from :func:`_terms` (so not by the
     assembler that built the solved system): L scales with its rates while
     the state depends only on their ratios.  :class:`NumericalError` is
-    raised before anything is allocated when the float64 store of the
-    inverses (8 * sum n_l**2 bytes, which the fallback needs) or the
-    elimination's work (sum n_l**3) would exceed ``_STEADY_STORE_BUDGET`` or
-    ``_STEADY_WORK_BUDGET``, and after the solve for a singular or
-    non-finite level inverse or a failed certification.  A
+    raised before anything is allocated when the box misses more than
+    ``_TAIL_BOUND`` of each mode's state (:func:`_tail`) or the work sum
+    n_l**3 exceeds ``_STEADY_WORK_BUDGET``, and after the solve for a
+    singular or non-finite level inverse or a failed certification.  A
     :class:`~eprsim.errors.TruncationWarning` is emitted, by the check the
     Bell and Wigner routines use, when the top Fock level alone holds more
     than :data:`~eprsim.states.TRUNCATION_POP_WARN` of the population.
     """
-    counts = _level_sizes(basis.n_max)
-    sizes = counts.astype(float)
-    store_bytes, work = 8 * (sizes**2).sum(), (sizes**3).sum()
-    if not store_bytes <= _STEADY_STORE_BUDGET:
+    nbar, tail = _tail(model, basis.n_max)
+    if not tail <= _TAIL_BOUND:
         raise NumericalError(
-            f"steady-state: the level inverses need 8 * sum n_l**2 = {store_bytes / 2**30:.3g} "
-            f"GiB, over the budget {_STEADY_STORE_BUDGET / 2**30:.3g} GiB; lower n_max")
+            f"steady-state: an n_max {basis.n_max} box misses p = (nbar / (nbar + 1))**n_max "
+            f"= {tail:.3g} of each mode's thermal state (nbar = {nbar:.3g}), over the bound "
+            f"{_TAIL_BOUND}; raise n_max")
+    counts = _level_sizes(basis.n_max)
+    work = (counts.astype(float) ** 3).sum()
     if not work <= _STEADY_WORK_BUDGET:
         raise NumericalError(
             f"steady-state: the level elimination's work sum n_l**3 = {work:.3g} exceeds the "
@@ -704,18 +708,10 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     slot_bytes = sum(idx.nbytes + w.nbytes for idx, w in blocks)
     t1 = time.perf_counter()
     try:
-        with np.errstate(all="ignore"):  # an overflow shows as a non-finite inverse or eta
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite inverse or residual
             x, stored, itemsize, etas = _eliminate_levels(blocks, bounds, np.float32)
-        path = "float32" if etas[-1] <= _BACKWARD_TOL else (
-            f"float64 fallback (float32 backward error {etas[-1]:.1e} "
-            f"after {len(etas) - 1} sweeps)")
     except np.linalg.LinAlgError as exc:
-        path = f"float64 fallback (float32: {exc})"
-    if path != "float32":  # out of the handler, so its traceback no longer holds the store
-        try:
-            x, stored, itemsize, etas = _eliminate_levels(blocks, bounds, np.float64)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
+        raise NumericalError(f"steady-state level elimination failed: {exc}") from exc
     del blocks  # the sector's entries and their orbits are made again, after the elimination
     indices = _sector_indices(basis)
     orbit, _ = _orbits(indices, basis)
@@ -728,11 +724,11 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
-        "largest level %d, stored %d (%.1f MB; slot blocks %.1f MB), %s, backward error %.1e "
-        "refined to %.1e in %d sweeps, residual %.3e in units of s = %g; assemble %.3fs, "
-        "eliminate %.3fs, certify %.3fs",
+        "largest level %d, stored %d (%.1f MB; slot blocks %.1f MB), tail bound p %.1e, "
+        "backward error %.1e refined to %.1e in %d sweeps, residual %.3e in units of s = %g; "
+        "assemble %.3fs, eliminate %.3fs, certify %.3fs",
         len(indices), size, nnz, len(counts), counts.max(), stored, stored * itemsize / 1e6,
-        slot_bytes / 1e6, path, etas[0], etas[-1], len(etas) - 1, resid, scale,
+        slot_bytes / 1e6, tail, etas[0], etas[-1], len(etas) - 1, resid, scale,
         t1 - t0, t2 - t1, t3 - t2,
     )
     if not resid < STEADY_RESIDUAL_TOL:

@@ -626,7 +626,8 @@ def _edge_of_m_bound():
     ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [5e-324]}, 3,
      "numerical failure: cascade at kappa_over_gamma 5e-324: gamma must be finite, got inf"),
     ("steady-state", {"model": _edge_of_m_bound(), "n_max": 8}, 3,
-     "numerical failure: Gaussian steady state: covariance violates the uncertainty bound"),
+     "numerical failure: steady-state: an n_max 8 box misses p = (nbar / (nbar + 1))**n_max "
+     "= 0.999 of each mode's thermal state (nbar = 1e+04), over the bound 0.5; raise n_max\n"),
     ("evolve", {"model": {"epsilon_over_kappa": 0.3, "gamma": 1e300}, "n_max": 6,
                 "times": {"start": 0.0, "stop": 5.0, "num": 3}}, 3,
      "numerical failure: evolve: work estimate ||L||_1 * (t_end - t_0) = "),
@@ -675,18 +676,20 @@ def _edge_of_m_bound():
     ("feasibility", {"experiment": _experiment(), "r": 1.0, "ratio_threshold": -5.0}, 2,
      "config error: ratio_threshold: must be > 0, got -5.0\n"),
     ("steady-state", {"model": {"epsilon_over_kappa": 0.5}, "n_max": 130}, 3,
-     "numerical failure: steady-state: the level inverses need 8 * sum n_l**2 = 7.19 GiB, "
-     "over the budget 2 GiB; lower n_max\n"),
+     "numerical failure: steady-state: the level elimination's work sum n_l**3 = 2.96e+12 "
+     "exceeds the budget 5e+11; lower n_max\n"),
+    ("steady-state", {"model": {"epsilon_over_kappa": 0.97}, "n_max": 25}, 3,
+     "numerical failure: steady-state: an n_max 25 box misses p = (nbar / (nbar + 1))**n_max "
+     "= 0.977 of each mode's thermal state (nbar = 1.08e+03), over the bound 0.5; raise n_max\n"),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
-        "steady-state-gaussian-route", "evolve-gamma-1e300", "wigner-r-1e300",
+        "steady-state-edge-of-m-bound", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
         "feasibility-g0-1e155", "feasibility-kappa-gamma-1e-200", "feasibility-kappa-1e-320",
         "feasibility-delta-1e-320", "feasibility-delta-1e308", "feasibility-e-laser-1e-320",
         "feasibility-eta-1e-320", "feasibility-t-decoherence-1e308", "steady-state-n-max-1e11",
         "nopa-spectrum-omega-1e308",
         "evolve-times-num-0", "bell-sweep-r-num-0", "bell-sweep-j-num-0", "feasibility-r-negative",
-        "feasibility-threshold-negative", "steady-state-n-max-130"])
-@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1e4 at n_max 8
+        "feasibility-threshold-negative", "steady-state-n-max-130", "steady-state-tail-eps-0.97"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})

@@ -27,6 +27,7 @@ from eprsim import (
     model_from_lindblad,
     moments,
     purity,
+    steady_covariance,
     steady_state,
     tmss_fock,
     vacuum_state,
@@ -36,6 +37,7 @@ from eprsim.hilbert import _lookup
 from eprsim.lindblad import (
     _apply,
     _coupled,
+    _eliminate_levels,
     _expm,
     _flat,
     _inverse,
@@ -481,18 +483,22 @@ def test_steady_state_uncertified_raises(monkeypatch):
         steady_state(half_model(0.2), FockBasis(6))
 
 
-@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1056 at eps 0.97
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # eps 0.7 at n_max 10
 @pytest.mark.parametrize("n_max", [10, 25])
-def test_steady_state_certifies_relative_to_the_rates(n_max):
-    """Near threshold at gamma 1e3 the residual is certified in units of s = 1024.
+def test_steady_state_certifies_relative_to_the_rates(caplog, n_max):
+    """At eps/kappa 0.7 and gamma 1e3 the residual is certified in units of s = 1024.
 
-    The state agrees with gamma 1's as far as the ill-conditioned system
-    allows (1.8e-9 at n_max 25).
+    The state agrees with gamma 1's as far as the system's condition number
+    (1e4 to 1e5) allows: 2.8e-14 at n_max 10.
     """
-    model = half_model(0.97)
+    model = half_model(0.7)
     fast = LindbladModel(1e3, model.n_param, model.m_param)
-    rho = steady_state(fast, FockBasis(n_max))
-    assert np.abs(rho.values - steady_state(model, FockBasis(n_max)).values).max() <= 1e-8
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        rho = steady_state(fast, FockBasis(n_max))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
+    assert "in units of s = 1024;" in line
+    ref = steady_state(model, FockBasis(n_max)).values
+    assert np.abs(rho.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_singular_level_block_raises(monkeypatch):
@@ -531,29 +537,105 @@ def test_level_sizes_count_the_orbits(n_max):
 
 
 def test_steady_state_budgets_admit_n_max_80():
-    sizes = _level_sizes(80).astype(float)
-    assert 8 * (sizes**2).sum() <= lindblad._STEADY_STORE_BUDGET
-    assert (sizes**3).sum() <= lindblad._STEADY_WORK_BUDGET
+    """The work budget admits n_max 80 and 100 and refuses n_max 101."""
+    work = {n: (_level_sizes(n).astype(float) ** 3).sum() for n in (80, 100, 101)}
+    assert work[80] <= work[100] <= lindblad._STEADY_WORK_BUDGET < work[101]
+    with pytest.raises(NumericalError, match=r"work sum n_l\*\*3 = 5.13e\+11 exceeds"):
+        steady_state(half_model(0.5), FockBasis(101))
 
 
-@pytest.mark.parametrize("n_max, store_budget, message", [
-    (130, None, r"the level inverses need 8 \* sum n_l\*\*2 = 7.19 GiB, over the budget 2 GiB"),
-    (55108, None, r"the level inverses need 8 \* sum n_l\*\*2 = "),
-    (130, 2.0**40, r"the level elimination's work sum n_l\*\*3 = 2.96e\+12 exceeds the "
-                   r"budget 5e\+11"),
-])
-def test_steady_state_over_budget_raises_before_allocating(monkeypatch, n_max, store_budget,
-                                                           message):
-    if store_budget is not None:
-        monkeypatch.setattr(lindblad, "_STEADY_STORE_BUDGET", store_budget)
+@pytest.mark.parametrize("n_max, work_budget, work, budget", [
+    (130, None, r"2.96e\+12", r"5e\+11"),
+    (55108, None, r"\S+", r"5e\+11"),
+    (130, 2.0**40, r"2.96e\+12", r"1e\+12"),
+], ids=["130-None-the level inverses would need 4 * sum n_l**2 = 3.59 GiB",
+        "55108",
+        "130-1099511627776.0-the work budget raised to 2**40 still refuses"])
+def test_steady_state_over_budget_raises_before_allocating(monkeypatch, n_max, work_budget,
+                                                           work, budget):
+    """The work budget is the only gate on the box's size, read when steady_state runs."""
+    if work_budget is not None:
+        monkeypatch.setattr(lindblad, "_STEADY_WORK_BUDGET", work_budget)
     tracemalloc.start()
     try:
-        with pytest.raises(NumericalError, match=f"^steady-state: {message}.*; lower n_max$"):
+        with pytest.raises(NumericalError,
+                           match=f"^steady-state: the level elimination's work sum n_l\\*\\*3 = "
+                                 f"{work} exceeds the budget {budget}; lower n_max$"):
             steady_state(half_model(0.5), FockBasis(n_max))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20  # the level sizes alone: 2 n_max - 1 counts
+
+
+def nan_model():
+    """A model whose N is NaN, set past LindbladModel's own check."""
+    model = half_model(0.5)
+    object.__setattr__(model, "n_param", float("nan"))
+    return model
+
+
+@pytest.mark.parametrize("model, n_max, p, nbar", [
+    (half_model(0.97), 25, "0.977", "1.08e+03"),
+    (half_model(0.97), 100, "0.911", "1.08e+03"),
+    (nan_model(), 6, "nan", "nan"),
+], ids=["eps0.97-25", "eps0.97-100", "nan"])
+def test_steady_state_refuses_a_box_the_state_does_not_fit(model, n_max, p, nbar):
+    """At eps/kappa 0.97 (N = 1078) the box misses most of the state, and nothing is allocated.
+
+    At n_max 100 the work budget would admit the solve, with a 0.98 GiB
+    store.  A tail that is not a number is refused too.
+    """
+    message = (f"steady-state: an n_max {n_max} box misses p = (nbar / (nbar + 1))**n_max = {p} "
+               f"of each mode's thermal state (nbar = {nbar}), over the bound 0.5; raise n_max")
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            steady_state(model, FockBasis(n_max))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**16
+
+
+def test_tail_without_heating_is_the_tmss_tail():
+    """nbar is N, and p is tanh(r)**(2 n_max) for the TMSS of sinh(r)**2 = N."""
+    for eps in (0.0, 0.3, 0.5, 0.7, 0.9):
+        model = half_model(eps)
+        r = np.arcsinh(np.sqrt(model.n_param))
+        for n_max in (6, 25, 60):
+            assert lindblad._tail(model, n_max) == (
+                model.n_param, pytest.approx(np.tanh(r) ** (2 * n_max), rel=1e-12, abs=0.0))
+
+
+def test_tail_is_the_marginal_tail_of_the_heated_fock_state():
+    """Each mode's population at or above K is the thermal tail q**K, with q = nbar / (nbar + 1).
+
+    The box renormalises the share p = q**n_max it misses, so the
+    population it holds at or above K is ``(q**K - p) / (1 - p)``; the
+    plain ``q**K`` is p (1 - q**K) above it, 1.3e-8 of it at K = 20.
+    """
+    model, n_max = half_model(0.5, heating=0.05), 60
+    rho = steady_state(model, FockBasis(n_max))
+    u, v = np.divmod(rho.keys, n_max * n_max)
+    diag = u == v
+    for mode, level in enumerate(np.divmod(u[diag], n_max)):
+        pops = np.bincount(level, rho.values.real[diag], n_max)
+        nbar, p = lindblad._tail(model, n_max)
+        q = nbar / (nbar + 1.0)
+        for k in (5, 10, 20):
+            assert pops[k:].sum() == pytest.approx((q**k - p) / (1.0 - p), rel=1e-12), (mode, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), n_param=st.floats(0.0, 50.0),
+       m_frac=st.floats(0.0, 1.0), heating=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)))
+def test_tail_occupation_is_the_gaussian_routes(gamma, n_param, m_frac, heating):
+    """The closed-form nbar equals the Gaussian steady state's (cov[0, 0] - 1) / 2."""
+    model = LindbladModel(gamma, n_param, m_frac * np.sqrt(n_param * (n_param + 1.0)), heating)
+    cov = steady_covariance(model_from_lindblad(model)).cov
+    assert lindblad._tail(model, 10)[0] == pytest.approx((cov[0, 0] - 1.0) / 2.0,
+                                                         rel=1e-12, abs=1e-15)
 
 
 def test_steady_state_logs_solver_figures(caplog):
@@ -562,49 +644,68 @@ def test_steady_state_logs_solver_figures(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
     assert re.search(
         r"^steady_state: level elimination, sector 344, reduced 120, nnz 1069, levels 15, "
-        r"largest level 20, stored 1475 \(0\.0 MB; slot blocks 0\.0 MB\), float32, "
+        r"largest level 20, stored 1475 \(0\.0 MB; slot blocks 0\.0 MB\), tail bound p 2\.3e-07, "
         r"backward error \S+ refined to \S+ in [1-6] sweeps, residual \S+ in units of s = 1; "
         r"assemble \S+s, eliminate \S+s, certify \S+s$", line
     ), line
 
 
-def solved(model, n_max, caplog):
-    """The steady state (None if not certified) and the precision path its INFO line names."""
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
-        try:
-            rho = steady_state(model, FockBasis(n_max))
-        except NumericalError:
-            rho = None
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
-    return rho, re.search(r"MB\), (float32|float64 fallback)", line)[1]
+def float64_reference(model, basis):
+    """The state from ``_eliminate_levels`` in float64, called directly, and its residual.
+
+    The steps steady_state takes around its float32 elimination: the system
+    divided by the rate scale s, the trace normalised over the sector, the
+    unreduced residual in units of s.  (None, inf) where a level inverse is
+    singular or not finite.
+    """
+    scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    for _, w in blocks:
+        w /= scale
+    try:
+        with np.errstate(all="ignore"):
+            x = _eliminate_levels(blocks, bounds, np.float64)[0]
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    d = basis.dimension
+    indices = _sector_indices(basis)
+    orbit, _ = _orbits(indices, basis)
+    values = x[orbit] / x[orbit[indices // d == indices % d]].sum()
+    resid = np.linalg.norm(_sector_residual(_terms(model, basis), basis, indices, values) / scale)
+    return DensityMatrix(basis, indices, values), resid
 
 
-@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # N = 1056 at eps 0.97
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # eps 0.7 at n_max 6
 @pytest.mark.parametrize("n_max", [6, 12])
-def test_float32_elimination_certifies_what_float64_certifies(monkeypatch, caplog, n_max):
-    """The float32 run with its fallback certifies exactly the models the float64 run does.
+def test_float32_elimination_certifies_what_float64_certifies(n_max):
+    """Each model is refused by the tail bound, or certifies exactly when float64 does.
 
-    Near threshold without heating the float32 refinement stalls and falls
-    back; far from it the float32 run never does.
+    The float64 elimination is called directly.  At eps/kappa 0.9 and 0.97
+    the box misses more than half of each mode's state and is refused, but
+    for gamma 1e-300 with heating, where nbar is 1.
     """
     models = {(eps, h, g): LindbladModel(g, *effective_N_M(NopaParams(eps, 1.0)), h)
               for eps in (0.3, 0.7, 0.9, 0.97) for h in (0.0, 0.02) for g in (1.0, 1e3, 1e-300)}
-    runs = {key: solved(model, n_max, caplog) for key, model in models.items()}
-    monkeypatch.setattr(lindblad, "_BACKWARD_TOL", -1.0)  # every float32 result falls back
-    forced = {key: solved(model, n_max, caplog) for key, model in models.items()}
-    assert {path for _, path in forced.values()} == {"float64 fallback"}
-    assert ({key for key, (rho, _) in runs.items() if rho is not None}
-            == {key for key, (rho, _) in forced.items() if rho is not None})
-    assert runs[0.97, 0.0, 1.0][1] == "float64 fallback"
-    assert {path for (eps, _, _), (_, path) in runs.items() if eps == 0.3} == {"float32"}
+    refused = set()
+    for key, model in models.items():
+        try:
+            steady_state(model, FockBasis(n_max))
+            certified = True
+        except NumericalError as exc:
+            if "box misses p" in str(exc):
+                refused.add(key)
+                continue
+            certified = False
+        _, resid = float64_reference(model, FockBasis(n_max))
+        assert certified == (resid < lindblad.STEADY_RESIDUAL_TOL), key
+    assert refused == {(eps, h, g) for eps, h, g in models if eps >= 0.9 and not (h and g < 1)}
 
 
 @pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # eps 0.7 at n_max 10
 @pytest.mark.parametrize("n_max", [10, 20, 30])
 @pytest.mark.parametrize("eps, heating", [(0.3, 0.0), (0.3, 0.05), (0.7, 0.0), (0.7, 0.05)])
-def test_float32_state_agrees_with_the_float64_state(monkeypatch, caplog, eps, heating, n_max):
-    """The refined float32 state against the forced float64 one, relative to its largest entry.
+def test_float32_state_agrees_with_the_float64_state(eps, heating, n_max):
+    """The refined float32 state against the float64 one, relative to its largest entry.
 
     Both are backward stable to about 1e-17, but at eps/kappa 0.7 the orbit
     system's condition number (1e4 to 1e5) leaves each about 1e-13 from a
@@ -613,10 +714,8 @@ def test_float32_state_agrees_with_the_float64_state(monkeypatch, caplog, eps, h
     float64 1.3e-13, on opposite sides, so the two differ by 2.2e-13.
     """
     model = half_model(eps, heating=heating)
-    rho, path = solved(model, n_max, caplog)
-    monkeypatch.setattr(lindblad, "_BACKWARD_TOL", -1.0)
-    ref, ref_path = solved(model, n_max, caplog)
-    assert (path, ref_path) == ("float32", "float64 fallback")
+    rho = steady_state(model, FockBasis(n_max))
+    ref, _ = float64_reference(model, FockBasis(n_max))
     assert np.array_equal(rho.keys, ref.keys)
     assert np.abs(rho.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
