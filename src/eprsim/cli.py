@@ -252,7 +252,7 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
     import numpy as np
 
     from .gaussian import epr_variances, model_from_lindblad, steady_covariance
-    from .lindblad import moments, steady_state
+    from .lindblad import _rate_scaled, moments, steady_state
     from .metrics import epr_criterion, fidelity
     from .states import TmssSpec, tmss_fock
 
@@ -267,9 +267,11 @@ def cmd_steady_state(cfg: dict, out: str | None) -> int:
     r_equiv = float(np.arcsinh(np.sqrt(model.n_param)))
     target = tmss_fock(TmssSpec(r_equiv), basis)
     # A valid config gives a physical Gaussian model, so a ValueError on this
-    # route is rounding at extreme rates.
+    # route is rounding at extreme rates.  The state depends on the rates'
+    # ratios alone, so it is solved in the units steady_state uses, where the
+    # diffusion stays finite up to rates of 1e308.
     try:
-        var_q, var_p = epr_variances(steady_covariance(model_from_lindblad(model)))
+        var_q, var_p = epr_variances(steady_covariance(model_from_lindblad(_rate_scaled(model)[1])))
     except ValueError as exc:
         raise NumericalError(f"Gaussian steady state: {exc}") from exc
     value, entangled = epr_criterion(var_q, var_p)

@@ -40,7 +40,7 @@ sector.  The slots are the only form of the orbit matrix: both solvers
 multiply by it with one product (:func:`_apply`), which uses no BLAS:
 
 * :func:`steady_state` solves for one value per orbit by block
-  elimination over the levels, on the system divided by a power of two of
+  elimination over the levels, on the model in units of a power of two of
   its rates.  It keeps the float32 inverse of each level's dense Schur
   block (at most a few hundred orbits at n_max 40), built by a block
   recursion that is mostly matrix products (:func:`_inverse`); the
@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,12 +118,15 @@ _EVOLVE_WORK_BUDGET = 1e9
 
 # evolve's Krylov propagation (see _krylov_propagate): the a-posteriori
 # estimate that certifies a step, the first basis size (each growth doubles
-# it) and the cap.  A restart starts from a state that carries rounding
-# error, which the propagator's transient growth then amplifies; the shipped
-# config needs 224 vectors for its whole grid, so at 256 it needs no restart.
+# it) and the cap.  The basis holds cap x orbits floats, and a restart
+# starts from a state that carries rounding error, which the propagator's
+# transient growth then amplifies.  At 128 the shipped config restarts twice;
+# its states stay within 4.8e-14 of scipy's expm_multiply route (9.3e-15 at
+# 256, where it does not restart) and its traced peak memory is 3.5 MB (9.0 MB
+# at 256).
 _KRYLOV_TOL = 1e-14
 _KRYLOV_FIRST = 16
-_KRYLOV_CAP = 256
+_KRYLOV_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -451,17 +454,18 @@ def _orbit_blocks(terms, basis: FockBasis):
     return bounds, blocks
 
 
-def _apply(blocks, bounds, x) -> np.ndarray:
+def _apply(blocks, starts, x) -> np.ndarray:
     """The system of :func:`_orbit_blocks` times ``x``, with no BLAS.
 
-    Each row sums its slots in order: the levels below, at and above its
-    own, each in ascending column, so a row's entries are summed in the
-    order of their columns.  A slot with weight 0 adds ``0 * x[...]``,
-    which changes no sum while ``x`` is finite.
+    ``starts`` are the :func:`_neighbour_starts` of the three blocks, which
+    the caller computes once for its many products.  Each row sums its
+    slots in order: the levels below, at and above its own, each in
+    ascending column, so a row's entries are summed in the order of their
+    columns.  A slot with weight 0 adds ``0 * x[...]``, which changes no
+    sum while ``x`` is finite.
     """
     out = np.zeros(len(x))
-    for kind, (idx, w) in enumerate(blocks):
-        start = _neighbour_starts(bounds, kind)
+    for (idx, w), start in zip(blocks, starts):
         for i, ws in zip(idx, w):
             out += ws * x[i + start]
     return out
@@ -627,9 +631,10 @@ def _eliminate_levels(blocks, bounds, dtype):
             raise np.linalg.LinAlgError(f"the inverse of level {lv} is not finite")
     del lowered
 
+    starts = [_neighbour_starts(bounds, kind) for kind in range(3)]
     x = np.zeros(bounds[-1])
     x[0] = 1.0
-    res, etas = -_apply(blocks, bounds, x), []  # the vacuum's row is not used
+    res, etas = -_apply(blocks, starts, x), []  # the vacuum's row is not used
     while len(etas) <= _REFINE_SWEEPS and (len(etas) < 2 or etas[-1] < etas[-2] / 10):
         for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
             res[level(lv)] -= apply(up_idx, up_w, lv, times(lv + 1, res[level(lv + 1)]))
@@ -637,7 +642,7 @@ def _eliminate_levels(blocks, bounds, dtype):
         for lv in range(1, top + 1):
             delta = times(lv, res[level(lv)] - apply(lo_idx, lo_w, lv, delta))
             x[level(lv)] += delta
-        res = -_apply(blocks, bounds, x)
+        res = -_apply(blocks, starts, x)
         etas.append(float(np.abs(res[bounds[1]:]).max() / (norm_a * np.abs(x).max())))
     return x, store.size, store.itemsize, etas
 
@@ -654,6 +659,21 @@ def _tail(model: LindbladModel, n_max: int):
     return nbar, (nbar / (nbar + 1.0)) ** n_max
 
 
+def _rate_scaled(model: LindbladModel):
+    """The rate scale ``s = 2**round(log2(max(gamma, heating_rate)))`` and the model in units of s.
+
+    s is at most 2**1023, the largest finite power of two.  Dividing by a
+    power of two keeps every bit of a normal rate and of a subnormal gamma,
+    and the larger rate becomes about 1, so nothing formed from the rates
+    overflows or rounds to a few bits.  A gamma below 2**-1075 s, which
+    would round to 0, is held at 2**-1074, where no sum with the heating
+    rate (about 1) sees it either.
+    """
+    scale = np.ldexp(1.0, min(int(np.round(np.log2(max(model.gamma, model.heating_rate)))), 1023))
+    gamma = max(model.gamma / scale, 5e-324)
+    return scale, replace(model, gamma=gamma, heating_rate=model.heating_rate / scale)
+
+
 def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     """Steady state of the master equation.
 
@@ -661,9 +681,10 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     kept at the orbit representatives and columns summed over each orbit.
     Ordered by excitation level, this system is block tridiagonal, and
     :func:`_orbit_blocks` assembles it straight into the slot blocks of
-    each level.  It is divided by the rate scale ``s = 2**round(log2(max(gamma,
-    heating_rate)))``, which keeps its entries in float32's range (gamma may
-    be 1e-300) and, as a power of two, changes no float64 bit.
+    each level.  Its terms are built from the model in units of the rate
+    scale ``s = 2**round(log2(max(gamma, heating_rate)))`` (:func:`_rate_scaled`),
+    which keeps its entries in float32's range (gamma may be 5e-324 or
+    1e308) and, as a power of two, changes no float64 bit of the rates.
     :func:`_eliminate_levels` solves it with float32 inverses of dense level
     blocks, from the top level down, and the vacuum pinned, then refines the
     result in float64 sweeps with the same inverses.  The elimination holds
@@ -699,10 +720,8 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     # heating_rate for both), so the mode-swap reduction always applies.
     t0 = time.perf_counter()
     d = basis.dimension
-    scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
+    scale, model = _rate_scaled(model)
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
-    for _, w in blocks:
-        w /= scale
     size = bounds[-1]
     nnz = sum(np.count_nonzero(w[:, bounds[1]:]) for _, w in blocks)
     slot_bytes = sum(idx.nbytes + w.nbytes for idx, w in blocks)
@@ -719,8 +738,7 @@ def steady_state(model: LindbladModel, basis: FockBasis) -> DensityMatrix:
     values = x[orbit] / x[diag].sum()
     del x, orbit
     t2 = time.perf_counter()
-    resid = _sector_residual(_terms(model, basis), basis, indices, values)
-    resid = float(np.linalg.norm(resid / scale))
+    resid = float(np.linalg.norm(_sector_residual(_terms(model, basis), basis, indices, values)))
     t3 = time.perf_counter()
     log.info(
         "steady_state: level elimination, sector %d, reduced %d, nnz %d, levels %d, "
@@ -854,17 +872,20 @@ def _krylov_propagate(blocks, bounds, vec, h, steps):
     :data:`_KRYLOV_TOL` (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The
     basis starts with :data:`_KRYLOV_FIRST` vectors and doubles until every
     step is certified or it holds :data:`_KRYLOV_CAP` vectors; there the
-    certified steps are kept and Arnoldi restarts from the last of them.
+    certified steps are kept and Arnoldi restarts from the last of them
+    (twice on the shipped grid, which would need 224 vectors at once).
     When not one step is certified at the cap, tau is halved on the same
     basis; the internal step stays ``h / substeps`` from then on.  A basis
     that spans all of L's space is exact.  Products with L are
-    :func:`_apply`'s and the Gram-Schmidt products numpy's einsum, neither
-    BLAS (which splits long ones across threads), and :func:`_expm`
+    :func:`_apply`'s, with the level starts of the slot blocks computed once,
+    and the Gram-Schmidt products numpy's einsum, neither BLAS (which
+    splits long ones across threads), and :func:`_expm`
     multiplies in blocks, so the vectors do not depend on the BLAS thread
     count.  Returns the (steps + 1, size) array of vectors with
     (largest basis, restarts, largest certified estimate, substeps).
     """
     size = len(vec)
+    starts = [_neighbour_starts(bounds, kind) for kind in range(3)]
     out = np.empty((steps + 1, size))
     out[0] = vec
     cap = min(_KRYLOV_CAP, size)
@@ -880,7 +901,7 @@ def _krylov_propagate(blocks, bounds, vec, h, steps):
         m = 0
         while True:  # double the basis until every step is certified, or to the cap
             for m in range(m + 1, min(max(2 * m, _KRYLOV_FIRST), cap) + 1):
-                w = _apply(blocks, bounds, basis[m - 1])
+                w = _apply(blocks, starts, basis[m - 1])
                 for _ in range(2):
                     c = np.einsum("ij,j->i", basis[:m], w)
                     w -= np.einsum("i,ij->j", c, basis[:m])
@@ -921,10 +942,12 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     the generator keeps a state real and constant on the orbits, so one real
     value per orbit is propagated, with the matrix :func:`steady_state`
     eliminates plus its vacuum row.  The generator does not depend on time
-    and the grid is uniform, so one Arnoldi basis from the vacuum and one
-    small exponential carry the state across the grid, each step certified
-    by an a-posteriori estimate (:func:`_krylov_propagate`); a single time
-    gives the vacuum alone.  The states are real and exactly symmetric;
+    and the grid is uniform, so an Arnoldi basis of at most
+    :data:`_KRYLOV_CAP` vectors from the vacuum and one small exponential
+    carry the state across the grid, each step certified by an a-posteriori
+    estimate, and the basis restarts from the last certified step where the
+    cap is reached (:func:`_krylov_propagate`); a single time gives the
+    vacuum alone.  The states are real and exactly symmetric;
     :func:`moments` reads their second moments and purity.  The span
     ``||L||_1 * (times[-1] - times[0])`` sets how many basis vectors and
     restarts the propagation needs, and each vector costs a product with

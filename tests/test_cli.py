@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -801,16 +802,41 @@ def test_evolve_past_its_work_budget_at_n_max_40_exits_3_at_once(tmp_path, capsy
 
 
 def test_steady_state_report_is_independent_of_a_tiny_gamma(tmp_path):
-    """gamma only sets the time scale, down to 1e-300."""
+    """gamma only sets the time scale, from the subnormal 5e-324 to 1.7e308.
+
+    Both routes solve in units of a power of two near gamma, so 5e-324 keeps
+    its bits and 1.7e308 does not overflow the Gaussian diffusion.
+    """
     reports = []
-    for gamma in (1.0, 1e-300):
+    gammas = (1.0, 1e-300, 5e-324, 1.7e308)
+    for gamma in gammas:
         cfg = write_config(tmp_path, {"schema_version": 1, "n_max": 10,
                                       "model": {"epsilon_over_kappa": 0.2, "gamma": gamma}})
         out = tmp_path / "report.json"
         assert main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
         reports.append(json.loads(out.read_text(encoding="utf-8")))
-    assert reports[1].pop("gamma") == 1e-300
-    reports[0].pop("gamma")
+    for gamma, report in zip(gammas, reports):
+        assert report.pop("gamma") == gamma
+    for gamma, report in zip(gammas[1:], reports[1:]):
+        assert report == pytest.approx(reports[0], rel=1e-13, abs=1e-15), gamma
+
+
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # nbar 1 at n_max 8
+def test_steady_state_report_where_heating_outweighs_gamma_past_the_float_range(tmp_path):
+    """gamma 5e-324 under heating 8, and gamma 1 under heating 1e308, give one heating-only state.
+
+    In units of the heating rate the first gamma rounds below the smallest
+    subnormal and is held there; neither gamma moves a sum with the heating.
+    """
+    reports = []
+    for gamma, heating in ((5e-324, 8.0), (1.0, 1e308)):
+        cfg = write_config(tmp_path, {"schema_version": 1, "n_max": 8, "model": {
+            "epsilon_over_kappa": 0.3, "gamma": gamma, "heating_rate": heating}})
+        out = tmp_path / "report.json"
+        assert main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        reports.append({k: v for k, v in report.items() if k not in ("gamma", "heating_rate")})
+    assert reports[0]["var_sum_q"] == pytest.approx(6.0, rel=1e-14)  # 2 (1 + 2 nbar), nbar 1
     assert reports[1] == pytest.approx(reports[0], rel=1e-13, abs=1e-15)
 
 
@@ -952,6 +978,24 @@ def test_evolve_reproduces_golden_csv(tmp_path):
     cfg = REPO_ROOT / "configs" / "evolve_vacuum.json"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_bytes() == (REPO_ROOT / "golden" / "evolve_vacuum.csv").read_bytes()
+
+
+def test_evolve_csv_is_independent_of_the_blas_thread_count():
+    """The shipped evolve CSV from fresh interpreters at 1 and 2 BLAS threads, byte for byte.
+
+    Its products use no BLAS and its small exponential multiplies in
+    blocks that BLAS runs on one thread, so the thread count moves no bit.
+    """
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprsim", "evolve", "--config",
+             str(REPO_ROOT / "configs" / "evolve_vacuum.json")],
+            capture_output=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == (REPO_ROOT / "golden" / "evolve_vacuum.csv").read_bytes()
 
 
 # Shipped configs whose artifacts equal their golden files byte for byte.

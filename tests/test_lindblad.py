@@ -1,7 +1,9 @@
+import json
 import logging
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from eprsim.lindblad import (
     _orbit_blocks,
     _orbits,
     _position_table,
+    _rate_scaled,
     _sector_indices,
     _sector_residual,
     _shifted,
@@ -318,7 +321,7 @@ def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max, rng):
     rows, cols, vals = rows[order], cols[order], vals[order]
     assert len(vals) == np.count_nonzero(want)
     for x in rng.standard_normal((3, bounds[-1])):
-        got = _apply(blocks, bounds, x)
+        got = _apply(blocks, [_neighbour_starts(bounds, k) for k in range(3)], x)
         assert np.all(np.abs(got - want @ x) <= 1e-13 * (np.abs(want) @ np.abs(x)))
         assert np.array_equal(got, np.bincount(rows, vals * x[cols], minlength=bounds[-1]))
     lowered = _lowering_by_column(blocks, bounds, float)
@@ -501,6 +504,23 @@ def test_steady_state_certifies_relative_to_the_rates(caplog, n_max):
     assert np.abs(rho.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.filterwarnings("ignore::eprsim.TruncationWarning")  # eps 0.5 and 0.7 at small n_max
+@pytest.mark.parametrize("eps, n_max", [
+    (0.3, 5), (0.3, 8), (0.3, 20), (0.5, 5), (0.5, 8), (0.5, 20), (0.7, 8), (0.7, 20)])
+def test_subnormal_gamma_gives_gamma_1s_state(eps, n_max):
+    """gamma 5e-324 without heating is 1 in units of s = 2**-1074: the state is gamma 1's, bit for bit.
+
+    Rates multiplied by N + 1, N and 2M before the division by s would
+    round to a few bits, and the residual of these models would be 6.6 to
+    35 in units of s.
+    """
+    model = half_model(eps)
+    rho = steady_state(LindbladModel(5e-324, model.n_param, model.m_param), FockBasis(n_max))
+    ref = steady_state(model, FockBasis(n_max))
+    assert np.array_equal(rho.keys, ref.keys)
+    assert np.array_equal(rho.values, ref.values)
+
+
 def test_singular_level_block_raises(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -653,15 +673,13 @@ def test_steady_state_logs_solver_figures(caplog):
 def float64_reference(model, basis):
     """The state from ``_eliminate_levels`` in float64, called directly, and its residual.
 
-    The steps steady_state takes around its float32 elimination: the system
-    divided by the rate scale s, the trace normalised over the sector, the
+    The steps steady_state takes around its float32 elimination: the model
+    in units of the rate scale s, the trace normalised over the sector, the
     unreduced residual in units of s.  (None, inf) where a level inverse is
     singular or not finite.
     """
-    scale = np.ldexp(1.0, int(np.round(np.log2(max(model.gamma, model.heating_rate)))))
+    _, model = _rate_scaled(model)
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
-    for _, w in blocks:
-        w /= scale
     try:
         with np.errstate(all="ignore"):
             x = _eliminate_levels(blocks, bounds, np.float64)[0]
@@ -671,7 +689,7 @@ def float64_reference(model, basis):
     indices = _sector_indices(basis)
     orbit, _ = _orbits(indices, basis)
     values = x[orbit] / x[orbit[indices // d == indices % d]].sum()
-    resid = np.linalg.norm(_sector_residual(_terms(model, basis), basis, indices, values) / scale)
+    resid = np.linalg.norm(_sector_residual(_terms(model, basis), basis, indices, values))
     return DensityMatrix(basis, indices, values), resid
 
 
@@ -828,6 +846,28 @@ def test_evolve_on_uniform_grid_matches_dense_expm(start):
         assert np.max(np.abs(state.elements.reshape(-1) - vec)) <= 1e-10
         assert np.array_equal(state.elements, state.elements.T)
         vec = prop @ vec
+
+
+def test_evolve_restarts_on_the_shipped_grid(caplog):
+    """configs/evolve_vacuum.json restarts the capped basis and stays with expm_multiply.
+
+    The whole grid would need 224 vectors, so the 128-vector basis keeps its
+    certified steps and restarts from the last of them.  Each restart starts
+    from a state that carries rounding; the states stay within 1e-12 of
+    scipy's expm_multiply route element by element (4.8e-14 measured).
+    """
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "evolve_vacuum.json").read_text(encoding="utf-8"))
+    model = half_model(cfg["model"]["epsilon_over_kappa"])
+    basis, times = FockBasis(cfg["n_max"]), np.linspace(**cfg["times"])
+    with caplog.at_level(logging.INFO, logger="eprsim.lindblad"):
+        states = evolve(model, basis, times)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "eprsim.lindblad"]
+    basis_size, restarts = map(int, re.search(r"Krylov basis (\d+), restarts (\d+),", line).groups())
+    assert basis_size == lindblad._KRYLOV_CAP
+    assert restarts > 0
+    for got, want in zip(states, expm_multiply_evolve(model, basis, times), strict=True):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
 def test_evolve_logs_path_and_figures(caplog):
