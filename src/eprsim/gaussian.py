@@ -119,7 +119,10 @@ def model_from_lindblad(model: LindbladModel) -> DriftDiffusion:
     """
     g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
     drift = -(g + h) * np.eye(4)
-    diag = 2.0 * g * (1.0 + 2.0 * n_p) + 6.0 * h
+    # 2 gamma (1 + 2N), written as 4 gamma (N + 1/2) for the same bits without
+    # overflowing 1 + 2N: steady_state admits N near 1e308 under a heating
+    # rate that outweighs gamma N
+    diag = 4.0 * g * (0.5 + n_p) + 6.0 * h
     diffusion = diag * np.eye(4)
     diffusion[0, 2] = diffusion[2, 0] = -4.0 * g * m_p
     diffusion[1, 3] = diffusion[3, 1] = +4.0 * g * m_p

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprsim import TruncationWarning
@@ -718,10 +718,15 @@ _MODEL_FIELDS = {
 @settings(max_examples=80, deadline=None)
 @given(model=st.one_of(st.fixed_dictionaries({}, optional=_MODEL_FIELDS), _ODD_VALUES),
        n_max=st.one_of(st.integers(2, 12), st.sampled_from([1, 2.5, "8", None])))
+@example(model={"heating_rate": 1e308, "n_param": 1e308, "m_param": 0.0}, n_max=2)
+@example(model={"gamma": 5e-324, "heating_rate": 1e3, "n_param": 1e308, "m_param": 0.0}, n_max=2)
 def test_generated_steady_state_configs_keep_the_exit_contract(model, n_max):
     """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite.
 
-    A success records no warning but the TruncationWarning.
+    A success records no warning but the TruncationWarning.  The examples
+    are N 1e308 under heating that admits it (nbar about 2 and 1): the Fock
+    route certifies them in units of the rates, and the Gaussian diffusion
+    must not overflow after the Fock route has warned of truncation.
     """
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), {"schema_version": 1, "model": model, "n_max": n_max})
