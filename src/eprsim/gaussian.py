@@ -115,17 +115,25 @@ def model_from_lindblad(model: LindbladModel) -> DriftDiffusion:
     (the heating channel has occupation 1, hence ``2 h (1 + 2*1) = 6h``),
     and the pair correlation M on the cross blocks with opposite signs
     for Q1Q2 and P1P2.  The resulting steady state has
-    ``Var(Q_j) = 1 + 2N`` and ``<Q1 Q2> = -2M``, ``<P1 P2> = +2M``.
+    ``Var(Q_j) = 1 + 2N`` and ``<Q1 Q2> = -2M``, ``<P1 P2> = +2M``.  A
+    diffusion past the float range raises ``ValueError``: the state depends
+    on the rates' ratios alone, so the caller can scale them down.
     """
     g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
-    drift = -(g + h) * np.eye(4)
     # 2 gamma (1 + 2N), written as 4 gamma (N + 1/2) for the same bits without
     # overflowing 1 + 2N: steady_state admits N near 1e308 under a heating
     # rate that outweighs gamma N
-    diag = 4.0 * g * (0.5 + n_p) + 6.0 * h
+    with np.errstate(over="ignore"):
+        diag, cross = 4.0 * g * (0.5 + n_p) + 6.0 * h, 4.0 * g * m_p
+    if not (np.isfinite(diag) and np.isfinite(cross)):
+        raise ValueError(
+            f"diffusion 4 gamma (N + 1/2) + 6 heating_rate overflows at gamma = {g:.6g}, "
+            f"heating_rate = {h:.6g}; the state depends on the rates' ratios alone, so scale "
+            "them down")
+    drift = -(g + h) * np.eye(4)
     diffusion = diag * np.eye(4)
-    diffusion[0, 2] = diffusion[2, 0] = -4.0 * g * m_p
-    diffusion[1, 3] = diffusion[3, 1] = +4.0 * g * m_p
+    diffusion[0, 2] = diffusion[2, 0] = -cross
+    diffusion[1, 3] = diffusion[3, 1] = +cross
     return DriftDiffusion(drift, diffusion)
 
 

@@ -54,8 +54,9 @@ multiply by it with one product (:func:`_apply`), which uses no BLAS:
   thermal state (:func:`_tail`) is refused first;
 * :func:`evolve` propagates one real value per orbit from the vacuum,
   where the atoms start, with an Arnoldi (Krylov) basis of the orbit
-  matrix, each vector a slot product, and a Pade exponential of its small
-  Hessenberg matrix (:func:`_krylov_propagate`, :func:`_expm`).
+  matrix, each vector a slot product, and a Taylor exponential of its small
+  Hessenberg matrix from blocked products (:func:`_krylov_propagate`,
+  :func:`_expm`).
 
 States come out as :class:`~eprsim.hilbert.DensityMatrix` values: the
 sorted vec indices of the sector entries and their values.  A sector entry
@@ -73,6 +74,7 @@ The module is numpy only.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -121,8 +123,8 @@ _EVOLVE_WORK_BUDGET = 1e9
 # it) and the cap.  The basis holds cap x orbits floats, and a restart
 # starts from a state that carries rounding error, which the propagator's
 # transient growth then amplifies.  At 128 the shipped config restarts twice;
-# its states stay within 4.8e-14 of scipy's expm_multiply route (9.3e-15 at
-# 256, where it does not restart) and its traced peak memory is 3.5 MB (9.0 MB
+# its states stay within 3.2e-14 of scipy's expm_multiply route (2.6e-14 at
+# 256, where it does not restart) and its traced peak memory is 3.4 MB (8.5 MB
 # at 256).
 _KRYLOV_TOL = 1e-14
 _KRYLOV_FIRST = 16
@@ -545,13 +547,17 @@ def _coupled(idx, up, lowered, x, space) -> np.ndarray:
     n_l)`` flops for ``k`` slots, where two dense products take ``2 n_l
     n_{l+1} (n_{l+1} + n_l)``.  A slot with weight 0 adds ``0 * X[0]``,
     which is 0 because the caller checks that ``X`` is finite.  ``space``
-    holds the two results, ``(Up_l X)^T`` and then the product's transpose,
-    and its view of the product is returned.
+    holds ``(Up_l X)^T`` and, after it, ``Up_l X`` gathered in contiguous
+    rows and transposed once, then the product's transpose in its place:
+    ``n_{l+1} n_l + max(n_{l+1}, n_l) n_l`` entries.  Its view of the
+    product is returned.
     """
-    size = idx.shape[1]
-    upper = space[:len(x) * size].reshape(len(x), size)  # (Up_l X)^T
-    _combine(idx, up, x, upper.T)
-    out = space[len(x) * size:(len(x) + size) * size].reshape(size, size)
+    size, above = idx.shape[1], len(x)
+    upper = space[:above * size].reshape(above, size)  # (Up_l X)^T
+    rows = space[above * size:2 * above * size].reshape(size, above)  # Up_l X
+    _combine(idx, up, x, rows)
+    upper[...] = rows.T
+    out = space[above * size:(above + size) * size].reshape(size, size)
     _combine(idx, lowered, upper, out)
     return out.T
 
@@ -617,8 +623,8 @@ def _eliminate_levels(blocks, bounds, dtype):
         at, n = level(lv), sizes[lv]
         if lv < top:
             space = store[:offsets[lv - 1]]  # the levels below, not eliminated yet
-            if len(space) < (sizes[lv + 1] + n) * n:
-                space = np.empty((sizes[lv + 1] + n) * n, dtype)
+            if len(space) < (sizes[lv + 1] + max(sizes[lv + 1], n)) * n:
+                space = np.empty((sizes[lv + 1] + max(sizes[lv + 1], n)) * n, dtype)
             schur = _coupled(up_idx[:, at], up_w[:, at], lowered[:, at], inverse(lv + 1), space)
         else:
             schur = np.zeros((n, n), dtype)
@@ -775,68 +781,33 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b by Gaussian elimination with partial pivoting on the augmented matrix [a | b].
-
-    Only the rows within a's lower bandwidth are eliminated at each step:
-    the Pade denominator of a Hessenberg matrix has 13 subdiagonals, and
-    partial pivoting keeps that band.  Back substitution runs on blocks of
-    64 rows, the bulk of it in :func:`_matmul`.
-    """
-    n = len(a)
-    rows, cols = np.nonzero(a)
-    band = int((rows - cols).max(initial=0))
-    x = np.concatenate([a, b], axis=1)
-    for k in range(n):
-        end = min(k + band + 1, n)
-        p = k + int(np.argmax(np.abs(x[k:end, k])))
-        if p != k:
-            x[[k, p]] = x[[p, k]]
-        x[k + 1:end, k + 1:] -= (x[k + 1:end, k] / x[k, k])[:, None] * x[k, k + 1:]
-    u, y = x[:, :n], x[:, n:]
-    for k1 in range(n, 0, -64):
-        k0 = max(k1 - 64, 0)
-        for k in range(k1 - 1, k0 - 1, -1):
-            y[k] /= u[k, k]
-            y[k0:k] -= u[k0:k, k, None] * y[k]
-        y[:k0] -= _matmul(u[:k0, k0:k1], y[k0:k1])
-    return y
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a small dense matrix: the Pade 13 approximant with scaling and squaring.
+    """exp(a) of a small dense matrix: the degree-55 Taylor polynomial with scaling and squaring.
 
-    ``a`` is scaled by 2**-s until its 1-norm is at most theta_13, where the
-    [13/13] Pade approximant is accurate to double precision, and the
-    result is squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)).  Its products are :func:`_matmul`'s and its solve
-    :func:`_solve`, so the result does not depend on the BLAS thread count.
+    ``a`` is scaled by 2**-s until its 1-norm is at most theta_55 = 9.9, where
+    the truncated series is accurate to double precision, and the result is
+    squared s times (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+    whose table of theta_m scipy's ``expm_multiply`` uses too).  The series is
+    summed by Paterson-Stockmeyer from the stored powers a .. a^5: by Horner's
+    rule in a^5 over blocks of five terms, each block added in place.  Every
+    product is :func:`_matmul`'s, so the result does not depend on the BLAS
+    thread count.
     """
-    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
     norm = np.abs(a).sum(axis=0).max(initial=0.0)
-    squarings = max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm > 0 else 0
-    a = a / 2.0 ** squarings
-    eye = np.eye(len(a))
-    a2 = _matmul(a, a)
-    a4 = _matmul(a2, a2)
-    a6 = _matmul(a2, a4)
-    sums = []
-    for k in (1, 0):  # the odd coefficients, then the even; each sum grows in one buffer
-        w = b[12 + k] * a6
-        w += b[10 + k] * a4
-        w += b[8 + k] * a2
-        w = _matmul(a6, w)
-        w += b[6 + k] * a6
-        w += b[4 + k] * a4
-        w += b[2 + k] * a2
-        w += b[k] * eye
-        sums.append(w)
-    del a2, a4, a6, w, eye
-    u, v = _matmul(a, sums[0]), sums[1]
-    del sums
-    r = _solve(v - u, v + u)
+    squarings = max(0, int(np.ceil(np.log2(norm / 9.9)))) if norm > 0 else 0
+    powers = [a / 2.0 ** squarings]
+    for _ in range(4):
+        powers.append(_matmul(powers[-1], powers[0]))
+    fact = [float(math.factorial(k)) for k in range(56)]
+    diag = np.diag_indices(len(a))
+    r = powers[4] / fact[55]
+    for j in range(50, -1, -5):  # r = r a^5 + sum_i a^i / (j + i)!, i = 0..4
+        if j < 50:
+            r = _matmul(r, powers[4])
+        for i in range(1, 5):
+            r += powers[i - 1] / fact[j + i]
+        r[diag] += 1.0 / fact[j]
+    del powers
     for _ in range(squarings):
         r = _matmul(r, r)
     return r

@@ -115,6 +115,18 @@ def test_steady_covariance_of_an_undriven_model_is_the_vacuum_at_any_rate(gamma)
     assert np.array_equal(cov, np.eye(4))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [
+    LindbladModel(1e308, 0.5, 0.5),
+    LindbladModel(1.0, 0.5, 0.5, heating_rate=1e308),
+    LindbladModel(1e300, 1e10, 1e10),
+], ids=["gamma", "heating", "gamma-N"])
+def test_model_from_lindblad_refuses_a_diffusion_past_the_float_range(model):
+    """The message names the rates and says that only their ratios matter, with no warning."""
+    with pytest.raises(ValueError, match=r"diffusion .* overflows at gamma = .*ratios alone"):
+        model_from_lindblad(model)
+
+
 @pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
 def test_cascade_covariance_matches_scipy_lyapunov(ratio):
     dd = cascade_model(NopaParams(0.5, 1.0), gamma=1.0 / ratio)
