@@ -116,8 +116,7 @@ def model_from_lindblad(model: LindbladModel) -> DriftDiffusion:
     and the pair correlation M on the cross blocks with opposite signs
     for Q1Q2 and P1P2.  The resulting steady state has
     ``Var(Q_j) = 1 + 2N`` and ``<Q1 Q2> = -2M``, ``<P1 P2> = +2M``.  A
-    diffusion past the float range raises ``ValueError``: the state depends
-    on the rates' ratios alone, so the caller can scale them down.
+    diffusion past the float range raises ``ValueError``.
     """
     g, n_p, m_p, h = model.gamma, model.n_param, model.m_param, model.heating_rate
     # 2 gamma (1 + 2N), written as 4 gamma (N + 1/2) for the same bits without
@@ -125,11 +124,10 @@ def model_from_lindblad(model: LindbladModel) -> DriftDiffusion:
     # rate that outweighs gamma N
     with np.errstate(over="ignore"):
         diag, cross = 4.0 * g * (0.5 + n_p) + 6.0 * h, 4.0 * g * m_p
-    if not (np.isfinite(diag) and np.isfinite(cross)):
-        raise ValueError(
-            f"diffusion 4 gamma (N + 1/2) + 6 heating_rate overflows at gamma = {g:.6g}, "
-            f"heating_rate = {h:.6g}; the state depends on the rates' ratios alone, so scale "
-            "them down")
+    if not np.isfinite([diag, cross]).all():
+        raise ValueError(f"diffusion 4 gamma (N + 1/2) + 6 heating_rate overflows at gamma = "
+                         f"{g:.6g}, heating_rate = {h:.6g}; the state depends on the rates' "
+                         "ratios alone, so scale them down")
     drift = -(g + h) * np.eye(4)
     diffusion = diag * np.eye(4)
     diffusion[0, 2] = diffusion[2, 0] = -cross

@@ -546,11 +546,10 @@ def _coupled(idx, up, lowered, x, space) -> np.ndarray:
     ``sum_s lowered[s, i] (Up_l X)^T[idx[s, i]]``: ``2 k n_l (n_{l+1} +
     n_l)`` flops for ``k`` slots, where two dense products take ``2 n_l
     n_{l+1} (n_{l+1} + n_l)``.  A slot with weight 0 adds ``0 * X[0]``,
-    which is 0 because the caller checks that ``X`` is finite.  ``space``
-    holds ``(Up_l X)^T`` and, after it, ``Up_l X`` gathered in contiguous
-    rows and transposed once, then the product's transpose in its place:
-    ``n_{l+1} n_l + max(n_{l+1}, n_l) n_l`` entries.  Its view of the
-    product is returned.
+    which is 0 because the caller checks that ``X`` is finite.  ``space``, of
+    ``n_{l+1} n_l + max(n_{l+1}, n_l) n_l`` entries, holds ``(Up_l X)^T``, then
+    ``Up_l X`` in contiguous rows (transposed once) and in its place the
+    product's transpose, whose view of the product is returned.
     """
     size, above = idx.shape[1], len(x)
     upper = space[:above * size].reshape(above, size)  # (Up_l X)^T
@@ -784,14 +783,11 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a small dense matrix: the degree-55 Taylor polynomial with scaling and squaring.
 
-    ``a`` is scaled by 2**-s until its 1-norm is at most theta_55 = 9.9, where
-    the truncated series is accurate to double precision, and the result is
-    squared s times (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
-    whose table of theta_m scipy's ``expm_multiply`` uses too).  The series is
-    summed by Paterson-Stockmeyer from the stored powers a .. a^5: by Horner's
-    rule in a^5 over blocks of five terms, each block added in place.  Every
-    product is :func:`_matmul`'s, so the result does not depend on the BLAS
-    thread count.
+    ``a`` is scaled by 2**-s until its 1-norm is at most theta_55 = 9.9 (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011), whose theta_m scipy's ``expm_multiply`` uses), the
+    series is summed by Horner's rule in a^5 over blocks of the stored powers a .. a^5
+    (Paterson-Stockmeyer), and the result is squared s times.  Every product is
+    :func:`_matmul`'s, so the result does not depend on the BLAS thread count.
     """
     norm = np.abs(a).sum(axis=0).max(initial=0.0)
     squarings = max(0, int(np.ceil(np.log2(norm / 9.9)))) if norm > 0 else 0
@@ -799,14 +795,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(4):
         powers.append(_matmul(powers[-1], powers[0]))
     fact = [float(math.factorial(k)) for k in range(56)]
-    diag = np.diag_indices(len(a))
     r = powers[4] / fact[55]
     for j in range(50, -1, -5):  # r = r a^5 + sum_i a^i / (j + i)!, i = 0..4
         if j < 50:
             r = _matmul(r, powers[4])
         for i in range(1, 5):
             r += powers[i - 1] / fact[j + i]
-        r[diag] += 1.0 / fact[j]
+        r[np.diag_indices(len(a))] += 1.0 / fact[j]
     del powers
     for _ in range(squarings):
         r = _matmul(r, r)
