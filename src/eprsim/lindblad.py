@@ -36,8 +36,9 @@ with one shift pair (sa, sb) read one entry per row, and a heated model's
 solvers work on the orbits, with one assembler (:func:`_orbit_blocks`).
 It writes each row's entries into fixed-width slots, one block each for
 the pairs that lower, keep and raise the level, with no sort over the
-sector.  The slots are the only form of the orbit matrix: both solvers
-multiply by it with one product (:func:`_apply`), which uses no BLAS:
+sector; a slot's column is the orbit it reads.  The slots are the only
+form of the orbit matrix: both solvers multiply by it with one product
+(:func:`_apply`), which uses no BLAS:
 
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels, on the model in units of a power of two of
@@ -364,19 +365,6 @@ def _orbits(indices, basis: FockBasis):
     return np.take(rank, np.searchsorted(reps, rep), out=rep), reps[order]
 
 
-def _neighbour_starts(bounds, kind) -> np.ndarray:
-    """The first orbit of level ``l - 1 + kind`` for each orbit on level ``l``.
-
-    Level ``l`` is at orbits ``bounds[l]:bounds[l + 1]``, and ``kind`` 0, 1
-    or 2 names the level below, the same level or the level above; the
-    missing levels below level 0 and above the top are replaced by the level
-    itself, where the blocks of :func:`_orbit_blocks` have no entry.
-    """
-    top = len(bounds) - 2
-    levels = np.minimum(np.maximum(np.arange(top + 1) + kind - 1, 0), top)
-    return np.repeat(bounds[levels], np.diff(bounds))
-
-
 def _orbit_blocks(terms, basis: FockBasis):
     """The generator on the orbits of :func:`_orbits`, as three blocks of slots.
 
@@ -392,27 +380,28 @@ def _orbit_blocks(terms, basis: FockBasis):
     ``Up_l`` coupling level ``l`` to ``l - 1``, ``l`` and ``l + 1``.
     Returns (bounds, blocks): the level bounds (level ``l`` at orbits
     ``bounds[l]:bounds[l + 1]``) and, for the lowering, level-keeping and
-    raising pairs, the (pairs, orbits) slot arrays ``idx`` (int16, or int32
-    past 32767 orbits a level) and ``w`` (float64).  Row ``i`` has the
-    weight ``w[s, i]`` in column ``idx[s, i]`` of the level its block
-    reaches, counted from that level's first orbit.  A row's slots hold its
-    distinct columns in ascending order, then column 0 with weight 0; pairs
-    that reach one column share a slot.  A weight is its first term's plus
-    the later ones summed in term order, pair by pair where pairs share a
-    slot: :func:`evolve`'s golden output depends on that order to the last
-    bit.  Level ``l``'s blocks are the slots at its orbits; nothing is
-    sorted.
+    raising pairs, the (pairs, orbits) slot arrays ``idx`` (int16 through
+    n_max 57, which has 32,509 orbits, int32 from n_max 58) and ``w``
+    (float64).  Row ``i`` has the weight ``w[s, i]`` in column ``idx[s, i]``,
+    the orbit it reads, on the level its block reaches.  A row's slots hold
+    its distinct columns in ascending order, then its own orbit with weight
+    0; pairs that reach one column share a slot.  A weight is its first
+    term's plus the later ones summed in term order, pair by pair where
+    pairs share a slot: :func:`evolve`'s golden output depends on that
+    order to the last bit.  Level ``l``'s blocks are the slots at its
+    orbits; nothing is sorted.
     """
     n, d = basis.n_max, basis.dimension
     counts = _level_sizes(n)
     bounds = np.r_[0, np.cumsum(counts)]
-    itype = np.int16 if counts.max() <= np.iinfo(np.int16).max else np.int32
+    itype = np.int16 if bounds[-1] - 1 <= np.iinfo(np.int16).max else np.int32
     pairs = _pairs(terms)
     # 0, 1 or 2 as the pair lowers, keeps or raises the level
     kinds = {(sa, sb): (sa[0] + sa[1] - sb[0] - sb[1]) // 2 + 1 for sa, sb in pairs}
     # The blocks come first, so the temporaries below are freed above them in memory.
-    shapes = [(list(kinds.values()).count(kind), bounds[-1]) for kind in range(3)]
-    blocks = [(np.zeros(shape, itype), np.zeros(shape)) for shape in shapes]
+    own = np.arange(bounds[-1], dtype=itype)  # an empty slot's column
+    slots = [list(kinds.values()).count(kind) for kind in range(3)]
+    blocks = [(np.tile(own, (k, 1)), np.zeros((k, len(own)))) for k in slots]
     indices = _sector_indices(basis)
     orbit, reps = _orbits(indices, basis)
     table = _position_table(indices, orbit, basis).reshape(-1)
@@ -420,7 +409,6 @@ def _orbit_blocks(terms, basis: FockBasis):
     u, v = np.divmod(reps, d)
     del reps
     for kind, (idx, w) in enumerate(blocks):
-        start = _neighbour_starts(bounds, kind)
         cols, tops, rests = [], [], []  # by pair: its column (-1 where no term meets), weights
         for (sa, sb), group in pairs.items():
             if kinds[sa, sb] != kind:
@@ -435,7 +423,7 @@ def _orbit_blocks(terms, basis: FockBasis):
                 met = met | hit
             col = np.full(len(u), -1, itype)
             src = (u[met] + _flat(sa, basis)) * n + (v[met] - _flat(sb, basis)) // n  # (m0, m1, n0)
-            col[met] = table[src] - start[met]
+            col[met] = table[src]
             cols.append(col)
             tops.append(top)
             rests.append(rest)
@@ -456,20 +444,19 @@ def _orbit_blocks(terms, basis: FockBasis):
     return bounds, blocks
 
 
-def _apply(blocks, starts, x) -> np.ndarray:
+def _apply(blocks, x) -> np.ndarray:
     """The system of :func:`_orbit_blocks` times ``x``, with no BLAS.
 
-    ``starts`` are the :func:`_neighbour_starts` of the three blocks, which
-    the caller computes once for its many products.  Each row sums its
-    slots in order: the levels below, at and above its own, each in
-    ascending column, so a row's entries are summed in the order of their
-    columns.  A slot with weight 0 adds ``0 * x[...]``, which changes no
-    sum while ``x`` is finite.
+    Each slot gathers ``x`` with ``take`` (plain indexing by int16 columns
+    is slower).  Each row sums its slots in order: the levels below, at and
+    above its own, each in ascending column, so a row's entries are summed
+    in the order of their columns.  An empty slot adds ``0 * x[i]``, which
+    changes no sum while ``x`` is finite.
     """
     out = np.zeros(len(x))
-    for (idx, w), start in zip(blocks, starts):
+    for idx, w in blocks:
         for i, ws in zip(idx, w):
-            out += ws * x[i + start]
+            out += ws * x.take(i)
     return out
 
 
@@ -498,7 +485,7 @@ def _inverse(a: np.ndarray, out: np.ndarray) -> None:
     inv_a -= upper @ c_inv_a
 
 
-def _lowering_by_column(blocks, bounds, dtype) -> np.ndarray:
+def _lowering_by_column(blocks, dtype) -> np.ndarray:
     """``Lo_{l+1}`` transposed, as weights in the slots of ``Up_l`` (:func:`_orbit_blocks`).
 
     Each pair that lowers the level undoes one that raises it, and T and S
@@ -511,19 +498,17 @@ def _lowering_by_column(blocks, bounds, dtype) -> np.ndarray:
     most matches and the weight is not rounded before its cast.
     """
     (lo_idx, lo_w), _, (up_idx, up_w) = blocks
-    place = np.arange(bounds[-1]) - _neighbour_starts(bounds, 1)  # from its level's first orbit
-    above = _neighbour_starts(bounds, 2)
+    own = np.arange(up_idx.shape[1])
     out = np.zeros(up_idx.shape, dtype)
     for lowered, up, w in zip(out, up_idx, up_w):
-        rows = up + above  # the orbits of level l + 1 that Up_l reaches
         for idx, lo in zip(lo_idx, lo_w):
-            lowered += np.where(idx[rows] == place, lo[rows], 0.0)
+            lowered += np.where(idx.take(up) == own, lo.take(up), 0.0)
         lowered[w == 0] = 0.0
     return out
 
 
 def _combine(idx, w, mat, out) -> None:
-    """Write ``sum_s w[s, r] * mat[idx[s, r]]`` to each row ``out[r]``.
+    """Write ``sum_s w[s, r] * mat[idx[s, r]]`` to each row ``out[r]``, row 0 for an ``idx`` < 0.
 
     The weights are cast to ``mat``'s dtype, and the rows of ``out`` are
     made ``_GATHER_ROWS`` at a time, so the gather never holds all of the
@@ -533,23 +518,25 @@ def _combine(idx, w, mat, out) -> None:
     w = w.astype(mat.dtype)
     for r in range(0, idx.shape[1], _GATHER_ROWS):
         at = slice(r, r + _GATHER_ROWS)
-        out[at] = np.einsum("rs,rsj->rj", w[:, at].T, mat[idx[:, at].T])
+        out[at] = np.einsum("rs,rsj->rj", w[:, at].T, mat.take(idx[:, at].T, axis=0, mode="clip"))
 
 
 def _coupled(idx, up, lowered, x, space) -> np.ndarray:
     """``Up_l X Lo_{l+1}`` from the slots of Up_l, in ``X``'s dtype.
 
-    ``idx`` and ``up`` are Up_l's columns and weights, and ``lowered`` holds
-    ``Lo_{l+1}`` transposed in the same slots (:func:`_lowering_by_column`).
-    Row gathers of ``X`` give ``(Up_l X)[i] = sum_s up[s, i] X[idx[s, i]]``,
-    and row gathers of its transpose give the product's transpose, with rows
+    ``idx`` and ``up`` are Up_l's columns, from level ``l + 1``'s first
+    orbit, and weights, and ``lowered`` holds ``Lo_{l+1}`` transposed in
+    the same slots (:func:`_lowering_by_column`).  Row gathers of ``X``
+    give ``(Up_l X)[i] = sum_s up[s, i] X[idx[s, i]]``, and row gathers
+    of its transpose give the product's transpose, with rows
     ``sum_s lowered[s, i] (Up_l X)^T[idx[s, i]]``: ``2 k n_l (n_{l+1} +
     n_l)`` flops for ``k`` slots, where two dense products take ``2 n_l
-    n_{l+1} (n_{l+1} + n_l)``.  A slot with weight 0 adds ``0 * X[0]``,
-    which is 0 because the caller checks that ``X`` is finite.  ``space``, of
-    ``n_{l+1} n_l + max(n_{l+1}, n_l) n_l`` entries, holds ``(Up_l X)^T``, then
-    ``Up_l X`` in contiguous rows (transposed once) and in its place the
-    product's transpose, whose view of the product is returned.
+    n_{l+1} (n_{l+1} + n_l)``.  An empty slot's column is negative and adds
+    ``0 * X[0]``, 0 because the caller checks that ``X`` is finite.
+    ``space``, of ``n_{l+1} n_l + max(n_{l+1}, n_l) n_l`` entries, holds
+    ``(Up_l X)^T``, then ``Up_l X`` in contiguous rows (transposed once) and
+    in its place the product's transpose, whose view of the product is
+    returned.
     """
     size, above = idx.shape[1], len(x)
     upper = space[:above * size].reshape(above, size)  # (Up_l X)^T
@@ -571,25 +558,27 @@ def _eliminate_levels(blocks, bounds, dtype):
     the top level down, each level's Schur block
     ``S_l = D_l - Up_l X_{l+1} Lo_{l+1}`` is formed by row gathers of
     ``X_{l+1}`` over Up_l's slots, with ``Lo_{l+1}`` read into the same
-    slots (:func:`_coupled`, :func:`_lowering_by_column`), then inverted by
-    :func:`_inverse`, and only its inverse ``X_l`` is kept, in ``dtype``:
-    :func:`steady_state` runs float32, which halves the store and the time,
-    and float64 is the reference it is tested against.  The Schur block and the
-    gathered product are built in the store's space of the levels not
-    eliminated yet, so the largest level's temporaries take no memory of
-    their own.  Eliminating from the top is the stable direction: near
-    ``M = sqrt(N (N + 1))`` it leaves about a hundredth of the residual
-    that eliminating from the vacuum does.  The solve is a sweep of
-    iterative refinement from the vacuum alone: with ``r`` the float64
-    residual of the orbit equations, ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}``
-    from the top down, then ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the
-    vacuum up, and ``x_l += d_l``, each product with ``X_l`` taking its
-    vector in ``dtype`` and giving it back in float64.  The residual is
-    ``-(A x)`` by :func:`_apply`, a gather per slot over all the levels.  Up to
-    ``_REFINE_SWEEPS`` more sweeps follow, until one cuts the normwise
-    backward error ``eta = ||r||_inf / (||A||_inf ||x||_inf)`` by less than
-    10 times.  A singular level block, or an inverse that is not finite,
-    raises ``np.linalg.LinAlgError``.  Returns the solution, the number and
+    slots (:func:`_coupled`, :func:`_lowering_by_column`) and ``D_l``
+    scattered in, then inverted by :func:`_inverse`; only its inverse
+    ``X_l`` is kept, in ``dtype``: :func:`steady_state` runs float32, which
+    halves the store and the time, and float64 is the reference it is
+    tested against.  The Schur block and the gathered product are built in
+    the store's space of the levels not eliminated yet, so the largest
+    level's temporaries take no memory of their own.  Eliminating from the
+    top is the stable direction: near ``M = sqrt(N (N + 1))`` it leaves
+    about a hundredth of the residual that eliminating from the vacuum
+    does.  The solve is a sweep of iterative refinement from the vacuum
+    alone: with ``r`` the float64 residual of the orbit equations,
+    ``r'_l = r_l - Up_l X_{l+1} r'_{l+1}`` from the top down, then
+    ``d_l = X_l (r'_l - Lo_l d_{l-1})`` from the vacuum up, and
+    ``x_l += d_l``, each product with ``X_l`` taking its vector in ``dtype``
+    and giving it back in float64; the slots gather from full-length
+    vectors.  The residual is ``-(A x)`` by :func:`_apply`, a gather per
+    slot over all the levels.  Up to ``_REFINE_SWEEPS`` more sweeps follow,
+    until one cuts the normwise backward error
+    ``eta = ||r||_inf / (||A||_inf ||x||_inf)`` by less than 10 times.  A
+    singular level block, or an inverse that is not finite, raises
+    ``np.linalg.LinAlgError``.  Returns the solution, the number and
     itemsize of the stored inverse entries, and ``eta`` after the solve and
     after each refinement sweep.
     """
@@ -597,7 +586,7 @@ def _eliminate_levels(blocks, bounds, dtype):
     top = len(sizes) - 1
     (lo_idx, lo_w), (d_idx, d_w), (up_idx, up_w) = blocks
     norm_a = sum(np.abs(ws) for _, w in blocks for ws in w)[bounds[1]:].max()  # ||A||_inf
-    lowered = _lowering_by_column(blocks, bounds, dtype)
+    lowered = _lowering_by_column(blocks, dtype)
     offsets = np.r_[0, np.cumsum(sizes[1:] ** 2)]  # X_l at offsets[l - 1]:offsets[l]
     # One buffer holds every X_l: its pages become resident level by level,
     # and the per-level temporaries are not scattered between them.
@@ -616,7 +605,7 @@ def _eliminate_levels(blocks, bounds, dtype):
     def apply(idx, w, lv, vec):
         """Level ``lv``'s rows of the block with slots ``idx``, ``w``, times ``vec``."""
         at = level(lv)
-        return np.einsum("sr,sr->r", w[:, at], vec[idx[:, at]])
+        return np.einsum("sr,sr->r", w[:, at], vec.take(idx[:, at]))
 
     for lv in range(top, 0, -1):
         at, n = level(lv), sizes[lv]
@@ -624,30 +613,31 @@ def _eliminate_levels(blocks, bounds, dtype):
             space = store[:offsets[lv - 1]]  # the levels below, not eliminated yet
             if len(space) < (sizes[lv + 1] + max(sizes[lv + 1], n)) * n:
                 space = np.empty((sizes[lv + 1] + max(sizes[lv + 1], n)) * n, dtype)
-            schur = _coupled(up_idx[:, at], up_w[:, at], lowered[:, at], inverse(lv + 1), space)
+            above = up_idx[:, at] - bounds[lv + 1]  # an empty slot's own orbit lies below: < 0
+            schur = _coupled(above, up_w[:, at], lowered[:, at], inverse(lv + 1), space)
         else:
             schur = np.zeros((n, n), dtype)
         rows = np.arange(n)
         for idx, w in zip(d_idx[:, at], d_w[:, at]):  # a slot has one entry per row
-            schur[rows, idx] -= w
+            schur[rows, idx - bounds[lv]] -= w
         np.negative(schur, out=schur)  # D_l - Up_l X_{l+1} Lo_{l+1}
         _inverse(schur, inverse(lv))
         if not np.isfinite(inverse(lv)).all():
             raise np.linalg.LinAlgError(f"the inverse of level {lv} is not finite")
     del lowered
 
-    starts = [_neighbour_starts(bounds, kind) for kind in range(3)]
     x = np.zeros(bounds[-1])
     x[0] = 1.0
-    res, etas = -_apply(blocks, starts, x), []  # the vacuum's row is not used
+    res, etas = -_apply(blocks, x), []  # the vacuum's row is not used
+    step = np.zeros(bounds[-1])  # X_l r'_l, then d_l, at level l; 0 on level 0
     while len(etas) <= _REFINE_SWEEPS and (len(etas) < 2 or etas[-1] < etas[-2] / 10):
         for lv in range(top - 1, 0, -1):  # r becomes r', from the top down
-            res[level(lv)] -= apply(up_idx, up_w, lv, times(lv + 1, res[level(lv + 1)]))
-        delta = np.zeros(1)
+            step[level(lv + 1)] = times(lv + 1, res[level(lv + 1)])
+            res[level(lv)] -= apply(up_idx, up_w, lv, step)
         for lv in range(1, top + 1):
-            delta = times(lv, res[level(lv)] - apply(lo_idx, lo_w, lv, delta))
-            x[level(lv)] += delta
-        res = -_apply(blocks, starts, x)
+            step[level(lv)] = times(lv, res[level(lv)] - apply(lo_idx, lo_w, lv, step))
+        x += step
+        res = -_apply(blocks, x)
         etas.append(float(np.abs(res[bounds[1]:]).max() / (norm_a * np.abs(x).max())))
     return x, store.size, store.itemsize, etas
 
@@ -827,7 +817,7 @@ def _certified(hess, m, beta, tau, todo):
     return ys
 
 
-def _krylov_propagate(blocks, bounds, vec, h, steps):
+def _krylov_propagate(blocks, vec, h, steps):
     """The vectors exp(k h L) vec for k = 0..steps, L the slot blocks of :func:`_orbit_blocks`.
 
     Arnoldi on L from ``vec`` (two classical Gram-Schmidt passes per
@@ -843,15 +833,13 @@ def _krylov_propagate(blocks, bounds, vec, h, steps):
     When not one step is certified at the cap, tau is halved on the same
     basis; the internal step stays ``h / substeps`` from then on.  A basis
     that spans all of L's space is exact.  Products with L are
-    :func:`_apply`'s, with the level starts of the slot blocks computed once,
-    and the Gram-Schmidt products numpy's einsum, neither BLAS (which
-    splits long ones across threads), and :func:`_expm`
+    :func:`_apply`'s gathers and the Gram-Schmidt products numpy's einsum,
+    neither BLAS (which splits long ones across threads), and :func:`_expm`
     multiplies in blocks, so the vectors do not depend on the BLAS thread
     count.  Returns the (steps + 1, size) array of vectors with
     (largest basis, restarts, largest certified estimate, substeps).
     """
     size = len(vec)
-    starts = [_neighbour_starts(bounds, kind) for kind in range(3)]
     out = np.empty((steps + 1, size))
     out[0] = vec
     cap = min(_KRYLOV_CAP, size)
@@ -867,7 +855,7 @@ def _krylov_propagate(blocks, bounds, vec, h, steps):
         m = 0
         while True:  # double the basis until every step is certified, or to the cap
             for m in range(m + 1, min(max(2 * m, _KRYLOV_FIRST), cap) + 1):
-                w = _apply(blocks, starts, basis[m - 1])
+                w = _apply(blocks, basis[m - 1])
                 for _ in range(2):
                     c = np.einsum("ij,j->i", basis[:m], w)
                     w -= np.einsum("i,ij->j", c, basis[:m])
@@ -936,8 +924,8 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
     size = bounds[-1]
     nnz = sum(np.count_nonzero(w) for _, w in blocks)
-    columns = sum(np.bincount((idx + _neighbour_starts(bounds, k)).ravel(), np.abs(w).ravel(), size)
-                  for k, (idx, w) in enumerate(blocks))  # of |L|, whose 1-norm is their largest
+    # the column sums of |L|, whose 1-norm is their largest
+    columns = sum(np.bincount(idx.ravel(), np.abs(w).ravel(), size) for idx, w in blocks)
     span = columns.max() * (times[-1] - times[0])
     work = span * nnz
     if not work <= _EVOLVE_WORK_BUDGET:
@@ -950,7 +938,7 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     t1 = time.perf_counter()
     steps = len(times) - 1
     vecs, (largest, restarts, worst, substeps) = _krylov_propagate(
-        blocks, bounds, vec, (times[-1] - times[0]) / max(steps, 1), steps)
+        blocks, vec, (times[-1] - times[0]) / max(steps, 1), steps)
     t2 = time.perf_counter()
     log.info(
         "evolve: orbits path, %d unknowns, nnz %d, Krylov basis %d, restarts %d, "

@@ -91,6 +91,24 @@ def block_expm_covariance(cov, dd, t):
     return f11 @ cov @ f11.T + f12 @ f11.T
 
 
+def slot_matrix(blocks, size):
+    """The slot blocks of ``_orbit_blocks`` as one scipy CSR matrix, empty slots left out.
+
+    Each slot's column is the number of the orbit it reads.  A row's entries
+    are stored in ascending column, so the CSR product sums a row in the
+    order ``_apply`` does.
+    """
+    import scipy.sparse as sp
+
+    cols = np.concatenate([idx for idx, _ in blocks])
+    vals = np.concatenate([w for _, w in blocks])
+    rows = np.broadcast_to(np.arange(size), cols.shape)[vals != 0]
+    cols, vals = cols[vals != 0], vals[vals != 0]
+    order = np.lexsort((cols, rows))
+    return sp.csr_matrix((vals[order], (rows[order], cols[order].astype(np.intp))),
+                         shape=(size, size))
+
+
 def expm_multiply_evolve(model, basis, times):
     """The states of ``eprsim.lindblad.evolve`` by the route it took before its Krylov basis.
 
@@ -99,20 +117,15 @@ def expm_multiply_evolve(model, basis, times):
     numpy propagation to it.  The orbit matrix is read from the slots of
     ``_orbit_blocks``.
     """
-    import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
-    from eprsim.lindblad import _neighbour_starts, _orbit_blocks, _orbits, _sector_indices, _terms
+    from eprsim.lindblad import _orbit_blocks, _orbits, _sector_indices, _terms
 
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
     size = bounds[-1]
     indices = _sector_indices(basis)
     orbit, _ = _orbits(indices, basis)
-    # every slot, the empty ones too: tocsr sums their weight 0 into column 0 of a level
-    cols = np.concatenate([idx + _neighbour_starts(bounds, k) for k, (idx, _) in enumerate(blocks)])
-    vals = np.concatenate([w for _, w in blocks])
-    rows = np.broadcast_to(np.arange(size), cols.shape)
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)).tocsr()
+    mat = slot_matrix(blocks, size)
     vec = np.zeros(size)
     vec[0] = 1.0
     vecs = [vec] if len(times) == 1 else expm_multiply(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from conftest import dense_validate, expm_multiply_evolve
+from conftest import dense_validate, expm_multiply_evolve, slot_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -47,7 +47,6 @@ from eprsim.lindblad import (
     _level,
     _level_sizes,
     _lowering_by_column,
-    _neighbour_starts,
     _orbit_blocks,
     _orbits,
     _position_table,
@@ -134,14 +133,31 @@ def dense_orbit_matrix(model, basis):
     return out
 
 
-def dense_blocks(blocks, bounds):
+def dense_blocks(blocks):
     """The slot blocks of ``_orbit_blocks`` summed into one dense orbit matrix, ``evolve``'s."""
-    out = np.zeros((bounds[-1], bounds[-1]))
-    rows = np.arange(bounds[-1])
-    for kind, (idx, w) in enumerate(blocks):
+    size = blocks[0][0].shape[1]
+    out = np.zeros((size, size))
+    rows = np.arange(size)
+    for idx, w in blocks:
         for i, ws in zip(idx, w):
-            np.add.at(out, (rows, i + _neighbour_starts(bounds, kind)), ws)
+            np.add.at(out, (rows, i), ws)
     return out
+
+
+def check_slots(blocks, bounds):
+    """Each slot of a level-l row reads an orbit of its block's level, l - 1, l or l + 1, or is empty.
+
+    A row's filled slots hold ascending orbit numbers, then the empty ones,
+    each the row's own orbit with weight 0.
+    """
+    size = bounds[-1]
+    level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    for kind, (idx, w) in enumerate(blocks):
+        assert np.all((idx >= 0) & (idx < size)), kind
+        filled = w != 0
+        reached = np.searchsorted(bounds, idx, side="right") - 1  # the level of each column
+        assert np.all(np.where(filled, reached == level + kind - 1, idx == np.arange(size))), kind
+        assert np.all(~filled[1:] | (filled[:-1] & (idx[1:] > idx[:-1]))), kind
 
 
 def pair_expectation(rho):
@@ -292,45 +308,46 @@ def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max, rng):
 
     The blocks hold each entry at its level: ``Lo_l``, ``D_l`` and ``Up_l``
     reach levels ``l - 1``, ``l`` and ``l + 1``; no slot leaves the orbits.
-    ``_apply`` sums each row in the order of its columns, as a ``bincount``
-    over the entries sorted by row and column does, bit for bit: the bytes
-    of ``golden/evolve_vacuum.csv`` depend on that order.
+    ``_apply`` sums each row in the order of its columns, as the CSR
+    product of the entries sorted by row and column does, bit for bit: the
+    bytes of ``golden/evolve_vacuum.csv`` depend on that order.
     """
     basis = FockBasis(n_max)
     want = dense_orbit_matrix(model, basis)
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
     assert [len(idx) for idx, _ in blocks] == ([4, 5, 4] if model.m_param else [2, 1, 2])
-    sizes = np.diff(bounds)
-    level = np.repeat(np.arange(len(sizes)), sizes)
-    for kind, (idx, w) in enumerate(blocks):
-        reached = np.clip(level + kind - 1, 0, len(sizes) - 1)
-        assert np.all((idx >= 0) & (idx < sizes[reached])), kind
-        assert np.all((w == 0) | (level + kind - 1 == reached)), kind
-        # a row's columns ascend, then the empty slots: column 0, weight 0
-        assert np.all((w[1:] == 0) | ((w[:-1] != 0) & (idx[1:] > idx[:-1]))), kind
-        assert np.all((w != 0) | (idx == 0)), kind
-    got = dense_blocks(blocks, bounds)
+    check_slots(blocks, bounds)
+    got = dense_blocks(blocks)
     assert np.array_equal(got != 0, want != 0)
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-    cols = np.concatenate([idx + _neighbour_starts(bounds, k) for k, (idx, _) in enumerate(blocks)])
-    vals = np.concatenate([w for _, w in blocks])
-    rows = np.broadcast_to(np.arange(bounds[-1]), cols.shape)[vals != 0]
-    cols, vals = cols[vals != 0], vals[vals != 0]
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    assert len(vals) == np.count_nonzero(want)
+    mat = slot_matrix(blocks, bounds[-1])
+    assert mat.nnz == np.count_nonzero(want)
     for x in rng.standard_normal((3, bounds[-1])):
-        got = _apply(blocks, [_neighbour_starts(bounds, k) for k in range(3)], x)
+        got = _apply(blocks, x)
         assert np.all(np.abs(got - want @ x) <= 1e-13 * (np.abs(want) @ np.abs(x)))
-        assert np.array_equal(got, np.bincount(rows, vals * x[cols], minlength=bounds[-1]))
-    lowered = _lowering_by_column(blocks, bounds, float)
+        assert np.array_equal(got, mat @ x)
     (up_idx, _) = blocks[2]
-    transposed = np.zeros_like(want)
-    rows = np.arange(bounds[-1])
-    for i, ws in zip(up_idx, lowered):
-        np.add.at(transposed, (rows, i + _neighbour_starts(bounds, 2)), ws)
+    transposed = dense_blocks([(up_idx, _lowering_by_column(blocks, float))])
+    level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     upper = level[:, None] + 1 == level[None, :]
     assert np.all(np.abs(transposed - want.T * upper) <= 1e-15 * np.abs(want.T))
+
+
+@pytest.mark.parametrize("n_max, orbits, itype", [(57, 32509, np.int16), (58, 34220, np.int32)])
+def test_slot_columns_widen_to_int32_past_the_int16_orbits(n_max, orbits, itype, rng):
+    """Orbit numbers fit int16 through n_max 57; from n_max 58 the slot columns are int32.
+
+    On the heated eps/kappa 0.7, h 0.02 model every slot reads its block's
+    level or is empty, and ``_apply`` equals the CSR product of the same
+    slots bit for bit.
+    """
+    basis = FockBasis(n_max)
+    bounds, blocks = _orbit_blocks(_terms(half_model(0.7, heating=0.02), basis), basis)
+    assert bounds[-1] == orbits
+    assert [idx.dtype for idx, _ in blocks] == [np.dtype(itype)] * 3
+    check_slots(blocks, bounds)
+    x = rng.standard_normal(orbits)
+    assert np.array_equal(_apply(blocks, x), slot_matrix(blocks, orbits) @ x)
 
 
 def test_sector_residual_matches_dense_generator(rng):
@@ -397,24 +414,17 @@ def test_coupled_product_matches_dense_products(model, n_max, rng):
     """Every level's gathered Up_l X Lo_{l+1} against the two dense products, within 1e-13."""
     basis = FockBasis(n_max)
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
-    lowered = _lowering_by_column(blocks, bounds, float)
+    lowered = _lowering_by_column(blocks, float)
     sizes = np.diff(bounds)
-    (lo_idx, lo_w), _, (up_idx, up_w) = blocks
+    _, _, (up_idx, up_w) = blocks
     assert len(up_idx) <= 4  # one slot per level-raising shift pair
-
-    def dense(idx, w, shape):
-        out = np.zeros(shape)
-        for i, ws in zip(idx, w):
-            np.add.at(out, (np.arange(shape[0]), i), ws)
-        return out
-
+    mat = slot_matrix(blocks, bounds[-1])
     for lv in range(1, len(sizes) - 1):
         at, above = slice(bounds[lv], bounds[lv + 1]), slice(bounds[lv + 1], bounds[lv + 2])
         x = rng.standard_normal((sizes[lv + 1], sizes[lv + 1]))
-        want = ((dense(up_idx[:, at], up_w[:, at], (sizes[lv], sizes[lv + 1])) @ x)
-                @ dense(lo_idx[:, above], lo_w[:, above], (sizes[lv + 1], sizes[lv])))
+        want = mat[at, above].toarray() @ x @ mat[above, at].toarray()
         space = np.empty((sizes[lv + 1] + max(sizes[lv + 1], sizes[lv])) * sizes[lv])
-        got = _coupled(up_idx[:, at], up_w[:, at], lowered[:, at], x, space)
+        got = _coupled(up_idx[:, at] - bounds[lv + 1], up_w[:, at], lowered[:, at], x, space)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), lv
 
 
@@ -927,8 +937,8 @@ def test_expm_matches_scipy(rng):
         a = rng.standard_normal((n, n))
         assert relative_gap(_expm(a), scipy.linalg.expm(a)) <= 1e-13, n
     basis = FockBasis(8)
-    bounds, blocks = _orbit_blocks(_terms(half_model(0.3, heating=0.1), basis), basis)
-    dense = dense_blocks(blocks, bounds)
+    _, blocks = _orbit_blocks(_terms(half_model(0.3, heating=0.1), basis), basis)
+    dense = dense_blocks(blocks)
     hess = scipy.linalg.hessenberg(dense)
     for h in (hess, hess[:64, :64]):
         norms = (1e-3, 1.0, 10.0, 100.0, 310.0, 1e3)
@@ -951,7 +961,7 @@ def test_evolve_basis_memory_is_bounded_by_the_cap():
     vec[0] = 1.0
     tracemalloc.start()
     try:
-        out, (largest, _, _, _) = _krylov_propagate(blocks, bounds, vec, 0.4, 10)
+        out, (largest, _, _, _) = _krylov_propagate(blocks, vec, 0.4, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -992,8 +1002,8 @@ def test_orbit_generator_relaxes_at_the_gaussian_rate():
     rates = []
     for n_max in (4, 6, 8, 10):
         basis = FockBasis(n_max)
-        bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
-        dense = dense_blocks(blocks, bounds)
+        _, blocks = _orbit_blocks(_terms(model, basis), basis)
+        dense = dense_blocks(blocks)
         decay = -np.linalg.eigvals(dense).real
         rates.append(decay[decay > 1e-9].min())
     assert np.all(np.diff(rates) > 0), rates
