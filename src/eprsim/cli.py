@@ -59,7 +59,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more than 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -81,7 +81,7 @@ def _field(cfg: dict, name: str, typ, where: str = "", default=None):
     if typ is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"{path}: expected a number, got {val!r}")
-        if not math.isfinite(val):
+        if not -sys.float_info.max <= val <= sys.float_info.max:  # exact for an int of any size
             raise ConfigError(f"{path}: expected a finite number, got {val!r}")
         return float(val)
     if typ is int:
@@ -93,6 +93,12 @@ def _field(cfg: dict, name: str, typ, where: str = "", default=None):
     return val
 
 
+def _check_points(count: int, path: str) -> None:
+    """Refuse a grid of ``count`` float64 points, more bytes than numpy can index."""
+    if 8 * count > sys.maxsize:
+        raise ConfigError(f"{path}: {count} points exceed the largest array numpy can hold")
+
+
 def _grid_axis(block: dict, where: str, least: int = 0) -> np.ndarray:
     import numpy as np
 
@@ -101,6 +107,7 @@ def _grid_axis(block: dict, where: str, least: int = 0) -> np.ndarray:
     num = _field(block, "num", int, where)
     if num < least:
         raise ConfigError(f"{where}.num: must be >= {least}, got {num}")
+    _check_points(num, f"{where}.num")
     if not math.isfinite(stop - start):  # linspace would fill the grid with nan
         raise NumericalError(f"{where}: stop - start overflows from {start:.6g} to {stop:.6g}")
     return np.linspace(start, stop, num)
@@ -335,6 +342,7 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
         name: _grid_axis(_field(grid_cfg, name, dict, "grid"), f"grid.{name}")
         for name in ("q1", "p1", "q2", "p2")
     }
+    _check_points(math.prod(map(len, axes.values())), "grid")
     from_density = _field(cfg, "from_density", bool, default=False)
     basis = _basis(cfg, default=30) if from_density else None
 
@@ -441,7 +449,7 @@ def cmd_cascade(cfg: dict, out: str | None) -> int:
     eps = _field(cfg, "epsilon_over_kappa", float)
     ratios = _field(cfg, "kappa_over_gamma", list)
     if not ratios or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
+        isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x <= sys.float_info.max
         for x in ratios
     ):
         raise ConfigError(

@@ -115,10 +115,6 @@ def _lookup(keys, values, wanted, absent=-1) -> np.ndarray:
     return np.where(keys[at] == wanted, values[at], absent)
 
 
-def _single_mode_ladder(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
-
-
 def vacuum_state(basis: FockBasis) -> DensityMatrix:
     """``|00><00|``."""
     return DensityMatrix(basis, [0], [1.0])

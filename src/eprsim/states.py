@@ -52,13 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    FockBasis,
-    DensityMatrix,
-    NumericalError,
-    TruncationWarning,
-    _single_mode_ladder,
-)
+from .hilbert import FockBasis, DensityMatrix, NumericalError, TruncationWarning
 
 # Warn when this much population sits in the top 10% of Fock levels.
 TRUNCATION_POP_WARN = 1e-4
@@ -159,6 +153,10 @@ def _warn_if_truncated(state: DensityMatrix, where: str, stacklevel: int = 3,
             TruncationWarning,
             stacklevel=stacklevel,
         )
+
+
+def _single_mode_ladder(n_max: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
 
 
 @functools.lru_cache(maxsize=256)

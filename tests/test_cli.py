@@ -682,6 +682,24 @@ def _edge_of_m_bound():
     ("steady-state", {"model": {"epsilon_over_kappa": 0.97}, "n_max": 25}, 3,
      "numerical failure: steady-state: an n_max 25 box misses p = (nbar / (nbar + 1))**n_max "
      "= 0.977 of each mode's thermal state (nbar = 1.08e+03), over the bound 0.5; raise n_max\n"),
+    # integers past the float range, and grids of more points than numpy can index
+    ("steady-state", {"model": {"epsilon_over_kappa": 0.5, "gamma": 10**400}, "n_max": 4}, 2,
+     f"config error: model.gamma: expected a finite number, got {10**400}\n"),
+    ("bell-sweep", {"n_max": 6, "r_grid": {"start": 0.5, "stop": 10**400, "num": 2}}, 2,
+     f"config error: r_grid.stop: expected a finite number, got {10**400}\n"),
+    ("wigner", {"r": -10**400, "grid": _point_grid()}, 2,
+     f"config error: r: expected a finite number, got {-10**400}\n"),
+    ("feasibility", {"experiment": _experiment(g0=10**400), "r": 1.0}, 2,
+     f"config error: experiment.g0: expected a finite number, got {10**400}\n"),
+    ("cascade", {"epsilon_over_kappa": 0.5, "kappa_over_gamma": [10**400]}, 2,
+     "config error: kappa_over_gamma: expected a non-empty list of positive finite numbers\n"),
+    ("nopa-spectrum", {"epsilon_over_kappa": 0.5,
+                       "omega_grid": {"start": 0.0, "stop": 1.0, "num": 10**20}}, 2,
+     "config error: omega_grid.num: 100000000000000000000 points exceed the largest array "
+     "numpy can hold\n"),
+    ("wigner", {"r": 0.5, "grid": {name: {"start": 0.0, "stop": 1.0, "num": 10**5}
+                                   for name in ("q1", "p1", "q2", "p2")}}, 2,
+     "config error: grid: 100000000000000000000 points exceed the largest array numpy can hold\n"),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-edge-of-m-bound", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
@@ -690,7 +708,10 @@ def _edge_of_m_bound():
         "feasibility-eta-1e-320", "feasibility-t-decoherence-1e308", "steady-state-n-max-1e11",
         "nopa-spectrum-omega-1e308",
         "evolve-times-num-0", "bell-sweep-r-num-0", "bell-sweep-j-num-0", "feasibility-r-negative",
-        "feasibility-threshold-negative", "steady-state-n-max-130", "steady-state-tail-eps-0.97"])
+        "feasibility-threshold-negative", "steady-state-n-max-130", "steady-state-tail-eps-0.97",
+        "steady-state-gamma-int-1e400", "bell-sweep-stop-int-1e400", "wigner-r-int-minus-1e400",
+        "feasibility-g0-int-1e400", "cascade-ratio-int-1e400", "nopa-spectrum-num-1e20",
+        "wigner-grid-1e5-per-axis"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
@@ -698,6 +719,18 @@ def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, c
     assert main([command, "--config", cfg, "--out", str(out)]) == code
     stderr = capsys.readouterr().err
     assert stderr.startswith(err)
+    assert stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    """json refuses an integer of more than 4300 digits with a ValueError: exit 2, one line."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"schema_version": 1, "epsilon_over_kappa": 0.5, "kappa_over_gamma": [1%s]}'
+                   % ("0" * 5000), encoding="utf-8")
+    assert main(["cascade", "--config", str(cfg), "--out", str(tmp_path / "artifact")]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("config error: config is not valid JSON: Exceeds the limit (4300 digits)")
     assert stderr.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 

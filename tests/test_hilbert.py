@@ -8,8 +8,8 @@ from eprsim import (
     moments,
     vacuum_state,
 )
-from eprsim.hilbert import _single_mode_ladder
 from eprsim.lindblad import _adjoint, _flat, _ladder, _product
+from eprsim.states import _single_mode_ladder
 
 
 def dense(monomial, basis):

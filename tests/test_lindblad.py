@@ -133,17 +133,6 @@ def dense_orbit_matrix(model, basis):
     return out
 
 
-def dense_blocks(blocks):
-    """The slot blocks of ``_orbit_blocks`` summed into one dense orbit matrix, ``evolve``'s."""
-    size = blocks[0][0].shape[1]
-    out = np.zeros((size, size))
-    rows = np.arange(size)
-    for idx, w in blocks:
-        for i, ws in zip(idx, w):
-            np.add.at(out, (rows, i), ws)
-    return out
-
-
 def check_slots(blocks, bounds):
     """Each slot of a level-l row reads an orbit of its block's level, l - 1, l or l + 1, or is empty.
 
@@ -317,17 +306,16 @@ def test_orbit_blocks_match_the_dense_orbit_matrix(model, n_max, rng):
     bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
     assert [len(idx) for idx, _ in blocks] == ([4, 5, 4] if model.m_param else [2, 1, 2])
     check_slots(blocks, bounds)
-    got = dense_blocks(blocks)
+    mat = slot_matrix(blocks, bounds[-1])
+    got = mat.toarray()
     assert np.array_equal(got != 0, want != 0)
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-    mat = slot_matrix(blocks, bounds[-1])
-    assert mat.nnz == np.count_nonzero(want)
     for x in rng.standard_normal((3, bounds[-1])):
         got = _apply(blocks, x)
         assert np.all(np.abs(got - want @ x) <= 1e-13 * (np.abs(want) @ np.abs(x)))
         assert np.array_equal(got, mat @ x)
     (up_idx, _) = blocks[2]
-    transposed = dense_blocks([(up_idx, _lowering_by_column(blocks, float))])
+    transposed = slot_matrix([(up_idx, _lowering_by_column(blocks, float))], bounds[-1]).toarray()
     level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     upper = level[:, None] + 1 == level[None, :]
     assert np.all(np.abs(transposed - want.T * upper) <= 1e-15 * np.abs(want.T))
@@ -937,8 +925,8 @@ def test_expm_matches_scipy(rng):
         a = rng.standard_normal((n, n))
         assert relative_gap(_expm(a), scipy.linalg.expm(a)) <= 1e-13, n
     basis = FockBasis(8)
-    _, blocks = _orbit_blocks(_terms(half_model(0.3, heating=0.1), basis), basis)
-    dense = dense_blocks(blocks)
+    bounds, blocks = _orbit_blocks(_terms(half_model(0.3, heating=0.1), basis), basis)
+    dense = slot_matrix(blocks, bounds[-1]).toarray()
     hess = scipy.linalg.hessenberg(dense)
     for h in (hess, hess[:64, :64]):
         norms = (1e-3, 1.0, 10.0, 100.0, 310.0, 1e3)
@@ -1002,8 +990,8 @@ def test_orbit_generator_relaxes_at_the_gaussian_rate():
     rates = []
     for n_max in (4, 6, 8, 10):
         basis = FockBasis(n_max)
-        _, blocks = _orbit_blocks(_terms(model, basis), basis)
-        dense = dense_blocks(blocks)
+        bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+        dense = slot_matrix(blocks, bounds[-1]).toarray()
         decay = -np.linalg.eigvals(dense).real
         rates.append(decay[decay > 1e-9].min())
     assert np.all(np.diff(rates) > 0), rates
