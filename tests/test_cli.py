@@ -730,7 +730,7 @@ def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
                    % ("0" * 5000), encoding="utf-8")
     assert main(["cascade", "--config", str(cfg), "--out", str(tmp_path / "artifact")]) == 2
     stderr = capsys.readouterr().err
-    assert stderr.startswith("config error: config is not valid JSON: Exceeds the limit (4300 digits)")
+    assert stderr.startswith("config error: config is not valid JSON: Exceeds the limit")
     assert stderr.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 

@@ -134,10 +134,11 @@ def dense_orbit_matrix(model, basis):
 
 
 def check_slots(blocks, bounds):
-    """Each slot of a level-l row reads an orbit of its block's level, l - 1, l or l + 1, or is empty.
+    """Each slot of a level-l row reads an orbit on its block's level, or is empty.
 
-    A row's filled slots hold ascending orbit numbers, then the empty ones,
-    each the row's own orbit with weight 0.
+    The blocks reach levels l - 1, l and l + 1.  A row's filled slots hold
+    ascending orbit numbers, then the empty ones, each the row's own orbit
+    with weight 0.
     """
     size = bounds[-1]
     level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
