@@ -491,7 +491,7 @@ def _lowering_by_column(blocks, dtype) -> np.ndarray:
     Each pair that lowers the level undoes one that raises it, and T and S
     map the raising pairs onto one another, so ``Lo_{l+1}[j, i]`` is
     nonzero only where some member of orbit ``i`` rises to orbit ``j``,
-    that is where a slot of ``Up_l``'s row ``i`` holds column ``j``.
+    that is where a slot of ``Up_l``'s row ``i`` holds orbit ``j``.
     Returns the (pairs, orbits) weights ``Lo_{l+1}[idx[s, i], i]`` at
     Up_l's slots ``idx[s, i]``, in ``dtype``, and 0 where those weigh 0.
     A row's slots of ``Lo_{l+1}`` hold distinct columns, so one of them at
@@ -908,9 +908,9 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     the orbit matrix's nonzero slots (nnz); where span times nnz exceeds a
     fixed budget (1e9) :class:`~eprsim.errors.NumericalError` is raised
     before any propagation.  Both are read from the slots of
-    :func:`_orbit_blocks`, and every product with the orbit matrix is
-    :func:`_apply`'s, which uses no BLAS, so the states do not depend on
-    the BLAS thread count.
+    :func:`_orbit_blocks` (``||L||_1`` by a ``bincount`` over their orbit
+    numbers), and every product with the orbit matrix is :func:`_apply`'s,
+    which uses no BLAS, so the states do not depend on the BLAS threads.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
