@@ -372,8 +372,9 @@ def _orbit_blocks(terms, basis: FockBasis):
     summed over an orbit.  ``A rho B`` takes row (u, v) from the entry at
     (u + sa, v - sb), with the weight ``A[u, u + sa] * B[v - sb, v]``, so the
     terms with one shift pair (sa, sb) reach one column per row, the orbit
-    that :func:`_position_table` holds for that entry, read only at the rows
-    where some term's weights meet.  Each term's product is made once.  A pair
+    that :func:`_position_table` holds for that entry.  Their weights are
+    summed in term order, as :func:`_sector_residual` sums them, and the
+    pair reaches its column only where that sum is nonzero.  A pair
     moves the level of :func:`_level` by ``(sum(sa) - sum(sb)) / 2``: of the
     at most 13 pairs, 4 lower it, 5 keep it and 4 raise it, so ordered by
     level the system is block tridiagonal, with blocks ``Lo_l``, ``D_l`` and
@@ -385,11 +386,9 @@ def _orbit_blocks(terms, basis: FockBasis):
     (float64).  Row ``i`` has the weight ``w[s, i]`` in column ``idx[s, i]``,
     the orbit it reads, on the level its block reaches.  A row's slots hold
     its distinct columns in ascending order, then its own orbit with weight
-    0; pairs that reach one column share a slot.  A weight is its first
-    term's plus the later ones summed in term order, pair by pair where
-    pairs share a slot: :func:`evolve`'s golden output depends on that
-    order to the last bit.  Level ``l``'s blocks are the slots at its
-    orbits; nothing is sorted.
+    0, so a slot is empty exactly where it weighs 0.  Pairs that reach one
+    column share a slot and add there in pair order.  Level ``l``'s blocks
+    are the slots at its orbits; nothing is sorted.
     """
     n, d = basis.n_max, basis.dimension
     counts = _level_sizes(n)
@@ -409,38 +408,27 @@ def _orbit_blocks(terms, basis: FockBasis):
     u, v = np.divmod(reps, d)
     del reps
     for kind, (idx, w) in enumerate(blocks):
-        cols, tops, rests = [], [], []  # by pair: its column (-1 where no term meets), weights
+        cols, weights = [], []  # by pair: its column (-1 where it weighs 0), its weight
         for (sa, sb), group in pairs.items():
             if kinds[sa, sb] != kind:
                 continue
-            top = rest = 0.0  # the pair's first weight at each row, and its later ones summed
-            met = False
-            for coeff, wa, wb in group:
-                a, b = wa[u], _shifted(wb, (-sb[0], -sb[1]), basis)[v]  # A[u, u + sa], B[v - sb, v]
-                weight, hit = coeff * a * b, a * b != 0
-                top = np.where(met | ~hit, top, weight)
-                rest = np.where(met & hit, rest + weight, rest)
-                met = met | hit
+            shift = (-sb[0], -sb[1])  # A[u, u + sa] * B[v - sb, v], summed in term order
+            weight = sum(coeff * wa[u] * _shifted(wb, shift, basis)[v] for coeff, wa, wb in group)
+            met = weight != 0
             col = np.full(len(u), -1, itype)
             src = (u[met] + _flat(sa, basis)) * n + (v[met] - _flat(sb, basis)) // n  # (m0, m1, n0)
             col[met] = table[src]
             cols.append(col)
-            tops.append(top)
-            rests.append(rest)
+            weights.append(weight)
         cols = np.array(cols)
         first = cols >= 0  # the first slot of each distinct column of a row
         for s in range(1, len(cols)):
             first[s] &= ~((cols[:s] == cols[s]) & first[:s]).any(axis=0)
-        head, seen = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)  # w holds the later weights
-        for col, top, rest in zip(cols, tops, rests):
-            slot = np.sum(first & (cols < col), axis=0)  # the rank of its column in the row
-            for s in range(len(cols)):
-                at = (slot == s) & (col >= 0)
-                head[s] = np.where(at & ~seen[s], top, head[s])
-                w[s] = np.where(at, np.where(seen[s], w[s] + top + rest, rest), w[s])
-                seen[s] |= at
-                idx[s] = np.where(at, col, idx[s])
-        w += head
+        for col, weight in zip(cols, weights):
+            rows = np.flatnonzero(col >= 0)
+            slot = np.sum(first & (cols < col), axis=0)[rows]  # the rank of its column in the row
+            w[slot, rows] += weight[rows]
+            idx[slot, rows] = col[rows]
     return bounds, blocks
 
 
@@ -493,17 +481,17 @@ def _lowering_by_column(blocks, dtype) -> np.ndarray:
     nonzero only where some member of orbit ``i`` rises to orbit ``j``,
     that is where a slot of ``Up_l``'s row ``i`` holds orbit ``j``.
     Returns the (pairs, orbits) weights ``Lo_{l+1}[idx[s, i], i]`` at
-    Up_l's slots ``idx[s, i]``, in ``dtype``, and 0 where those weigh 0.
-    A row's slots of ``Lo_{l+1}`` hold distinct columns, so one of them at
-    most matches and the weight is not rounded before its cast.
+    Up_l's slots ``idx[s, i]``, in ``dtype``.  An empty slot of Up_l holds
+    orbit ``i``, which row ``i`` of ``Lo_l`` holds only in its empty slots,
+    so it reads 0.  A row's slots of ``Lo_{l+1}`` hold distinct columns, so one
+    of them at most matches and the weight is not rounded before its cast.
     """
-    (lo_idx, lo_w), _, (up_idx, up_w) = blocks
+    (lo_idx, lo_w), _, (up_idx, _) = blocks
     own = np.arange(up_idx.shape[1])
     out = np.zeros(up_idx.shape, dtype)
-    for lowered, up, w in zip(out, up_idx, up_w):
+    for lowered, up in zip(out, up_idx):
         for idx, lo in zip(lo_idx, lo_w):
             lowered += np.where(idx.take(up) == own, lo.take(up), 0.0)
-        lowered[w == 0] = 0.0
     return out
 
 

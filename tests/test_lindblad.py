@@ -286,9 +286,12 @@ def test_dense_orbit_oracle_matches_the_master_equation():
     assert np.max(np.abs(full[np.ix_(outside, indices)])) == 0.0
 
 
+# The last two have zero rates: N = 0 leaves the terms of rate g N with
+# weight 0, and the pure decay has no heating either (the source off).
 ORBIT_MODELS = pytest.mark.parametrize("model", [
     half_model(0.5, heating=0.1), half_model(0.5), LindbladModel(1.0, 0.3, 0.0),
-], ids=["heated", "unheated", "m0"])
+    LindbladModel(1.0, 0.0, 0.0, 0.05), LindbladModel(1.0, 0.0, 0.0),
+], ids=["heated", "unheated", "m0", "n0-heated", "decay"])
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 5, 8, 10])
