@@ -342,13 +342,18 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
         name: _grid_axis(_field(grid_cfg, name, dict, "grid"), f"grid.{name}")
         for name in ("q1", "p1", "q2", "p2")
     }
-    _check_points(math.prod(map(len, axes.values())), "grid")
+    points = math.prod(map(len, axes.values()))
+    _check_points(points, "grid")
     from_density = _field(cfg, "from_density", bool, default=False)
     basis = _basis(cfg, default=30) if from_density else None
 
     spec = TmssSpec(r)
-    mesh = np.meshgrid(*axes.values(), indexing="ij")
-    w_analytic = wigner_analytic(spec, *mesh)
+    try:  # these arrays depend on the grid alone, not on n_max
+        mesh = np.meshgrid(*axes.values(), indexing="ij")
+        w_analytic = wigner_analytic(spec, *mesh)
+    except MemoryError as exc:
+        raise NumericalError(f"out of memory on the grid of {points} points "
+                             f"({str(exc) or 'allocation failed'}); use fewer grid points") from exc
 
     trunc_warned = False
     w_rho = None

@@ -700,6 +700,11 @@ def _edge_of_m_bound():
     ("wigner", {"r": 0.5, "grid": {name: {"start": 0.0, "stop": 1.0, "num": 10**5}
                                    for name in ("q1", "p1", "q2", "p2")}}, 2,
      "config error: grid: 100000000000000000000 points exceed the largest array numpy can hold\n"),
+    # a grid numpy can index but memory cannot hold: no n_max is read, so the line names the grid
+    ("wigner", {"r": 0.5, "from_density": False,
+                "grid": {name: {"start": 0.0, "stop": 1.0, "num": 10**4}
+                         for name in ("q1", "p1", "q2", "p2")}}, 3,
+     "numerical failure: out of memory on the grid of 10000000000000000 points ("),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-edge-of-m-bound", "evolve-gamma-1e300", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
@@ -711,7 +716,7 @@ def _edge_of_m_bound():
         "feasibility-threshold-negative", "steady-state-n-max-130", "steady-state-tail-eps-0.97",
         "steady-state-gamma-int-1e400", "bell-sweep-stop-int-1e400", "wigner-r-int-minus-1e400",
         "feasibility-g0-int-1e400", "cascade-ratio-int-1e400", "nopa-spectrum-num-1e20",
-        "wigner-grid-1e5-per-axis"])
+        "wigner-grid-1e5-per-axis", "wigner-grid-1e4-per-axis"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
