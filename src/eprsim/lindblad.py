@@ -822,11 +822,11 @@ def _krylov_propagate(blocks, vec, h, steps):
     basis; the internal step stays ``h / substeps`` from then on.  A basis
     that spans an invariant subspace of L is exact: Arnoldi ends there when
     h_{m+1,m} is at most 64 ulp of ``||L v_m||``, taken before Gram-Schmidt.
-    Two passes leave of a vector in the span a remainder of order
-    sqrt(m) ulp, at most 11 at the cap, and a larger remainder that small
-    is below what the product itself resolves; on M = 0 models, whose
-    vacuum reaches few orbits, the two read below 1e-31 and above 1e-3
-    of ``||L v_m||``.  Products with L are
+    The two passes leave of a vector in the span about sqrt(m) ulp (11 at
+    the cap), and a true h_{m+1,m} under 64 ulp is below what the product
+    ``L v_m`` resolves.  On M = 0 models, whose vacuum reaches few orbits,
+    the breakdowns read below 1e-31 of ``||L v_m||`` and the true values
+    above 1e-3.  Products with L are
     :func:`_apply`'s gathers and the Gram-Schmidt products numpy's einsum,
     neither BLAS (which splits long ones across threads), and :func:`_expm`
     multiplies in blocks, so the vectors do not depend on the BLAS thread
