@@ -7,6 +7,8 @@ violation of |B| <= 2.  Vacuum run through the identical settings stays
 classical, so the violation is carried by the state and not by the
 readout.  Both states are passed as pure states, so each correlator
 contracts only the n_max diagonal kets |m, m> of the squeezed vacuum.
+One chsh_value call takes every setting of a state's sweep, and lays the
+state out and checks its truncation once for all of them.
 """
 
 import numpy as np
@@ -15,13 +17,10 @@ from eprsim import BellSettings, FockBasis, TmssSpec, chsh_value, tmss_fock, vac
 
 
 def sweep(state, j_values):
-    best = (0.0, None)
-    for j in j_values:
-        d = np.sqrt(j)
-        b = chsh_value(state, BellSettings(alpha1=0.0, alpha2=d, beta1=0.0, beta2=d))
-        if b > best[0]:
-            best = (b, j)
-    return best
+    settings = [BellSettings(alpha1=0.0, alpha2=d, beta1=0.0, beta2=d) for d in np.sqrt(j_values)]
+    b_values = chsh_value(state, settings)
+    best = int(np.argmax(b_values))
+    return b_values[best], j_values[best]
 
 
 basis = FockBasis(n_max=30)

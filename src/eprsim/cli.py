@@ -2,7 +2,8 @@
 
 Verbs: nopa-spectrum, steady-state, evolve, wigner, bell-sweep,
 feasibility, cascade.  Each takes a JSON config (--config), writes CSV
-and/or JSON to --out (stdout when omitted), and is fully deterministic:
+or JSON to --out (stdout when omitted; there the JSON sidecar of wigner
+and bell-sweep is logged at INFO, not written), and is fully deterministic:
 identical configs produce byte-identical outputs.  Floats are emitted
 with 17 significant digits so outputs are stable golden-file material.
 
@@ -208,8 +209,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _sibling(out_path: str | None, suffix: str) -> str | None:
-    return None if out_path is None else out_path + suffix
+def _with_sidecar(out: str | None, text, suffix: str, sidecar: dict) -> list:
+    """``(out, text)`` and the JSON ``sidecar`` at ``out + suffix``; on stdout, ``text`` alone.
+
+    Stdout then holds one CSV, and the sidecar is logged at INFO."""
+    if out is None:
+        log.info("sidecar %s, not written to stdout: %s", suffix, sidecar)
+        return [(None, text)]
+    return [(out, text), (out + suffix, _json_text(sidecar))]
 
 
 def _density_csv(rho):
@@ -370,13 +377,7 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     meta = {"truncation_warning": trunc_warned, "from_density": from_density}
     if basis is not None:
         meta["n_max"] = basis.n_max
-    artifacts = [(out, _csv(header, cols))]
-    meta_path = _sibling(out, ".meta.json")
-    if meta_path is None:
-        log.info("wigner metadata: %s", meta)
-    else:
-        artifacts.append((meta_path, _json_text(meta)))
-    _write(*artifacts)
+    _write(*_with_sidecar(out, _csv(header, cols), ".meta.json", meta))
     return 0
 
 
@@ -407,20 +408,15 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
             f"j_grid: sqrt(J) exceeds the truncation-safety bound {MAX_SETTING_MAGNITUDE:g}")
 
     settings = [BellSettings(0.0, math.sqrt(j), 0.0, beta2_sign * math.sqrt(j)) for j in j_grid]
-
-    def sweep_j(state):
-        return [chsh_value(state, s) for s in settings]
-
     if state_kind == "vacuum":  # the control does not depend on r: one row for every r
-        b_rows = [sweep_j(vacuum_state(basis))] * len(r_grid)
+        b_rows = [chsh_value(vacuum_state(basis), settings)] * len(r_grid)
     else:
-        b_rows = (sweep_j(tmss_fock(TmssSpec(float(r)), basis)) for r in r_grid)
+        b_rows = (chsh_value(tmss_fock(TmssSpec(float(r)), basis), settings) for r in r_grid)
     rows = [(r, j, b_val) for r, b_row in zip(r_grid, b_rows) for j, b_val in zip(j_grid, b_row)]
     r_best, j_best, max_b = max(rows, key=lambda row: row[2])  # the first of equal maxima
     summary = {"max_b": max_b, "r": float(r_best), "j": float(j_best),
                "state": state_kind, "n_max": basis.n_max, "beta2_sign": beta2_sign}
-    _write((out, _csv(["r", "J", "B"], zip(*rows))),
-           (_sibling(out, ".summary.json"), _json_text(summary)))
+    _write(*_with_sidecar(out, _csv(["r", "J", "B"], zip(*rows)), ".summary.json", summary))
     return 0
 
 

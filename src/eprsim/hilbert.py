@@ -70,9 +70,8 @@ class DensityMatrix:
     drops zeros and checks that every key lies in the d x d matrix, so a
     state holds each nonzero entry once, in key order.  Both arrays are
     the state's own copies and read-only, so a state cannot change after
-    construction and may key a memo.  :attr:`elements`
-    builds the dense array on request.  A pure state is the outer product
-    of its amplitudes on their support.
+    construction.  :attr:`elements` builds the dense array on request.  A
+    pure state is the outer product of its amplitudes on their support.
 
     Construction does not check Hermiticity, unit trace or positivity; the
     tests check the solvers' states against a dense reference.  Equality is identity.

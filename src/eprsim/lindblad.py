@@ -652,7 +652,7 @@ def _rate_scaled(model: LindbladModel):
     would round to 0, is held at 2**-1074, where no sum with the heating
     rate (about 1) sees it either.
     """
-    scale = np.ldexp(1.0, min(int(np.round(np.log2(max(model.gamma, model.heating_rate)))), 1023))
+    scale = math.ldexp(1.0, min(int(np.round(np.log2(max(model.gamma, model.heating_rate)))), 1023))
     gamma = max(model.gamma / scale, 5e-324)
     return scale, replace(model, gamma=gamma, heating_rate=model.heating_rate / scale)
 
@@ -768,7 +768,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     :func:`_matmul`'s, so the result does not depend on the BLAS thread count.
     """
     norm = np.abs(a).sum(axis=0).max(initial=0.0)
-    squarings = max(0, int(np.ceil(np.log2(norm / 9.9)))) if norm > 0 else 0
+    squarings = int(np.ceil(np.log2(norm / 9.9))) if norm > 9.9 else 0
     powers = [a / 2.0 ** squarings]
     for _ in range(4):
         powers.append(_matmul(powers[-1], powers[0]))
@@ -791,21 +791,21 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.add.reduce(x * x)))
 
 
-def _certified(hess, m, beta, tau, todo):
+def _certified(hess, m, beta, tau, todo, tol):
     """The vectors y_k = exp(k tau H_m) e_1, k = 1..todo, that Saad's estimate certifies.
 
     The estimate of step k is beta h_{m+1,m} |e_m^T y_k|; the steps up to the
-    first one above :data:`_KRYLOV_TOL` are returned.
+    first one above ``tol`` are returned.
     """
     e = _expm(tau * hess[:m, :m])
     ys, y = [], e[:, 0]
-    while len(ys) < todo and beta * hess[m, m - 1] * abs(y[-1]) <= _KRYLOV_TOL:
+    while len(ys) < todo and beta * hess[m, m - 1] * abs(y[-1]) <= tol:
         ys.append(y)
         y = np.einsum("ij,j->i", e, y)
     return ys
 
 
-def _krylov_propagate(blocks, vec, h, steps):
+def _krylov_propagate(blocks, vec, h, steps, unit=1.0):
     """The vectors exp(k h L) vec for k = 0..steps, L the slot blocks of :func:`_orbit_blocks`.
 
     Arnoldi on L from ``vec`` (two classical Gram-Schmidt passes per
@@ -813,10 +813,12 @@ def _krylov_propagate(blocks, vec, h, steps):
     exp(k tau L) vec ~ beta V_m y_k with y_k = E^k e_1 and E = exp(tau H_m),
     one small exponential for every step of the grid.  Step k is certified
     when Saad's a-posteriori estimate beta h_{m+1,m} |e_m^T y_k| is at most
-    :data:`_KRYLOV_TOL` (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The
-    basis starts with :data:`_KRYLOV_FIRST` vectors and doubles until every
-    step is certified or it holds :data:`_KRYLOV_CAP` vectors; there the
-    certified steps are kept and Arnoldi restarts from the last of them
+    :data:`_KRYLOV_TOL` (Saad, SIAM J. Numer. Anal. 29, 209 (1992)), or
+    ``_KRYLOV_TOL / unit`` for blocks in units of a power of two ``unit``: the
+    model's own units, without overflow.  The basis starts with
+    :data:`_KRYLOV_FIRST` vectors and doubles until every step is certified
+    or it holds :data:`_KRYLOV_CAP` vectors; there the certified steps are
+    kept and Arnoldi restarts from the last of them
     (twice on the shipped grid, which would need 224 vectors at once).
     When not one step is certified at the cap, tau is halved on the same
     basis; the internal step stays ``h / substeps`` from then on.  A basis
@@ -841,7 +843,7 @@ def _krylov_propagate(blocks, vec, h, steps):
     hess = np.zeros((cap + 1, cap))
     start, pos, substeps = vec, 0, 1  # pos: the start's time in internal steps
     largest = restarts = 0
-    worst = 0.0
+    worst, tol = 0.0, _KRYLOV_TOL / unit  # the estimates in units of the blocks
     while pos < steps * substeps:
         beta = _norm(start)
         basis[0] = start / beta
@@ -861,14 +863,14 @@ def _krylov_propagate(blocks, vec, h, steps):
                     break
                 if m < cap:
                     basis[m] = w / hess[m, m - 1]
-            ys = _certified(hess, m, beta, h / substeps, steps * substeps - pos)
+            ys = _certified(hess, m, beta, h / substeps, steps * substeps - pos, tol)
             if len(ys) == steps * substeps - pos or m == cap or hess[m, m - 1] == 0.0:
                 break
         while not ys:  # at the cap, not one step certified: halve the internal step
             if substeps >= 2 ** 30:
                 raise NumericalError("evolve: the Krylov propagation certifies no step")
             substeps, pos = 2 * substeps, 2 * pos
-            ys = _certified(hess, m, beta, h / substeps, steps * substeps - pos)
+            ys = _certified(hess, m, beta, h / substeps, steps * substeps - pos, tol)
         largest = max(largest, m)
         worst = max(worst, beta * hess[m, m - 1] * max(abs(y[-1]) for y in ys))
         first = pos + 1
@@ -880,7 +882,7 @@ def _krylov_propagate(blocks, vec, h, steps):
                 out[k // substeps] = state
         start = states[-1]
         restarts += pos < steps * substeps
-    return out, (largest, restarts, worst, substeps)
+    return out, (largest, restarts, float(worst) * unit, substeps)
 
 
 def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]:
@@ -891,22 +893,26 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     The vacuum is real and alone in its {1, T, S, TS} orbit (orbit 0), and
     the generator keeps a state real and constant on the orbits, so one real
     value per orbit is propagated, with the matrix :func:`steady_state`
-    eliminates plus its vacuum row.  The generator does not depend on time
-    and the grid is uniform, so an Arnoldi basis of at most
-    :data:`_KRYLOV_CAP` vectors from the vacuum and one small exponential
-    carry the state across the grid, each step certified by an a-posteriori
-    estimate, and the basis restarts from the last certified step where the
-    cap is reached (:func:`_krylov_propagate`); a single time gives the
-    vacuum alone.  The states are real and exactly symmetric;
-    :func:`moments` reads their second moments and purity.  The span
-    ``||L||_1 * (times[-1] - times[0])`` sets how many basis vectors and
-    restarts the propagation needs, and each vector costs a product with
+    eliminates plus its vacuum row, in units of the rate scale s
+    (:func:`_rate_scaled`) as there, with the step multiplied by s: no term
+    overflows, and every state keeps the bits of an unscaled assembly.  The
+    generator does not depend on time and the grid is uniform, so an Arnoldi
+    basis of at most :data:`_KRYLOV_CAP` vectors from the vacuum and one
+    small exponential carry the state across the grid, each step certified
+    by an a-posteriori estimate, and the basis restarts from the last
+    certified step where the cap is reached (:func:`_krylov_propagate`); a
+    single time gives the vacuum alone.  The states are real and exactly
+    symmetric; :func:`moments` reads their second moments and purity.  The
+    span ``||L||_1 * (times[-1] - times[0])`` sets how many basis vectors
+    and restarts the propagation needs, and each vector costs a product with
     the orbit matrix's nonzero slots (nnz); where span times nnz exceeds a
     fixed budget (1e9) :class:`~eprsim.errors.NumericalError` is raised
-    before any propagation.  Both are read from the slots of
-    :func:`_orbit_blocks` (``||L||_1`` by a ``bincount`` over their orbit
-    numbers), and every product with the orbit matrix is :func:`_apply`'s,
-    which uses no BLAS, so the states do not depend on the BLAS threads.
+    before any propagation, as it is before assembly where the rates in
+    units of s are too large for the Arnoldi norms to square.  Both are
+    read from the slots of :func:`_orbit_blocks` (``||L||_1`` by a
+    ``bincount`` over their orbit numbers), and every product with the
+    orbit matrix is :func:`_apply`'s, which uses no BLAS, so the states do
+    not depend on the BLAS threads.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -917,12 +923,21 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
         raise ValueError("times must be the uniform grid np.linspace(times[0], times[-1], n)")
 
     t0 = time.perf_counter()
-    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)
+    scale, model = _rate_scaled(model)
+    terms = _terms(model, basis)
+    # every row and column of |L| / s sums to at most `reach`, so below this bound
+    # the Arnoldi norms, which square entries of L / s times unit vectors, stay finite
+    reach = sum(abs(coeff) for coeff, _, _ in terms) * basis.n_max
+    if not reach * basis.dimension < math.sqrt(np.finfo(float).max):
+        raise NumericalError(f"evolve: the generator's rates reach {reach:.3g} in units of s = "
+                             f"{scale:g}, past what its norms can square; lower n_param")
+    bounds, blocks = _orbit_blocks(terms, basis)
     size = bounds[-1]
-    nnz = sum(np.count_nonzero(w) for _, w in blocks)
-    # the column sums of |L|, whose 1-norm is their largest
+    nnz = int(sum(np.count_nonzero(w) for _, w in blocks))
+    # the column sums of |L| / s, whose 1-norm is their largest; Python floats
+    # give an inf span past the float range, with no warning
     columns = sum(np.bincount(idx.ravel(), np.abs(w).ravel(), size) for idx, w in blocks)
-    span = columns.max() * (times[-1] - times[0])
+    span = float(columns.max()) * (scale * float(times[-1] - times[0]))
     work = span * nnz
     if not work <= _EVOLVE_WORK_BUDGET:
         raise NumericalError(
@@ -934,7 +949,7 @@ def evolve(model: LindbladModel, basis: FockBasis, times) -> list[DensityMatrix]
     t1 = time.perf_counter()
     steps = len(times) - 1
     vecs, (largest, restarts, worst, substeps) = _krylov_propagate(
-        blocks, vec, (times[-1] - times[0]) / max(steps, 1), steps)
+        blocks, vec, scale * ((times[-1] - times[0]) / max(steps, 1)), steps, scale)
     t2 = time.perf_counter()
     log.info(
         "evolve: orbits path, %d unknowns, nnz %d, Krylov basis %d, restarts %d, "

@@ -14,7 +14,7 @@ files pin.
 
 from __future__ import annotations
 
-import functools
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,7 @@ class BellSettings:
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             val = complex(getattr(self, name))
             object.__setattr__(self, name, val)
-            if not np.isfinite(val.real) or not np.isfinite(val.imag):
+            if not cmath.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             if abs(val) > MAX_SETTING_MAGNITUDE:
                 raise ValueError(
@@ -77,30 +77,21 @@ def epr_criterion(var_sum_q: float, var_diff_p: float) -> tuple[float, bool]:
     return value, value < 4.0
 
 
-@functools.lru_cache(maxsize=1)
-def _check_truncation_once(state: DensityMatrix):
-    """:func:`chsh_value`'s truncation check, memoized for the last state checked."""
-    _warn_if_truncated(state, "chsh_value", stacklevel=4)
-
-
-def chsh_value(state: DensityMatrix, s: BellSettings) -> float:
-    """CHSH combination B = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
+def chsh_value(state: DensityMatrix, settings) -> list[float]:
+    """CHSH combination B = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2), for each of ``settings``.
 
     |B| <= 2 for every separable state; displaced-parity measurements on
     the pair-correlated states here push B above 2 for suitable settings.
-    The settings were bounded when ``s`` was built, so only the state's
-    truncation is checked, and once per state: the memo holds the last
-    state checked, so a sweep of settings over one state warns at most
-    once, and calling again with that same state warns no more.  The four
-    correlators share the state's support layout (see
-    :func:`~eprsim.states.displaced_parity_expectation`).
+    The settings were bounded when each :class:`BellSettings` was built, so
+    only the state's truncation is checked, once per call.  The four
+    correlators of every setting are contracted in one call of
+    :func:`~eprsim.states.displaced_parity_expectation`, over one support
+    layout of the state.
     """
-    _check_truncation_once(state)
-    e11 = displaced_parity_expectation(state, s.alpha1, s.beta1)
-    e12 = displaced_parity_expectation(state, s.alpha1, s.beta2)
-    e21 = displaced_parity_expectation(state, s.alpha2, s.beta1)
-    e22 = displaced_parity_expectation(state, s.alpha2, s.beta2)
-    return e11 + e12 + e21 - e22
+    _warn_if_truncated(state, "chsh_value")
+    pairs = [(a, b) for s in settings for a in (s.alpha1, s.alpha2) for b in (s.beta1, s.beta2)]
+    e = displaced_parity_expectation(state, pairs)
+    return [e11 + e12 + e21 - e22 for e11, e12, e21, e22 in zip(*[iter(e)] * 4)]
 
 
 def log_negativity(state: CovarianceState) -> float:

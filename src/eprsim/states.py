@@ -14,14 +14,11 @@ Wigner routines warn when it exceeds :data:`TRUNCATION_POP_WARN` in the
 top 10% of levels, and :func:`eprsim.lindblad.steady_state` when the top
 level alone exceeds it.
 
-Work that depends on the state alone is done once per state.  The
-support layout that every displaced-parity contraction reads
-(:func:`_support`) is memoized, and so is
-:func:`~eprsim.metrics.chsh_value`'s truncation check: a Bell sweep over
-one state builds one layout and checks the state once, not once per
-correlator.  Each memo holds one state, the last one seen, keyed by
-identity; a :class:`~eprsim.hilbert.DensityMatrix` cannot change after
-construction, so a memo is never stale.
+Work that depends on the state alone is done once per call:
+:func:`displaced_parity_expectation` takes every (alpha1, alpha2) pair of
+a sweep and lays the state out (:func:`_support`) once for all of them,
+and :func:`~eprsim.metrics.chsh_value` checks the state's truncation once
+for all of its settings.
 
 Wigner convention
 -----------------
@@ -141,9 +138,8 @@ def edge_population(state: DensityMatrix, fraction: float = 0.1) -> float:
     return float(pops2[mask].sum())
 
 
-def _warn_if_truncated(state: DensityMatrix, where: str, stacklevel: int = 3,
-                       fraction: float = 0.1):
-    """Warn when :func:`edge_population` in the top ``fraction`` of levels is too large."""
+def _warn_if_truncated(state: DensityMatrix, where: str, fraction: float = 0.1):
+    """Warn the caller of ``where`` if :func:`edge_population` (top ``fraction``) is too large."""
     pop = edge_population(state, fraction)
     if pop > TRUNCATION_POP_WARN:
         band = f"the top {fraction:.0%} of Fock levels" if fraction else "the top Fock level"
@@ -151,7 +147,7 @@ def _warn_if_truncated(state: DensityMatrix, where: str, stacklevel: int = 3,
             f"{where}: population {pop:.2e} in {band} "
             f"exceeds {TRUNCATION_POP_WARN:.0e}; results may be truncation-limited",
             TruncationWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
@@ -176,21 +172,18 @@ def _displaced_parity_single(n_max: int, alpha: complex) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
 def _support(state: DensityMatrix):
-    """The rows of rho that carry weight, with their entries: (rows, cols, block).
+    """The rows of rho that carry weight, with their entries, by mode: (m0, m1, k0, k1, block).
 
     The rows are those holding a stored entry, and each row's stored
-    entries fill one row of the 2-D ``cols`` and ``block``, in column order
-    and padded with zero values at column 0, so ``block[i, j]`` is rho at
-    ``(rows[i], cols[i, j])``.  For a pure state these are the dense outer
-    product on its amplitude support.
-
-    Built once per state: the memo holds the last state's layout (a state
-    hashes by identity and its arrays are read-only), so the correlators
-    of a Bell sweep over one state share it.  The three arrays are
-    read-only too.
+    entries fill one row of the 2-D ``block``, in column order and padded
+    with zero values at column 0, so ``block[i, j]`` is rho at row
+    ``(m0[i], m1[i])`` and column ``(k0[i, j], k1[i, j])``.  ``m0`` and
+    ``m1`` are columns, which broadcast against the 2-D ``k0`` and ``k1``.
+    For a pure state these are the dense outer product on its amplitude
+    support.
     """
+    n = state.basis.n_max
     rows_of, cols_of = np.divmod(state.keys, state.basis.dimension)
     rows, first, counts = np.unique(rows_of, return_index=True, return_counts=True)
     owner = np.repeat(np.arange(len(rows)), counts)
@@ -199,34 +192,33 @@ def _support(state: DensityMatrix):
     block = np.zeros(cols.shape, dtype=complex)
     cols[owner, slot] = cols_of
     block[owner, slot] = state.values
-    for arr in (rows, cols, block):
-        arr.setflags(write=False)
-    return rows, cols, block
+    m0, m1 = (v[:, None] for v in np.divmod(rows, n))
+    return m0, m1, *np.divmod(cols, n), block
 
 
-def displaced_parity_expectation(state: DensityMatrix, alpha1: complex, alpha2: complex) -> float:
-    """<D1(a1) D2(a2) P1 P2 D2† D1†> of a density matrix.
+def displaced_parity_expectation(state: DensityMatrix, pairs) -> list[float]:
+    """<D1(a1) D2(a2) P1 P2 D2† D1†> of a density matrix, for each ``(a1, a2)`` in ``pairs``.
 
     Contracts rho only on its support (:func:`_support`), one term per
     stored entry: a pure state with k nonzero amplitudes costs k² terms
     (n_max² for the two-mode squeezed vacuum).  The support layout is
-    built on the first call for a state and reused while it is the last
-    state seen; each call gathers its two displaced parities at that
-    layout and sums the terms afresh.
+    built once per call; each pair gathers its two displaced parities at
+    that layout and sums its terms afresh.
     """
     n = state.basis.n_max
-    rows, cols, block = _support(state)
-    o1 = _displaced_parity_single(n, alpha1)
-    o2 = _displaced_parity_single(n, alpha2)
-    m0, m1 = (v[:, None] for v in np.divmod(rows, n))
-    k0, k1 = np.divmod(cols, n)
-    terms = ((block * o1[k0, m0]) * o2[k1, m1]).real
-    # Sequential sums (cumsum), not np.sum's pairwise one: each row's terms
-    # from zero, then the row totals.  That is the order of a dense
-    # buffered einsum over rho, so the two agree bit for bit where each
-    # of its buffers holds at most one support row (the TMSS at n_max 40);
-    # the zero padding of the rows adds exact zeros.
-    return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
+    m0, m1, k0, k1, block = _support(state)
+    out = []
+    for alpha1, alpha2 in pairs:
+        o1 = _displaced_parity_single(n, alpha1)
+        o2 = _displaced_parity_single(n, alpha2)
+        terms = ((block * o1[k0, m0]) * o2[k1, m1]).real
+        # Sequential sums (cumsum), not np.sum's pairwise one: each row's terms
+        # from zero, then the row totals.  That is the order of a dense
+        # buffered einsum over rho, so the two agree bit for bit where each
+        # of its buffers holds at most one support row (the TMSS at n_max 40);
+        # the zero padding of the rows adds exact zeros.
+        out.append(float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1]))
+    return out
 
 
 def wigner_from_density(state: DensityMatrix, q1, p1, q2, p2) -> np.ndarray:
@@ -248,9 +240,7 @@ def wigner_from_density(state: DensityMatrix, q1, p1, q2, p2) -> np.ndarray:
     _warn_if_truncated(state, "wigner_from_density")
     q1, p1, q2, p2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (q1, p1, q2, p2))
     n = state.basis.n_max
-    rows, cols, block = _support(state)
-    m0, m1 = (v[:, None] for v in np.divmod(rows, n))
-    k0, k1 = np.divmod(cols, n)
+    m0, m1, k0, k1, block = _support(state)
     a1 = q1[:, None] + 1j * p1[None, :]
     a2 = q2[:, None] + 1j * p2[None, :]
     stack = (-1, *block.shape)  # keeps the axes when the grid is empty

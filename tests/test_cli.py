@@ -275,9 +275,9 @@ def test_bell_sweep_vacuum_evaluates_each_setting_once(tmp_path, monkeypatch):
     calls = []
     chsh_value = eprsim.metrics.chsh_value
 
-    def counted(state, s):
-        calls.append(s)
-        return chsh_value(state, s)
+    def counted(state, settings):
+        calls.extend(settings)
+        return chsh_value(state, settings)
 
     monkeypatch.setattr(eprsim.metrics, "chsh_value", counted)
     cfg = json.loads((REPO_ROOT / "configs" / "bell_vacuum.json").read_text())
@@ -632,6 +632,18 @@ def _edge_of_m_bound():
     ("evolve", {"model": {"epsilon_over_kappa": 0.3, "gamma": 1e300}, "n_max": 6,
                 "times": {"start": 0.0, "stop": 5.0, "num": 3}}, 3,
      "numerical failure: evolve: work estimate ||L||_1 * (t_end - t_0) = "),
+    # a rate whose generator terms overflowed (IndexError), and a span whose product warned
+    ("evolve", {"model": {"epsilon_over_kappa": 0.3, "heating_rate": 9e307}, "n_max": 4,
+                "times": {"start": 0.0, "stop": 1.0, "num": 2}}, 3,
+     "numerical failure: evolve: work estimate ||L||_1 * (t_end - t_0) = inf "),
+    ("evolve", {"model": {"epsilon_over_kappa": 0.3}, "n_max": 4,
+                "times": {"start": 0.0, "stop": 1e308, "num": 2}}, 3,
+     "numerical failure: evolve: work estimate ||L||_1 * (t_end - t_0) = inf "),
+    # N so large that the Arnoldi norms of a short enough span overflowed
+    ("evolve", {"model": {"n_param": 1e200, "m_param": 0.0}, "n_max": 4,
+                "times": {"start": 0.0, "stop": 1e-250, "num": 2}}, 3,
+     "numerical failure: evolve: the generator's rates reach 6.4e+201 in units of s = 1, "
+     "past what its norms can square; lower n_param\n"),
     ("wigner", {"r": 1e300, "from_density": True, "n_max": 6, "grid": _point_grid()}, 3,
      "numerical failure: wigner_analytic: exp(2r) overflows at r = 1e+300"),
     ("bell-sweep", {"n_max": 6, "r_grid": {"start": 1e300, "stop": 1e300, "num": 1},
@@ -706,7 +718,8 @@ def _edge_of_m_bound():
                          for name in ("q1", "p1", "q2", "p2")}}, 3,
      "numerical failure: out of memory on the grid of 10000000000000000 points ("),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
-        "steady-state-edge-of-m-bound", "evolve-gamma-1e300", "wigner-r-1e300",
+        "steady-state-edge-of-m-bound", "evolve-gamma-1e300", "evolve-heating-9e307",
+        "evolve-span-1e308", "evolve-n-param-1e200", "wigner-r-1e300",
         "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
         "feasibility-g0-1e155", "feasibility-kappa-gamma-1e-200", "feasibility-kappa-1e-320",
         "feasibility-delta-1e-320", "feasibility-delta-1e308", "feasibility-e-laser-1e-320",
@@ -753,6 +766,31 @@ _MODEL_FIELDS = {
 }
 
 
+def _exit_contract(command, payload, out_name):
+    """Run ``command`` on ``payload`` in a fresh directory and check the exit contract.
+
+    Exit 0, 2 or 3.  A failure is one stderr line, no artifact and no
+    recorded warning; a success records no warning but the
+    TruncationWarning.  Returns the exit code and the artifact's text.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), {"schema_version": 1, **payload})
+        out = Path(tmp) / out_name
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--out", str(out)])
+        noisy = [str(w.message) for w in caught if not issubclass(w.category, TruncationWarning)]
+        assert code in (0, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
+            assert not caught, [str(w.message) for w in caught]
+            return code, None
+        assert not noisy, noisy
+        return code, out.read_text(encoding="utf-8")
+
+
 @settings(max_examples=80, deadline=None)
 @given(model=st.one_of(st.fixed_dictionaries({}, optional=_MODEL_FIELDS), _ODD_VALUES),
        n_max=st.one_of(st.integers(2, 12), st.sampled_from([1, 2.5, "8", None])))
@@ -766,24 +804,69 @@ def test_generated_steady_state_configs_keep_the_exit_contract(model, n_max):
     route certifies them in units of the rates, and the Gaussian diffusion
     must not overflow after the Fock route has warned of truncation.
     """
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(Path(tmp), {"schema_version": 1, "model": model, "n_max": n_max})
-        out = Path(tmp) / "report.json"
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["steady-state", "--config", cfg, "--out", str(out)])
-        noisy = [str(w.message) for w in caught if not issubclass(w.category, TruncationWarning)]
-        assert code in (0, 2, 3)
-        if code:
-            assert err.getvalue().count("\n") == 1, err.getvalue()
-            assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
-            assert not caught, [str(w.message) for w in caught]
-        else:
-            report = json.loads(out.read_text(encoding="utf-8"))
-            numbers = [v for v in report.values() if not isinstance(v, bool)]
-            assert all(math.isfinite(v) for v in numbers), report
-            assert not noisy, noisy
+    code, text = _exit_contract("steady-state", {"model": model, "n_max": n_max}, "report.json")
+    if code == 0:
+        report = json.loads(text)
+        numbers = [v for v in report.values() if not isinstance(v, bool)]
+        assert all(math.isfinite(v) for v in numbers), report
+
+
+# Positive numbers drawn log-uniformly over the whole float range, subnormals
+# included: evolve's failures sat at its two ends.
+_LOG_FLOATS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e)
+_LOG_RATES = st.one_of(_LOG_FLOATS, _ODD_VALUES)
+# Valid models and grids, most of the draws, and the odd fields beside them.
+_EVOLVE_MODELS = st.one_of(
+    st.fixed_dictionaries({"epsilon_over_kappa": st.floats(0.0, 0.999)},
+                          optional={"gamma": _LOG_FLOATS, "heating_rate": _LOG_FLOATS}),
+    st.fixed_dictionaries({"n_param": st.floats(0.0, 10.0), "m_param": st.just(0.0)},
+                          optional={"gamma": _LOG_FLOATS, "heating_rate": _LOG_FLOATS}),
+    st.fixed_dictionaries({}, optional={**_MODEL_FIELDS, "gamma": _LOG_RATES,
+                                        "heating_rate": _LOG_RATES}),
+    _ODD_VALUES)
+_EVOLVE_TIMES = st.one_of(
+    st.builds(lambda start, span, num: {"start": start, "stop": start + span, "num": num},
+              st.floats(-3.0, 3.0), st.one_of(st.floats(0.0, 10.0), _LOG_FLOATS),
+              st.integers(1, 40)),
+    st.fixed_dictionaries({"start": st.one_of(st.floats(-3.0, 10.0), _ODD_VALUES),
+                           "stop": st.one_of(st.floats(-3.0, 10.0), _LOG_FLOATS, _ODD_VALUES),
+                           "num": st.one_of(st.integers(0, 40), _ODD_VALUES)}),
+    _ODD_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_EVOLVE_MODELS, times=_EVOLVE_TIMES,
+       n_max=st.one_of(st.integers(2, 10), st.sampled_from([2, 6, 10, 1, 2.5, "8", None])))
+@example(model={"epsilon_over_kappa": 0.3, "heating_rate": 9e307}, n_max=4,
+         times={"start": 0.0, "stop": 1.0, "num": 2})
+@example(model={"epsilon_over_kappa": 0.3, "gamma": 1e308}, n_max=4,
+         times={"start": 0.0, "stop": 1.0, "num": 1})
+@example(model={"epsilon_over_kappa": 0.0, "heating_rate": 5e-324}, n_max=2,
+         times={"start": 0.0, "stop": 1.0, "num": 2})
+@example(model={"epsilon_over_kappa": 0.3}, n_max=4,
+         times={"start": 0.0, "stop": 1e308, "num": 2})
+@example(model={"heating_rate": 1.0, "n_param": 1e308, "m_param": 0.0}, n_max=2,
+         times={"start": 0.0, "stop": 0.0, "num": 1})
+@example(model={"n_param": 1e200, "m_param": 0.0}, n_max=4,
+         times={"start": 0.0, "stop": 1e-250, "num": 2})
+def test_generated_evolve_configs_keep_the_exit_contract(model, n_max, times):
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite.
+
+    The examples failed before evolve assembled its generator in units of
+    the rate scale: a heating rate of 9e307 overflowed the generator's
+    terms into an IndexError, and gamma 1e308 did so even with one time
+    point.  A subnormal heating rate made the small exponential's
+    squaring count log2(0), an OverflowError, and a span of 1e308 warned of
+    an overflow before the budget refused it.  N 1e308 overflowed the
+    terms in units of s too, and N 1e200 over a span short enough for the
+    budget overflowed the Arnoldi norms; evolve now refuses both.  Most
+    draws are config errors; about one in five exits 0.
+    """
+    code, text = _exit_contract("evolve", {"model": model, "n_max": n_max, "times": times},
+                                "evolve.csv")
+    if code == 0:
+        _, rows = read_csv(text)
+        assert rows and all(math.isfinite(v) for row in rows for v in row), text
 
 
 def test_cascade_solves_the_broadband_extreme(tmp_path, capsys):
@@ -939,6 +1022,17 @@ def test_failed_sidecar_takes_back_the_artifact(tmp_path, capsys, command, suffi
     assert err.startswith(f"output error: cannot write {out}{suffix}: ")
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"artifact.csv{suffix}", "config.json"]
+
+
+@pytest.mark.parametrize("command", ["wigner", "bell-sweep"])
+def test_stdout_holds_the_csv_alone(tmp_path, capsys, command):
+    """Without --out, stdout is the --out file byte for byte; the sidecar is not printed."""
+    cfg = write_config(tmp_path, _small_configs(tmp_path)[command])
+    out = tmp_path / "artifact.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_unwritable_density_csv_leaves_no_report(tmp_path, capsys):
@@ -1155,4 +1249,4 @@ def test_log_env_var(tmp_path, capsys, monkeypatch):
     )
     assert main(["wigner", "--config", cfg]) == 0
     err = capsys.readouterr().err
-    assert "wigner metadata" in err
+    assert "sidecar .meta.json, not written to stdout" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import block_expm_covariance
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprsim import (
@@ -137,12 +137,14 @@ def test_cascade_covariance_matches_scipy_lyapunov(ratio):
 @settings(max_examples=60, deadline=None)
 @given(modes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        margin=st.floats(0.05, 5.0), spread=st.floats(0.1, 10.0))
+@example(modes=2, seed=486, margin=0.05, spread=6.0)
 def test_steady_covariance_on_random_hurwitz_models(modes, seed, margin, spread):
     """Random stable drifts, with a diffusion large enough to be physical.
 
     ``D = B B^T + lam I`` with ``lam >= ||A Omega + Omega A^T||`` keeps
     ``D - i(A Omega + Omega A^T)`` positive, so the stationary covariance
-    obeys the uncertainty bound.
+    obeys the uncertainty bound.  The example's first solve misses the
+    residual bound (1.86e-10) and passes after the one refinement step.
     """
     rng = np.random.default_rng(seed)
     n = 2 * modes

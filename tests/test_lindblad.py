@@ -918,6 +918,29 @@ def test_evolve_ends_the_basis_on_an_invariant_subspace(caplog, heating, n_max):
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("gamma, heating, n_max", [(1e-3, 1e-4, 6), (1e3, 0.0, 6), (1e4, 0.0, 4)])
+def test_evolve_in_units_of_the_rate_scale_keeps_every_bit(gamma, heating, n_max):
+    """evolve assembles in units of s = 2**-10, 2**10 or 2**13 and steps by s: the unscaled states.
+
+    The rates, the slots, the Arnoldi vectors and tau * H_m all move by the
+    power of two alone, and the step estimates are read in the model's
+    units, so the propagation takes the same steps and restarts.  Read in
+    units of s instead, the estimate at gamma 1e3 certified a basis whose
+    last state's trace is off by 1.0.
+    """
+    base = half_model(0.3)
+    model, basis = LindbladModel(gamma, base.n_param, base.m_param, heating), FockBasis(n_max)
+    times = np.linspace(0.0, 5.0, 3)
+    bounds, blocks = _orbit_blocks(_terms(model, basis), basis)  # in the model's own units
+    vec = np.zeros(bounds[-1])
+    vec[0] = 1.0
+    want, _ = _krylov_propagate(blocks, vec, 2.5, 2)
+    indices = _sector_indices(basis)
+    orbit, _ = _orbits(indices, basis)
+    for got, w in zip(evolve(model, basis, times), want, strict=True):
+        assert np.array_equal(got.values, DensityMatrix(basis, indices, w[orbit]).values)
+
+
 def test_unsqueezed_relaxation_matches_closed_form():
     """At M = 0, n_max 20, <n1> relaxes as N (1 - e^{-2t}) within 1e-11 (3.2e-12 measured)."""
     model = LindbladModel(1.0, 0.3, 0.0)

@@ -161,7 +161,8 @@ def test_parity_correlation_product_coherent():
     rho = coherent_product(basis, g1, g2)
     alpha, beta = 0.1, 0.25
     expected = np.exp(-2.0 * abs(g1 - alpha) ** 2) * np.exp(-2.0 * abs(g2 - beta) ** 2)
-    assert displaced_parity_expectation(rho, alpha, beta) == pytest.approx(expected, abs=1e-10)
+    (e,) = displaced_parity_expectation(rho, [(alpha, beta)])
+    assert e == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("r,j", [(0.1, 0.05), (0.6, 0.25), (1.2, 0.5)])
@@ -169,9 +170,9 @@ def test_support_contraction_is_bit_identical_for_tmss(r, j):
     """Pure TMSS at n_max 40: the golden sweep's state and truncation."""
     rho = tmss_fock(TmssSpec(r), FockBasis(40))
     root = complex(math.sqrt(j))
-    for alpha, beta in [(0j, 0j), (0j, root), (root, 0j), (root, root), (root, -root)]:
-        expected = dense_parity_expectation(rho, alpha, beta)
-        assert displaced_parity_expectation(rho, alpha, beta) == expected
+    pairs = [(0j, 0j), (0j, root), (root, 0j), (root, root), (root, -root)]
+    expected = [dense_parity_expectation(rho, alpha, beta) for alpha, beta in pairs]
+    assert displaced_parity_expectation(rho, pairs) == expected
 
 
 def _vacuum_tmss_mixture():
@@ -193,9 +194,9 @@ def _heated_steady_state(n_max=10, heating_rate=0.05):
 ], ids=["vacuum-tmss-mixture", "heated-steady-state", "coherent-rho"])
 def test_support_contraction_matches_dense_reference(make_rho):
     rho = make_rho()
-    for alpha, beta in [(0.0, 0.0), (0.3, -0.2), (0.4 - 0.2j, 0.1 + 0.3j), (-0.5j, 0.7)]:
-        expected = dense_parity_expectation(rho, complex(alpha), complex(beta))
-        assert abs(displaced_parity_expectation(rho, alpha, beta) - expected) <= 1e-12
+    pairs = [(0.0, 0.0), (0.3, -0.2), (0.4 - 0.2j, 0.1 + 0.3j), (-0.5j, 0.7)]
+    for (alpha, beta), e in zip(pairs, displaced_parity_expectation(rho, pairs), strict=True):
+        assert abs(e - dense_parity_expectation(rho, complex(alpha), complex(beta))) <= 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -214,9 +215,9 @@ def test_chsh_sweep_matches_closed_form_wigner(sign):
         def corr(a, b):
             return (math.pi / 2.0) ** 2 * wigner_analytic(spec, a, 0.0, b, 0.0)
 
-        for j in np.linspace(0.05, 0.5, 10):
-            root = math.sqrt(j)
-            b_val = chsh_value(rho, BellSettings(0.0, root, 0.0, sign * root))
+        roots = np.sqrt(np.linspace(0.05, 0.5, 10))
+        b_vals = chsh_value(rho, [BellSettings(0.0, root, 0.0, sign * root) for root in roots])
+        for root, b_val in zip(roots, b_vals, strict=True):
             ref = corr(0, 0) + corr(0, sign * root) + corr(root, 0) - corr(root, sign * root)
             assert abs(b_val - ref) <= math.tanh(r) ** n_max + 1e-9
 
@@ -241,69 +242,51 @@ def test_chsh_matches_analytic_form(r, j):
     e21 = analytic_parity_correlation(r, root, 0.0)
     e22 = analytic_parity_correlation(r, root, root)
     expected = e11 + e12 + e21 - e22
-    assert chsh_value(rho, settings) == pytest.approx(expected, abs=1e-8)
+    assert chsh_value(rho, [settings]) == pytest.approx([expected], abs=1e-8)
 
 
 def test_chsh_violation_point():
     basis = FockBasis(30)
     rho = tmss_fock(TmssSpec(0.8), basis)
     root = np.sqrt(0.05)
-    b_val = chsh_value(rho, BellSettings(0.0, root, 0.0, root))
+    (b_val,) = chsh_value(rho, [BellSettings(0.0, root, 0.0, root)])
     assert b_val > 2.0
 
 
 def test_chsh_warns_once_on_a_truncated_state():
-    """The truncation check runs once per state, not once per correlator or CHSH value."""
+    """The truncation check runs once per call, for any number of settings."""
     rho = tmss_fock(TmssSpec(1.2), FockBasis(6))
+    sweep = [BellSettings(0.0, root, 0.0, root) for root in (0.1, 0.2, 0.3)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        chsh_value(rho, BellSettings(0.0, 0.3, 0.0, 0.3))
+        assert len(chsh_value(rho, sweep)) == 3
         assert [w.category for w in caught] == [TruncationWarning]
         assert str(caught[0].message).startswith("chsh_value: population")
         assert caught[0].filename == __file__  # attributed to the caller of chsh_value
-        chsh_value(rho, BellSettings(0.0, 0.2, 0.0, -0.2))
-        assert len(caught) == 1
-        chsh_value(tmss_fock(TmssSpec(1.2), FockBasis(6)), BellSettings(0.0, 0.3, 0.0, 0.3))
+        chsh_value(rho, sweep[:1])
         assert [w.category for w in caught] == [TruncationWarning] * 2
         assert caught[1].message.args == caught[0].message.args
+        assert chsh_value(rho, []) == []
+        assert len(caught) == 3
 
 
 def test_bell_sweep_builds_one_layout_and_checks_once_per_state(monkeypatch, tmp_path):
     """The default 12 x 10 sweep: 12 support layouts and 12 truncation checks, not 480 and 120."""
-    checked = []
-    edge_population = states.edge_population
+    checked, built = [], []
+    edge_population, support = states.edge_population, states._support
     monkeypatch.setattr(states, "edge_population",
                         lambda state, *band: checked.append(state) or edge_population(state, *band))
-    builds = states._support.cache_info().misses
+    monkeypatch.setattr(states, "_support", lambda state: built.append(state) or support(state))
     assert main(["bell-sweep", "--config", str(CONFIGS / "bell_default.json"),
                  "--out", str(tmp_path / "bell.csv")]) == 0
-    assert states._support.cache_info().misses - builds == 12
     assert len(checked) == len(set(map(id, checked))) == 12
-
-
-def test_support_layout_is_read_only_and_never_stale():
-    """Two states with the same keys and different values each get their own E."""
-    basis = FockBasis(12)
-    weak, strong = tmss_fock(TmssSpec(0.3), basis), tmss_fock(TmssSpec(0.6), basis)
-    assert np.array_equal(weak.keys, strong.keys)
-    for arr in states._support(weak):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = 1
-    alpha, beta = 0.2 + 0.1j, -0.3j
-    first = {rho: displaced_parity_expectation(rho, alpha, beta) for rho in (weak, strong)}
-    for rho in (weak, strong, strong, weak):
-        e = displaced_parity_expectation(rho, alpha, beta)
-        assert e == first[rho]
-        assert abs(e - dense_parity_expectation(rho, alpha, beta)) <= 1e-12
-    assert abs(first[weak] - first[strong]) > 0.1
+    assert [id(state) for state in built] == [id(state) for state in checked]
 
 
 def test_wigner_after_a_sweep_reads_its_own_state():
     basis = FockBasis(16)
     swept = tmss_fock(TmssSpec(0.4), basis)
-    for j in (0.05, 0.2):
-        chsh_value(swept, BellSettings(0.0, math.sqrt(j), 0.0, math.sqrt(j)))
+    chsh_value(swept, [BellSettings(0.0, math.sqrt(j), 0.0, math.sqrt(j)) for j in (0.05, 0.2)])
     rho = tmss_fock(TmssSpec(0.2), basis)
     w = wigner_from_density(rho, 0.4, -0.2, 0.1, 0.3)[0, 0, 0, 0]
     e = dense_parity_expectation(rho, 0.4 - 0.2j, 0.1 + 0.3j)
@@ -313,9 +296,9 @@ def test_wigner_after_a_sweep_reads_its_own_state():
 def test_chsh_vacuum_stays_classical():
     basis = FockBasis(16)
     vac = vacuum_state(basis)
-    for j in (0.02, 0.05, 0.2, 0.5):
-        root = np.sqrt(j)
-        b_val = chsh_value(vac, BellSettings(0.0, root, 0.0, root))
+    j_values = (0.02, 0.05, 0.2, 0.5)
+    b_vals = chsh_value(vac, [BellSettings(0.0, np.sqrt(j), 0.0, np.sqrt(j)) for j in j_values])
+    for j, b_val in zip(j_values, b_vals, strict=True):
         expected = 1.0 + 2.0 * np.exp(-2.0 * j) - np.exp(-4.0 * j)
         assert b_val == pytest.approx(expected, abs=1e-10)
         assert b_val <= 2.0 + 1e-9

@@ -193,9 +193,11 @@ def test_moments_match_dense(rho):
 
 
 def test_support_matches_dense(rho):
-    """``block[i, j]`` is rho at ``(rows[i], cols[i, j])``, and nothing else is stored."""
+    """``block[i, j]`` is rho at row ``(m0[i], m1[i])`` and column ``(k0[i, j], k1[i, j])``."""
     el = rho.elements
-    rows, cols, block = _support(rho)
+    n = rho.basis.n_max
+    m0, m1, k0, k1, block = _support(rho)
+    rows, cols = (m0 * n + m1).ravel(), k0 * n + k1
     assert np.array_equal(rows, np.flatnonzero((el != 0).any(axis=1)))
     rebuilt = np.zeros_like(el)
     np.add.at(rebuilt, (rows[:, None], cols), block)

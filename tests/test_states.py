@@ -182,7 +182,7 @@ def test_wigner_equals_scaled_displaced_parity():
     basis = FockBasis(16)
     rho = tmss_fock(TmssSpec(0.2), basis)
     w = wigner_from_density(rho, 0.4, -0.2, 0.1, 0.3)[0, 0, 0, 0]
-    e = displaced_parity_expectation(rho, 0.4 - 0.2j, 0.1 + 0.3j)
+    (e,) = displaced_parity_expectation(rho, [(0.4 - 0.2j, 0.1 + 0.3j)])
     assert w == pytest.approx((2.0 / np.pi) ** 2 * e, rel=1e-12)
 
 
