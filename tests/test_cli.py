@@ -1160,12 +1160,12 @@ def test_shipped_config_reproduces_golden(tmp_path, command, config, goldens):
 def test_steady_state_reproduces_golden_report(tmp_path):
     """The shipped steady-state report: exact, except the fields summed over the Fock state.
 
-    Those four are sums over about 10^4 stored entries of a state that the
-    BLAS solves of the level elimination produce, and they change in the
-    last digits with the BLAS thread count (``fidelity_tmss``
-    1.0000000000000007 at one thread, 1.0000000000000036 at two), so they
-    are held to 1e-12.  The model, the Gaussian route and the warning flag
-    do not depend on it.
+    Those four are sums over about 10^4 stored entries of the state the
+    level elimination solves, and they are held to 1e-12.  This report's
+    bytes are the same at 1, 2 and 4 OpenBLAS threads, but a larger solve
+    (n_max 60, epsilon/kappa 0.5, heating 0.05) still changes in its last
+    digits with the thread count.  The model, the Gaussian route and the
+    warning flag are compared exactly.
     """
     out = tmp_path / "steady_state.json"
     cfg = REPO_ROOT / "configs" / "steady_state.json"
