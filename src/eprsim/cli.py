@@ -8,9 +8,12 @@ identical configs produce byte-identical outputs.  Floats are emitted
 with 17 significant digits so outputs are stable golden-file material.
 
 Exit codes: 0 success, 2 config error or unwritable output, 3 numerical
-failure, including a truncation that does not fit in memory.  Every
-artifact of a command is staged and renamed into place only once all of
-them are written, so a failed command leaves none.  ``--n-max``, which
+failure, including a truncation or a grid that does not fit in memory.
+A failure is one stderr line, and warnings are shown only once a command
+succeeds.  Each input rule lives in the library type that checks it, so a
+config error is the field, then the library's own message (:func:`_built`).
+Every artifact of a command is staged and renamed into place only once all
+of them are written, so a failed command leaves none.  ``--n-max``, which
 overrides the config's ``n_max``, exists only on the commands that
 truncate a Fock space.  Set EPRSIM_LOG=INFO (or DEBUG) for progress
 logging on stderr.
@@ -111,7 +114,25 @@ def _grid_axis(block: dict, where: str, least: int = 0) -> np.ndarray:
     _check_points(num, f"{where}.num")
     if not math.isfinite(stop - start):  # linspace would fill the grid with nan
         raise NumericalError(f"{where}: stop - start overflows from {start:.6g} to {stop:.6g}")
-    return np.linspace(start, stop, num)
+    return _on_grid(f"{where}: ", num, np.linspace, start, stop, num)
+
+
+def _on_grid(prefix: str, points: int, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``MemoryError`` blamed on a grid of ``points``, not n_max."""
+    try:
+        return make(*args, **kwargs)
+    except MemoryError as exc:
+        raise NumericalError(f"{prefix}out of memory on the grid of {points} points "
+                             f"({str(exc) or 'allocation failed'}); use fewer grid points") from exc
+
+
+def _built(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` a :class:`ConfigError` naming ``where``:
+    the library's own message after the field (``where`` is empty where it names the field)."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _parse_model(cfg: dict) -> LindbladModel:
@@ -121,28 +142,19 @@ def _parse_model(cfg: dict) -> LindbladModel:
     block = _field(cfg, "model", dict)
     gamma = _field(block, "gamma", float, "model", default=1.0)
     heating = _field(block, "heating_rate", float, "model", default=0.0)
-    try:
-        if "epsilon_over_kappa" in block:
-            eps = _field(block, "epsilon_over_kappa", float, "model")
-            n_p, m_p = effective_N_M(NopaParams(eps, 1.0))
-        else:
-            n_p = _field(block, "n_param", float, "model")
-            m_p = _field(block, "m_param", float, "model")
-        return LindbladModel(gamma=gamma, n_param=n_p, m_param=m_p, heating_rate=heating)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"model: {exc}") from exc
+    if "epsilon_over_kappa" in block:
+        eps = _field(block, "epsilon_over_kappa", float, "model")
+        n_p, m_p = effective_N_M(_built("model", NopaParams, eps, 1.0))
+    else:
+        n_p = _field(block, "n_param", float, "model")
+        m_p = _field(block, "m_param", float, "model")
+    return _built("model", LindbladModel, gamma, n_p, m_p, heating_rate=heating)
 
 
 def _basis(cfg: dict, default: int) -> FockBasis:
     from .hilbert import FockBasis
 
-    n_max = _field(cfg, "n_max", int, default=default)
-    try:
-        return FockBasis(n_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _built("", FockBasis, _field(cfg, "n_max", int, default=default))
 
 
 def _recording_truncation(fn, *args):
@@ -253,10 +265,7 @@ def cmd_nopa_spectrum(cfg: dict, out: str | None) -> int:
 
     eps = _field(cfg, "epsilon_over_kappa", float)
     omega = _grid_axis(_field(cfg, "omega_grid", dict), "omega_grid")
-    try:
-        params = NopaParams(eps, 1.0)
-    except ValueError as exc:
-        raise ConfigError(f"epsilon_over_kappa: {exc}") from exc
+    params = _built("epsilon_over_kappa", NopaParams, eps, 1.0)
     var = squeezing_spectra(params, omega)  # the X-sum and Y-difference spectra are equal
     _write((out, _csv(["omega_over_kappa", "sum_x_var", "diff_y_var"], [omega, var, var])))
     return 0
@@ -323,11 +332,8 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
     if initial != "vacuum":
         raise ConfigError(f"initial: only 'vacuum' is supported, got {initial!r}")
 
-    try:
-        # The grid is a linspace, so only a non-increasing one is refused.
-        states = evolve(model, basis, times)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # The grid is a linspace, so only a non-increasing one is refused.
+    states = _built("", evolve, model, basis, times)
     m = moments(states)
     header = ["t", "n1", "n2", "re_b1b2", "im_b1b2", "var_sum_q", "var_diff_p", "purity"]
     cols = [times, m["n1"], m["n2"], m["b1b2"].real, m["b1b2"].imag,
@@ -341,9 +347,7 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
 
     from .states import TmssSpec, tmss_fock, wigner_analytic, wigner_from_density
 
-    r = _field(cfg, "r", float)
-    if r < 0:
-        raise ConfigError(f"r: must be >= 0, got {r}")
+    spec = _built("r", TmssSpec, _field(cfg, "r", float))
     grid_cfg = _field(cfg, "grid", dict)
     axes = {
         name: _grid_axis(_field(grid_cfg, name, dict, "grid"), f"grid.{name}")
@@ -354,13 +358,8 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     from_density = _field(cfg, "from_density", bool, default=False)
     basis = _basis(cfg, default=30) if from_density else None
 
-    spec = TmssSpec(r)
-    try:  # these arrays depend on the grid alone, not on n_max
-        mesh = np.meshgrid(*axes.values(), indexing="ij")
-        w_analytic = wigner_analytic(spec, *mesh)
-    except MemoryError as exc:
-        raise NumericalError(f"out of memory on the grid of {points} points "
-                             f"({str(exc) or 'allocation failed'}); use fewer grid points") from exc
+    mesh = _on_grid("", points, np.meshgrid, *axes.values(), indexing="ij")
+    w_analytic = _on_grid("", points, wigner_analytic, spec, *mesh)
 
     trunc_warned = False
     w_rho = None
@@ -382,10 +381,8 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
 
 
 def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
-    import numpy as np
-
     from .hilbert import vacuum_state
-    from .metrics import MAX_SETTING_MAGNITUDE, BellSettings, chsh_value
+    from .metrics import BellSettings, chsh_value
     from .states import TmssSpec, tmss_fock
 
     state_kind = cfg.get("state", "tmss")
@@ -399,19 +396,16 @@ def cmd_bell_sweep(cfg: dict, out: str | None) -> int:
     beta2_sign = _field(cfg, "beta2_sign", float, default=1.0)
     if beta2_sign not in (1.0, -1.0):
         raise ConfigError(f"beta2_sign: expected 1 or -1, got {beta2_sign!r}")
-    if np.any(r_grid < 0):
-        raise ConfigError("r_grid: squeeze parameters must be >= 0")
-    if np.any(j_grid < 0):
+    if (j_grid < 0).any():  # J = |alpha|**2 is the CLI's own parameter
         raise ConfigError("j_grid: displacement strengths must be >= 0")
-    if np.any(np.sqrt(j_grid) > MAX_SETTING_MAGNITUDE):
-        raise ConfigError(
-            f"j_grid: sqrt(J) exceeds the truncation-safety bound {MAX_SETTING_MAGNITUDE:g}")
 
-    settings = [BellSettings(0.0, math.sqrt(j), 0.0, beta2_sign * math.sqrt(j)) for j in j_grid]
+    settings = [_built("j_grid", BellSettings, 0.0, math.sqrt(j), 0.0, beta2_sign * math.sqrt(j))
+                for j in j_grid]
+    specs = [_built("r_grid", TmssSpec, float(r)) for r in r_grid]  # the vacuum's r too
     if state_kind == "vacuum":  # the control does not depend on r: one row for every r
-        b_rows = [chsh_value(vacuum_state(basis), settings)] * len(r_grid)
+        b_rows = [chsh_value(vacuum_state(basis), settings)] * len(specs)
     else:
-        b_rows = (chsh_value(tmss_fock(TmssSpec(float(r)), basis), settings) for r in r_grid)
+        b_rows = (chsh_value(tmss_fock(spec, basis), settings) for spec in specs)
     rows = [(r, j, b_val) for r, b_row in zip(r_grid, b_rows) for j, b_val in zip(j_grid, b_row)]
     r_best, j_best, max_b = max(rows, key=lambda row: row[2])  # the first of equal maxima
     summary = {"max_b": max_b, "r": float(r_best), "j": float(j_best),
@@ -429,16 +423,9 @@ def cmd_feasibility(cfg: dict, out: str | None) -> int:
     kwargs = {f.name: _field(block, f.name, float, "experiment")
               for f in fields(feas.ExperimentParams)}
     r = _field(cfg, "r", float)
-    if r < 0:
-        raise ConfigError(f"r: must be >= 0, got {r}")
     threshold = _field(cfg, "ratio_threshold", float, default=10.0)
-    if threshold <= 0:
-        raise ConfigError(f"ratio_threshold: must be > 0, got {threshold}")
-    try:
-        params = feas.ExperimentParams(**kwargs)
-        report = feas.check_all(params, r, threshold)
-    except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from exc
+    params = _built("experiment", feas.ExperimentParams, **kwargs)
+    report = _built("", feas.check_all, params, r, threshold)
     _write((out, _json_text(report)))
     return 0
 
@@ -455,10 +442,7 @@ def cmd_cascade(cfg: dict, out: str | None) -> int:
     ):
         raise ConfigError(
             "kappa_over_gamma: expected a non-empty list of positive finite numbers")
-    try:
-        params = NopaParams(eps, 1.0)
-    except ValueError as exc:
-        raise ConfigError(f"epsilon_over_kappa: {exc}") from exc
+    params = _built("epsilon_over_kappa", NopaParams, eps, 1.0)
 
     n_p, m_p = effective_N_M(params)
     wn = 2.0 * (1.0 + 2.0 * n_p - 2.0 * m_p)
@@ -535,7 +519,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if getattr(args, "n_max", None) is not None:
             cfg["n_max"] = args.n_max
-        return _COMMANDS[args.command](cfg, args.out)
+        # A warning is shown only once the command succeeds: a failure is one line.
+        with warnings.catch_warnings(record=True) as caught:
+            code = _COMMANDS[args.command](cfg, args.out)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

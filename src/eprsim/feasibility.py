@@ -140,7 +140,7 @@ def check_all(p: ExperimentParams, r: float, ratio_threshold: float = 10.0) -> d
       (warn-only; the ratio reported is gamma_eff / (2 pi * 10 kHz)).
     """
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise ValueError(f"r must be >= 0, got {r}")
     if not ratio_threshold > 0:  # a threshold <= 0 would pass every check
         raise ValueError(f"ratio_threshold must be > 0, got {ratio_threshold}")
     try:

@@ -37,8 +37,9 @@ solvers work on the orbits, with one assembler (:func:`_orbit_blocks`).
 It writes each row's entries into fixed-width slots, one block each for
 the pairs that lower, keep and raise the level, with no sort over the
 sector; a slot's column is the orbit it reads.  The slots are the only
-form of the orbit matrix: both solvers multiply by it with one product
-(:func:`_apply`), which uses no BLAS:
+form of the orbit matrix, and every product with them is a gather per
+slot, with no BLAS: :func:`_apply` for a whole vector, and in the
+elimination also :func:`_combine`'s row gathers and a per-level einsum:
 
 * :func:`steady_state` solves for one value per orbit by block
   elimination over the levels, on the model in units of a power of two of

@@ -72,9 +72,9 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> DensityMatrix:
     The outer product of the amplitudes ``(-tanh r)^m / cosh r`` on the
     diagonal kets ``|m, m>``, renormalized over the truncated space (the
     discarded tail is ``tanh(r)**(2 n_max)``), stored on those n_max**2
-    pairs of kets.  Raises :class:`~eprsim.errors.NumericalError` when
-    ``cosh(r)`` overflows (r above about 710), where no amplitude would be
-    representable.
+    pairs of kets.  Raises :class:`~eprsim.errors.NumericalError` where no
+    amplitude can be normalized: ``cosh(r)`` overflows (r above about 710)
+    or every squared amplitude underflows (r above about 372).
     """
     n = basis.n_max
     m = np.arange(n)
@@ -87,7 +87,10 @@ def tmss_fock(spec: TmssSpec, basis: FockBasis) -> DensityMatrix:
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[ket] = c
     # Normalized twice over all d amplitudes: the golden files pin the bits this gives.
-    amp /= np.linalg.norm(amp)
+    norm = np.linalg.norm(amp)
+    if not norm > 0:
+        raise NumericalError(f"tmss_fock: 1 / cosh(r)**2 underflows at r = {spec.r:.6g}")
+    amp /= norm
     amp /= np.linalg.norm(amp)
     return DensityMatrix(basis, ket[:, None] * basis.dimension + ket,
                          np.outer(amp[ket], amp[ket].conj()))
@@ -106,15 +109,16 @@ def wigner_analytic(spec: TmssSpec, q1, p1, q2, p2):
     overflows (r above about 354).
     """
     q1, p1, q2, p2 = (np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
-    with np.errstate(over="raise"):
-        try:
-            ep, em = np.exp(2.0 * spec.r), np.exp(-2.0 * spec.r)
-        except FloatingPointError as exc:
-            raise NumericalError(f"wigner_analytic: exp(2r) overflows at r = {spec.r:.6g}") from exc
-    w = (4.0 / np.pi**2) * np.exp(
-        -((q1 + q2) ** 2 + (p1 - p2) ** 2) * ep
-        - ((q1 - q2) ** 2 + (p1 + p2) ** 2) * em
-    )
+    # 2r is inf above r of about 9e307, so exp(2r) is tested for inf.  The
+    # exponent is never positive: where it overflows to -inf, W is 0, as it should be.
+    with np.errstate(over="ignore"):
+        ep, em = np.exp(2.0 * spec.r), np.exp(-2.0 * spec.r)
+        if not np.isfinite(ep):
+            raise NumericalError(f"wigner_analytic: exp(2r) overflows at r = {spec.r:.6g}")
+        w = (4.0 / np.pi**2) * np.exp(
+            -((q1 + q2) ** 2 + (p1 - p2) ** 2) * ep
+            - ((q1 - q2) ** 2 + (p1 + p2) ** 2) * em
+        )
     if w.ndim == 0:
         return float(w)
     return w
@@ -235,11 +239,16 @@ def wigner_from_density(state: DensityMatrix, q1, p1, q2, p2) -> np.ndarray:
 
     Emits a :class:`TruncationWarning` when the state has significant
     population near the Fock-space edge, where displaced parities lose
-    accuracy.
+    accuracy.  A coordinate that would overflow the displacement generator
+    raises :class:`~eprsim.errors.NumericalError`.
     """
     _warn_if_truncated(state, "wigner_from_density")
     q1, p1, q2, p2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (q1, p1, q2, p2))
     n = state.basis.n_max
+    largest = max(float(np.abs(v).max(initial=0.0)) for v in (q1, p1, q2, p2))
+    if not 8.0 * largest * n**0.5 < np.inf:  # bounds 2 |G|, so eigh and exp stay finite
+        raise NumericalError(f"wigner_from_density: the displacement generator overflows "
+                             f"at a coordinate of {largest:.6g}")
     m0, m1, k0, k1, block = _support(state)
     a1 = q1[:, None] + 1j * p1[None, :]
     a2 = q2[:, None] + 1j * p2[None, :]

@@ -646,9 +646,21 @@ def _edge_of_m_bound():
      "past what its norms can square; lower n_param\n"),
     ("wigner", {"r": 1e300, "from_density": True, "n_max": 6, "grid": _point_grid()}, 3,
      "numerical failure: wigner_analytic: exp(2r) overflows at r = 1e+300"),
+    # 2r is inf, and 0 * inf warned of an invalid value
+    ("wigner", {"r": 1e308, "grid": _point_grid()}, 3,
+     "numerical failure: wigner_analytic: exp(2r) overflows at r = 1e+308\n"),
+    # a coordinate past what the displacement generator can hold: eigh raised LinAlgError
+    ("wigner", {"r": 0.0, "from_density": True, "n_max": 2,
+                "grid": {**_point_grid(), "p2": {"start": 0.0, "stop": 1e308, "num": 2}}}, 3,
+     "numerical failure: wigner_from_density: the displacement generator overflows "
+     "at a coordinate of 1e+308\n"),
     ("bell-sweep", {"n_max": 6, "r_grid": {"start": 1e300, "stop": 1e300, "num": 1},
                     "j_grid": {"start": 0.1, "stop": 0.1, "num": 1}}, 3,
      "numerical failure: tmss_fock: cosh(r) overflows at r = 1e+300"),
+    # cosh(r) is finite, but every squared amplitude underflows (was nan after RuntimeWarnings)
+    ("bell-sweep", {"n_max": 3, "r_grid": {"start": 500.0, "stop": 500.0, "num": 1},
+                    "j_grid": {"start": 0.1, "stop": 0.1, "num": 1}}, 3,
+     "numerical failure: tmss_fock: 1 / cosh(r)**2 underflows at r = 500\n"),
     ("feasibility", {"experiment": _experiment(), "r": 1000.0}, 3,
      "numerical failure: lamb_dicke_refined: cosh(r) overflows at r = 1000\n"),
     ("feasibility", {"experiment": _experiment(g0=1e200), "r": 1.0}, 3,
@@ -685,9 +697,9 @@ def _edge_of_m_bound():
     ("bell-sweep", {"n_max": 6, "j_grid": {"start": 0.1, "stop": 0.1, "num": 0}}, 2,
      "config error: j_grid.num: must be >= 1, got 0\n"),
     ("feasibility", {"experiment": _experiment(), "r": -1.0}, 2,
-     "config error: r: must be >= 0, got -1.0\n"),
+     "config error: r must be >= 0, got -1.0\n"),
     ("feasibility", {"experiment": _experiment(), "r": 1.0, "ratio_threshold": -5.0}, 2,
-     "config error: ratio_threshold: must be > 0, got -5.0\n"),
+     "config error: ratio_threshold must be > 0, got -5.0\n"),
     ("steady-state", {"model": {"epsilon_over_kappa": 0.5}, "n_max": 130}, 3,
      "numerical failure: steady-state: the level elimination's work sum n_l**3 = 2.96e+12 "
      "exceeds the budget 5e+11; lower n_max\n"),
@@ -717,10 +729,19 @@ def _edge_of_m_bound():
                 "grid": {name: {"start": 0.0, "stop": 1.0, "num": 10**4}
                          for name in ("q1", "p1", "q2", "p2")}}, 3,
      "numerical failure: out of memory on the grid of 10000000000000000 points ("),
+    ("bell-sweep", {"n_max": 6, "r_grid": {"start": 0.1, "stop": 1.0, "num": 10**15}}, 3,
+     "numerical failure: r_grid: out of memory on the grid of 1000000000000000 points ("),
+    ("evolve", {"model": {"epsilon_over_kappa": 0.3}, "n_max": 6,
+                "times": {"start": 0.0, "stop": 1.0, "num": 10**15}}, 3,
+     "numerical failure: times: out of memory on the grid of 1000000000000000 points ("),
+    ("nopa-spectrum", {"epsilon_over_kappa": 0.5,
+                       "omega_grid": {"start": 0.0, "stop": 1.0, "num": 10**15}}, 3,
+     "numerical failure: omega_grid: out of memory on the grid of 1000000000000000 points ("),
 ], ids=["cascade-inf", "cascade-nan", "cascade-gamma-1e300", "cascade-gamma-inf",
         "steady-state-edge-of-m-bound", "evolve-gamma-1e300", "evolve-heating-9e307",
         "evolve-span-1e308", "evolve-n-param-1e200", "wigner-r-1e300",
-        "bell-sweep-r-1e300", "feasibility-r-1000", "feasibility-g0-1e200",
+        "wigner-r-1e308", "wigner-density-coordinate-1e308",
+        "bell-sweep-r-1e300", "bell-sweep-r-500", "feasibility-r-1000", "feasibility-g0-1e200",
         "feasibility-g0-1e155", "feasibility-kappa-gamma-1e-200", "feasibility-kappa-1e-320",
         "feasibility-delta-1e-320", "feasibility-delta-1e308", "feasibility-e-laser-1e-320",
         "feasibility-eta-1e-320", "feasibility-t-decoherence-1e308", "steady-state-n-max-1e11",
@@ -729,7 +750,8 @@ def _edge_of_m_bound():
         "feasibility-threshold-negative", "steady-state-n-max-130", "steady-state-tail-eps-0.97",
         "steady-state-gamma-int-1e400", "bell-sweep-stop-int-1e400", "wigner-r-int-minus-1e400",
         "feasibility-g0-int-1e400", "cascade-ratio-int-1e400", "nopa-spectrum-num-1e20",
-        "wigner-grid-1e5-per-axis", "wigner-grid-1e4-per-axis"])
+        "wigner-grid-1e5-per-axis", "wigner-grid-1e4-per-axis", "bell-sweep-r-num-1e15",
+        "evolve-times-num-1e15", "nopa-spectrum-num-1e15"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_exit_with_one_line(tmp_path, capsys, command, payload, code, err):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
@@ -867,6 +889,137 @@ def test_generated_evolve_configs_keep_the_exit_contract(model, n_max, times):
     if code == 0:
         _, rows = read_csv(text)
         assert rows and all(math.isfinite(v) for row in rows for v in row), text
+
+
+@pytest.mark.parametrize("command, payload, out_name, code", [
+    ("bell-sweep", {"n_max": 3, "r_grid": {"start": 1.0, "stop": 1e300, "num": 2},
+                    "j_grid": {"start": 0.1, "stop": 0.1, "num": 1}}, "sweep.csv", 3),
+    ("steady-state", {"model": {"epsilon_over_kappa": 0.5}, "n_max": 6}, "missing/report.json", 2),
+    ("wigner", {"r": 1.0, "from_density": True, "n_max": 4, "grid": _point_grid()},
+     "missing/wigner.csv", 2),
+], ids=["bell-sweep-overflow-at-the-last-r", "steady-state-unwritable", "wigner-unwritable"])
+def test_a_failure_after_a_truncation_warning_is_one_line(command, payload, out_name, code):
+    """A run that warns of truncation and then fails shows the error line alone."""
+    assert _exit_contract(command, payload, out_name)[0] == code
+
+
+def _finite(text):
+    """Whether every number in a CSV or JSON artifact is finite."""
+    if text.startswith("{"):
+        def numbers(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [x for item in node for x in numbers(item)]
+            return [node] if isinstance(node, float) else []
+        return all(math.isfinite(x) for x in numbers(json.loads(text)))
+    return all(math.isfinite(x) for row in read_csv(text)[1] for x in row)
+
+
+def _small_axis(ends, least=0):
+    """Grid blocks of at most three points between draws of ``ends``: no draw allocates much."""
+    return st.fixed_dictionaries({"start": ends, "stop": ends, "num": st.integers(least, 3)})
+
+
+def _odd_axis(ends):
+    """Grid blocks with fields left out or odd, and odd values in their place."""
+    field = st.one_of(ends, _ODD_VALUES)
+    return st.one_of(
+        st.fixed_dictionaries({}, optional={"start": field, "stop": field,
+                                            "num": st.one_of(st.integers(0, 3), _ODD_VALUES)}),
+        _ODD_VALUES)
+
+
+def _configs(fields, odd):
+    """Configs with every field from ``fields``, valid values near their bounds (most exit 0),
+    or with each field from ``fields`` or ``odd`` (``_ODD_VALUES`` where ``odd`` has none)."""
+    return st.one_of(st.fixed_dictionaries(fields), st.fixed_dictionaries(
+        {name: st.one_of(valid, odd.get(name, _ODD_VALUES)) for name, valid in fields.items()}))
+
+
+_SIGNED_FLOATS = st.one_of(st.floats(-3.0, 3.0), _LOG_FLOATS, _LOG_FLOATS.map(lambda x: -x))
+_EPSILONS = st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.001))
+_SMALL_N_MAX = st.integers(2, 8)
+_ODD_N_MAX = st.sampled_from([1, 2.5, "8", None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_configs({"epsilon_over_kappa": _EPSILONS, "omega_grid": _small_axis(_SIGNED_FLOATS)},
+                    {"omega_grid": _odd_axis(_SIGNED_FLOATS)}))
+def test_generated_nopa_spectrum_configs_keep_the_exit_contract(cfg):
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite."""
+    code, text = _exit_contract("nopa-spectrum", cfg, "spectrum.csv")
+    assert code or _finite(text), text
+
+
+_WIGNER_AXES = ("q1", "p1", "q2", "p2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_configs(
+    {"r": st.one_of(st.floats(0.0, 3.0), _LOG_FLOATS),
+     "grid": st.fixed_dictionaries({name: _small_axis(_SIGNED_FLOATS) for name in _WIGNER_AXES}),
+     "from_density": st.booleans(), "n_max": _SMALL_N_MAX},
+    {"grid": st.one_of(st.fixed_dictionaries({name: _odd_axis(_SIGNED_FLOATS)
+                                              for name in _WIGNER_AXES}), _ODD_VALUES),
+     "n_max": _ODD_N_MAX}))
+@example(cfg={"r": 0.0, "grid": {**_point_grid(), "p2": {"start": 0.0, "stop": 1e154, "num": 2}},
+              "from_density": False, "n_max": 2})
+def test_generated_wigner_configs_keep_the_exit_contract(cfg):
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite.
+
+    In the example the exponent of W overflows to -inf at p2 1e154, where W
+    is 0: that warned of an overflow.
+    """
+    code, text = _exit_contract("wigner", cfg, "wigner.csv")
+    assert code or _finite(text), text
+
+
+_R_ENDS = st.one_of(st.floats(0.0, 2.0), _LOG_FLOATS)
+_J_ENDS = st.one_of(st.floats(0.0, 10.0), _LOG_FLOATS)  # |alpha| = sqrt(J) is bound by 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_configs(
+    {"state": st.sampled_from(["tmss", "vacuum"]), "n_max": _SMALL_N_MAX,
+     "r_grid": _small_axis(_R_ENDS, least=1), "j_grid": _small_axis(_J_ENDS, least=1),
+     "beta2_sign": st.sampled_from([1, -1, 1.0, -1.0])},
+    {"n_max": _ODD_N_MAX, "r_grid": _odd_axis(_R_ENDS), "j_grid": _odd_axis(_J_ENDS)}))
+def test_generated_bell_sweep_configs_keep_the_exit_contract(cfg):
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite."""
+    code, text = _exit_contract("bell-sweep", cfg, "sweep.csv")
+    assert code or _finite(text), text
+
+
+_EXPERIMENT_FIELDS = sorted(_experiment())
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_configs(
+    {"experiment": st.dictionaries(st.sampled_from(_EXPERIMENT_FIELDS), _LOG_FLOATS,
+                                   max_size=3).map(lambda rates: _experiment(**rates)),
+     "r": st.one_of(st.floats(0.0, 5.0), _LOG_FLOATS), "ratio_threshold": _LOG_FLOATS},
+    {"experiment": st.dictionaries(st.sampled_from(_EXPERIMENT_FIELDS), _ODD_VALUES,
+                                   min_size=1, max_size=3).map(lambda odd: _experiment(**odd))}))
+def test_generated_feasibility_configs_keep_the_exit_contract(cfg):
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite.
+
+    The rates are the shipped ones with up to three of them replaced.
+    """
+    code, text = _exit_contract("feasibility", cfg, "report.json")
+    assert code or _finite(text), text
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_configs(
+    {"epsilon_over_kappa": _EPSILONS,
+     "kappa_over_gamma": st.lists(_LOG_FLOATS, min_size=1, max_size=3)},
+    {"kappa_over_gamma": st.one_of(st.lists(st.one_of(_LOG_FLOATS, _ODD_VALUES), max_size=3),
+                                   _ODD_VALUES)}))
+def test_generated_cascade_configs_keep_the_exit_contract(cfg):
+    """Exit 0, 2 or 3; a failure is one stderr line, no file and no warning; a success is finite."""
+    code, text = _exit_contract("cascade", cfg, "cascade.csv")
+    assert code or _finite(text), text
 
 
 def test_cascade_solves_the_broadband_extreme(tmp_path, capsys):
