@@ -9,9 +9,10 @@ with 17 significant digits so outputs are stable golden-file material.
 
 Exit codes: 0 success, 2 config error or unwritable output, 3 numerical
 failure, including a truncation or a grid that does not fit in memory.
-A failure is one stderr line, and warnings are shown only once a command
-succeeds.  Each input rule lives in the library type that checks it, so a
-config error is the field, then the library's own message (:func:`_built`).
+A failure is one stderr line, and its warnings are dropped; a success or
+an unexpected crash shows them.  Each input rule lives in the library type
+that checks it, so a config error is the field, then the library's own
+message (:func:`_built`).
 Every artifact of a command is staged and renamed into place only once all
 of them are written, so a failed command leaves none.  ``--n-max``, which
 overrides the config's ``n_max``, exists only on the commands that
@@ -361,20 +362,14 @@ def cmd_wigner(cfg: dict, out: str | None) -> int:
     mesh = _on_grid("", points, np.meshgrid, *axes.values(), indexing="ij")
     w_analytic = _on_grid("", points, wigner_analytic, spec, *mesh)
 
-    trunc_warned = False
-    w_rho = None
-    if from_density:
-        state = tmss_fock(spec, basis)
-        w_rho, trunc_warned = _recording_truncation(wigner_from_density, state, *axes.values())
-
     header = ["q1", "p1", "q2", "p2", "w_analytic"]
     cols = [m.ravel() for m in mesh] + [np.ravel(w_analytic)]
-    if w_rho is not None:
+    meta = {"truncation_warning": False, "from_density": from_density}
+    if from_density:
+        w_rho, meta["truncation_warning"] = _recording_truncation(
+            wigner_from_density, tmss_fock(spec, basis), *axes.values())
         header.append("w_from_rho")
         cols.append(w_rho.ravel())
-
-    meta = {"truncation_warning": trunc_warned, "from_density": from_density}
-    if basis is not None:
         meta["n_max"] = basis.n_max
     _write(*_with_sidecar(out, _csv(header, cols), ".meta.json", meta))
     return 0
@@ -519,12 +514,16 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if getattr(args, "n_max", None) is not None:
             cfg["n_max"] = args.n_max
-        # A warning is shown only once the command succeeds: a failure is one line.
-        with warnings.catch_warnings(record=True) as caught:
-            code = _COMMANDS[args.command](cfg, args.out)
-        for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-        return code
+        # A failure mapped below is its one line alone; a success or a crash shows its warnings.
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                return _COMMANDS[args.command](cfg, args.out)
+        except (ConfigError, NumericalError, MemoryError, OutputError):
+            caught.clear()
+            raise
+        finally:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -792,8 +792,9 @@ def _exit_contract(command, payload, out_name):
     """Run ``command`` on ``payload`` in a fresh directory and check the exit contract.
 
     Exit 0, 2 or 3.  A failure is one stderr line, no artifact and no
-    recorded warning; a success records no warning but the
-    TruncationWarning.  Returns the exit code and the artifact's text.
+    shown warning; a success shows no warning but the TruncationWarning.
+    A numpy RuntimeWarning is raised as an error, so one on either path
+    fails the test.  Returns the exit code and the artifact's text.
     """
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), {"schema_version": 1, **payload})
@@ -801,6 +802,7 @@ def _exit_contract(command, payload, out_name):
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
             code = main([command, "--config", cfg, "--out", str(out)])
         noisy = [str(w.message) for w in caught if not issubclass(w.category, TruncationWarning)]
         assert code in (0, 2, 3)
@@ -901,6 +903,22 @@ def test_generated_evolve_configs_keep_the_exit_contract(model, n_max, times):
 def test_a_failure_after_a_truncation_warning_is_one_line(command, payload, out_name, code):
     """A run that warns of truncation and then fails shows the error line alone."""
     assert _exit_contract(command, payload, out_name)[0] == code
+
+
+def test_a_crash_shows_the_warnings_before_it(tmp_path, monkeypatch):
+    """An exception the exit contract does not map leaves with the warnings that preceded it."""
+    from eprsim import cli
+
+    def crash(cfg, out):
+        warnings.warn("overflow before the crash", RuntimeWarning)
+        raise IndexError("unmapped")
+
+    monkeypatch.setitem(cli._COMMANDS, "feasibility", crash)
+    cfg = write_config(tmp_path, {"schema_version": 1})
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(IndexError):
+        warnings.simplefilter("always")
+        main(["feasibility", "--config", cfg])
+    assert [str(w.message) for w in caught] == ["overflow before the crash"]
 
 
 def _finite(text):
@@ -1281,7 +1299,7 @@ def test_evolve_csv_is_independent_of_the_blas_thread_count():
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-m", "eprsim", "evolve", "--config",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eprsim", "evolve", "--config",
              str(REPO_ROOT / "configs" / "evolve_vacuum.json")],
             capture_output=True, env=env, check=True)
         outputs.append(proc.stdout)
@@ -1303,9 +1321,16 @@ _SHIPPED_GOLDENS = [
 @pytest.mark.parametrize("command, config, goldens", _SHIPPED_GOLDENS, ids=[
     "nopa-spectrum", "feasibility", "wigner", "cascade", "bell-beta2-negative", "bell-vacuum"])
 def test_shipped_config_reproduces_golden(tmp_path, command, config, goldens):
-    """Each artifact of a shipped config, byte for byte (the first is ``--out``)."""
+    """Each artifact of a shipped config, byte for byte (the first is ``--out``).
+
+    The command runs in a fresh ``python -m eprsim`` process, where a numpy
+    RuntimeWarning is an error, so no state left by another test can help it.
+    """
     cfg = REPO_ROOT / "configs" / f"{config}.json"
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / goldens[0])]) == 0
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "eprsim", command,
+                    "--config", str(cfg), "--out", str(tmp_path / goldens[0])],
+                   env=env, check=True)
     for name in goldens:
         assert (tmp_path / name).read_bytes() == (REPO_ROOT / "golden" / name).read_bytes()
 
